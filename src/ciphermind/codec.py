@@ -271,6 +271,15 @@ class HypothesisScorer:
         M.extend_cache(self.params, self.cfg, self.cache, [byte_val])
 
 
+def _checked_payload(frame: TokenFrame) -> np.ndarray:
+    payload = np.asarray(frame.payload, dtype=np.float32)
+    if not np.all(np.isfinite(payload)):
+        raise DecodeFailure("non-finite payload")
+    if not np.any(payload):
+        raise DecodeFailure("zero payload", score=0.0)
+    return payload
+
+
 class IncrementalDecoder:
     """Exact decoder for incremental-mode frames (theta/delta gated)."""
 
@@ -289,17 +298,16 @@ class IncrementalDecoder:
             raise CodecError("message already complete")
         if frame.seq != self.next_seq:
             raise DecodeFailure(f"out-of-order frame {frame.seq}, expected {self.next_seq}")
-        payload = np.asarray(frame.payload, dtype=np.float32)
-        if not np.any(payload):
-            raise DecodeFailure("zero payload", score=0.0)
+        payload = _checked_payload(frame)
         layer = scheduler.layer_of(self.state, self.cfg.n_blocks)
         self.layers_used.append(layer)
         token, score, margin, _ = self.scorer.score_frame(payload, layer)
-        if score < self.cp.theta:
+        # written so that a NaN score or margin fails the gate
+        if not score >= self.cp.theta:
             raise DecodeFailure(
                 f"no hypothesis reached theta={self.cp.theta}: best {score:.6f}",
                 score=score)
-        if margin < self.cp.delta:
+        if not margin >= self.cp.delta:
             raise AmbiguousDecode(margin)
         if token == END_HYPOTHESIS:
             if not frame.is_final:
@@ -368,17 +376,16 @@ def decode_message_incremental_naive(params, cfg, key: bytes, nonce: int,
                                      codec_params: CodecParams | None = None) -> bytes:
     """Reference decoder: one full forward pass per hypothesis, no caching.
 
-    Semantically identical to decode_message_incremental; exists as the
-    baseline for the decode benchmark and as a cross-check oracle.
+    Semantically identical to decode_message_incremental; it is the
+    cross-check oracle for the cached decoder (257 full passes per frame, so
+    no session uses it).
     """
     cp = codec_params or CodecParams()
     topen = template_tokens()
     state = scheduler.init_chain(key, nonce, msg_seq)
     decoded = bytearray()
     for frame in frames:
-        payload = np.asarray(frame.payload, dtype=np.float32)
-        if not np.any(payload):
-            raise DecodeFailure("zero payload", score=0.0)
+        payload = _checked_payload(frame)
         layer = scheduler.layer_of(state, cfg.n_blocks)
         d = list(decoded)
         taps = np.empty((257, cfg.d_model), dtype=np.float32)
@@ -393,9 +400,9 @@ def decode_message_incremental_naive(params, cfg, key: bytes, nonce: int,
         best = int(np.argmax(scores))
         best_score = float(scores[best])
         margin = best_score - float(np.delete(scores, best).max())
-        if best_score < cp.theta:
+        if not best_score >= cp.theta:
             raise DecodeFailure("below theta", score=best_score)
-        if margin < cp.delta:
+        if not margin >= cp.delta:
             raise AmbiguousDecode(margin)
         if best == 256:
             if not frame.is_final:

@@ -25,6 +25,16 @@ _LN2_LO = F32(9.0580006145e-06)
 _EXP_HI = F32(88.722839)
 _EXP_LO = F32(-87.336544)
 
+# Horner coefficients of exp's Taylor polynomial after the leading 1/5040,
+# down to the r^1 term; the constant term 1 is added last.
+_EXP_HORNER = tuple(F32(1.0) / F32(n) for n in (720.0, 120.0, 24.0, 6.0)) + (
+    F32(0.5), F32(1.0))
+
+# exp runs its ~20 passes block by block, so that the five arrays of one
+# block (640 KiB) stay in cache between passes; 32768 elements was the
+# fastest of 8192..65536 on a 2-core Xeon.
+_EXP_BLOCK = 32768
+
 # |tanh(x)| rounds to 1.0f beyond this.
 _TANH_SAT = F32(9.010913)
 
@@ -48,26 +58,48 @@ def exp(x: np.ndarray) -> np.ndarray:
     if x.dtype == np.float64:
         return np.exp(x)
 
-    # clamp first so the polynomial never sees huge arguments (e.g. mask fill)
-    xc = np.clip(x, _EXP_LO, F32(88.72283))
-    k = np.rint(xc * _INV_LN2)
-    np.clip(k, -126.0, 127.0, out=k)
-    r = (xc - k * _LN2_HI) - k * _LN2_LO
-    # degree-7 Taylor polynomial of exp on |r| <= ~0.35, Horner order pinned
-    p = F32(1.0) / F32(5040.0)
-    p = p * r + F32(1.0) / F32(720.0)
-    p = p * r + F32(1.0) / F32(120.0)
-    p = p * r + F32(1.0) / F32(24.0)
-    p = p * r + F32(1.0) / F32(6.0)
-    p = p * r + F32(0.5)
-    p = p * r + F32(1.0)
-    p = p * r + F32(1.0)
-    # scale by 2**k through the exponent field
-    scale = ((k.astype(np.int32) + 127) << 23).view(np.float32)
-    out = p * scale
-    out = np.where(x <= _EXP_LO, F32(0.0), out)
-    out = np.where(x >= _EXP_HI, np.float32(np.inf), out)
+    out = np.empty(x.shape, dtype=F32)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    n = flat_x.size
+    m = min(n, _EXP_BLOCK)
+    k, r, ki = np.empty(m, F32), np.empty(m, F32), np.empty(m, np.int32)
+    for lo in range(0, n, max(m, 1)):
+        hi = min(lo + m, n)
+        _exp_block(flat_x[lo:hi], flat_out[lo:hi], k[:hi - lo], r[:hi - lo],
+                   ki[:hi - lo])
     return out
+
+
+def _exp_block(x, out, k, r, ki) -> None:
+    """out = exp(x) for one block, through the scratch buffers k, r, ki.
+
+    Every step writes in place; the binary32 operations and their order are
+    those of r = (xc - k*LN2_HI) - k*LN2_LO, p = ((c7*r + c6)*r + ...)*r + 1.
+    """
+    # clamp first so the polynomial never sees huge arguments (e.g. mask fill)
+    xc = np.maximum(x, _EXP_LO, out=out)
+    np.minimum(xc, F32(88.72283), out=xc)
+    np.multiply(xc, _INV_LN2, out=k)
+    np.rint(k, out=k)
+    np.maximum(k, F32(-126.0), out=k)
+    np.minimum(k, F32(127.0), out=k)
+    np.multiply(k, _LN2_HI, out=r)
+    np.subtract(xc, r, out=r)
+    np.multiply(k, _LN2_LO, out=xc)
+    np.subtract(r, xc, out=r)
+    # degree-7 Taylor polynomial of exp on |r| <= ~0.35, Horner order pinned
+    p = np.multiply(r, F32(1.0) / F32(5040.0), out=out)
+    for c in _EXP_HORNER:
+        p += c
+        p *= r
+    p += F32(1.0)
+    # scale by 2**k through the exponent field
+    np.copyto(ki, k, casting="unsafe")
+    ki += 127
+    ki <<= 23
+    p *= ki.view(np.float32)
+    np.copyto(p, F32(0.0), where=x <= _EXP_LO)
+    np.copyto(p, F32(np.inf), where=x >= _EXP_HI)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

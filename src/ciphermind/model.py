@@ -14,7 +14,11 @@ on two pinned implementation rules:
    in ascending order, with the key axis zero-padded to a segment multiple
    and masked. A position's attention output therefore has identical bits
    whether it is computed inside a long teacher-forced pass, an incremental
-   step against a KV cache, or a batched hypothesis evaluation.
+   step against a KV cache, or a batched hypothesis evaluation. The softmax
+   numerator ``exp`` runs only on live entries (real query rows, keys
+   below the sequence end); masked, padded-row and padded-column entries
+   enter the fixed-shape GEMMs as exact zeros, which is what ``exp`` of a
+   masked score yields anyway, so only the work shrinks, never the shapes.
 
 Elementwise transcendentals come from :mod:`ciphermind.detmath`; add, mul,
 div and sqrt are IEEE-exact and need no pinning.
@@ -353,7 +357,14 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
 
     q, k_new, v_new: (B, S, d); k_pref/v_pref: (P, d) prefix shared by the
     whole batch (may be empty). Query row i sits at absolute position
-    base + i and attends keys 0 .. base + i. Returns (B, S, d).
+    base + i and attends keys 0 .. base + i. Returns (merged, aux) with
+    merged (B, S, d).
+
+    With need_aux, aux = (e, den, qf, kf, vf, s_pad, t_pad) for the
+    backward pass: e (B*H, s_pad, t_pad) holds exp(score - rowmax) on live
+    entries and exact zeros elsewhere, den (B*H, s_pad, 1) its row sums (1
+    in padded query rows), and qf/kf/vf the scaled, padded per-head Q, K
+    and V. Otherwise aux is None.
     """
     dtype = q.dtype
     B, S, d = q.shape
@@ -381,9 +392,6 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
         qp[:, :, :S] = qh
         qh = qp
 
-    blocked = np.arange(t_pad)[None, :] > (base + np.arange(s_pad))[:, None]
-    blocked[S:] = False  # padded query rows: keep scores finite, rows are dropped
-
     qf = qh.reshape(B * H, s_pad, hd)
     kf = kbuf.reshape(B * H, t_pad, hd)
     vf = vbuf.reshape(B * H, t_pad, hd)
@@ -393,21 +401,30 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
         sl = slice(seg * KEY_SEG, (seg + 1) * KEY_SEG)
         k_seg = np.ascontiguousarray(kf[:, sl])
         scores[:, :, sl] = np.matmul(qf, k_seg.transpose(0, 2, 1))
-    scores[:, blocked] = dtype.type(MASK_FILL)
-    rowmax = np.max(scores, axis=-1, keepdims=True)
+
+    # Mask, row max and exp over the live region only: real query rows and
+    # keys below T. Keys from T on are masked in every real row, so the row
+    # max is the same, and padded query rows are dropped; both stay exact
+    # zeros in e, inside the fixed-shape GEMMs below.
+    blocked = np.arange(T)[None, :] > (base + np.arange(S))[:, None]
+    live = scores[:, :S, :T]
+    live[:, blocked] = dtype.type(MASK_FILL)
+    e = np.zeros((B * H, s_pad, t_pad), dtype=dtype)
+    e[:, :S, :T] = detmath.exp(live - np.max(live, axis=-1, keepdims=True))
 
     out = np.zeros((B * H, s_pad, hd), dtype=dtype)
     den = np.zeros((B * H, s_pad, 1), dtype=dtype)
     ones_block = np.ones((KEY_SEG, M_MIN), dtype=dtype)
     for seg in range(n_seg):
         sl = slice(seg * KEY_SEG, (seg + 1) * KEY_SEG)
-        e_seg = detmath.exp(np.ascontiguousarray(scores[:, :, sl]) - rowmax)
+        e_seg = np.ascontiguousarray(e[:, :, sl])
         out += np.matmul(e_seg, np.ascontiguousarray(vf[:, sl]))
         den += np.matmul(e_seg, ones_block)[:, :, :1]
+    den[:, S:] = dtype.type(1.0)  # padded rows: 0 / 1, never 0 / 0
 
     attn = (out / den).reshape(B, H, s_pad, hd)[:, :, :S]
     merged = np.ascontiguousarray(attn.transpose(0, 2, 1, 3)).reshape(B, S, d)
-    aux = (scores, rowmax, den, qf, kf, vf, s_pad, t_pad) if need_aux else None
+    aux = (e, den, qf, kf, vf, s_pad, t_pad) if need_aux else None
     return merged, aux
 
 

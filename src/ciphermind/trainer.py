@@ -242,12 +242,11 @@ def _ln_backward(dy, xn, inv, g):
 
 
 def _attention_backward(dmerged, aux, B, S, cfg):
-    scores, rowmax, den, qf, kf, vf, s_pad, t_pad = aux
+    e, den, qf, kf, vf, s_pad, t_pad = aux
     H, hd = cfg.n_heads, cfg.head_dim
     d = cfg.d_model
     dtype = dmerged.dtype
-    e = detmath.exp(scores - rowmax)
-    p = e / den
+    p = e / den  # zero in padded rows, where dA is zero too
 
     dA = np.zeros((B * H, s_pad, hd), dtype=dtype)
     dA[:, :S] = np.ascontiguousarray(

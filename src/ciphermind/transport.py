@@ -163,6 +163,8 @@ def unpack_frame(body: bytes, d_model: int):
     (token_seq,) = struct.unpack_from("<I", body, 8)
     flags = body[12]
     payload = np.frombuffer(body[13:], dtype="<f4").astype(np.float32)
+    if not np.all(np.isfinite(payload)):
+        raise MalformedMessage("non-finite frame payload")
     return message_seq, codec.TokenFrame(seq=token_seq, payload=payload,
                                          is_final=bool(flags & 1))
 
@@ -307,27 +309,29 @@ class TranscriptWriter:
 
 
 def read_transcript(path):
-    """Yields (direction, WireMessage) records."""
-    blob = open(path, "rb").read()
+    """Returns the (direction, WireMessage) records of a transcript file.
+
+    A record cut short, in its 5-byte header or in its message, raises
+    MalformedMessage.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
     pos = 0
     out = []
     while pos < len(blob):
+        if pos + 5 > len(blob):
+            raise MalformedMessage(f"transcript record at byte {pos}: truncated header")
         direction = blob[pos]
         (length,) = struct.unpack_from("<I", blob, pos + 1)
-        data = blob[pos + 5: pos + 5 + length]
-        pos += 5 + length
-        out.append((direction, parse(data)))
+        end = pos + 5 + length
+        if end > len(blob):
+            raise MalformedMessage(f"transcript record at byte {pos}: truncated message")
+        out.append((direction, parse(blob[pos + 5:end])))
+        pos = end
     return out
 
 
 # ------------------------------------------------------------------ session
-
-def write_message(stream, msg: WireMessage, transcript: TranscriptWriter | None = None):
-    data = serialize(msg)
-    if transcript is not None:
-        transcript.record(TranscriptWriter.DIR_SENT, data)
-    stream.send_bytes(data)
-
 
 def read_message(stream, timeout: float = DEFAULT_TIMEOUT,
                  transcript: TranscriptWriter | None = None) -> WireMessage:
@@ -485,7 +489,11 @@ class Session:
             if msg.type != TYPE_FRAME:
                 self._fail(ERR_PROTOCOL, "expected FRAME")
                 raise ProtocolViolation(f"expected FRAME, got type {msg.type}")
-            mseq, frame = unpack_frame(msg.body, self.config.d_model)
+            try:
+                mseq, frame = unpack_frame(msg.body, self.config.d_model)
+            except MalformedMessage as e:
+                self._fail(ERR_PROTOCOL, str(e))
+                raise
             if mseq != seq:
                 self._fail(ERR_PROTOCOL, "message seq out of order")
                 raise ProtocolViolation("message seq out of order")

@@ -156,6 +156,38 @@ def test_zero_payload_decode_failure(params):
         dec.feed(frames[0])
 
 
+def _non_finite_payloads(d_model):
+    one_inf = np.ones(d_model, dtype=np.float32)
+    one_inf[3] = np.inf
+    return [np.full(d_model, np.nan, dtype=np.float32), one_inf]
+
+
+def test_non_finite_payload_fails_closed(params):
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 11, b"q")
+    for payload in _non_finite_payloads(CFG.d_model):
+        frame = C.TokenFrame(seq=0, payload=payload)
+        dec = C.IncrementalDecoder(params, CFG, KEY, NONCE, 11, CP)
+        with pytest.raises(C.DecodeFailure, match="non-finite"):
+            dec.feed(frame)
+        assert dec.next_seq == 0 and dec.scorer.prefix == b""
+        with pytest.raises(C.DecodeFailure, match="non-finite"):
+            C.decode_message_incremental_naive(params, CFG, KEY, NONCE, 11,
+                                               [frame] + frames[1:], CP)
+
+
+def test_nan_score_and_margin_fail_the_gates(params, monkeypatch):
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 12, b"q")
+    nan = float("nan")
+    for score, margin, error in ((nan, 1.0, C.DecodeFailure),
+                                 (1.0, nan, C.AmbiguousDecode)):
+        monkeypatch.setattr(C.HypothesisScorer, "score_frame",
+                            lambda self, payload, layer, **kw: (ord("q"), score, margin, None))
+        dec = C.IncrementalDecoder(params, CFG, KEY, NONCE, 12, CP)
+        with pytest.raises(error):
+            dec.feed(frames[0])
+        assert dec.scorer.prefix == b""
+
+
 def test_wrong_key_decode_fails(params):
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 6, b"hi")
     wrong = bytes(reversed(KEY))

@@ -1,0 +1,125 @@
+"""Absolute output bits of the engine, the trainer and the pinned math.
+
+Every other bitwise test compares two paths of the same build (step against
+full, hypothesis against full, twin against twin), so a change that moved
+every bit the same way would still pass them. These digests pin the bits
+themselves. They were taken with numpy 2.4 and OpenBLAS 0.3.31; a BLAS build
+with other GEMM microkernels may legitimately move them, and then they have
+to be re-taken from the unchanged code on that build before a change to the
+engine is judged against them.
+"""
+
+import hashlib
+
+import numpy as np
+
+from ciphermind import detmath
+from ciphermind import model as M
+from ciphermind import trainer as T
+from ciphermind.scheduler import Stream
+
+# max_seq > KEY_SEG, so the passes below reduce over two key segments
+CFG = M.ModelConfig(n_blocks=3, d_model=32, n_heads=2, d_ff=64,
+                    vocab_size=260, max_seq=288)
+
+GOLDEN = {
+    "forward_full":
+        "20acd3474f406d377d55af2198c1e60b97ec13d39d4fdc75211e41eee29d4fea",
+    "extend_cache_and_step":
+        "229baca6901529765658e8beaa74bd1662deef46c27b16a52cc3741b9ecb3375",
+    "hypothesis_taps":
+        "58e8f6d8c1c8410133777bb19cd526369777887d42c8565244fda88236596031",
+    "loss_and_grads":
+        "683a742d391b10f9f35f9287836fd3c1998c71ac5e3efc297d6ac1347ca6b8b6",
+    "finetune_adapters":
+        "4ff4ea0c1498370bb56ac19699e223451aed2f7798ba54dc72ec0f5187729fb1",
+    "exp":
+        "e3c4eea391d22527f07c6c7f3ec44c370d72dfe3f471af63808f33f62f561344",
+    "tanh":
+        "0be4511263622af39de1838cf8ef7d93c117e4de8d7607c1645373aca605d22d",
+    "gelu":
+        "c00b0d2e23445740ae30040de14b372110f076b94608a5a5b5b5860096c4d21f",
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.asarray(arr)
+        h.update(arr.dtype.str.encode() + repr(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def _tokens(seed, shape):
+    return np.random.default_rng(seed).integers(0, 260, size=shape).astype(np.int64)
+
+
+def _params():
+    return M.init_parameters(CFG, seed=2506)
+
+
+def _float32_sweep() -> np.ndarray:
+    """Every 997th float32 bit pattern (NaNs and infinities included) plus
+    the edges of the pinned exp."""
+    bits = np.arange(0, 2 ** 32, 997, dtype=np.uint64).astype(np.uint32)
+    edges = np.array([np.nan, np.inf, -np.inf, -1e30, 0.0, -0.0,
+                      detmath._EXP_LO, detmath._EXP_HI], dtype=np.float32)
+    return np.concatenate([bits.view(np.float32), edges])
+
+
+def test_forward_full_two_segments():
+    hid, logits = M.forward_full(_params(), CFG, _tokens(1, 220))
+    assert _digest(hid, logits) == GOLDEN["forward_full"]
+
+
+def test_extend_cache_and_forward_step():
+    params = _params()
+    toks = _tokens(2, 140)
+    cache = M.KVCache(CFG)
+    hid, logits = M.extend_cache(params, CFG, cache, toks[:125])
+    parts = [hid, logits]
+    for tok in toks[125:]:  # steps cross into the second key segment
+        parts.extend(M.forward_step(params, CFG, cache, int(tok)))
+    assert _digest(*parts) == GOLDEN["extend_cache_and_step"]
+
+
+def test_hypothesis_taps_every_layer_across_segments():
+    params = _params()
+    cache = M.KVCache(CFG)
+    M.extend_cache(params, CFG, cache, _tokens(3, 120))
+    suffixes = _tokens(4, (6, 25))  # positions 120..144 straddle KEY_SEG
+    taps = [M.hypothesis_taps(params, CFG, cache, suffixes, layer)
+            for layer in range(1, CFG.n_blocks + 1)]
+    assert _digest(*taps) == GOLDEN["hypothesis_taps"]
+
+
+def test_loss_and_grads():
+    # 45 positions need no padded query rows; 20 positions pad up to M_MIN
+    params = _params()
+    parts = []
+    for seed, length in ((5, 45), (6, 20)):
+        tokens = _tokens(seed, (3, length))
+        mask = np.zeros((3, length - 1), dtype=np.float32)
+        mask[:, 10:] = 1.0
+        loss, grads = T.loss_and_grads(params, CFG, tokens, mask)
+        parts += [np.float64(loss), grads["emb"], grads["gf"], grads["bf"]]
+        for gb in grads["blocks"]:
+            parts.extend(gb[name] for name in M.BlockParams.FIELD_ORDER)
+    assert _digest(*parts) == GOLDEN["loss_and_grads"]
+
+
+def test_finetune_adapter_fingerprint():
+    stream = Stream(9)
+    shards = [T.Shard(id=0, examples=[T.sentence_example(stream) for _ in range(4)])]
+    tconfig = T.TrainConfig(seed=3, steps=2, batch_size=2, max_example_len=80)
+    adapters = T.finetune(_params(), shards, tconfig)
+    assert T.adapter_fingerprint(adapters).hex() == GOLDEN["finetune_adapters"]
+
+
+def test_pinned_math_sweep():
+    x = _float32_sweep()
+    with np.errstate(all="ignore"):
+        got = {name: _digest(getattr(detmath, name)(x))
+               for name in ("exp", "tanh", "gelu")}
+    assert got == {name: GOLDEN[name] for name in got}

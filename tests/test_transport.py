@@ -116,6 +116,15 @@ def test_parse_rejects_bad_magic_version_length():
         W.parse(huge)
 
 
+def test_unpack_frame_rejects_non_finite_payload():
+    one_inf = np.ones(32, dtype=np.float32)
+    one_inf[5] = np.inf
+    for payload in (np.full(32, np.nan, dtype=np.float32), one_inf):
+        body = W.pack_frame(0, codec.TokenFrame(seq=0, payload=payload))
+        with pytest.raises(W.MalformedMessage, match="non-finite"):
+            W.unpack_frame(body, 32)
+
+
 def test_parser_never_crashes_on_fuzz():
     rng = np.random.default_rng(4)
     for _ in range(300):
@@ -302,6 +311,46 @@ def test_transcript_capture_and_replay(tmp_path, params, profile):
     assert len(frames) == len(b"captured!") + 1
     # frame bodies have no layer field: seq + token seq + flags + payload only
     assert all(len(m.body) == 8 + 4 + 1 + 4 * CFG.d_model for m in frames)
+
+
+def test_transcript_truncated_anywhere_in_last_record(tmp_path):
+    frame = codec.TokenFrame(seq=0, payload=np.ones(32, dtype=np.float32))
+    tw = W.TranscriptWriter(tmp_path / "cap.bin")
+    tw.record(W.TranscriptWriter.DIR_SENT, W.serialize(W.WireMessage(W.TYPE_FIN)))
+    tw.record(W.TranscriptWriter.DIR_RECEIVED,
+              W.serialize(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame))))
+    tw.close()
+    blob = (tmp_path / "cap.bin").read_bytes()
+    last = 5 + 14  # the first record: header plus a 14-byte FIN
+    assert len(W.read_transcript(tmp_path / "cap.bin")) == 2
+    cut_path = tmp_path / "cut.bin"
+    cut_path.write_bytes(blob[:last])
+    assert [m.type for _, m in W.read_transcript(cut_path)] == [W.TYPE_FIN]
+    for cut in range(last + 1, len(blob)):
+        cut_path.write_bytes(blob[:cut])
+        with pytest.raises(W.MalformedMessage, match="truncated"):
+            W.read_transcript(cut_path)
+
+
+def test_non_finite_frame_gets_error_reply(params, profile):
+    one_inf = np.ones(CFG.d_model, dtype=np.float32)
+    one_inf[0] = np.inf
+    for payload in (np.full(CFG.d_model, np.nan, dtype=np.float32), one_inf):
+        a, b = W.loopback_pair()
+        s1 = _session(a, params, profile)
+        s2 = _session(b, params, profile)
+        t = threading.Thread(target=s2.handshake, args=("responder",))
+        t.start()
+        s1.handshake("initiator", nonce=3)
+        t.join()
+        frame = codec.TokenFrame(seq=0, payload=payload, is_final=True)
+        s1._send(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame)))
+        with pytest.raises(W.MalformedMessage, match="non-finite"):
+            s2.recv_message()
+        reply = W.read_message(a, timeout=5)
+        assert reply.type == W.TYPE_ERROR
+        assert W.unpack_error(reply.body)[0] == W.ERR_PROTOCOL
+        assert s2.recv_seq == 0
 
 
 def test_send_before_handshake_rejected(params, profile):
