@@ -355,7 +355,7 @@ def decode_message_oneshot(params, cfg, key: bytes, nonce: int, msg_seq: int,
             scorer = HypothesisScorer(params, cfg)
             state = scheduler.init_chain(key, nonce, msg_seq)
         layer = scheduler.layer_of(state, cfg.n_blocks)
-        payload = np.asarray(frame.payload, dtype=np.float32)
+        payload = _checked_payload(frame)
         token, score, _, _ = scorer.score_frame(payload, layer,
                                                 include_end=frame.is_final)
         scores.append(float(score))

@@ -32,7 +32,8 @@ _EXP_HORNER = tuple(F32(1.0) / F32(n) for n in (720.0, 120.0, 24.0, 6.0)) + (
 
 # exp runs its ~20 passes block by block, so that the five arrays of one
 # block (640 KiB) stay in cache between passes; 32768 elements was the
-# fastest of 8192..65536 on a 2-core Xeon.
+# fastest of 8192..65536 on a 2-core Xeon. float32 gelu runs in the same
+# blocks.
 _EXP_BLOCK = 32768
 
 # |tanh(x)| rounds to 1.0f beyond this.
@@ -111,8 +112,12 @@ def tanh(x: np.ndarray) -> np.ndarray:
     a = -np.abs(x)
     e = exp(a + a)
     mag = (F32(1.0) - e) / (F32(1.0) + e)
-    mag = np.where(a <= -_TANH_SAT, F32(1.0), mag)
-    return np.where(x < 0, -mag, mag)
+    np.copyto(mag, F32(1.0), where=a <= -_TANH_SAT)
+    # -mag where x < 0, as a sign-bit flip: the same bits as
+    # np.where(x < 0, -mag, mag), NaNs included, at a fifth of the time
+    flip = (x < 0).astype(np.uint32)
+    flip <<= 31
+    return (mag.view(np.uint32) ^ flip).view(np.float32)
 
 
 def log(x: np.ndarray) -> np.ndarray:
@@ -146,12 +151,25 @@ def log(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-form GELU, inner polynomial 0.7978845608*(x + 0.044715*x^3)."""
+    """tanh-form GELU, inner polynomial 0.7978845608*(x + 0.044715*x^3).
+
+    float32 runs in _EXP_BLOCK-element blocks, so that every temporary of
+    a block stays in cache from the cube through tanh to the product.
+    """
     x = _check_dtype(x)
     half = x.dtype.type(0.5)
     one = x.dtype.type(1.0)
-    inner = x.dtype.type(_GELU_C0) * (x + x.dtype.type(_GELU_C1) * (x * x * x))
-    return half * x * (one + tanh(inner))
+    c0, c1 = x.dtype.type(_GELU_C0), x.dtype.type(_GELU_C1)
+    if x.dtype == np.float64:
+        return half * x * (one + tanh(c0 * (x + c1 * (x * x * x))))
+
+    out = np.empty(x.shape, dtype=F32)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_x.size, _EXP_BLOCK):
+        xb = flat_x[lo:lo + _EXP_BLOCK]
+        inner = c0 * (xb + c1 * (xb * xb * xb))
+        np.multiply(half * xb, one + tanh(inner), out=flat_out[lo:lo + _EXP_BLOCK])
+    return out
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:

@@ -2,23 +2,41 @@
 
 Everything downstream (twin provisioning, the hidden-state codec, the
 attacker studies) depends on this module's bit-reproducibility, which rests
-on two pinned implementation rules:
+on three pinned implementation rules:
 
 1. Every GEMM runs with a row count of at least ``M_MIN`` (smaller inputs
    are zero-padded). The BLAS picks different microkernels for very small
    row counts, and those kernels reduce in a different order; at >= M_MIN
    rows an output row's bits depend only on that row's content and the
-   weight matrix. All other GEMM dimensions are fixed by the architecture.
+   other operand. That is what lets attention stack the query rows of all
+   batch items into one GEMM per head and key segment against the prefix
+   keys the batch shares, instead of padding each item's rows and copying
+   the prefix into every item. Column counts are fixed by the architecture
+   except in attention, where they follow the sequence: the score GEMMs
+   against an item's own keys zero-pad those keys to a multiple of M_MIN
+   and to at least 2 * M_MIN, and V is zero-padded to a multiple of M_MIN
+   columns. Measured on OpenBLAS 0.3.31: at M_MIN rows by M_MIN columns a
+   score GEMM that reduces over 32 or more terms takes a kernel with other
+   bits, an AV GEMM whose N is not a multiple of 16 loses row-independent
+   bits, and an N of 1 turns a GEMM into a GEMV. Within these limits a
+   score's bits depend neither on N nor on its column.
 
 2. Attention reduces over keys in fixed ``KEY_SEG``-wide segments combined
-   in ascending order, with the key axis zero-padded to a segment multiple
-   and masked. A position's attention output therefore has identical bits
-   whether it is computed inside a long teacher-forced pass, an incremental
-   step against a KV cache, or a batched hypothesis evaluation. The softmax
-   numerator ``exp`` runs only on live entries (real query rows, keys
-   below the sequence end); masked, padded-row and padded-column entries
-   enter the fixed-shape GEMMs as exact zeros, which is what ``exp`` of a
-   masked score yields anyway, so only the work shrinks, never the shapes.
+   in ascending order: per item and head, one AV GEMM with K = KEY_SEG per
+   segment, the key axis zero-padded to a segment multiple and masked.
+   ``M_MIN`` ones-columns appended to V make the same GEMM yield the
+   softmax denominators. A position's attention output therefore has
+   identical bits whether it is computed inside a long teacher-forced pass,
+   an incremental step against a KV cache, or a batched hypothesis
+   evaluation. The softmax numerator ``exp`` runs only on live entries
+   (real query rows, keys below the sequence end); masked, padded-row and
+   padded-column entries enter the fixed-shape GEMMs as exact zeros, which
+   is what ``exp`` of a masked score yields anyway, so only the work
+   shrinks, never the shapes.
+
+3. By rules 1 and 2 an item's bits never depend on the other items of its
+   batch, so ``hypothesis_taps`` may split a batch into chunks of at least
+   M_MIN items, run them on several threads and concatenate the results.
 
 Elementwise transcendentals come from :mod:`ciphermind.detmath`; add, mul,
 div and sqrt are IEEE-exact and need no pinning.
@@ -29,7 +47,9 @@ residual addition (1-indexed), before the next block's first layer norm.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -43,6 +63,12 @@ F32 = np.float32
 M_MIN = 32
 KEY_SEG = 128
 MASK_FILL = -1e30
+
+# Bytes of padded e and V that one chunk of batch items may span in the
+# attention's AV GEMMs, so that they stay in cache from the copy to the GEMM.
+# 512 KiB .. 2 MiB ran alike on a 2-core Xeon (2 MiB L2); without chunks the
+# same hypothesis batches ran 10-35 % slower.
+_AV_CHUNK_BYTES = 1 << 20
 
 PARAM_MAGIC = b"CMWT"
 PARAM_VERSION = 1
@@ -296,6 +322,10 @@ def _mm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (buf @ w)[:m]
 
 
+def _round_up(n: int, step: int) -> int:
+    return -(-n // step) * step
+
+
 def _layer_norm(x, g, b, eps):
     mu = np.mean(x, axis=-1, keepdims=True)
     xc = x - mu
@@ -353,78 +383,101 @@ def _split_heads(x, n_heads):
 
 
 def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
-    """Segmented causal attention.
+    """Segmented causal attention (rules 1 and 2 of the module docstring).
 
-    q, k_new, v_new: (B, S, d); k_pref/v_pref: (P, d) prefix shared by the
-    whole batch (may be empty). Query row i sits at absolute position
-    base + i and attends keys 0 .. base + i. Returns (merged, aux) with
-    merged (B, S, d).
+    q: (B, S, d) queries; k_new, v_new: (B, Sk, d) each item's own keys and
+    values; k_pref/v_pref: (P, d) prefix shared by the whole batch (may be
+    empty). Query row i sits at absolute position base + i and attends keys
+    0 .. base + i. Returns (merged, aux) with merged (B, S, d).
 
-    With need_aux, aux = (e, den, qf, kf, vf, s_pad, t_pad) for the
-    backward pass: e (B*H, s_pad, t_pad) holds exp(score - rowmax) on live
-    entries and exact zeros elsewhere, den (B*H, s_pad, 1) its row sums (1
-    in padded query rows), and qf/kf/vf the scaled, padded per-head Q, K
-    and V. Otherwise aux is None.
+    With need_aux (training passes, which have no prefix), aux = (e, den,
+    qf, kf, vf, s_pad, t_pad) for the backward pass: e (B*H, s_pad, t_pad)
+    holds exp(score - rowmax) on live entries and exact zeros elsewhere, den
+    (B*H, s_pad, 1) its row sums (1 in padded query rows), and qf/kf/vf the
+    scaled, padded per-head Q, K and V. Otherwise aux is None.
     """
     dtype = q.dtype
     B, S, d = q.shape
+    Sk = k_new.shape[1]
     H, hd = cfg.n_heads, cfg.head_dim
     P = k_pref.shape[0]
-    T = P + k_new.shape[1]
-    t_pad = ((T + KEY_SEG - 1) // KEY_SEG) * KEY_SEG
-    n_seg = t_pad // KEY_SEG
-
-    inv_scale = dtype.type(1.0) / np.sqrt(dtype.type(hd))
-    qh = _split_heads(q * inv_scale, H)
-
-    kbuf = np.zeros((B, H, t_pad, hd), dtype=dtype)
-    vbuf = np.zeros((B, H, t_pad, hd), dtype=dtype)
-    if P:
-        kbuf[:, :, :P] = np.ascontiguousarray(k_pref.reshape(P, H, hd).transpose(1, 0, 2))
-        vbuf[:, :, :P] = np.ascontiguousarray(v_pref.reshape(P, H, hd).transpose(1, 0, 2))
-    kbuf[:, :, P:T] = _split_heads(k_new, H)
-    vbuf[:, :, P:T] = _split_heads(v_new, H)
-
-    # pad the query axis so per-item GEMMs stay in the stable kernel regime
+    T = P + Sk
+    if need_aux and P:
+        raise ModelError("a training pass takes no cache prefix")
+    BH = B * H
     s_pad = max(S, M_MIN)
-    if s_pad != S:
-        qp = np.zeros((B, H, s_pad, hd), dtype=dtype)
-        qp[:, :, :S] = qh
-        qh = qp
+    t_pad = _round_up(T, KEY_SEG)
+    qh = _split_heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd))), H)
+    live = np.empty((B, H, S, T), dtype=dtype)
 
-    qf = qh.reshape(B * H, s_pad, hd)
-    kf = kbuf.reshape(B * H, t_pad, hd)
-    vf = vbuf.reshape(B * H, t_pad, hd)
+    # Prefix keys are shared: one GEMM per head and key segment over all B*S
+    # query rows, N = KEY_SEG with the segment zero-padded.
+    if P:
+        kp = np.zeros((H, _round_up(P, KEY_SEG), hd), dtype=dtype)
+        kp[:, :P] = k_pref.reshape(P, H, hd).transpose(1, 0, 2)
+        for h in range(H):
+            q_rows = qh[:, h].reshape(B * S, hd)
+            for lo in range(0, P, KEY_SEG):
+                n = min(P - lo, KEY_SEG)
+                part = _mm(q_rows, kp[h, lo:lo + KEY_SEG].T)
+                live[:, h, :, lo:lo + n] = part[:, :n].reshape(B, S, n)
 
-    scores = np.empty((B * H, s_pad, t_pad), dtype=dtype)
-    for seg in range(n_seg):
-        sl = slice(seg * KEY_SEG, (seg + 1) * KEY_SEG)
-        k_seg = np.ascontiguousarray(kf[:, sl])
-        scores[:, :, sl] = np.matmul(qf, k_seg.transpose(0, 2, 1))
+    # Own keys differ per item: per-item GEMMs with query rows padded to
+    # M_MIN and the keys zero-padded as rule 1 says.
+    qf = np.zeros((B, H, s_pad, hd), dtype=dtype)
+    qf[:, :, :S] = qh
+    qf = qf.reshape(BH, s_pad, hd)
+    kf = np.zeros((B, H, max(_round_up(Sk, M_MIN), 2 * M_MIN), hd), dtype=dtype)
+    kf[:, :, :Sk] = _split_heads(k_new, H)
+    kf = kf.reshape(BH, -1, hd)
+    own = np.matmul(qf, kf.transpose(0, 2, 1)).reshape(B, H, s_pad, -1)
+    live[..., P:] = own[:, :, :S, :Sk]
 
     # Mask, row max and exp over the live region only: real query rows and
-    # keys below T. Keys from T on are masked in every real row, so the row
-    # max is the same, and padded query rows are dropped; both stay exact
-    # zeros in e, inside the fixed-shape GEMMs below.
+    # keys below T. Padded rows and keys from T on enter the AV GEMMs as
+    # exact zeros.
+    live = live.reshape(BH, S, T)
     blocked = np.arange(T)[None, :] > (base + np.arange(S))[:, None]
-    live = scores[:, :S, :T]
     live[:, blocked] = dtype.type(MASK_FILL)
-    e = np.zeros((B * H, s_pad, t_pad), dtype=dtype)
-    e[:, :S, :T] = detmath.exp(live - np.max(live, axis=-1, keepdims=True))
+    ex = detmath.exp(live - np.max(live, axis=-1, keepdims=True)).reshape(B, H, S, T)
 
-    out = np.zeros((B * H, s_pad, hd), dtype=dtype)
-    den = np.zeros((B * H, s_pad, 1), dtype=dtype)
-    ones_block = np.ones((KEY_SEG, M_MIN), dtype=dtype)
-    for seg in range(n_seg):
-        sl = slice(seg * KEY_SEG, (seg + 1) * KEY_SEG)
-        e_seg = np.ascontiguousarray(e[:, :, sl])
-        out += np.matmul(e_seg, np.ascontiguousarray(vf[:, sl]))
-        den += np.matmul(e_seg, ones_block)[:, :, :1]
-    den[:, S:] = dtype.type(1.0)  # padded rows: 0 / 1, never 0 / 0
+    # AV: per-item GEMMs over each KEY_SEG segment, added in ascending order.
+    # V is zero-padded to a multiple of M_MIN columns and then gains M_MIN
+    # ones-columns, so the same GEMMs yield the softmax denominators in
+    # column den_col. Items run in chunks whose padded e and V stay in
+    # cache; the prefix rows of V are written once into the chunk buffer.
+    den_col = _round_up(hd, M_MIN)
+    item_bytes = dtype.itemsize * H * t_pad * (s_pad + den_col + M_MIN)
+    g = min(B, max(1, _AV_CHUNK_BYTES // item_bytes))
+    e_c = np.zeros((g, H, s_pad, t_pad), dtype=dtype)
+    v_c = np.zeros((g, H, t_pad, den_col + M_MIN), dtype=dtype)
+    v_c[:, :, :P, :hd] = v_pref.reshape(P, H, hd).transpose(1, 0, 2)
+    v_c[..., den_col:] = dtype.type(1.0)
+    acc = np.empty((g, H, s_pad, den_col + M_MIN), dtype=dtype)
+    vh = _split_heads(v_new, H)
+    den = np.ones((B, H, s_pad, 1), dtype=dtype)  # padded rows: 0 / 1, never 0 / 0
+    attn = np.empty((B, H, S, hd), dtype=dtype)
+    for b0 in range(0, B, g):
+        n = min(g, B - b0)
+        items = slice(b0, b0 + n)
+        e_c[:n, :, :S, :T] = ex[items]
+        v_c[:n, :, P:T, :hd] = vh[items]
+        acc[:n] = dtype.type(0.0)
+        for lo in range(0, t_pad, KEY_SEG):
+            acc[:n] += np.matmul(e_c[:n, :, :, lo:lo + KEY_SEG], v_c[:n, :, lo:lo + KEY_SEG])
+        den[items, :, :S] = acc[:n, :, :S, den_col:den_col + 1]
+        attn[items] = acc[:n, :, :S, :hd] / den[items, :, :S]
 
-    attn = (out / den).reshape(B, H, s_pad, hd)[:, :, :S]
     merged = np.ascontiguousarray(attn.transpose(0, 2, 1, 3)).reshape(B, S, d)
-    aux = (e, den, qf, kf, vf, s_pad, t_pad) if need_aux else None
+    aux = None
+    if need_aux:
+        e = np.zeros((BH, s_pad, t_pad), dtype=dtype)
+        e[:, :S, :T] = ex.reshape(BH, S, T)
+        k_aux = np.zeros((BH, t_pad, hd), dtype=dtype)
+        k_aux[:, :Sk] = kf[:, :Sk]
+        v_aux = np.zeros((BH, t_pad, hd), dtype=dtype)
+        v_aux[:, :Sk] = vh.reshape(BH, Sk, hd)
+        aux = (e, den.reshape(BH, s_pad, 1), qf, k_aux, v_aux, s_pad, t_pad)
     return merged, aux
 
 
@@ -560,16 +613,39 @@ def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
                     suffixes, layer: int) -> np.ndarray:
     """Residual-stream tap of block `layer` at the last position of
     prefix+suffix for a batch of equal-length suffixes. The cache is read
-    but never modified. Returns (B, d_model)."""
+    but never modified. Returns (B, d_model).
+
+    The batch is split into contiguous chunks, one per available CPU and
+    each of at least M_MIN suffixes; the calling thread runs the first and
+    one worker thread each of the others (rule 3 of the module docstring).
+    The workers live for one call: starting them costs ~0.1 ms, against
+    tens of ms per tapped block for a 256-suffix batch.
+    """
     suffixes = np.asarray(suffixes, dtype=np.int64)
     if suffixes.ndim != 2 or suffixes.shape[1] == 0:
         raise ModelError("suffixes must be (B, S) with S >= 1")
     if not 1 <= layer <= config.n_blocks:
         raise ModelError("tap layer out of range")
-    _, _, x = _forward(params, config, suffixes, cache=cache,
-                       upto_block=layer, last_only_final_block=True,
-                       want_logits=False, collect_hidden=False)
-    return x[:, -1, :]
+
+    def taps(chunk):
+        _, _, x = _forward(params, config, chunk, cache=cache,
+                           upto_block=layer, last_only_final_block=True,
+                           want_logits=False, collect_hidden=False)
+        return x[:, -1, :]
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_chunks = min(cpus or 1, suffixes.shape[0] // M_MIN)
+    if n_chunks < 2:
+        return taps(suffixes)
+    first, *rest = np.array_split(suffixes, n_chunks)
+    with concurrent.futures.ThreadPoolExecutor(
+            len(rest), thread_name_prefix="ciphermind-taps") as pool:
+        futures = [pool.submit(taps, chunk) for chunk in rest]
+        try:
+            head = taps(first)
+        finally:
+            tails = [f.result() for f in futures]
+    return np.concatenate([head] + tails)
 
 
 def greedy_next(logits: np.ndarray) -> int:

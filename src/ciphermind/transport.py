@@ -480,7 +480,11 @@ class Session:
             self.codec_params) if self.mode == "incremental" else None
         frames = []
         while True:
-            msg = self._recv()
+            try:
+                msg = self._recv()
+            except (MalformedMessage, BadCrc, UnsupportedVersion) as e:
+                self._fail(ERR_PROTOCOL, str(e))
+                raise
             if msg.type == TYPE_ERROR:
                 code, reason = unpack_error(msg.body)
                 raise PeerError(code, reason)

@@ -175,6 +175,14 @@ def test_non_finite_payload_fails_closed(params):
                                                [frame] + frames[1:], CP)
 
 
+def test_oneshot_rejects_non_finite_payload(params):
+    nan = np.full(CFG.d_model, np.nan, dtype=np.float32)
+    frames = [C.TokenFrame(seq=0, payload=nan),
+              C.TokenFrame(seq=1, payload=nan, is_final=True)]
+    with pytest.raises(C.DecodeFailure, match="non-finite"):
+        C.decode_message_oneshot(params, CFG, KEY, NONCE, 13, frames)
+
+
 def test_nan_score_and_margin_fail_the_gates(params, monkeypatch):
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 12, b"q")
     nan = float("nan")

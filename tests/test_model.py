@@ -208,21 +208,42 @@ def test_cache_fork_both_match_oracles():
     assert (hid_b == full_b[:, -1]).all()
 
 
+def _assert_taps_match_full_pass(cfg, seed, prefix_len, s_lens, batch):
+    rng = np.random.default_rng(seed)
+    params = M.init_parameters(cfg, seed=seed)
+    prefix = _rand_tokens(rng, prefix_len)
+    cache = M.KVCache(cfg)
+    M.extend_cache(params, cfg, cache, prefix)
+    layers = range(1, cfg.n_blocks + 1)
+    for s_len in s_lens:
+        suffixes = rng.integers(0, 260, size=(batch, s_len)).astype(np.int64)
+        taps = [M.hypothesis_taps(params, cfg, cache, suffixes, layer) for layer in layers]
+        for b in range(batch):
+            hid_full, _ = M.forward_full(params, cfg, np.concatenate([prefix, suffixes[b]]))
+            for layer in layers:
+                assert (taps[layer - 1][b] == hid_full[layer - 1, -1]).all(), (s_len, layer, b)
+    assert cache.length == prefix_len  # read-only for hypothesis evaluation
+
+
 def test_hypothesis_taps_match_full_pass_bitwise():
-    rng = np.random.default_rng(8)
-    params = M.init_parameters(CFG_SMALL, seed=8)
-    prefix = _rand_tokens(rng, 15)
-    cache = M.KVCache(CFG_SMALL)
-    M.extend_cache(params, CFG_SMALL, cache, prefix)
-    for s_len in (1, 2, 5, 11):
-        suffixes = rng.integers(0, 260, size=(9, s_len)).astype(np.int64)
-        for layer in (1, 2, 3):
-            taps = M.hypothesis_taps(params, CFG_SMALL, cache, suffixes, layer)
-            for b in range(suffixes.shape[0]):
-                seq = np.concatenate([prefix, suffixes[b]])
-                hid_full, _ = M.forward_full(params, CFG_SMALL, seq)
-                assert (taps[b] == hid_full[layer - 1, -1]).all(), (s_len, layer, b)
-    assert cache.length == 15  # read-only for hypothesis evaluation
+    _assert_taps_match_full_pass(CFG_SMALL, 8, 15, (1, 2, 5, 11), batch=9)
+
+
+# the shipped head dim (32); the head dim 16 of CFG_SMALL reduces over too few
+# terms for some GEMM shape changes to move any bits
+CFG_HEAD_DIM_32 = M.ModelConfig(n_blocks=2, d_model=128, n_heads=4, d_ff=256,
+                                vocab_size=260, max_seq=160)
+
+
+@pytest.mark.parametrize("prefix_len,s_lens", [
+    (15, (1, 2, 31, 33)),
+    (120, (33,)),  # positions 120..152 cross KEY_SEG
+])
+def test_hypothesis_taps_match_full_pass_bitwise_head_dim_32(prefix_len, s_lens):
+    # a batch of 2 * M_MIN is what the shared-prefix GEMMs stack and what the
+    # tap pool splits on a machine with more than one CPU
+    _assert_taps_match_full_pass(CFG_HEAD_DIM_32, 8, prefix_len, s_lens,
+                                 batch=2 * M.M_MIN)
 
 
 def test_hypothesis_taps_empty_prefix():

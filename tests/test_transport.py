@@ -353,6 +353,28 @@ def test_non_finite_frame_gets_error_reply(params, profile):
         assert s2.recv_seq == 0
 
 
+def test_bad_crc_frame_gets_error_reply(params, profile):
+    a, b = W.loopback_pair()
+    s1 = _session(a, params, profile)
+    s2 = _session(b, params, profile)
+    t = threading.Thread(target=s2.handshake, args=("responder",))
+    t.start()
+    s1.handshake("initiator", nonce=4)
+    t.join(timeout=30)
+    assert not t.is_alive()
+    frame = codec.TokenFrame(seq=0, payload=np.ones(CFG.d_model, dtype=np.float32),
+                             is_final=True)
+    data = bytearray(W.serialize(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame))))
+    data[-1] ^= 0x01  # one bit of the CRC
+    a.send_bytes(bytes(data))
+    with pytest.raises(W.BadCrc):
+        s2.recv_message()
+    with pytest.raises(W.PeerError) as err:
+        s1.recv_message()
+    assert err.value.code == W.ERR_PROTOCOL
+    assert s2.recv_seq == 0
+
+
 def test_send_before_handshake_rejected(params, profile):
     a, _ = W.loopback_pair()
     s1 = _session(a, params, profile)
