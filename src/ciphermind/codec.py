@@ -89,34 +89,23 @@ def template_tokens() -> list[int]:
     return [BOS] + encode_bytes(TEMPLATE_TEXT)
 
 
-def cosine(u, v) -> np.float32:
-    """Cosine similarity with float64 accumulation, result in binary32.
+def cosine(taps, payload) -> np.ndarray:
+    """Cosine of each row of taps (..., d) with payload (d,), accumulated in
+    float64, clamped to [-1, 1] and returned in binary32 (a scalar when
+    taps is 1-D).
 
-    Bitwise-equal inputs score exactly 1.0. Zero vectors are rejected.
+    Bitwise-equal inputs score exactly 1.0. A zero vector on either side
+    raises CodecError.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
+    t = np.asarray(taps, dtype=np.float64)
+    p = np.asarray(payload, dtype=np.float64)
+    if p.ndim != 1 or t.shape[-1:] != p.shape:
         raise CodecError("cosine operands must have equal length")
-    nu = float(np.sqrt(np.sum(u * u)))
-    nv = float(np.sqrt(np.sum(v * v)))
-    if nu == 0.0 or nv == 0.0:
-        raise CodecError("cosine of zero vector")
-    c = float(np.sum(u * v)) / (nu * nv)
-    return np.float32(min(1.0, max(-1.0, c)))
-
-
-def _cosine_many(taps: np.ndarray, payload: np.ndarray) -> np.ndarray:
-    """Row-wise cosine(taps[i], payload) in float64, clamped, as float32."""
-    t = taps.astype(np.float64)
-    p = payload.astype(np.float64)
-    num = np.sum(t * p, axis=-1)
     nt = np.sqrt(np.sum(t * t, axis=-1))
-    npay = float(np.sqrt(np.sum(p * p)))
-    if npay == 0.0:
+    npay = np.sqrt(np.sum(p * p))
+    if npay == 0.0 or np.any(nt == 0.0):
         raise CodecError("cosine of zero vector")
-    nt = np.where(nt == 0.0, np.inf, nt)  # zero tap can never win
-    return np.clip(num / (nt * npay), -1.0, 1.0).astype(np.float32)
+    return np.clip(np.sum(t * p, axis=-1) / (nt * npay), -1.0, 1.0).astype(np.float32)
 
 
 @dataclass
@@ -142,12 +131,18 @@ class CodecParams:
 
 # --------------------------------------------------------------- encoding
 
-def _check_message(plaintext: bytes, cfg: M.ModelConfig) -> None:
-    if len(plaintext) > MAX_MESSAGE_LEN:
-        raise MessageTooLong(f"message is {len(plaintext)} bytes; cap is {MAX_MESSAGE_LEN}")
-    need = len(template_tokens()) + 2 * len(plaintext) + 2
+def _check_length(n_bytes: int, cfg: M.ModelConfig) -> None:
+    """The bounds on a message of n_bytes: the byte cap, and the longest
+    context encoding or decoding it builds fitting max_seq."""
+    if n_bytes > MAX_MESSAGE_LEN:
+        raise MessageTooLong(f"message is {n_bytes} bytes; cap is {MAX_MESSAGE_LEN}")
+    need = len(template_tokens()) + 2 * n_bytes + 2
     if need > cfg.max_seq:
         raise MessageTooLong("message does not fit max_seq")
+
+
+def _check_message(plaintext: bytes, cfg: M.ModelConfig) -> None:
+    _check_length(len(plaintext), cfg)
     if cfg.n_blocks < 2:
         raise CodecError("codec needs at least 2 blocks")
 
@@ -251,12 +246,12 @@ class HypothesisScorer:
             sufs[:, 2:] = d
         taps = M.hypothesis_taps(self.params, self.cfg, self.cache, sufs, layer)
         scores = np.full(257, -np.inf, dtype=np.float64)
-        scores[:256] = _cosine_many(taps, payload)
+        scores[:256] = cosine(taps, payload)
         if include_end:
             end_suf = np.array([[SEP] + d], dtype=np.int64)
             end_tap = M.hypothesis_taps(self.params, self.cfg, self.cache,
                                         end_suf, layer)
-            scores[256] = _cosine_many(end_tap, payload)[0]
+            scores[256] = cosine(end_tap, payload)[0]
         best = int(np.argmax(scores))
         best_score = float(scores[best])
         rest = np.delete(scores, best)
@@ -269,6 +264,15 @@ class HypothesisScorer:
         """Commit one accepted byte into the shared prefix."""
         self.decoded.append(byte_val)
         M.extend_cache(self.params, self.cfg, self.cache, [byte_val])
+
+
+def _check_frame_index(t: int, frame: TokenFrame, cfg: M.ModelConfig) -> None:
+    """Frame t of a message implies t bytes before it, plus its own unless it
+    is final; a message the sender would refuse fails the decode."""
+    try:
+        _check_length(t + (not frame.is_final), cfg)
+    except MessageTooLong as e:
+        raise DecodeFailure(f"frame {t}: {e}") from None
 
 
 def _checked_payload(frame: TokenFrame) -> np.ndarray:
@@ -298,6 +302,7 @@ class IncrementalDecoder:
             raise CodecError("message already complete")
         if frame.seq != self.next_seq:
             raise DecodeFailure(f"out-of-order frame {frame.seq}, expected {self.next_seq}")
+        _check_frame_index(frame.seq, frame, self.cfg)
         payload = _checked_payload(frame)
         layer = scheduler.layer_of(self.state, self.cfg.n_blocks)
         self.layers_used.append(layer)
@@ -349,7 +354,8 @@ def decode_message_oneshot(params, cfg, key: bytes, nonce: int, msg_seq: int,
     scores = []
     out = bytearray()
     state = None
-    for frame in frames:
+    for t, frame in enumerate(frames):
+        _check_frame_index(t, frame, cfg)
         if scorer is None:
             # deferred so the function signature stays symmetric with encode
             scorer = HypothesisScorer(params, cfg)
@@ -396,7 +402,7 @@ def decode_message_incremental_naive(params, cfg, key: bytes, nonce: int,
         ctx = topen + d + [SEP] + d
         hid, _ = M.forward_full(params, cfg, ctx)
         taps[256] = hid[layer - 1, -1]
-        scores = _cosine_many(taps, payload).astype(np.float64)
+        scores = cosine(taps, payload).astype(np.float64)
         best = int(np.argmax(scores))
         best_score = float(scores[best])
         margin = best_score - float(np.delete(scores, best).max())

@@ -185,17 +185,3 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     dinner = c0 * (one + three * c1 * (x * x))
     return half * (one + t) + half * x * (one - t * t) * dinner
 
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax over the last axis (fixed-length reduction)."""
-    logits = _check_dtype(logits)
-    m = np.max(logits, axis=-1, keepdims=True)
-    shifted = logits - m
-    lse = log(np.sum(exp(shifted), axis=-1, keepdims=True))
-    return shifted - lse
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    logits = _check_dtype(logits)
-    e = exp(logits - np.max(logits, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)

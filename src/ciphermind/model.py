@@ -34,9 +34,18 @@ on three pinned implementation rules:
    is what ``exp`` of a masked score yields anyway, so only the work
    shrinks, never the shapes.
 
-3. By rules 1 and 2 an item's bits never depend on the other items of its
-   batch, so ``hypothesis_taps`` may split a batch into chunks of at least
-   M_MIN items, run them on several threads and concatenate the results.
+3. Every path is a short loop over one per-block function, ``_block``,
+   between ``_embed`` and ``_head``: ``forward_full`` with no prefix,
+   ``extend_cache`` against the cache (it writes each block's keys and
+   values after the block runs; ``_attention`` reads only the first
+   ``cache.length`` rows), ``forward_step`` as ``extend_cache`` of one token,
+   ``hypothesis_taps`` with ``last_only`` in the tapped block, and the
+   training pass in :mod:`ciphermind.trainer` with ``need_aux``. The first
+   three never call one another, so a wrapper around one sees only its own
+   calls. By rules 1 and 2 an item's bits never depend on the other items
+   of its batch, so ``hypothesis_taps`` may split a batch into chunks of at
+   least M_MIN items, run them on several threads and concatenate the
+   results.
 
 Elementwise transcendentals come from :mod:`ciphermind.detmath`; add, mul,
 div and sqrt are IEEE-exact and need no pinning.
@@ -56,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detmath
-from .scheduler import GOLDEN, MASK64
+from .scheduler import Stream
 
 F32 = np.float32
 
@@ -199,31 +208,27 @@ class ParameterSet:
         return ParameterSet(self.config, self.emb, blocks, self.gf, self.bf)
 
 
-def init_parameters(config: ModelConfig, seed: int) -> ParameterSet:
-    """Draw all matrix weights from the SplitMix64 stream.
+def draw_uniform(stream: Stream, shape, d_model: int) -> np.ndarray:
+    """float32 weights uniform in [-a, a], a = 1/sqrt(d_model): each u64 of
+    the stream maps through its top 24 bits, in row-major order."""
+    scale = F32(1.0) / np.sqrt(F32(d_model))
+    u = (stream.next_u64s(int(np.prod(shape))) >> np.uint64(40)).astype(np.float32)
+    u *= F32(2.0 ** -24)
+    return ((u * F32(2.0) - F32(1.0)) * scale).reshape(shape)
 
-    Each u64 maps to uniform [-a, a] with a = 1/sqrt(d_model) via its top
-    24 bits; layer-norm gains start at one, biases at zero. The draw order
-    equals the serialization order, so (seed, config) pins every bit.
+
+def init_parameters(config: ModelConfig, seed: int) -> ParameterSet:
+    """Draw all matrix weights from the SplitMix64 stream of ``seed``
+    through draw_uniform; layer-norm gains start at one, biases at zero. The
+    draw order equals the serialization order, so (seed, config) pins every
+    bit.
     """
-    scale = F32(1.0) / np.sqrt(F32(config.d_model))
-    state = seed & MASK64
+    stream = Stream(seed)
+    d, dff, v = config.d_model, config.d_ff, config.vocab_size
 
     def draw(shape):
-        nonlocal state
-        n = int(np.prod(shape))
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(state) + idx * np.uint64(GOLDEN)
-        state = (state + n * GOLDEN) & MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        u = (z >> np.uint64(40)).astype(np.float32) * F32(2.0 ** -24)
-        return ((u * F32(2.0) - F32(1.0)) * scale).reshape(shape)
+        return draw_uniform(stream, shape, d)
 
-    d, dff, v = config.d_model, config.d_ff, config.vocab_size
     emb = draw((v, d))
     blocks = []
     for _ in range(config.n_blocks):
@@ -339,8 +344,7 @@ class KVCache:
     """Grow-only per-block key/value store for one decode stream.
 
     Appending never mutates earlier positions. A cache is single-owner:
-    one cache must not serve two concurrent decode streams. fork() yields
-    an independent copy for speculative continuation.
+    one cache must not serve two concurrent decode streams.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
@@ -366,14 +370,6 @@ class KVCache:
 
     def commit(self, n_new: int) -> None:
         self.length += n_new
-
-    def fork(self) -> "KVCache":
-        out = KVCache(self.config, dtype=self._k[0].dtype)
-        out.length = self.length
-        for i in range(self.config.n_blocks):
-            out._k[i][: self.length] = self._k[i][: self.length]
-            out._v[i][: self.length] = self._v[i][: self.length]
-        return out
 
 
 def _split_heads(x, n_heads):
@@ -481,98 +477,71 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
     return merged, aux
 
 
-def _forward(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray, *,
-             cache: KVCache | None = None,
-             append_cache: bool = False,
-             upto_block: int | None = None,
-             last_only_final_block: bool = False,
-             want_logits: bool = True,
-             collect_hidden: bool = True,
-             stash: list | None = None,
-             ln_stats: list | None = None):
-    """Shared engine behind every public forward path.
-
-    tokens: (B, S) ids for the new positions; with a cache they sit after
-    the cache frontier. append_cache requires B == 1 and a full-depth run.
-    """
+def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
+           base: int) -> np.ndarray:
+    """Residual stream (B, S, d) entering block 1 for token ids (B, S) at
+    positions base .. base + S - 1."""
     dtype = params.dtype
-    B, S = tokens.shape
-    base = cache.length if cache is not None else 0
+    S = tokens.shape[1]
     if base + S > cfg.max_seq:
         raise ModelError(f"sequence length {base + S} exceeds max_seq {cfg.max_seq}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ModelError("token id out of range")
-    n_run = cfg.n_blocks if upto_block is None else upto_block
-    if append_cache and (B != 1 or n_run != cfg.n_blocks):
-        raise ModelError("cache extension requires a single sequence and all blocks")
-
     pe = positional_table(cfg, dtype)
     emb_scale = np.sqrt(dtype.type(cfg.d_model))
-    x = np.ascontiguousarray(params.emb[tokens] * emb_scale + pe[base:base + S][None])
-    if stash is not None:
-        stash.append({"tokens": tokens.copy(), "x0": x})
+    return np.ascontiguousarray(params.emb[tokens] * emb_scale + pe[base:base + S][None])
 
-    hidden = [] if collect_hidden else None
-    empty_pref = np.zeros((0, cfg.d_model), dtype=dtype)
 
-    for bi in range(n_run):
-        bp = params.blocks[bi]
-        last_partial = last_only_final_block and bi == n_run - 1
+def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
+           last_only=False, need_aux=False):
+    """One block on the residual stream x (B, S, d) at positions base .. :
+    layer norm, Q/K/V, _attention against the shared prefix k_pref/v_pref
+    (P, d) and the items' own keys, O, layer norm, MLP.
 
-        a, xn1, inv1 = _layer_norm(x, bp.g1, bp.b1, cfg.ln_epsilon)
-        if ln_stats is not None:
-            ln_stats.append((xn1.mean(axis=-1), (xn1 * xn1).mean(axis=-1)))
-        a2 = a.reshape(B * S, cfg.d_model)
-        k_new = _mm(a2, bp.wk).reshape(B, S, cfg.d_model)
-        v_new = _mm(a2, bp.wv).reshape(B, S, cfg.d_model)
+    Returns (x, k_new, v_new, saved). k_new/v_new (B, S, d) are the
+    positions' keys and values, for the caller's cache. With last_only only
+    the last position's query runs and x comes back (B, 1, d): the tapped
+    block of hypothesis_taps. With need_aux (training) saved holds what
+    trainer.loss_and_grads needs for the backward pass; otherwise None.
+    """
+    B, S, d = x.shape
+    a, xn1, inv1 = _layer_norm(x, bp.g1, bp.b1, cfg.ln_epsilon)
+    a2 = a.reshape(B * S, d)
+    k_new = _mm(a2, bp.wk).reshape(B, S, d)
+    v_new = _mm(a2, bp.wv).reshape(B, S, d)
+    if last_only:
+        q = _mm(a[:, -1, :], bp.wq).reshape(B, 1, d)
+        x = x[:, -1:, :]
+        base += S - 1
+    else:
+        q = _mm(a2, bp.wq).reshape(B, S, d)
+    n = B * q.shape[1]
+    attn, aux = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux)
+    x = x + _mm(attn.reshape(n, d), bp.wo).reshape(x.shape)
+    f, xn2, inv2 = _layer_norm(x, bp.g2, bp.b2, cfg.ln_epsilon)
+    u = _mm(f.reshape(n, d), bp.w1)
+    g = detmath.gelu(u)
+    x = x + _mm(g, bp.w2).reshape(x.shape)
+    saved = None
+    if need_aux:
+        saved = {"xn1": xn1, "inv1": inv1, "a": a, "att": aux, "attn_merged": attn,
+                 "xn2": xn2, "inv2": inv2, "u": u, "g": g}
+    return x, k_new, v_new, saved
 
-        k_pref = cache.keys(bi) if cache is not None else empty_pref
-        v_pref = cache.values(bi) if cache is not None else empty_pref
-        if append_cache:
-            cache.write(bi, k_new[0], v_new[0])
 
-        if last_partial:
-            q = _mm(a[:, -1, :], bp.wq).reshape(B, 1, cfg.d_model)
-            attn, aux = _attention(q, k_pref, v_pref, k_new, v_new,
-                                   base + S - 1, cfg)
-            o = _mm(attn.reshape(B, cfg.d_model), bp.wo).reshape(B, 1, cfg.d_model)
-            x = x[:, -1:, :] + o
-            S_eff = 1
-        else:
-            q = _mm(a2, bp.wq).reshape(B, S, cfg.d_model)
-            attn, aux = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg,
-                                   need_aux=stash is not None)
-            o = _mm(attn.reshape(B * S, cfg.d_model), bp.wo).reshape(B, S, cfg.d_model)
-            x = x + o
-            S_eff = S
+def _head(params: ParameterSet, cfg: ModelConfig, x):
+    """Final layer norm and the tied output head. Returns (logits (B, S, V),
+    the layer norm's (out, normalized, inverse std))."""
+    ln = _layer_norm(x, params.gf, params.bf, cfg.ln_epsilon)
+    logits = _mm(ln[0].reshape(-1, cfg.d_model), params.head_w)
+    return logits.reshape(x.shape[0], x.shape[1], cfg.vocab_size), ln
 
-        f, xn2, inv2 = _layer_norm(x, bp.g2, bp.b2, cfg.ln_epsilon)
-        if ln_stats is not None:
-            ln_stats.append((xn2.mean(axis=-1), (xn2 * xn2).mean(axis=-1)))
-        u = _mm(f.reshape(B * S_eff, cfg.d_model), bp.w1)
-        g = detmath.gelu(u)
-        y = _mm(g, bp.w2).reshape(B, S_eff, cfg.d_model)
-        x = x + y
 
-        if stash is not None:
-            stash.append({"xn1": xn1, "inv1": inv1, "a": a, "att": aux,
-                          "attn_merged": attn, "xn2": xn2, "inv2": inv2,
-                          "u": u, "g": g})
-        if collect_hidden:
-            hidden.append(x.copy())
-
-    if append_cache:
-        cache.commit(S)
-
-    logits = None
-    if want_logits:
-        xf, xnf, invf = _layer_norm(x, params.gf, params.bf, cfg.ln_epsilon)
-        logits = _mm(xf.reshape(-1, cfg.d_model), params.head_w).reshape(
-            x.shape[0], x.shape[1], cfg.vocab_size)
-        if stash is not None:
-            stash.append({"xnf": xnf, "invf": invf, "xf": xf})
-
-    return hidden, logits, x
+def _sequence(tokens) -> np.ndarray:
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise ModelError("tokens must be a non-empty 1-D sequence")
+    return tokens
 
 
 def forward_full(params: ParameterSet, config: ModelConfig, tokens):
@@ -581,32 +550,40 @@ def forward_full(params: ParameterSet, config: ModelConfig, tokens):
     Returns (hidden, logits): hidden[l-1][p] is the residual-stream output
     of block l at position p; logits[p] spans the vocabulary.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ModelError("tokens must be a non-empty 1-D sequence")
-    hidden, logits, _ = _forward(params, config, tokens[None])
-    return np.stack([h[0] for h in hidden]), logits[0]
-
-
-def forward_step(params: ParameterSet, config: ModelConfig, cache: KVCache,
-                 token: int):
-    """Feed one token against a cache; bitwise-equal to the matching
-    forward_full column. Returns (per-layer hidden (L, d), logits (V,))."""
-    tokens = np.array([[token]], dtype=np.int64)
-    hidden, logits, _ = _forward(params, config, tokens, cache=cache,
-                                 append_cache=True)
-    return np.stack([h[0, 0] for h in hidden]), logits[0, 0]
+    x = _embed(params, config, _sequence(tokens)[None], 0)
+    empty = np.zeros((0, config.d_model), dtype=params.dtype)
+    hidden = []
+    for bp in params.blocks:
+        x, _, _, _ = _block(bp, config, x, empty, empty, 0)
+        hidden.append(x[0])
+    logits, _ = _head(params, config, x)
+    return np.stack(hidden), logits[0]
 
 
 def extend_cache(params: ParameterSet, config: ModelConfig, cache: KVCache,
                  tokens):
-    """Teacher-forced multi-token cache extension (batched forward_step)."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ModelError("tokens must be a non-empty 1-D sequence")
-    hidden, logits, _ = _forward(params, config, tokens[None], cache=cache,
-                                 append_cache=True)
-    return np.stack([h[0] for h in hidden]), logits[0]
+    """Teacher-forced multi-token cache extension: appends the tokens' keys
+    and values and returns (hidden (L, S, d), logits (S, V)) for them,
+    bitwise equal to the matching forward_full columns."""
+    tokens = _sequence(tokens)
+    base = cache.length
+    x = _embed(params, config, tokens[None], base)
+    hidden = []
+    for bi, bp in enumerate(params.blocks):
+        x, k_new, v_new, _ = _block(bp, config, x, cache.keys(bi), cache.values(bi), base)
+        cache.write(bi, k_new[0], v_new[0])
+        hidden.append(x[0])
+    cache.commit(tokens.size)
+    logits, _ = _head(params, config, x)
+    return np.stack(hidden), logits[0]
+
+
+def forward_step(params: ParameterSet, config: ModelConfig, cache: KVCache,
+                 token: int):
+    """extend_cache of one token. Returns (per-layer hidden (L, d),
+    logits (V,))."""
+    hidden, logits = extend_cache(params, config, cache, [token])
+    return hidden[:, 0], logits[0]
 
 
 def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
@@ -628,10 +605,12 @@ def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
         raise ModelError("tap layer out of range")
 
     def taps(chunk):
-        _, _, x = _forward(params, config, chunk, cache=cache,
-                           upto_block=layer, last_only_final_block=True,
-                           want_logits=False, collect_hidden=False)
-        return x[:, -1, :]
+        x = _embed(params, config, chunk, cache.length)
+        for bi in range(layer):
+            x, _, _, _ = _block(params.blocks[bi], config, x, cache.keys(bi),
+                                cache.values(bi), cache.length,
+                                last_only=bi == layer - 1)
+        return x[:, 0, :]
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_chunks = min(cpus or 1, suffixes.shape[0] // M_MIN)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -38,6 +40,18 @@ class Stream:
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN) & MASK64
         return mix64(self._state)
+
+    def next_u64s(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array: n calls to next_u64 in one
+        vectorized draw, leaving the stream in the same state."""
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+        self._state = (self._state + n * GOLDEN) & MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
 
     def next_below(self, n: int) -> int:
         """Uniform-ish draw in [0, n). Modulo bias < n/2**64, accepted."""

@@ -265,17 +265,29 @@ def _attention_backward(dmerged, aux, B, S, cfg):
     return unsplit(dq, S), unsplit(dk, S), unsplit(dv, S)
 
 
-def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
-                   tokens: np.ndarray, mask: np.ndarray):
-    """Masked cross-entropy and analytic gradients for every weight."""
-    dtype = params.dtype
-    stash = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, logits, _ = M._forward(params, cfg, tokens, stash=stash,
-                                  collect_hidden=False)
-    B, T, V = logits.shape
-    d = cfg.d_model
+def _forward_train(params: M.ParameterSet, cfg: M.ModelConfig, tokens: np.ndarray):
+    """Teacher-forced pass over a batch (B, T) that keeps what the backward
+    pass needs. Returns (logits, saved, head_ln): saved[i] are block i's
+    intermediates, head_ln the final layer norm's (out, normalized, inverse
+    std)."""
+    x = M._embed(params, cfg, tokens, 0)
+    empty = np.zeros((0, cfg.d_model), dtype=params.dtype)
+    saved = []
+    for bp in params.blocks:
+        x, _, _, st = M._block(bp, cfg, x, empty, empty, 0, need_aux=True)
+        saved.append(st)
+    logits, head_ln = M._head(params, cfg, x)
+    return logits, saved, head_ln
 
+
+def _cross_entropy(logits: np.ndarray, tokens: np.ndarray, mask: np.ndarray):
+    """Next-token cross-entropy of logits (B, T, V) against tokens (B, T),
+    from one pinned exp.
+
+    Returns (nll, dlg): nll the float64 sum of -log p(target) over the
+    positions mask (B, T-1) selects, dlg (B, T-1, V) the softmax minus the
+    one-hot target, the gradient of each position's -log p(target).
+    """
     lg = logits[:, :-1]
     if not np.all(np.isfinite(lg)):
         raise NonFiniteLoss("non-finite logits")
@@ -283,31 +295,41 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     mx = lg.max(-1, keepdims=True)
     e = detmath.exp(lg - mx)
     den = e.sum(-1, keepdims=True)
+    rows = np.arange(lg.shape[0])[:, None]
+    cols = np.arange(lg.shape[1])[None, :]
+    logp_t = (lg - mx - detmath.log(den))[rows, cols, targets]
+    nll = float(-(logp_t.astype(np.float64) * mask).sum())
+    dlg = e / den
+    dlg[rows, cols, targets] -= lg.dtype.type(1.0)
+    return nll, dlg
+
+
+def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
+                   tokens: np.ndarray, mask: np.ndarray):
+    """Masked cross-entropy and analytic gradients for every weight."""
+    dtype = params.dtype
     nmask = float(mask.sum())
     if nmask == 0:
         raise TrainerError("loss mask is empty")
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, saved, (xf, xnf, invf) = _forward_train(params, cfg, tokens)
+    B, T, V = logits.shape
+    d = cfg.d_model
 
-    rows = np.arange(B)[:, None]
-    cols = np.arange(T - 1)[None, :]
-    logp_t = (lg - mx - detmath.log(den))[rows, cols, targets]
-    loss = float(-(logp_t.astype(np.float64) * mask).sum() / nmask)
-
-    dlg = e / den
-    dlg[rows, cols, targets] -= dtype.type(1.0)
+    nll, dlg = _cross_entropy(logits, tokens, mask)
+    loss = nll / nmask
     dlg *= (mask / dtype.type(nmask))[..., None]
     dlogits = np.zeros_like(logits)
     dlogits[:, :-1] = dlg
 
-    head = stash[-1]
     dl2 = dlogits.reshape(-1, V)
-    xf2 = head["xf"].reshape(-1, d)
-    demb = dl2.T @ xf2
+    demb = dl2.T @ xf.reshape(-1, d)
     dxf = (dl2 @ params.emb).reshape(B, T, d)
-    dx, dgf, dbf = _ln_backward(dxf, head["xnf"], head["invf"], params.gf)
+    dx, dgf, dbf = _ln_backward(dxf, xnf, invf, params.gf)
 
     gblocks = []
     for bi in range(cfg.n_blocks - 1, -1, -1):
-        st = stash[bi + 1]
+        st = saved[bi]
         bp = params.blocks[bi]
         dy2 = dx.reshape(-1, d)
         dW2 = st["g"].T @ dy2
@@ -338,7 +360,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     gblocks.reverse()
 
     emb_scale = np.sqrt(dtype.type(d))
-    np.add.at(demb, stash[0]["tokens"], dx * emb_scale)
+    np.add.at(demb, tokens, dx * emb_scale)
 
     grads = {"emb": demb, "blocks": gblocks, "gf": dgf, "bf": dbf}
     return loss, grads
@@ -442,22 +464,14 @@ def adapter_fingerprint(adapters: AdapterSet) -> bytes:
 
 
 def _init_adapters(config: M.ModelConfig, tconfig: TrainConfig):
-    """A from the seeded generator (same mapping as init_parameters), B zero."""
+    """A from the seeded generator through M.draw_uniform, B zero."""
     d, r = config.d_model, tconfig.adapter_rank
     if r > d:
         raise TrainerError("adapter rank exceeds d_model")
-    scale = F32(1.0) / np.sqrt(F32(d))
     stream = Stream(mix64(tconfig.seed ^ 0x61646170746572))  # "adapter"
-    factors = []
-    for _ in range(config.n_blocks):
-        block = {}
-        for name in ADAPTED_FIELDS:
-            flat = np.array([stream.next_u64() for _ in range(d * r)], dtype=np.uint64)
-            u = (flat >> np.uint64(40)).astype(np.float32) * F32(2.0 ** -24)
-            a = ((u * F32(2.0) - F32(1.0)) * scale).reshape(d, r)
-            block[name] = (a, np.zeros((r, d), dtype=np.float32))
-        factors.append(block)
-    return factors
+    return [{name: (M.draw_uniform(stream, (d, r), d), np.zeros((r, d), dtype=np.float32))
+             for name in ADAPTED_FIELDS}
+            for _ in range(config.n_blocks)]
 
 
 def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
@@ -558,32 +572,7 @@ def forgetting_probe(params: M.ParameterSet, cfg: M.ModelConfig,
     for start in range(0, len(prepared), batch_size):
         idxs = list(range(start, min(start + batch_size, len(prepared))))
         tokens, mask = _make_batch(prepared, idxs)
-        _, logits, _ = M._forward(params, cfg, tokens, collect_hidden=False)
-        lg = logits[:, :-1]
-        targets = tokens[:, 1:]
-        mx = lg.max(-1, keepdims=True)
-        e = detmath.exp(lg - mx)
-        den = e.sum(-1, keepdims=True)
-        rows = np.arange(tokens.shape[0])[:, None]
-        cols = np.arange(tokens.shape[1] - 1)[None, :]
-        logp_t = (lg - mx - detmath.log(den))[rows, cols, targets]
-        total += float(-(logp_t.astype(np.float64) * mask).sum())
+        logits, _, _ = _forward_train(params, cfg, tokens)
+        total += _cross_entropy(logits, tokens, mask)[0]
         count += float(mask.sum())
     return total / count
-
-
-def repeat_token_accuracy(params: M.ParameterSet, cfg: M.ModelConfig,
-                          examples, batch_size: int = 16) -> float:
-    """Greedy teacher-forced accuracy over completion tokens."""
-    prepared = _prepare(examples, cfg.max_seq)
-    hits = 0
-    total = 0
-    for start in range(0, len(prepared), batch_size):
-        idxs = list(range(start, min(start + batch_size, len(prepared))))
-        tokens, mask = _make_batch(prepared, idxs)
-        _, logits, _ = M._forward(params, cfg, tokens, collect_hidden=False)
-        pred = np.argmax(logits[:, :-1], axis=-1)
-        ok = (pred == tokens[:, 1:]) & (mask > 0)
-        hits += int(ok.sum())
-        total += int(mask.sum())
-    return hits / total if total else 0.0

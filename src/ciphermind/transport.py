@@ -513,11 +513,20 @@ class Session:
             else:
                 frames.append(frame)
                 if frame.is_final:
-                    out, _ = codec.decode_message_oneshot(
-                        self.params, self.config, self.key.value, self.nonce,
-                        seq, frames)
+                    try:
+                        out, _ = codec.decode_message_oneshot(
+                            self.params, self.config, self.key.value, self.nonce,
+                            seq, frames)
+                    except codec.CodecError as e:
+                        self._fail(ERR_DECODE, str(e))
+                        raise
                     self.recv_seq += 1
                     return out
+                # a message of at most MAX_MESSAGE_LEN bytes ends by this frame
+                if len(frames) > codec.MAX_MESSAGE_LEN:
+                    self._fail(ERR_PROTOCOL, "no final frame within the message cap")
+                    raise ProtocolViolation(
+                        f"{len(frames)} frames without a final frame")
 
     def close(self) -> None:
         if self.closed:
@@ -534,3 +543,4 @@ class Session:
         if msg.type != TYPE_FIN:
             raise ProtocolViolation(f"expected FIN, got type {msg.type}")
         self.closed = True
+        self.stream.close()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,20 @@ def test_oneshot_rejects_non_finite_payload(params):
               C.TokenFrame(seq=1, payload=nan, is_final=True)]
     with pytest.raises(C.DecodeFailure, match="non-finite"):
         C.decode_message_oneshot(params, CFG, KEY, NONCE, 13, frames)
+
+
+def test_decoders_reject_a_context_past_max_seq(params):
+    # the same weights at max_seq 21 carry messages of at most 5 bytes, so a
+    # non-final frame 5 implies a message the sender would have refused
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 14, b"0123456789")
+    short = dataclasses.replace(CFG, max_seq=21)
+    dec = C.IncrementalDecoder(params, short, KEY, NONCE, 14, CP)
+    for frame in frames[:5]:
+        dec.feed(frame)
+    with pytest.raises(C.DecodeFailure, match="frame 5: .*max_seq"):
+        dec.feed(frames[5])
+    with pytest.raises(C.DecodeFailure, match="frame 5: .*max_seq"):
+        C.decode_message_oneshot(params, short, KEY, NONCE, 14, frames)
 
 
 def test_nan_score_and_margin_fail_the_gates(params, monkeypatch):

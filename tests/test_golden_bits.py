@@ -39,6 +39,10 @@ GOLDEN = {
         "0be4511263622af39de1838cf8ef7d93c117e4de8d7607c1645373aca605d22d",
     "gelu":
         "c00b0d2e23445740ae30040de14b372110f076b94608a5a5b5b5860096c4d21f",
+    "init_parameters_default_config":
+        "ddcbe25d129ca54ff5437df825252b9cd5b00e4fb768085f6f9d263ea439625b",
+    "init_adapters_default_config":
+        "723681b7f2ea87be1851e63cf1d3a8c1bb1f4cfbf0978d6c63cc4a4a60c6c95b",
 }
 
 
@@ -115,6 +119,20 @@ def test_finetune_adapter_fingerprint():
     tconfig = T.TrainConfig(seed=3, steps=2, batch_size=2, max_example_len=80)
     adapters = T.finetune(_params(), shards, tconfig)
     assert T.adapter_fingerprint(adapters).hex() == GOLDEN["finetune_adapters"]
+
+
+def test_init_parameters_fingerprint_default_config():
+    params = M.init_parameters(M.ModelConfig(), seed=2506)
+    assert M.fingerprint(params).hex() == GOLDEN["init_parameters_default_config"]
+
+
+def test_init_adapters_fingerprint_default_config():
+    # zero steps: the adapter factors are exactly their seeded initial draw
+    stream = Stream(9)
+    shards = [T.Shard(id=0, examples=[T.sentence_example(stream) for _ in range(4)])]
+    base = M.init_parameters(M.ModelConfig(), seed=2506)
+    adapters = T.finetune(base, shards, T.TrainConfig(steps=0))
+    assert T.adapter_fingerprint(adapters).hex() == GOLDEN["init_adapters_default_config"]
 
 
 def test_pinned_math_sweep():

@@ -145,14 +145,11 @@ def test_sha256_empty_string_anchor():
 
 # ---------------------------------------------------------------- forward
 
-def test_single_token_shapes_and_softmax():
-    from ciphermind import detmath
+def test_single_token_shapes():
     params = M.init_parameters(CFG_SMALL, seed=2)
     hid, logits = M.forward_full(params, CFG_SMALL, [5])
     assert hid.shape == (3, 1, 32)
     assert logits.shape == (1, 260)
-    p = detmath.softmax(logits)
-    assert abs(float(p.sum()) - 1.0) < 1e-5
 
 
 def test_causality_bitwise():
@@ -191,21 +188,6 @@ def test_extend_cache_equals_full_bitwise():
     hid_full, logits_full = M.forward_full(params, CFG_SMALL, tokens)
     assert (hid_tail == hid_full[:, 10:]).all()
     assert (logits_tail == logits_full[10:]).all()
-
-
-def test_cache_fork_both_match_oracles():
-    rng = np.random.default_rng(7)
-    params = M.init_parameters(CFG_SMALL, seed=7)
-    tokens = _rand_tokens(rng, 12)
-    cache = M.KVCache(CFG_SMALL)
-    M.extend_cache(params, CFG_SMALL, cache, tokens)
-    fork = cache.fork()
-    hid_a, _ = M.forward_step(params, CFG_SMALL, cache, 17)
-    hid_b, _ = M.forward_step(params, CFG_SMALL, fork, 200)
-    full_a, _ = M.forward_full(params, CFG_SMALL, np.append(tokens, 17))
-    full_b, _ = M.forward_full(params, CFG_SMALL, np.append(tokens, 200))
-    assert (hid_a == full_a[:, -1]).all()
-    assert (hid_b == full_b[:, -1]).all()
 
 
 def _assert_taps_match_full_pass(cfg, seed, prefix_len, s_lens, batch):
@@ -296,11 +278,14 @@ def test_layernorm_outputs_normalized():
     rng = np.random.default_rng(14)
     params = M.init_parameters(CFG_SMALL, seed=14)
     tokens = _rand_tokens(rng, 48)
-    stats = []
-    M._forward(params, CFG_SMALL, tokens[None], ln_stats=stats)
-    for mean, second_moment in stats:
+    hid, _ = M.forward_full(params, CFG_SMALL, tokens)
+    # the residual stream after each block is what the next layer norm sees
+    gains = [(bp.g1, bp.b1) for bp in params.blocks[1:]] + [(params.gf, params.bf)]
+    for x, (g, b) in zip(hid, gains):
+        _, xn, _ = M._layer_norm(x, g, b, CFG_SMALL.ln_epsilon)
+        mean = xn.mean(axis=-1)
         assert np.abs(mean).max() < 1e-4
-        var = second_moment - mean ** 2
+        var = (xn * xn).mean(axis=-1) - mean ** 2
         assert np.abs(var - 1.0).max() < 1e-2
 
 

@@ -52,6 +52,16 @@ def test_stream_first_outputs_match_splitmix():
     assert s.next_u64() == _mix64_reference(3 * GOLDEN % 2**64)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2506, 2**64 - 1])
+def test_next_u64s_equals_repeated_next_u64(seed):
+    vec, loop = Stream(seed), Stream(seed)
+    for n in (0, 1, 7, 1000, 3):  # split draws continue where the last one ended
+        got = vec.next_u64s(n)
+        assert got.dtype == np.uint64
+        assert [int(z) for z in got] == [loop.next_u64() for _ in range(n)]
+    assert vec.next_u64() == loop.next_u64()
+
+
 def test_init_chain_zero_case():
     st = init_chain(b"\x00" * 16, 0, 0)
     assert st.s == 0 and st.t == 0

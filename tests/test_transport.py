@@ -375,6 +375,78 @@ def test_bad_crc_frame_gets_error_reply(params, profile):
     assert s2.recv_seq == 0
 
 
+def _handshaken(a, b, params, profile, **kw):
+    """Sessions on the two streams, initiator on a, after the handshake."""
+    s1 = _session(a, params, profile, **kw)
+    s2 = _session(b, params, profile, **kw)
+    t = threading.Thread(target=s2.handshake, args=("responder",))
+    t.start()
+    s1.handshake("initiator", nonce=6)
+    t.join(timeout=30)
+    assert not t.is_alive() and s2.established
+    return s1, s2
+
+
+def test_over_cap_message_gets_decode_error(params, profile, monkeypatch):
+    a, b = W.loopback_pair()
+    # the untrained fixture leaves some of 64 bytes a margin near 1e-6; the
+    # exact hypothesis still scores 1.0, and this test is about the cap
+    s1, s2 = _handshaken(a, b, params, profile,
+                         codec_params=codec.CodecParams(delta=0.0))
+    monkeypatch.setattr(codec, "MAX_MESSAGE_LEN", 80)
+    s1.send_message(bytes(range(40, 120)))
+    monkeypatch.undo()
+    with pytest.raises(codec.DecodeFailure, match="frame 64: message is 65 bytes"):
+        s2.recv_message()
+    reply = W.read_message(a, timeout=5)
+    assert reply.type == W.TYPE_ERROR
+    code, reason = W.unpack_error(reply.body)
+    assert code == W.ERR_DECODE and reason.startswith("token 64:")
+    assert s2.recv_seq == 0
+
+
+def test_oneshot_stops_buffering_at_the_message_cap(params, profile):
+    a, b = W.loopback_pair()
+    # on a receiver that kept buffering, the short timeout ends the test
+    s1, s2 = _handshaken(a, b, params, profile, mode="oneshot", timeout=1.0)
+    payload = np.ones(CFG.d_model, dtype=np.float32)
+    for t in range(codec.MAX_MESSAGE_LEN + 1):
+        frame = codec.TokenFrame(seq=t, payload=payload)
+        s1._send(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame)))
+    with pytest.raises(W.ProtocolViolation, match="without a final frame"):
+        s2.recv_message()
+    reply = W.read_message(a, timeout=5)
+    assert reply.type == W.TYPE_ERROR
+    assert W.unpack_error(reply.body)[0] == W.ERR_PROTOCOL
+
+
+class _CloseSpy:
+    """A stream that records whether its owner closed it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.closed = False
+
+    def send_bytes(self, data):
+        self.inner.send_bytes(data)
+
+    def recv_exact(self, n, timeout=W.DEFAULT_TIMEOUT):
+        return self.inner.recv_exact(n, timeout)
+
+    def close(self):
+        self.closed = True
+        self.inner.close()
+
+
+def test_wait_fin_closes_the_stream(params, profile):
+    a, b = W.loopback_pair()
+    spy = _CloseSpy(b)
+    s1, s2 = _handshaken(a, spy, params, profile)
+    s1.close()
+    s2.wait_fin()
+    assert s2.closed and spy.closed
+
+
 def test_send_before_handshake_rejected(params, profile):
     a, _ = W.loopback_pair()
     s1 = _session(a, params, profile)
