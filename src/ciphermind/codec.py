@@ -14,7 +14,9 @@ Two wire-compatible modes:
 * oneshot - the whole plaintext sits in one prompt and the model must
   actually repeat it token by token (greedy); a mismatch aborts the send.
   Receiver-side matching is approximate because the sender's prompt
-  contains plaintext the receiver does not have yet.
+  contains plaintext the receiver does not have yet. It decodes frame by
+  frame as frames arrive, through the same FrameDecoder checks as
+  incremental, but takes each frame's best hypothesis without the gates.
 """
 
 from __future__ import annotations
@@ -284,8 +286,11 @@ def _checked_payload(frame: TokenFrame) -> np.ndarray:
     return payload
 
 
-class IncrementalDecoder:
-    """Exact decoder for incremental-mode frames (theta/delta gated)."""
+class FrameDecoder:
+    """The per-frame steps both modes share: frame order, the length cap, the
+    payload check, the tap layer drawn from the chain, scoring, and the
+    accept step. A subclass's feed decides which hypothesis a frame yields.
+    """
 
     def __init__(self, params, cfg, key: bytes, nonce: int, msg_seq: int,
                  codec_params: CodecParams | None = None):
@@ -297,7 +302,9 @@ class IncrementalDecoder:
         self.done = False
         self.layers_used: list[int] = []
 
-    def feed(self, frame: TokenFrame) -> DecodeResult:
+    def _score(self, frame: TokenFrame, include_end: bool):
+        """Checks the frame, then returns score_frame's (token, score,
+        margin, scores) at the layer the chain draws for it."""
         if self.done:
             raise CodecError("message already complete")
         if frame.seq != self.next_seq:
@@ -306,7 +313,30 @@ class IncrementalDecoder:
         payload = _checked_payload(frame)
         layer = scheduler.layer_of(self.state, self.cfg.n_blocks)
         self.layers_used.append(layer)
-        token, score, margin, _ = self.scorer.score_frame(payload, layer)
+        return self.scorer.score_frame(payload, layer, include_end=include_end)
+
+    def _accept(self, frame: TokenFrame, token: int) -> None:
+        """Ends the message on the final frame; otherwise commits the byte
+        and advances the chain."""
+        if frame.is_final:
+            self.done = True
+        else:
+            self.scorer.push(token)
+            self.state = scheduler.advance(self.state, token, self.cfg.vocab_size)
+        self.next_seq += 1
+
+    @property
+    def plaintext(self) -> bytes:
+        if not self.done:
+            raise CodecError("message not complete")
+        return self.scorer.prefix
+
+
+class IncrementalDecoder(FrameDecoder):
+    """Exact decoder for incremental-mode frames (theta/delta gated)."""
+
+    def feed(self, frame: TokenFrame) -> DecodeResult:
+        token, score, margin, _ = self._score(frame, include_end=True)
         # written so that a NaN score or margin fails the gate
         if not score >= self.cp.theta:
             raise DecodeFailure(
@@ -314,23 +344,23 @@ class IncrementalDecoder:
                 score=score)
         if not margin >= self.cp.delta:
             raise AmbiguousDecode(margin)
-        if token == END_HYPOTHESIS:
-            if not frame.is_final:
-                raise DecodeFailure("end hypothesis won a non-final frame", score=score)
-            self.done = True
-        else:
-            if frame.is_final:
-                raise DecodeFailure("byte hypothesis won the final frame", score=score)
-            self.scorer.push(token)
-            self.state = scheduler.advance(self.state, token, self.cfg.vocab_size)
-        self.next_seq += 1
+        if token == END_HYPOTHESIS and not frame.is_final:
+            raise DecodeFailure("end hypothesis won a non-final frame", score=score)
+        if token != END_HYPOTHESIS and frame.is_final:
+            raise DecodeFailure("byte hypothesis won the final frame", score=score)
+        self._accept(frame, token)
         return DecodeResult(token=token, score=score, margin=margin)
 
-    @property
-    def plaintext(self) -> bytes:
-        if not self.done:
-            raise CodecError("message not complete")
-        return self.scorer.prefix
+
+class OneshotDecoder(FrameDecoder):
+    """Approximate decoder for one-shot frames, ungated: a non-final frame
+    yields its best byte (the transport flag marks the end, so END competes
+    only on the final frame), and the final frame ends the message."""
+
+    def feed(self, frame: TokenFrame) -> DecodeResult:
+        token, score, margin, _ = self._score(frame, include_end=frame.is_final)
+        self._accept(frame, token)
+        return DecodeResult(token=token, score=score, margin=margin)
 
 
 def decode_message_incremental(params, cfg, key: bytes, nonce: int,
@@ -344,37 +374,11 @@ def decode_message_incremental(params, cfg, key: bytes, nonce: int,
 
 def decode_message_oneshot(params, cfg, key: bytes, nonce: int, msg_seq: int,
                            frames):
-    """Approximate prefix-only matching for one-shot transcripts.
-
-    Non-final frames pick the best byte hypothesis (the transport flag
-    already marks the end, so END only competes on the final frame).
-    Returns (bytes, per-frame scores); accuracy is measured, not promised.
-    """
-    scorer = None
-    scores = []
-    out = bytearray()
-    state = None
-    for t, frame in enumerate(frames):
-        _check_frame_index(t, frame, cfg)
-        if scorer is None:
-            # deferred so the function signature stays symmetric with encode
-            scorer = HypothesisScorer(params, cfg)
-            state = scheduler.init_chain(key, nonce, msg_seq)
-        layer = scheduler.layer_of(state, cfg.n_blocks)
-        payload = _checked_payload(frame)
-        token, score, _, _ = scorer.score_frame(payload, layer,
-                                                include_end=frame.is_final)
-        scores.append(float(score))
-        if frame.is_final:
-            break
-        if token == END_HYPOTHESIS:
-            # END may only be reported on final frames; take the best byte
-            _, _, _, vec = scorer.score_frame(payload, layer, include_end=False)
-            token = int(np.argmax(vec[:256]))
-        out.append(token)
-        scorer.push(token)
-        state = scheduler.advance(state, token, cfg.vocab_size)
-    return bytes(out), scores
+    """Returns (bytes, per-frame scores) of a one-shot transcript; accuracy
+    is measured, not promised."""
+    dec = OneshotDecoder(params, cfg, key, nonce, msg_seq)
+    scores = [dec.feed(frame).score for frame in frames]
+    return dec.plaintext, scores
 
 
 def decode_message_incremental_naive(params, cfg, key: bytes, nonce: int,

@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import model as M
@@ -143,6 +143,7 @@ def select_shards(key: SessionKey, registry: ShardRegistry) -> list:
     return [registry.shards[i] for i in range(N_SHARDS) if key.bit(i)]
 
 
+# the names verify_twin reports, one per TwinProfile field in order
 PROFILE_FIELDS = ("base", "adapter", "registry", "key", "config")
 
 
@@ -205,14 +206,7 @@ def provision(base: M.ParameterSet, key: SessionKey, registry: ShardRegistry,
 
 def verify_twin(local: TwinProfile, remote: TwinProfile):
     """Returns (True, "") on full equality, else (False, first bad field)."""
-    pairs = (
-        ("base", local.base_fingerprint, remote.base_fingerprint),
-        ("adapter", local.adapter_fingerprint, remote.adapter_fingerprint),
-        ("registry", local.registry_digest, remote.registry_digest),
-        ("key", local.key_commitment, remote.key_commitment),
-        ("config", local.config_summary, remote.config_summary),
-    )
-    for name, a, b in pairs:
-        if a != b:
+    for name, field in zip(PROFILE_FIELDS, fields(TwinProfile)):
+        if getattr(local, field.name) != getattr(remote, field.name):
             return False, name
     return True, ""

@@ -372,8 +372,8 @@ def _batch_order_stream(seed: int) -> Stream:
     return Stream(mix64(seed ^ 0x73687566666C65))  # "shuffle"
 
 
-def _run_sgd(params: M.ParameterSet, cfg: M.ModelConfig, prepared, tconfig,
-             apply_update, materialize, loss_log=None):
+def _run_sgd(cfg: M.ModelConfig, prepared, tconfig, apply_update, materialize,
+             loss_log=None):
     """Common SGD driver; update policy differs between base and adapters."""
     stream = _batch_order_stream(tconfig.seed)
     order: list[int] = []
@@ -430,8 +430,7 @@ def pretrain_base(corpus, config: M.ModelConfig, tconfig: TrainConfig,
             for name in M.BlockParams.FIELD_ORDER:
                 b[name] = b[name] - lr * gb[name]
 
-    return _run_sgd(params, config, prepared, tconfig, apply_update,
-                    materialize, loss_log)
+    return _run_sgd(config, prepared, tconfig, apply_update, materialize, loss_log)
 
 
 # -------------------------------------------------------------------- LoRA
@@ -474,6 +473,14 @@ def _init_adapters(config: M.ModelConfig, tconfig: TrainConfig):
             for _ in range(config.n_blocks)]
 
 
+def _merged(base: M.ParameterSet, factors) -> M.ParameterSet:
+    """base with W + A @ B on every adapted projection of every block."""
+    return base.replace_weights(
+        {i: {name: getattr(base.blocks[i], name) + a @ b
+             for name, (a, b) in block.items()}
+         for i, block in enumerate(factors)})
+
+
 def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
              ratio=(10, 1), loss_log=None) -> AdapterSet:
     """Train only the adapter factors on the repeat-injected shard data."""
@@ -490,13 +497,6 @@ def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
     prepared = _prepare(dataset, min(tconfig.max_example_len, cfg.max_seq))
     lr = F32(tconfig.learning_rate)
 
-    def materialize():
-        updates = {}
-        for i, block in enumerate(factors):
-            updates[i] = {name: getattr(base.blocks[i], name) + a @ b
-                          for name, (a, b) in block.items()}
-        return base.replace_weights(updates)
-
     def apply_update(grads):
         for i, block in enumerate(factors):
             for name in ADAPTED_FIELDS:
@@ -506,7 +506,8 @@ def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
                 db = a.T @ dw
                 block[name] = (a - lr * da, b - lr * db)
 
-    _run_sgd(base, cfg, prepared, tconfig, apply_update, materialize, loss_log)
+    _run_sgd(cfg, prepared, tconfig, apply_update,
+             lambda: _merged(base, factors), loss_log)
     return adapters
 
 
@@ -514,11 +515,7 @@ def merge(base: M.ParameterSet, adapters: AdapterSet) -> M.ParameterSet:
     """Standalone parameter set with W' = W + A @ B on adapted projections."""
     if adapters.base_fingerprint != M.fingerprint(base):
         raise TrainerError("adapters were trained against a different base")
-    updates = {}
-    for i, block in enumerate(adapters.factors):
-        updates[i] = {name: getattr(base.blocks[i], name) + a @ b
-                      for name, (a, b) in block.items()}
-    return base.replace_weights(updates)
+    return _merged(base, adapters.factors)
 
 
 def save_adapters(path, adapters: AdapterSet) -> None:

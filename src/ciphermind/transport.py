@@ -42,6 +42,7 @@ _TYPES = {TYPE_HELLO, TYPE_HELLO_ACK, TYPE_FRAME, TYPE_FIN, TYPE_ERROR}
 MODE_INCREMENTAL = 1
 MODE_ONESHOT = 2
 MODES = {"incremental": MODE_INCREMENTAL, "oneshot": MODE_ONESHOT}
+DECODERS = {"incremental": codec.IncrementalDecoder, "oneshot": codec.OneshotDecoder}
 
 ERR_TWIN_MISMATCH = 1
 ERR_PROTOCOL = 2
@@ -105,19 +106,26 @@ def serialize(msg: WireMessage) -> bytes:
     return head + msg.body + struct.pack("<I", crc)
 
 
+def _parse_header(head: bytes):
+    """Checks the magic, version, type and length cap of a 10-byte header;
+    returns (type, body length)."""
+    if head[:4] != MAGIC:
+        raise MalformedMessage("bad magic")
+    if head[4] != VERSION:
+        raise UnsupportedVersion(f"version {head[4]}")
+    mtype = head[5]
+    if mtype not in _TYPES:
+        raise MalformedMessage(f"unknown message type {mtype}")
+    (length,) = struct.unpack_from("<I", head, 6)
+    if length > MAX_BODY:
+        raise MalformedMessage("length exceeds 1 MiB cap")
+    return mtype, length
+
+
 def parse(data: bytes) -> WireMessage:
     if len(data) < HEADER_LEN + 4:
         raise MalformedMessage("short message")
-    if data[:4] != MAGIC:
-        raise MalformedMessage("bad magic")
-    if data[4] != VERSION:
-        raise UnsupportedVersion(f"version {data[4]}")
-    mtype = data[5]
-    if mtype not in _TYPES:
-        raise MalformedMessage(f"unknown message type {mtype}")
-    (length,) = struct.unpack_from("<I", data, 6)
-    if length > MAX_BODY:
-        raise MalformedMessage("length exceeds 1 MiB cap")
+    mtype, length = _parse_header(data[:HEADER_LEN])
     if len(data) != HEADER_LEN + length + 4:
         raise MalformedMessage("length field does not match buffer")
     body = data[HEADER_LEN:HEADER_LEN + length]
@@ -139,7 +147,10 @@ def unpack_hello(body: bytes):
     if len(body) != want:
         raise MalformedMessage("bad hello body length")
     (nonce,) = struct.unpack_from("<Q", body, 0)
-    profile = P.TwinProfile.unpack(body[8:8 + P.TwinProfile.packed_size()])
+    try:
+        profile = P.TwinProfile.unpack(body[8:8 + P.TwinProfile.packed_size()])
+    except P.ProvisioningError as e:
+        raise MalformedMessage(f"bad hello profile: {e}") from None
     mode_byte = body[8 + P.TwinProfile.packed_size()]
     (d_model,) = struct.unpack_from("<I", body, len(body) - 4)
     mode = {v: k for k, v in MODES.items()}.get(mode_byte)
@@ -336,13 +347,7 @@ def read_transcript(path):
 def read_message(stream, timeout: float = DEFAULT_TIMEOUT,
                  transcript: TranscriptWriter | None = None) -> WireMessage:
     head = stream.recv_exact(HEADER_LEN, timeout)
-    if head[:4] != MAGIC:
-        raise MalformedMessage("bad magic")
-    if head[4] != VERSION:
-        raise UnsupportedVersion(f"version {head[4]}")
-    (length,) = struct.unpack_from("<I", head, 6)
-    if length > MAX_BODY:
-        raise MalformedMessage("length exceeds 1 MiB cap")
+    _, length = _parse_header(head)
     rest = stream.recv_exact(length + 4, timeout)
     data = head + rest
     if transcript is not None:
@@ -406,7 +411,11 @@ class Session:
         return pack_hello(self.nonce, self.profile, self.mode, self.config.d_model)
 
     def _check_hello(self, body: bytes):
-        nonce, remote_profile, mode, d_model = unpack_hello(body)
+        try:
+            nonce, remote_profile, mode, d_model = unpack_hello(body)
+        except MalformedMessage as e:
+            self._fail(ERR_PROTOCOL, str(e))
+            raise
         if d_model != self.config.d_model:
             self._fail(ERR_PROTOCOL, "d_model echo mismatch")
             raise ProtocolViolation("d_model echo mismatch")
@@ -475,10 +484,9 @@ class Session:
         if not self.established or self.closed:
             raise ProtocolViolation("session not established")
         seq = self.recv_seq
-        decoder = codec.IncrementalDecoder(
+        decoder = DECODERS[self.mode](
             self.params, self.config, self.key.value, self.nonce, seq,
-            self.codec_params) if self.mode == "incremental" else None
-        frames = []
+            self.codec_params)
         while True:
             try:
                 msg = self._recv()
@@ -489,6 +497,7 @@ class Session:
                 code, reason = unpack_error(msg.body)
                 raise PeerError(code, reason)
             if msg.type == TYPE_FIN:
+                self._fail(ERR_PROTOCOL, "FIN in the middle of a message")
                 raise ProtocolViolation("FIN in the middle of a message")
             if msg.type != TYPE_FRAME:
                 self._fail(ERR_PROTOCOL, "expected FRAME")
@@ -501,32 +510,14 @@ class Session:
             if mseq != seq:
                 self._fail(ERR_PROTOCOL, "message seq out of order")
                 raise ProtocolViolation("message seq out of order")
-            if self.mode == "incremental":
-                try:
-                    decoder.feed(frame)
-                except codec.CodecError as e:
-                    self._fail(ERR_DECODE, f"token {frame.seq}: {e}")
-                    raise
-                if frame.is_final:
-                    self.recv_seq += 1
-                    return decoder.plaintext
-            else:
-                frames.append(frame)
-                if frame.is_final:
-                    try:
-                        out, _ = codec.decode_message_oneshot(
-                            self.params, self.config, self.key.value, self.nonce,
-                            seq, frames)
-                    except codec.CodecError as e:
-                        self._fail(ERR_DECODE, str(e))
-                        raise
-                    self.recv_seq += 1
-                    return out
-                # a message of at most MAX_MESSAGE_LEN bytes ends by this frame
-                if len(frames) > codec.MAX_MESSAGE_LEN:
-                    self._fail(ERR_PROTOCOL, "no final frame within the message cap")
-                    raise ProtocolViolation(
-                        f"{len(frames)} frames without a final frame")
+            try:
+                decoder.feed(frame)
+            except codec.CodecError as e:
+                self._fail(ERR_DECODE, f"token {frame.seq}: {e}")
+                raise
+            if frame.is_final:
+                self.recv_seq += 1
+                return decoder.plaintext
 
     def close(self) -> None:
         if self.closed:

@@ -261,3 +261,11 @@ def test_oneshot_decode_length_one_exact(params):
     out, scores = C.decode_message_oneshot(params, CFG, KEY, NONCE, 10, frames)
     assert out == plaintext
     assert scores[0] == 1.0
+
+
+def test_oneshot_rejects_out_of_order_frames(params):
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 15, b"ab")
+    for frame, seq in zip(frames, (9, 9, 0)):
+        frame.seq = seq
+    with pytest.raises(C.DecodeFailure, match="out-of-order frame 9, expected 0"):
+        C.decode_message_oneshot(params, CFG, KEY, NONCE, 15, frames)

@@ -1,9 +1,12 @@
 import json
+import socket
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ciphermind import codec
 from ciphermind import model as M
@@ -180,6 +183,25 @@ def test_frame_before_hello_is_protocol_violation(params, profile):
     a.send_bytes(W.serialize(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame))))
     with pytest.raises(W.ProtocolViolation):
         s2.handshake("responder")
+
+
+@pytest.mark.parametrize("fault", ["profile magic", "zero fingerprint", "body length"])
+def test_malformed_hello_gets_error_reply(params, profile, fault):
+    body = bytearray(W.pack_hello(8, profile, "incremental", CFG.d_model))
+    if fault == "profile magic":
+        body[8:12] = b"XXXX"
+    elif fault == "zero fingerprint":
+        body[12:44] = bytes(32)  # the base fingerprint
+    else:
+        body += b"\x00"
+    a, b = W.loopback_pair()
+    s2 = _session(b, params, profile)
+    a.send_bytes(W.serialize(W.WireMessage(W.TYPE_HELLO, bytes(body))))
+    with pytest.raises(W.MalformedMessage):
+        s2.handshake("responder")
+    reply = W.read_message(a, timeout=1)
+    assert reply.type == W.TYPE_ERROR
+    assert W.unpack_error(reply.body)[0] == W.ERR_PROTOCOL
 
 
 # ---------------------------------------------------------------- sessions
@@ -413,11 +435,11 @@ def test_oneshot_stops_buffering_at_the_message_cap(params, profile):
     for t in range(codec.MAX_MESSAGE_LEN + 1):
         frame = codec.TokenFrame(seq=t, payload=payload)
         s1._send(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame)))
-    with pytest.raises(W.ProtocolViolation, match="without a final frame"):
+    with pytest.raises(codec.DecodeFailure, match="frame 64"):
         s2.recv_message()
     reply = W.read_message(a, timeout=5)
     assert reply.type == W.TYPE_ERROR
-    assert W.unpack_error(reply.body)[0] == W.ERR_PROTOCOL
+    assert W.unpack_error(reply.body)[0] == W.ERR_DECODE
 
 
 class _CloseSpy:
@@ -452,3 +474,106 @@ def test_send_before_handshake_rejected(params, profile):
     s1 = _session(a, params, profile)
     with pytest.raises(W.ProtocolViolation):
         s1.send_message(b"x")
+
+
+# ------------------------------------------------------------ adversarial peer
+
+# where pack_frame puts each field a mutation rewrites
+_FRAME_FIELDS = {"renumber message": slice(0, 8), "renumber": slice(8, 12),
+                 "flip final": slice(12, 13), "payload": slice(13, None)}
+_MUTATIONS = ("drop", "duplicate", "reorder", "inject", "flip byte", *_FRAME_FIELDS)
+_BAD_VALUES = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "zeros": 0.0}
+
+
+def _bad_payload(data) -> bytes:
+    kind = data.draw(st.sampled_from([*_BAD_VALUES, "random"]))
+    if kind == "random":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        payload = rng.standard_normal(CFG.d_model)
+    else:
+        payload = np.full(CFG.d_model, _BAD_VALUES[kind])
+    return payload.astype("<f4").tobytes()
+
+
+def _mutate(data, wire, mutation):
+    """Applies one mutation to the list of serialized messages, in place."""
+    if mutation == "inject":
+        mtype = data.draw(st.sampled_from([W.TYPE_HELLO, W.TYPE_HELLO_ACK,
+                                           W.TYPE_FIN, W.TYPE_ERROR]))
+        body = W.pack_error(W.ERR_DECODE, "injected") if mtype == W.TYPE_ERROR else b""
+        wire.insert(data.draw(st.integers(0, len(wire))),
+                    W.serialize(W.WireMessage(mtype, body)))
+        return
+    if not wire:
+        return
+    i = data.draw(st.integers(0, len(wire) - 1))
+    if mutation == "drop":
+        del wire[i]
+    elif mutation == "duplicate":
+        wire.insert(i, wire[i])
+    elif mutation == "reorder":
+        j = data.draw(st.integers(0, len(wire) - 1))
+        wire[i], wire[j] = wire[j], wire[i]
+    elif mutation == "flip byte":
+        msg = bytearray(wire[i])
+        msg[data.draw(st.integers(0, len(msg) - 1))] ^= data.draw(st.integers(1, 255))
+        wire[i] = bytes(msg)
+    else:
+        try:
+            msg = W.parse(wire[i])
+        except W.TransportError:  # already corrupted by a flipped byte
+            return
+        if msg.type != W.TYPE_FRAME:
+            return
+        body = bytearray(msg.body)
+        field = _FRAME_FIELDS[mutation]
+        if mutation == "flip final":
+            body[field] = bytes([body[12] ^ 1])
+        elif mutation == "payload":
+            body[field] = _bad_payload(data)
+        else:
+            n = len(body[field])
+            body[field] = data.draw(st.binary(min_size=n, max_size=n))
+        wire[i] = W.serialize(W.WireMessage(W.TYPE_FRAME, bytes(body)))
+
+
+@pytest.mark.parametrize("mode", ["incremental", "oneshot"])
+@settings(max_examples=25, deadline=None)
+@given(plaintext=st.binary(max_size=3),
+       mutations=st.lists(st.sampled_from(_MUTATIONS), max_size=2),
+       data=st.data())
+def test_adversarial_peer_gets_only_typed_errors(params, profile, mode, plaintext,
+                                                 mutations, data):
+    # a socket pair half-closes: the receiver sees the end of the stream and
+    # can still answer the sender
+    sa, sb = socket.socketpair()
+    a, b = W.TcpStream(sa), W.TcpStream(sb)
+    try:
+        s1, s2 = _handshaken(a, b, params, profile, mode=mode, timeout=5.0)
+        # the untrained fixture cannot repeat a message greedily, so both
+        # modes carry incremental frames; the two are wire-compatible
+        frames = codec.encode_message_incremental(params, CFG, KEY.value, s1.nonce,
+                                                  0, plaintext)
+        wire = [W.serialize(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, f)))
+                for f in frames]
+        for mutation in mutations:
+            _mutate(data, wire, mutation)
+        a.send_bytes(b"".join(wire))
+        sa.shutdown(socket.SHUT_WR)
+        try:
+            got = s2.recv_message()
+        except (codec.CodecError, W.TransportError) as e:
+            assert s2.recv_seq == 0
+            # a closed stream or a timeout leaves nothing to answer, and the
+            # peer's own ERROR needs no answer
+            if type(e) is not W.TransportError and not isinstance(
+                    e, (W.TransportTimeout, W.PeerError)):
+                reply = W.read_message(a, timeout=5)
+                assert reply.type == W.TYPE_ERROR, e
+        else:
+            assert s2.recv_seq == 1
+            if mode == "incremental":
+                assert got == plaintext
+    finally:
+        a.close()
+        b.close()
