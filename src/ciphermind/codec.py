@@ -5,18 +5,12 @@ Byte-level tokenizer: ids 0..255 are raw bytes, then <bos>=256, <eos>=257,
 ("<bos>repeat: " ... "<sep>"), mirroring the objective the twins were
 tuned on.
 
-Two wire-compatible modes:
-
-* incremental - one teacher-forced prompt per token, containing only the
-  already-shared prefix plus the new token. The receiver re-creates each
-  candidate context bit-for-bit, so the true candidate scores cosine 1.0
-  and decoding is exact regardless of model quality.
-* oneshot - the whole plaintext sits in one prompt and the model must
-  actually repeat it token by token (greedy); a mismatch aborts the send.
-  Receiver-side matching is approximate because the sender's prompt
-  contains plaintext the receiver does not have yet. It decodes frame by
-  frame as frames arrive, through the same FrameDecoder checks as
-  incremental, but takes each frame's best hypothesis without the gates.
+One frame per plaintext byte, then a final end-marker frame. Frame t taps
+the scheduled layer at the last position of a teacher-forced context that
+holds only the already-shared prefix plus the new byte. The receiver
+re-creates each candidate context bit-for-bit, so the true candidate scores
+cosine 1.0 and decoding is exact regardless of model quality; the theta and
+delta gates reject anything else.
 """
 
 from __future__ import annotations
@@ -50,16 +44,6 @@ class CodecError(Exception):
 
 class MessageTooLong(CodecError):
     pass
-
-
-class EncodeMismatch(CodecError):
-    """Strict-mode transmission failure: greedy output diverged."""
-
-    def __init__(self, index: int, expected: int, got: int):
-        super().__init__(f"greedy mismatch at token {index}: expected {expected}, got {got}")
-        self.index = index
-        self.expected = expected
-        self.got = got
 
 
 class DecodeFailure(CodecError):
@@ -128,7 +112,6 @@ class DecodeResult:
 class CodecParams:
     theta: float = DEFAULT_THETA
     delta: float = DEFAULT_DELTA
-    strict: bool = False  # incremental encode aborts on greedy mismatch
 
 
 # --------------------------------------------------------------- encoding
@@ -151,12 +134,11 @@ def _check_message(plaintext: bytes, cfg: M.ModelConfig) -> None:
 
 def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
                                key: bytes, nonce: int, msg_seq: int,
-                               plaintext: bytes, *, strict: bool = False):
+                               plaintext: bytes):
     """One tapped frame per plaintext byte plus the final end-marker frame.
 
     Context for frame t: template ++ P[:t+1] ++ <sep> ++ P[:t]; the tap is
-    the scheduled layer's output at the last position. In strict mode the
-    greedy prediction at that position must equal the transmitted token.
+    the scheduled layer's output at the last position.
     """
     _check_message(plaintext, cfg)
     topen = template_tokens()
@@ -167,48 +149,12 @@ def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
         prompt_part = plaintext[: t + 1] if t < n else plaintext
         done_part = plaintext[:t] if t < n else plaintext
         ctx = topen + encode_bytes(prompt_part) + [SEP] + encode_bytes(done_part)
-        hid, logits = M.forward_full(params, cfg, ctx)
+        hid, _ = M.forward_full(params, cfg, ctx)
         layer = scheduler.layer_of(state, cfg.n_blocks)
-        expected = plaintext[t] if t < n else EOS
-        if strict:
-            got = M.greedy_next(logits[-1])
-            if got != expected:
-                raise EncodeMismatch(t, expected, got)
         frames.append(TokenFrame(seq=t, payload=hid[layer - 1, -1].copy(),
                                  is_final=t == n))
         if t < n:
             state = scheduler.advance(state, plaintext[t], cfg.vocab_size)
-    return frames
-
-
-def encode_message_oneshot(params: M.ParameterSet, cfg: M.ModelConfig,
-                           key: bytes, nonce: int, msg_seq: int,
-                           plaintext: bytes):
-    """Single-prompt greedy repetition; aborts on the first greedy miss.
-
-    Greedy generation equals teacher forcing while every pick matches, so
-    the whole trajectory is verified with one batched pass (bitwise equal
-    to stepping, per the engine's step/full equivalence).
-    """
-    _check_message(plaintext, cfg)
-    topen = template_tokens()
-    ctx = topen + encode_bytes(plaintext) + [SEP]
-    expected = encode_bytes(plaintext) + [EOS]
-    seq = ctx + expected
-    hid, logits = M.forward_full(params, cfg, seq[:-1])
-    state = scheduler.init_chain(key, nonce, msg_seq)
-    frames = []
-    gen_base = len(ctx) - 1
-    for t, want in enumerate(expected):
-        pos = gen_base + t
-        got = M.greedy_next(logits[pos])
-        if got != want:
-            raise EncodeMismatch(t, want, got)
-        layer = scheduler.layer_of(state, cfg.n_blocks)
-        frames.append(TokenFrame(seq=t, payload=hid[layer - 1, pos].copy(),
-                                 is_final=want == EOS))
-        if want != EOS:
-            state = scheduler.advance(state, want, cfg.vocab_size)
     return frames
 
 
@@ -236,8 +182,7 @@ class HypothesisScorer:
     def prefix(self) -> bytes:
         return bytes(self.decoded)
 
-    def score_frame(self, payload: np.ndarray, layer: int, *,
-                    include_end: bool = True):
+    def score_frame(self, payload: np.ndarray, layer: int):
         """Returns (token, score, margin, scores[257]) for one frame."""
         d = list(self.decoded)
         t = len(d)
@@ -247,18 +192,13 @@ class HypothesisScorer:
         if t:
             sufs[:, 2:] = d
         taps = M.hypothesis_taps(self.params, self.cfg, self.cache, sufs, layer)
-        scores = np.full(257, -np.inf, dtype=np.float64)
-        scores[:256] = cosine(taps, payload)
-        if include_end:
-            end_suf = np.array([[SEP] + d], dtype=np.int64)
-            end_tap = M.hypothesis_taps(self.params, self.cfg, self.cache,
-                                        end_suf, layer)
-            scores[256] = cosine(end_tap, payload)[0]
+        end_suf = np.array([[SEP] + d], dtype=np.int64)
+        end_tap = M.hypothesis_taps(self.params, self.cfg, self.cache, end_suf, layer)
+        scores = np.concatenate([cosine(taps, payload),
+                                 cosine(end_tap, payload)]).astype(np.float64)
         best = int(np.argmax(scores))
         best_score = float(scores[best])
-        rest = np.delete(scores, best)
-        second = float(rest.max()) if np.isfinite(rest.max()) else -1.0
-        margin = best_score - second
+        margin = best_score - float(np.delete(scores, best).max())
         token = END_HYPOTHESIS if best == 256 else best
         return token, best_score, margin, scores
 
@@ -286,11 +226,11 @@ def _checked_payload(frame: TokenFrame) -> np.ndarray:
     return payload
 
 
-class FrameDecoder:
-    """The per-frame steps both modes share: frame order, the length cap, the
-    payload check, the tap layer drawn from the chain, scoring, and the
-    accept step. A subclass's feed decides which hypothesis a frame yields.
-    """
+class IncrementalDecoder:
+    """Exact, theta/delta-gated decoder fed one frame at a time. Each frame
+    passes the order, length-cap and payload checks, is scored at the layer
+    the chain draws for it, and must yield a byte on a non-final frame and
+    END on the final one."""
 
     def __init__(self, params, cfg, key: bytes, nonce: int, msg_seq: int,
                  codec_params: CodecParams | None = None):
@@ -302,9 +242,7 @@ class FrameDecoder:
         self.done = False
         self.layers_used: list[int] = []
 
-    def _score(self, frame: TokenFrame, include_end: bool):
-        """Checks the frame, then returns score_frame's (token, score,
-        margin, scores) at the layer the chain draws for it."""
+    def feed(self, frame: TokenFrame) -> DecodeResult:
         if self.done:
             raise CodecError("message already complete")
         if frame.seq != self.next_seq:
@@ -313,30 +251,7 @@ class FrameDecoder:
         payload = _checked_payload(frame)
         layer = scheduler.layer_of(self.state, self.cfg.n_blocks)
         self.layers_used.append(layer)
-        return self.scorer.score_frame(payload, layer, include_end=include_end)
-
-    def _accept(self, frame: TokenFrame, token: int) -> None:
-        """Ends the message on the final frame; otherwise commits the byte
-        and advances the chain."""
-        if frame.is_final:
-            self.done = True
-        else:
-            self.scorer.push(token)
-            self.state = scheduler.advance(self.state, token, self.cfg.vocab_size)
-        self.next_seq += 1
-
-    @property
-    def plaintext(self) -> bytes:
-        if not self.done:
-            raise CodecError("message not complete")
-        return self.scorer.prefix
-
-
-class IncrementalDecoder(FrameDecoder):
-    """Exact decoder for incremental-mode frames (theta/delta gated)."""
-
-    def feed(self, frame: TokenFrame) -> DecodeResult:
-        token, score, margin, _ = self._score(frame, include_end=True)
+        token, score, margin, _ = self.scorer.score_frame(payload, layer)
         # written so that a NaN score or margin fails the gate
         if not score >= self.cp.theta:
             raise DecodeFailure(
@@ -348,19 +263,19 @@ class IncrementalDecoder(FrameDecoder):
             raise DecodeFailure("end hypothesis won a non-final frame", score=score)
         if token != END_HYPOTHESIS and frame.is_final:
             raise DecodeFailure("byte hypothesis won the final frame", score=score)
-        self._accept(frame, token)
+        if frame.is_final:
+            self.done = True
+        else:
+            self.scorer.push(token)
+            self.state = scheduler.advance(self.state, token, self.cfg.vocab_size)
+        self.next_seq += 1
         return DecodeResult(token=token, score=score, margin=margin)
 
-
-class OneshotDecoder(FrameDecoder):
-    """Approximate decoder for one-shot frames, ungated: a non-final frame
-    yields its best byte (the transport flag marks the end, so END competes
-    only on the final frame), and the final frame ends the message."""
-
-    def feed(self, frame: TokenFrame) -> DecodeResult:
-        token, score, margin, _ = self._score(frame, include_end=frame.is_final)
-        self._accept(frame, token)
-        return DecodeResult(token=token, score=score, margin=margin)
+    @property
+    def plaintext(self) -> bytes:
+        if not self.done:
+            raise CodecError("message not complete")
+        return self.scorer.prefix
 
 
 def decode_message_incremental(params, cfg, key: bytes, nonce: int,
@@ -370,15 +285,6 @@ def decode_message_incremental(params, cfg, key: bytes, nonce: int,
     for frame in frames:
         dec.feed(frame)
     return dec.plaintext
-
-
-def decode_message_oneshot(params, cfg, key: bytes, nonce: int, msg_seq: int,
-                           frames):
-    """Returns (bytes, per-frame scores) of a one-shot transcript; accuracy
-    is measured, not promised."""
-    dec = OneshotDecoder(params, cfg, key, nonce, msg_seq)
-    scores = [dec.feed(frame).score for frame in frames]
-    return dec.plaintext, scores
 
 
 def decode_message_incremental_naive(params, cfg, key: bytes, nonce: int,

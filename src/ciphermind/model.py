@@ -1,8 +1,8 @@
 """Deterministic decoder-only transformer with per-layer hidden-state taps.
 
-Everything downstream (twin provisioning, the hidden-state codec, the
-attacker studies) depends on this module's bit-reproducibility, which rests
-on three pinned implementation rules:
+Everything downstream (twin provisioning and the hidden-state codec)
+depends on this module's bit-reproducibility, which rests on three pinned
+implementation rules:
 
 1. Every GEMM runs with a row count of at least ``M_MIN`` (smaller inputs
    are zero-padded). The BLAS picks different microkernels for very small
@@ -264,6 +264,8 @@ def load_parameters(path) -> ParameterSet:
         blob = f.read()
     if blob[:4] != PARAM_MAGIC:
         raise ModelError("not a parameter file (bad magic)")
+    if len(blob) < 33:
+        raise ModelError("parameter file cut inside its 33-byte header")
     if blob[4] != PARAM_VERSION:
         raise ModelError(f"unsupported parameter file version {blob[4]}")
     config = ModelConfig.unpack(blob[5:33])
@@ -626,10 +628,3 @@ def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
             tails = [f.result() for f in futures]
     return np.concatenate([head] + tails)
 
-
-def greedy_next(logits: np.ndarray) -> int:
-    """Index of the maximum logit; ties break to the lowest index."""
-    logits = np.asarray(logits)
-    if not np.all(np.isfinite(logits)):
-        raise ModelError("non-finite logits")
-    return int(np.argmax(logits))

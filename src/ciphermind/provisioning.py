@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -54,7 +55,7 @@ class SessionKey:
     @classmethod
     def from_hex(cls, hex_str: str) -> "SessionKey":
         """Parse 32 hex chars as a 128-bit integer (bit 0 = least significant)."""
-        if len(hex_str) != 32:
+        if not re.fullmatch("[0-9a-fA-F]{32}", hex_str):
             raise ProvisioningError("key must be 32 hex characters")
         return cls(int(hex_str, 16).to_bytes(KEY_BYTES, "little"))
 
@@ -116,18 +117,15 @@ def load_registry(path) -> ShardRegistry:
     shards = []
     for entry in manifest["shards"]:
         blob = (root / entry["file"]).read_bytes()
-        examples = []
-        pos = 0
-        while pos < len(blob):
-            (lp,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            prompt = blob[pos:pos + lp]
-            pos += lp
-            (lc,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            completion = blob[pos:pos + lc]
-            pos += lc
-            examples.append((prompt, completion))
+        # length-prefixed prompt, completion, prompt, ... (example_digest_bytes)
+        parts, pos = [], 0
+        while pos + 4 <= len(blob):
+            (n,) = struct.unpack_from("<I", blob, pos)
+            parts.append(blob[pos + 4:pos + 4 + n])
+            pos += 4 + n
+        if not parts or pos != len(blob) or len(parts) % 2:
+            raise ProvisioningError(f"shard {entry['id']} file is empty or cut short")
+        examples = list(zip(parts[::2], parts[1::2]))
         shard = T.Shard(id=entry["id"], examples=examples)
         if shard.digest.hex() != entry["digest"]:
             raise ProvisioningError(f"shard {entry['id']} digest mismatch on load")

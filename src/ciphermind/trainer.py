@@ -25,6 +25,10 @@ from .scheduler import Stream, mix64
 F32 = np.float32
 
 ADAPTED_FIELDS = ("wq", "wv")  # protocol constant; both twins must agree
+# the fine-tune's (shard, repeat) interleave and longest repeat payload; both
+# change the twin's bits, so they are constants like ADAPTED_FIELDS
+REPEAT_RATIO = (10, 1)
+MAX_REPEAT_LEN = 64
 
 ADAPTER_MAGIC = b"CMAD"
 ADAPTER_VERSION = 1
@@ -161,8 +165,7 @@ def make_pretrain_corpus(seed: int, n_examples: int,
     return out
 
 
-def build_repeat_dataset(shards, ratio=(10, 1), *, seed: int = 0,
-                         max_repeat_len: int = 64) -> list:
+def build_repeat_dataset(shards, ratio=REPEAT_RATIO, *, seed: int = 0) -> list:
     """Interleave shard text with synthetic repeat-task examples.
 
     ratio = (shard, repeat): after every `ratio[0]` shard examples,
@@ -189,11 +192,11 @@ def build_repeat_dataset(shards, ratio=(10, 1), *, seed: int = 0,
         pending += 1
         if pending == r_shard:
             for _ in range(r_repeat):
-                out.append(repeat_example(stream, 1 + stream.next_below(max_repeat_len)))
+                out.append(repeat_example(stream, 1 + stream.next_below(MAX_REPEAT_LEN)))
             pending = 0
     if pending:
         for _ in range(r_repeat):
-            out.append(repeat_example(stream, 1 + stream.next_below(max_repeat_len)))
+            out.append(repeat_example(stream, 1 + stream.next_below(MAX_REPEAT_LEN)))
     return out
 
 
@@ -482,7 +485,7 @@ def _merged(base: M.ParameterSet, factors) -> M.ParameterSet:
 
 
 def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
-             ratio=(10, 1), loss_log=None) -> AdapterSet:
+             loss_log=None) -> AdapterSet:
     """Train only the adapter factors on the repeat-injected shard data."""
     if not shards:
         raise TrainerError("no shards to fine-tune on")
@@ -493,7 +496,7 @@ def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
     if tconfig.steps == 0:
         return adapters
 
-    dataset = build_repeat_dataset(shards, ratio, seed=tconfig.seed)
+    dataset = build_repeat_dataset(shards, REPEAT_RATIO, seed=tconfig.seed)
     prepared = _prepare(dataset, min(tconfig.max_example_len, cfg.max_seq))
     lr = F32(tconfig.learning_rate)
 
@@ -533,6 +536,8 @@ def load_adapters(path, config: M.ModelConfig) -> AdapterSet:
         blob = f.read()
     if blob[:4] != ADAPTER_MAGIC:
         raise TrainerError("not an adapter file (bad magic)")
+    if len(blob) < 65:
+        raise TrainerError("adapter file cut inside its 65-byte header")
     if blob[4] != ADAPTER_VERSION:
         raise TrainerError(f"unsupported adapter file version {blob[4]}")
     base_fp = blob[5:37]

@@ -39,10 +39,7 @@ TYPE_FIN = 4
 TYPE_ERROR = 5
 _TYPES = {TYPE_HELLO, TYPE_HELLO_ACK, TYPE_FRAME, TYPE_FIN, TYPE_ERROR}
 
-MODE_INCREMENTAL = 1
-MODE_ONESHOT = 2
-MODES = {"incremental": MODE_INCREMENTAL, "oneshot": MODE_ONESHOT}
-DECODERS = {"incremental": codec.IncrementalDecoder, "oneshot": codec.OneshotDecoder}
+MODE_INCREMENTAL = 1  # the HELLO's mode byte; no other value is accepted
 
 ERR_TWIN_MISMATCH = 1
 ERR_PROTOCOL = 2
@@ -137,9 +134,9 @@ def parse(data: bytes) -> WireMessage:
 
 # ------------------------------------------------------------------- bodies
 
-def pack_hello(nonce: int, profile: P.TwinProfile, mode: str, d_model: int) -> bytes:
+def pack_hello(nonce: int, profile: P.TwinProfile, d_model: int) -> bytes:
     return (struct.pack("<Q", nonce & (2**64 - 1)) + profile.pack()
-            + bytes([MODES[mode]]) + struct.pack("<I", d_model))
+            + bytes([MODE_INCREMENTAL]) + struct.pack("<I", d_model))
 
 
 def unpack_hello(body: bytes):
@@ -152,11 +149,10 @@ def unpack_hello(body: bytes):
     except P.ProvisioningError as e:
         raise MalformedMessage(f"bad hello profile: {e}") from None
     mode_byte = body[8 + P.TwinProfile.packed_size()]
-    (d_model,) = struct.unpack_from("<I", body, len(body) - 4)
-    mode = {v: k for k, v in MODES.items()}.get(mode_byte)
-    if mode is None:
+    if mode_byte != MODE_INCREMENTAL:
         raise MalformedMessage(f"unknown mode byte {mode_byte}")
-    return nonce, profile, mode, d_model
+    (d_model,) = struct.unpack_from("<I", body, len(body) - 4)
+    return nonce, profile, d_model
 
 
 def pack_frame(message_seq: int, frame: codec.TokenFrame) -> bytes:
@@ -366,12 +362,9 @@ class Session:
 
     def __init__(self, stream, *, params: M.ParameterSet, config: M.ModelConfig,
                  profile: P.TwinProfile, key: P.SessionKey,
-                 mode: str = "incremental",
                  codec_params: codec.CodecParams | None = None,
                  timeout: float = DEFAULT_TIMEOUT,
                  transcript: TranscriptWriter | None = None):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         if config.n_blocks < 2:
             raise ValueError("sessions need at least 2 blocks to schedule taps")
         self.stream = stream
@@ -379,7 +372,6 @@ class Session:
         self.config = config
         self.profile = profile
         self.key = key
-        self.mode = mode
         self.codec_params = codec_params or codec.CodecParams()
         self.timeout = timeout
         self.transcript = transcript
@@ -408,20 +400,17 @@ class Session:
             pass
 
     def _hello_body(self) -> bytes:
-        return pack_hello(self.nonce, self.profile, self.mode, self.config.d_model)
+        return pack_hello(self.nonce, self.profile, self.config.d_model)
 
     def _check_hello(self, body: bytes):
         try:
-            nonce, remote_profile, mode, d_model = unpack_hello(body)
+            nonce, remote_profile, d_model = unpack_hello(body)
         except MalformedMessage as e:
             self._fail(ERR_PROTOCOL, str(e))
             raise
         if d_model != self.config.d_model:
             self._fail(ERR_PROTOCOL, "d_model echo mismatch")
             raise ProtocolViolation("d_model echo mismatch")
-        if mode != self.mode:
-            self._fail(ERR_PROTOCOL, "mode mismatch")
-            raise ProtocolViolation("mode mismatch")
         ok, field = P.verify_twin(self.profile, remote_profile)
         if not ok:
             self._fail(ERR_TWIN_MISMATCH, field)
@@ -464,14 +453,8 @@ class Session:
         if not self.established or self.closed:
             raise ProtocolViolation("session not established")
         seq = self.send_seq
-        if self.mode == "incremental":
-            frames = codec.encode_message_incremental(
-                self.params, self.config, self.key.value, self.nonce, seq,
-                plaintext, strict=self.codec_params.strict)
-        else:
-            frames = codec.encode_message_oneshot(
-                self.params, self.config, self.key.value, self.nonce, seq,
-                plaintext)
+        frames = codec.encode_message_incremental(
+            self.params, self.config, self.key.value, self.nonce, seq, plaintext)
         stats = SessionStats()
         for frame in frames:
             stats.wire_bytes += self._send(
@@ -484,7 +467,7 @@ class Session:
         if not self.established or self.closed:
             raise ProtocolViolation("session not established")
         seq = self.recv_seq
-        decoder = DECODERS[self.mode](
+        decoder = codec.IncrementalDecoder(
             self.params, self.config, self.key.value, self.nonce, seq,
             self.codec_params)
         while True:

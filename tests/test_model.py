@@ -106,6 +106,16 @@ def test_parameter_file_roundtrip(tmp_path):
     assert again.config == CFG_SMALL
 
 
+def test_parameter_file_cut_inside_its_header(tmp_path):
+    path = tmp_path / "p.cmwt"
+    M.save_parameters(path, M.init_parameters(CFG_SMALL, seed=5))
+    blob = path.read_bytes()
+    for cut in range(4 + 1 + 28):  # magic, version, config
+        path.write_bytes(blob[:cut])
+        with pytest.raises(M.ModelError):
+            M.load_parameters(path)
+
+
 def test_parameter_file_bad_magic(tmp_path):
     path = tmp_path / "junk.cmwt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -287,36 +297,6 @@ def test_layernorm_outputs_normalized():
         assert np.abs(mean).max() < 1e-4
         var = (xn * xn).mean(axis=-1) - mean ** 2
         assert np.abs(var - 1.0).max() < 1e-2
-
-
-# ------------------------------------------------------------------ greedy
-
-def test_greedy_tie_breaks_low_index():
-    assert M.greedy_next(np.zeros(260, dtype=np.float32)) == 0
-
-
-def test_greedy_one_hot_last():
-    logits = np.zeros(260, dtype=np.float32)
-    logits[259] = 1.0
-    assert M.greedy_next(logits) == 259
-
-
-def test_greedy_matches_linear_scan_oracle():
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        logits = rng.standard_normal(260).astype(np.float32)
-        best, best_i = -np.inf, -1
-        for i, v in enumerate(logits):
-            if v > best:
-                best, best_i = v, i
-        assert M.greedy_next(logits) == best_i
-
-
-def test_greedy_rejects_non_finite():
-    bad = np.zeros(260, dtype=np.float32)
-    bad[3] = np.nan
-    with pytest.raises(M.ModelError):
-        M.greedy_next(bad)
 
 
 def test_parameters_immutable():

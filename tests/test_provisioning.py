@@ -35,6 +35,14 @@ def test_key_hex_parsing_matches_integer_bits():
     assert [i for i in range(128) if k.bit(i)] == [0, 2]
 
 
+@pytest.mark.parametrize("text", ["0x" + "5" * 30, " " + "5" * 30 + " ",
+                                  "-" + "5" * 31, "5" * 31 + "g"],
+                         ids=["0x prefix", "spaces", "minus", "non-hex"])
+def test_key_hex_rejects_all_but_32_hex_digits(text):
+    with pytest.raises(P.ProvisioningError):
+        P.SessionKey.from_hex(text)
+
+
 def test_zero_key_rejected():
     with pytest.raises(P.ProvisioningError):
         _key(0)
@@ -65,6 +73,16 @@ def test_registry_file_roundtrip(tmp_path, registry):
     loaded = P.load_registry(tmp_path / "reg")
     assert loaded.digest() == registry.digest()
     assert loaded.shards[7].examples == registry.shards[7].examples
+
+
+def test_registry_shard_cut_inside_a_length_field(tmp_path, registry):
+    P.save_registry(tmp_path / "reg", registry)
+    shard = tmp_path / "reg" / "shard_000.bin"
+    blob = shard.read_bytes()
+    for cut in range(1, 4):
+        shard.write_bytes(blob[:cut])
+        with pytest.raises(P.ProvisioningError):
+            P.load_registry(tmp_path / "reg")
 
 
 def test_provision_twinness(registry):

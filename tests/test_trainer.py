@@ -188,6 +188,18 @@ def test_adapter_file_roundtrip(tmp_path):
     assert loaded.tconfig == adapters.tconfig
 
 
+def test_adapter_file_cut_inside_its_header(tmp_path):
+    base = M.init_parameters(CFG_TINY, 7)
+    adapters = T.finetune(base, _toy_shards(), T.TrainConfig(seed=4, steps=0))
+    path = tmp_path / "a.cmad"
+    T.save_adapters(path, adapters)
+    blob = path.read_bytes()
+    for cut in range(4 + 1 + 32 + 28):  # magic, version, base fingerprint, config
+        path.write_bytes(blob[:cut])
+        with pytest.raises(T.TrainerError):
+            T.load_adapters(path, CFG_TINY)
+
+
 # ------------------------------------------------------------------- probes
 
 def test_forgetting_probe_deterministic():

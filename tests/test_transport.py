@@ -185,13 +185,16 @@ def test_frame_before_hello_is_protocol_violation(params, profile):
         s2.handshake("responder")
 
 
-@pytest.mark.parametrize("fault", ["profile magic", "zero fingerprint", "body length"])
+@pytest.mark.parametrize("fault", ["profile magic", "zero fingerprint", "body length",
+                                   "mode byte"])
 def test_malformed_hello_gets_error_reply(params, profile, fault):
-    body = bytearray(W.pack_hello(8, profile, "incremental", CFG.d_model))
+    body = bytearray(W.pack_hello(8, profile, CFG.d_model))
     if fault == "profile magic":
         body[8:12] = b"XXXX"
     elif fault == "zero fingerprint":
         body[12:44] = bytes(32)  # the base fingerprint
+    elif fault == "mode byte":
+        body[8 + P.TwinProfile.packed_size()] = 2  # a retired one-shot peer
     else:
         body += b"\x00"
     a, b = W.loopback_pair()
@@ -206,10 +209,10 @@ def test_malformed_hello_gets_error_reply(params, profile, fault):
 
 # ---------------------------------------------------------------- sessions
 
-def _run_exchange(params, profile, messages, mode="incremental"):
+def _run_exchange(params, profile, messages):
     a, b = W.loopback_pair()
-    s1 = _session(a, params, profile, mode=mode)
-    s2 = _session(b, params, profile, mode=mode)
+    s1 = _session(a, params, profile)
+    s2 = _session(b, params, profile)
     received = []
     errors = []
 
@@ -427,21 +430,6 @@ def test_over_cap_message_gets_decode_error(params, profile, monkeypatch):
     assert s2.recv_seq == 0
 
 
-def test_oneshot_stops_buffering_at_the_message_cap(params, profile):
-    a, b = W.loopback_pair()
-    # on a receiver that kept buffering, the short timeout ends the test
-    s1, s2 = _handshaken(a, b, params, profile, mode="oneshot", timeout=1.0)
-    payload = np.ones(CFG.d_model, dtype=np.float32)
-    for t in range(codec.MAX_MESSAGE_LEN + 1):
-        frame = codec.TokenFrame(seq=t, payload=payload)
-        s1._send(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame)))
-    with pytest.raises(codec.DecodeFailure, match="frame 64"):
-        s2.recv_message()
-    reply = W.read_message(a, timeout=5)
-    assert reply.type == W.TYPE_ERROR
-    assert W.unpack_error(reply.body)[0] == W.ERR_DECODE
-
-
 class _CloseSpy:
     """A stream that records whether its owner closed it."""
 
@@ -537,21 +525,18 @@ def _mutate(data, wire, mutation):
         wire[i] = W.serialize(W.WireMessage(W.TYPE_FRAME, bytes(body)))
 
 
-@pytest.mark.parametrize("mode", ["incremental", "oneshot"])
 @settings(max_examples=25, deadline=None)
 @given(plaintext=st.binary(max_size=3),
        mutations=st.lists(st.sampled_from(_MUTATIONS), max_size=2),
        data=st.data())
-def test_adversarial_peer_gets_only_typed_errors(params, profile, mode, plaintext,
+def test_adversarial_peer_gets_only_typed_errors(params, profile, plaintext,
                                                  mutations, data):
     # a socket pair half-closes: the receiver sees the end of the stream and
     # can still answer the sender
     sa, sb = socket.socketpair()
     a, b = W.TcpStream(sa), W.TcpStream(sb)
     try:
-        s1, s2 = _handshaken(a, b, params, profile, mode=mode, timeout=5.0)
-        # the untrained fixture cannot repeat a message greedily, so both
-        # modes carry incremental frames; the two are wire-compatible
+        s1, s2 = _handshaken(a, b, params, profile, timeout=5.0)
         frames = codec.encode_message_incremental(params, CFG, KEY.value, s1.nonce,
                                                   0, plaintext)
         wire = [W.serialize(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, f)))
@@ -572,8 +557,7 @@ def test_adversarial_peer_gets_only_typed_errors(params, profile, mode, plaintex
                 assert reply.type == W.TYPE_ERROR, e
         else:
             assert s2.recv_seq == 1
-            if mode == "incremental":
-                assert got == plaintext
+            assert got == plaintext
     finally:
         a.close()
         b.close()
