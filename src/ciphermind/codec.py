@@ -1,16 +1,42 @@
 """Plaintext <-> hidden-state frame codec built on the twin model.
 
 Byte-level tokenizer: ids 0..255 are raw bytes, then <bos>=256, <eos>=257,
-<sep>=258, <pad>=259. Every message is wrapped in the fixed repeat prompt
-("<bos>repeat: " ... "<sep>"), mirroring the objective the twins were
-tuned on.
+<sep>=258, <pad>=259. The twins are tuned on ``repeat: X <sep> X``; the
+wire context below is a fixed layout of its own, and decoding needs no
+match between the two.
 
-One frame per plaintext byte, then a final end-marker frame. Frame t taps
-the scheduled layer at the last position of a teacher-forced context that
-holds only the already-shared prefix plus the new byte. The receiver
-re-creates each candidate context bit-for-bit, so the true candidate scores
-cosine 1.0 and decoding is exact regardless of model quality; the theta and
-delta gates reject anything else.
+Frame layout (``TEMPLATE_VERSION`` 2). A message of n bytes P0 .. P[n-1]
+is sent as n byte frames and a final END frame. Frame t's context is
+
+    template ++ P0 <sep> P1 <sep> ... P[t] <sep>
+
+and the END frame's context is the whole message's followed by
+``<eos> <sep>``. The payload is the output of the layer the key schedule
+draws for the frame, tapped at the last ``<sep>``. ``frame_context`` is the
+one place that holds this layout.
+
+The contexts nest: each frame appends ``[token, <sep>]`` to the one before.
+So the encoder runs one forward pass over the END frame's context and reads
+every frame's tap from it; the receiver's KV cache over the template and
+the accepted frames only grows; and each frame is scored as one batch of
+257 two-token suffixes against that cache, ``[c, <sep>]`` for c in 0..255
+and then ``[<eos>, <sep>]``. A position has the same bits in a full pass, a
+cache extension and a hypothesis batch (rules 1-3 of :mod:`ciphermind.model`),
+so the true candidate re-creates the payload bit for bit and scores cosine
+1.0 whatever the model's quality; the theta and delta gates reject anything
+else.
+
+Why layout v1 went. v1 tapped the last position of
+``template ++ P[:t+1] ++ <sep> ++ P[:t]``, whose own token is P[t-1]. The
+payload minus that position's positional row was closest in cosine to the
+public embedding row of P[t-1], so a reader without the key recovered the
+byte from the frame alone (280 of 280 frames in a probe at the shipped
+defaults). v2 taps a ``<sep>``, whose own token is public; whether
+attention still carries the byte to it is a separate measurement. v1's
+hypotheses also grew with the frame: c ++ <sep> ++ P[:t] is t + 2 tokens, so
+decoding an n-byte message ran O(n^2) block rows, where v2 runs 2 per
+hypothesis and frame. A v1 peer fails the handshake on the template version
+byte in the twin profile's config summary.
 """
 
 from __future__ import annotations
@@ -29,10 +55,12 @@ PAD = 259
 VOCAB_SIZE = 260
 
 TEMPLATE_TEXT = b"repeat: "
-TEMPLATE_VERSION = 1
+TEMPLATE_VERSION = 2
 MAX_MESSAGE_LEN = 64
 
 END_HYPOTHESIS = EOS  # reported token id when the end-of-message wins
+# every frame's hypotheses in scoring order: bytes 0..255, then END
+CANDIDATES = (*range(256), END_HYPOTHESIS)
 
 DEFAULT_THETA = 0.9999
 DEFAULT_DELTA = 0.01
@@ -73,6 +101,16 @@ def decode_bytes(tokens) -> bytes:
 
 def template_tokens() -> list[int]:
     return [BOS] + encode_bytes(TEMPLATE_TEXT)
+
+
+def frame_context(tokens) -> list[int]:
+    """Context of the frame that carries tokens[-1], given every token
+    before it in the message: template ++ t0 <sep> t1 <sep> ... Its tap is
+    at the last position. A token is a byte, or EOS for the END frame."""
+    ctx = template_tokens()
+    for tok in tokens:
+        ctx += [tok, SEP]
+    return ctx
 
 
 def cosine(taps, payload) -> np.ndarray:
@@ -117,44 +155,37 @@ class CodecParams:
 # --------------------------------------------------------------- encoding
 
 def _check_length(n_bytes: int, cfg: M.ModelConfig) -> None:
-    """The bounds on a message of n_bytes: the byte cap, and the longest
-    context encoding or decoding it builds fitting max_seq."""
+    """The bounds on a message of n_bytes: the byte cap, and its END
+    frame's context, the longest it builds, fitting max_seq."""
     if n_bytes > MAX_MESSAGE_LEN:
         raise MessageTooLong(f"message is {n_bytes} bytes; cap is {MAX_MESSAGE_LEN}")
-    need = len(template_tokens()) + 2 * n_bytes + 2
-    if need > cfg.max_seq:
+    if len(frame_context(bytes(n_bytes + 1))) > cfg.max_seq:
         raise MessageTooLong("message does not fit max_seq")
-
-
-def _check_message(plaintext: bytes, cfg: M.ModelConfig) -> None:
-    _check_length(len(plaintext), cfg)
-    if cfg.n_blocks < 2:
-        raise CodecError("codec needs at least 2 blocks")
 
 
 def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
                                key: bytes, nonce: int, msg_seq: int,
                                plaintext: bytes):
-    """One tapped frame per plaintext byte plus the final end-marker frame.
+    """One tapped frame per plaintext byte plus the final END frame.
 
-    Context for frame t: template ++ P[:t+1] ++ <sep> ++ P[:t]; the tap is
-    the scheduled layer's output at the last position.
+    The frame contexts nest (module docstring), so one forward_full over
+    the END frame's context, frame_context(plaintext ++ <eos>), yields
+    every frame's tap: frame t's payload is the scheduled layer's output at
+    the last position of frame_context(plaintext[:t+1]).
     """
-    _check_message(plaintext, cfg)
-    topen = template_tokens()
+    _check_length(len(plaintext), cfg)
+    if cfg.n_blocks < 2:
+        raise CodecError("codec needs at least 2 blocks")
+    tokens = encode_bytes(plaintext) + [EOS]
+    hid, _ = M.forward_full(params, cfg, frame_context(tokens))
     state = scheduler.init_chain(key, nonce, msg_seq)
     frames = []
-    n = len(plaintext)
-    for t in range(n + 1):
-        prompt_part = plaintext[: t + 1] if t < n else plaintext
-        done_part = plaintext[:t] if t < n else plaintext
-        ctx = topen + encode_bytes(prompt_part) + [SEP] + encode_bytes(done_part)
-        hid, _ = M.forward_full(params, cfg, ctx)
+    for t, tok in enumerate(tokens):
         layer = scheduler.layer_of(state, cfg.n_blocks)
-        frames.append(TokenFrame(seq=t, payload=hid[layer - 1, -1].copy(),
-                                 is_final=t == n))
-        if t < n:
-            state = scheduler.advance(state, plaintext[t], cfg.vocab_size)
+        pos = len(frame_context(tokens[:t + 1])) - 1
+        frames.append(TokenFrame(seq=t, payload=hid[layer - 1, pos].copy(),
+                                 is_final=tok == EOS))
+        state = scheduler.advance(state, tok, cfg.vocab_size)
     return frames
 
 
@@ -163,19 +194,21 @@ def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
 class HypothesisScorer:
     """Shared-prefix candidate evaluation against intercepted frames.
 
-    Maintains a KV cache over template ++ accepted-prefix. For a frame with
-    t accepted bytes, candidate byte c is scored on the context
-    template ++ D ++ c ++ <sep> ++ D and the end-of-message hypothesis on
-    template ++ D ++ <sep> ++ D, tapping the supplied layer at the last
-    position. Candidate order is bytes 0..255 then END; ties resolve to the
-    lowest index.
+    Keeps a KV cache over frame_context(accepted bytes). A frame is scored
+    as one hypothesis_taps batch of 257 two-token suffixes against it, the
+    step that frame_context adds for each candidate: [c, <sep>] for bytes c
+    = 0..255, then [<eos>, <sep>] for END. Candidates are scored in
+    CANDIDATES order; ties resolve to the lowest index.
     """
 
     def __init__(self, params: M.ParameterSet, cfg: M.ModelConfig):
         self.params = params
         self.cfg = cfg
         self.cache = M.KVCache(cfg)
-        M.extend_cache(params, cfg, self.cache, template_tokens())
+        head = frame_context([])
+        M.extend_cache(params, cfg, self.cache, head)
+        self.suffixes = np.array([frame_context([c])[len(head):] for c in CANDIDATES],
+                                 dtype=np.int64)
         self.decoded = bytearray()
 
     @property
@@ -184,28 +217,17 @@ class HypothesisScorer:
 
     def score_frame(self, payload: np.ndarray, layer: int):
         """Returns (token, score, margin, scores[257]) for one frame."""
-        d = list(self.decoded)
-        t = len(d)
-        sufs = np.empty((256, t + 2), dtype=np.int64)
-        sufs[:, 0] = np.arange(256)
-        sufs[:, 1] = SEP
-        if t:
-            sufs[:, 2:] = d
-        taps = M.hypothesis_taps(self.params, self.cfg, self.cache, sufs, layer)
-        end_suf = np.array([[SEP] + d], dtype=np.int64)
-        end_tap = M.hypothesis_taps(self.params, self.cfg, self.cache, end_suf, layer)
-        scores = np.concatenate([cosine(taps, payload),
-                                 cosine(end_tap, payload)]).astype(np.float64)
+        taps = M.hypothesis_taps(self.params, self.cfg, self.cache, self.suffixes, layer)
+        scores = cosine(taps, payload).astype(np.float64)
         best = int(np.argmax(scores))
         best_score = float(scores[best])
         margin = best_score - float(np.delete(scores, best).max())
-        token = END_HYPOTHESIS if best == 256 else best
-        return token, best_score, margin, scores
+        return CANDIDATES[best], best_score, margin, scores
 
     def push(self, byte_val: int) -> None:
         """Commit one accepted byte into the shared prefix."""
         self.decoded.append(byte_val)
-        M.extend_cache(self.params, self.cfg, self.cache, [byte_val])
+        M.extend_cache(self.params, self.cfg, self.cache, self.suffixes[byte_val])
 
 
 def _check_frame_index(t: int, frame: TokenFrame, cfg: M.ModelConfig) -> None:
@@ -285,47 +307,3 @@ def decode_message_incremental(params, cfg, key: bytes, nonce: int,
     for frame in frames:
         dec.feed(frame)
     return dec.plaintext
-
-
-def decode_message_incremental_naive(params, cfg, key: bytes, nonce: int,
-                                     msg_seq: int, frames,
-                                     codec_params: CodecParams | None = None) -> bytes:
-    """Reference decoder: one full forward pass per hypothesis, no caching.
-
-    Semantically identical to decode_message_incremental; it is the
-    cross-check oracle for the cached decoder (257 full passes per frame, so
-    no session uses it).
-    """
-    cp = codec_params or CodecParams()
-    topen = template_tokens()
-    state = scheduler.init_chain(key, nonce, msg_seq)
-    decoded = bytearray()
-    for frame in frames:
-        payload = _checked_payload(frame)
-        layer = scheduler.layer_of(state, cfg.n_blocks)
-        d = list(decoded)
-        taps = np.empty((257, cfg.d_model), dtype=np.float32)
-        for c in range(256):
-            ctx = topen + d + [c, SEP] + d
-            hid, _ = M.forward_full(params, cfg, ctx)
-            taps[c] = hid[layer - 1, -1]
-        ctx = topen + d + [SEP] + d
-        hid, _ = M.forward_full(params, cfg, ctx)
-        taps[256] = hid[layer - 1, -1]
-        scores = cosine(taps, payload).astype(np.float64)
-        best = int(np.argmax(scores))
-        best_score = float(scores[best])
-        margin = best_score - float(np.delete(scores, best).max())
-        if not best_score >= cp.theta:
-            raise DecodeFailure("below theta", score=best_score)
-        if not margin >= cp.delta:
-            raise AmbiguousDecode(margin)
-        if best == 256:
-            if not frame.is_final:
-                raise DecodeFailure("end hypothesis won a non-final frame")
-            return bytes(decoded)
-        if frame.is_final:
-            raise DecodeFailure("byte hypothesis won the final frame")
-        decoded.append(best)
-        state = scheduler.advance(state, best, cfg.vocab_size)
-    raise DecodeFailure("frames ended without a final frame")

@@ -111,11 +111,29 @@ def save_registry(path, registry: ShardRegistry) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 
+def _load_manifest(root: Path):
+    """The manifest's shard entries and registry digest; a manifest that is
+    not JSON or lacks a field or has a wrong type raises ProvisioningError."""
+    try:
+        manifest = json.loads((root / "manifest.json").read_text())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ProvisioningError(f"registry manifest is not JSON: {e}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("shards"), list)
+            and isinstance(manifest.get("registry_digest"), str)):
+        raise ProvisioningError("registry manifest needs a shards list and a registry_digest")
+    for entry in manifest["shards"]:
+        if not (isinstance(entry, dict) and type(entry.get("id")) is int
+                and isinstance(entry.get("file"), str) and isinstance(entry.get("digest"), str)):
+            raise ProvisioningError(
+                "registry manifest entry needs an integer id, a file and a digest")
+    return manifest["shards"], manifest["registry_digest"]
+
+
 def load_registry(path) -> ShardRegistry:
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
+    entries, registry_digest = _load_manifest(root)
     shards = []
-    for entry in manifest["shards"]:
+    for entry in entries:
         blob = (root / entry["file"]).read_bytes()
         # length-prefixed prompt, completion, prompt, ... (example_digest_bytes)
         parts, pos = [], 0
@@ -131,7 +149,7 @@ def load_registry(path) -> ShardRegistry:
             raise ProvisioningError(f"shard {entry['id']} digest mismatch on load")
         shards.append(shard)
     registry = ShardRegistry(shards)
-    if registry.digest().hex() != manifest["registry_digest"]:
+    if registry.digest().hex() != registry_digest:
         raise ProvisioningError("registry digest mismatch on load")
     return registry
 

@@ -85,6 +85,17 @@ def test_registry_shard_cut_inside_a_length_field(tmp_path, registry):
             P.load_registry(tmp_path / "reg")
 
 
+@pytest.mark.parametrize("damage", ["cut at 50 bytes", "{}", '{"shards": 5}',
+                                    '{"shards": [{}], "registry_digest": ""}', "[]"])
+def test_registry_damaged_manifest_fails_typed(tmp_path, registry, damage):
+    P.save_registry(tmp_path / "reg", registry)
+    manifest = tmp_path / "reg" / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text(text[:50] if damage == "cut at 50 bytes" else damage)
+    with pytest.raises(P.ProvisioningError, match="manifest"):
+        P.load_registry(tmp_path / "reg")
+
+
 def test_provision_twinness(registry):
     base = M.init_parameters(CFG, 1)
     key = _key(0x1234_5678_9ABC)

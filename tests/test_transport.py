@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import socket
 import threading
@@ -152,13 +153,12 @@ def test_handshake_established_with_equal_nonces(params, profile):
     assert s1.nonce == s2.nonce == 42
 
 
-def test_handshake_twin_mismatch_names_field(params, profile):
-    other = P.TwinProfile(profile.base_fingerprint, bytes([9]) * 32,
-                          profile.registry_digest, profile.key_commitment,
-                          profile.config_summary)
+def _mismatched_handshake(params, initiator_profile, responder_profile):
+    """Handshake two sessions whose profiles differ; returns the field the
+    initiator's TwinMismatch names and what the responder raised."""
     a, b = W.loopback_pair()
-    s1 = _session(a, params, profile)
-    s2 = _session(b, params, other)
+    s1 = _session(a, params, initiator_profile)
+    s2 = _session(b, params, responder_profile)
     errs = []
 
     def responder():
@@ -171,8 +171,27 @@ def test_handshake_twin_mismatch_names_field(params, profile):
     t.start()
     with pytest.raises(W.TwinMismatch) as ei:
         s1.handshake("initiator", nonce=1)
-    t.join()
-    assert ei.value.field == "adapter"
+    t.join(timeout=30)
+    assert not t.is_alive()
+    return ei.value.field, errs
+
+
+def test_handshake_twin_mismatch_names_field(params, profile):
+    other = P.TwinProfile(profile.base_fingerprint, bytes([9]) * 32,
+                          profile.registry_digest, profile.key_commitment,
+                          profile.config_summary)
+    field, errs = _mismatched_handshake(params, profile, other)
+    assert field == "adapter"
+    assert isinstance(errs[0], W.TwinMismatch)
+
+
+@pytest.mark.parametrize("v1_side", ["initiator", "responder"])
+def test_handshake_rejects_a_template_v1_peer(params, profile, v1_side):
+    assert codec.TEMPLATE_VERSION == 2 and profile.config_summary[-1] == 2
+    v1 = dataclasses.replace(profile, config_summary=CFG.pack() + bytes([1]))
+    pair = (v1, profile) if v1_side == "initiator" else (profile, v1)
+    field, errs = _mismatched_handshake(params, *pair)
+    assert field == "config"
     assert isinstance(errs[0], W.TwinMismatch)
 
 
