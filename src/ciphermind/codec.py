@@ -6,37 +6,35 @@ wire context below is a fixed layout of its own, and decoding needs no
 match between the two.
 
 Frame layout (``TEMPLATE_VERSION`` 2). A message of n bytes P0 .. P[n-1]
-is sent as n byte frames and a final END frame. Frame t's context is
+is sent as n byte frames and a final END frame. Frame t's context is the
+committed prefix ``template ++ P[:t]`` followed by its step ``[P[t], <sep>]``
+(``[<eos>, <sep>]`` for END); the payload is the output of the layer the key
+schedule draws for the frame, tapped at that ``<sep>``. ``frame_step`` and
+``frame_context`` hold this layout. The receiver's KV cache over the prefix
+grows one byte per frame, and each frame is scored as one batch of 257
+steps against it, ``[c, <sep>]`` for c in 0..255 and then ``[<eos>, <sep>]``.
+A position has the same bits in a full pass, a cache extension and a
+hypothesis batch (rules 1-3 of :mod:`ciphermind.model`), so the true
+candidate re-creates the payload bit for bit and scores cosine 1.0 whatever
+the model's quality; the theta and delta gates reject anything else.
 
-    template ++ P0 <sep> P1 <sep> ... P[t] <sep>
-
-and the END frame's context is the whole message's followed by
-``<eos> <sep>``. The payload is the output of the layer the key schedule
-draws for the frame, tapped at the last ``<sep>``. ``frame_context`` is the
-one place that holds this layout.
-
-The contexts nest: each frame appends ``[token, <sep>]`` to the one before.
-So the encoder runs one forward pass over the END frame's context and reads
-every frame's tap from it; the receiver's KV cache over the template and
-the accepted frames only grows; and each frame is scored as one batch of
-257 two-token suffixes against that cache, ``[c, <sep>]`` for c in 0..255
-and then ``[<eos>, <sep>]``. A position has the same bits in a full pass, a
-cache extension and a hypothesis batch (rules 1-3 of :mod:`ciphermind.model`),
-so the true candidate re-creates the payload bit for bit and scores cosine
-1.0 whatever the model's quality; the theta and delta gates reject anything
-else.
+No <sep> is kept between bytes. Interleaving them would let one forward
+pass encode a message, but it doubles the context, and a wrong byte's tap
+differs from the true one only through attention, which a longer context
+dilutes: on the untrained 4 x 32 test model, tap-layer-1 margins of
+33-byte messages fell below v1's and under 1e-6. The compact prefix keeps
+every layer's margins above v1's.
 
 Why layout v1 went. v1 tapped the last position of
-``template ++ P[:t+1] ++ <sep> ++ P[:t]``, whose own token is P[t-1]. The
-payload minus that position's positional row was closest in cosine to the
-public embedding row of P[t-1], so a reader without the key recovered the
-byte from the frame alone (280 of 280 frames in a probe at the shipped
-defaults). v2 taps a ``<sep>``, whose own token is public; whether
-attention still carries the byte to it is a separate measurement. v1's
-hypotheses also grew with the frame: c ++ <sep> ++ P[:t] is t + 2 tokens, so
-decoding an n-byte message ran O(n^2) block rows, where v2 runs 2 per
-hypothesis and frame. A v1 peer fails the handshake on the template version
-byte in the twin profile's config summary.
+``template ++ P[:t+1] ++ <sep> ++ P[:t]``, whose own token is P[t-1]: the
+payload minus its positional row was closest in cosine to the public
+embedding row of P[t-1], so a reader without the key recovered that byte
+from the frame alone (280 of 280 frames in a probe at the shipped
+defaults). v2 taps a public ``<sep>``; whether attention still carries the
+byte to it is a separate measurement. v1's hypotheses also grew with the
+frame (t + 2 tokens), so decoding ran O(n^2) block rows, where v2 runs 2
+per hypothesis and frame. A v1 peer fails the handshake on the template
+version byte in the twin profile's config summary.
 """
 
 from __future__ import annotations
@@ -103,14 +101,18 @@ def template_tokens() -> list[int]:
     return [BOS] + encode_bytes(TEMPLATE_TEXT)
 
 
+def frame_step(token: int) -> list[int]:
+    """What the frame carrying `token` (a byte, or EOS for the END frame)
+    appends to the committed prefix: the token, then the tapped <sep>."""
+    return [token, SEP]
+
+
 def frame_context(tokens) -> list[int]:
     """Context of the frame that carries tokens[-1], given every token
-    before it in the message: template ++ t0 <sep> t1 <sep> ... Its tap is
-    at the last position. A token is a byte, or EOS for the END frame."""
-    ctx = template_tokens()
-    for tok in tokens:
-        ctx += [tok, SEP]
-    return ctx
+    before it in the message: template ++ t0 t1 ... <sep>. Its tap is at
+    the last position."""
+    *before, last = tokens
+    return template_tokens() + list(before) + frame_step(last)
 
 
 def cosine(taps, payload) -> np.ndarray:
@@ -168,24 +170,26 @@ def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
                                plaintext: bytes):
     """One tapped frame per plaintext byte plus the final END frame.
 
-    The frame contexts nest (module docstring), so one forward_full over
-    the END frame's context, frame_context(plaintext ++ <eos>), yields
-    every frame's tap: frame t's payload is the scheduled layer's output at
-    the last position of frame_context(plaintext[:t+1]).
+    Keeps a KV cache over the committed prefix, template ++ plaintext[:t],
+    as the receiver does: frame t's payload is the scheduled layer's output
+    at the <sep> of a one-item hypothesis_taps call with
+    frame_step(plaintext[t]), after which the byte joins the cache.
     """
     _check_length(len(plaintext), cfg)
     if cfg.n_blocks < 2:
         raise CodecError("codec needs at least 2 blocks")
-    tokens = encode_bytes(plaintext) + [EOS]
-    hid, _ = M.forward_full(params, cfg, frame_context(tokens))
+    cache = M.KVCache(cfg)
+    M.extend_cache(params, cfg, cache, template_tokens())
     state = scheduler.init_chain(key, nonce, msg_seq)
     frames = []
-    for t, tok in enumerate(tokens):
+    for t, tok in enumerate(encode_bytes(plaintext) + [EOS]):
         layer = scheduler.layer_of(state, cfg.n_blocks)
-        pos = len(frame_context(tokens[:t + 1])) - 1
-        frames.append(TokenFrame(seq=t, payload=hid[layer - 1, pos].copy(),
-                                 is_final=tok == EOS))
-        state = scheduler.advance(state, tok, cfg.vocab_size)
+        step = np.array([frame_step(tok)], dtype=np.int64)
+        payload = M.hypothesis_taps(params, cfg, cache, step, layer)[0]
+        frames.append(TokenFrame(seq=t, payload=payload, is_final=tok == EOS))
+        if tok != EOS:
+            M.extend_cache(params, cfg, cache, [tok])
+            state = scheduler.advance(state, tok, cfg.vocab_size)
     return frames
 
 
@@ -194,10 +198,10 @@ def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
 class HypothesisScorer:
     """Shared-prefix candidate evaluation against intercepted frames.
 
-    Keeps a KV cache over frame_context(accepted bytes). A frame is scored
-    as one hypothesis_taps batch of 257 two-token suffixes against it, the
-    step that frame_context adds for each candidate: [c, <sep>] for bytes c
-    = 0..255, then [<eos>, <sep>] for END. Candidates are scored in
+    Keeps a KV cache over the committed prefix, template ++ accepted
+    bytes. A frame is scored as one hypothesis_taps batch of 257 two-token
+    suffixes against it, each candidate's frame_step: [c, <sep>] for bytes
+    c = 0..255, then [<eos>, <sep>] for END. Candidates are scored in
     CANDIDATES order; ties resolve to the lowest index.
     """
 
@@ -205,10 +209,8 @@ class HypothesisScorer:
         self.params = params
         self.cfg = cfg
         self.cache = M.KVCache(cfg)
-        head = frame_context([])
-        M.extend_cache(params, cfg, self.cache, head)
-        self.suffixes = np.array([frame_context([c])[len(head):] for c in CANDIDATES],
-                                 dtype=np.int64)
+        M.extend_cache(params, cfg, self.cache, template_tokens())
+        self.suffixes = np.array([frame_step(c) for c in CANDIDATES], dtype=np.int64)
         self.decoded = bytearray()
 
     @property
@@ -227,7 +229,7 @@ class HypothesisScorer:
     def push(self, byte_val: int) -> None:
         """Commit one accepted byte into the shared prefix."""
         self.decoded.append(byte_val)
-        M.extend_cache(self.params, self.cfg, self.cache, self.suffixes[byte_val])
+        M.extend_cache(self.params, self.cfg, self.cache, [byte_val])
 
 
 def _check_frame_index(t: int, frame: TokenFrame, cfg: M.ModelConfig) -> None:
