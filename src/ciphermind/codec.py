@@ -1,9 +1,9 @@
 """Plaintext <-> hidden-state frame codec built on the twin model.
 
 Byte-level tokenizer: ids 0..255 are raw bytes, then <bos>=256, <eos>=257,
-<sep>=258, <pad>=259. The twins are tuned on ``repeat: X <sep> X``; the
-wire context below is a fixed layout of its own, and decoding needs no
-match between the two.
+<sep>=258, <pad>=259. The twins are fine-tuned on their key's shard
+examples alone; the wire context below is a fixed layout of its own, and
+decoding needs no match between it and any training prompt.
 
 Frame layout (``TEMPLATE_VERSION`` 2). A message of n bytes P0 .. P[n-1]
 is sent as n byte frames and a final END frame. Frame t's context is the
@@ -88,17 +88,19 @@ def encode_bytes(data: bytes) -> list[int]:
     return list(data)
 
 
-def decode_bytes(tokens) -> bytes:
-    out = bytearray()
-    for t in tokens:
-        if not 0 <= t <= 255:
-            raise CodecError(f"token {t} is not a payload byte")
-        out.append(t)
-    return bytes(out)
-
-
 def template_tokens() -> list[int]:
     return [BOS] + encode_bytes(TEMPLATE_TEXT)
+
+
+def _template_cache(params: M.ParameterSet, cfg: M.ModelConfig) -> M.KVCache:
+    """A KV cache over the template, where the encoder and the decoder
+    both start; a config the key schedule cannot draw a tap layer from
+    fails here, before any model work."""
+    if cfg.n_blocks < 2:
+        raise CodecError("codec needs at least 2 blocks")
+    cache = M.KVCache(cfg)
+    M.extend_cache(params, cfg, cache, template_tokens())
+    return cache
 
 
 def frame_step(token: int) -> list[int]:
@@ -176,10 +178,7 @@ def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
     frame_step(plaintext[t]), after which the byte joins the cache.
     """
     _check_length(len(plaintext), cfg)
-    if cfg.n_blocks < 2:
-        raise CodecError("codec needs at least 2 blocks")
-    cache = M.KVCache(cfg)
-    M.extend_cache(params, cfg, cache, template_tokens())
+    cache = _template_cache(params, cfg)
     state = scheduler.init_chain(key, nonce, msg_seq)
     frames = []
     for t, tok in enumerate(encode_bytes(plaintext) + [EOS]):
@@ -208,8 +207,7 @@ class HypothesisScorer:
     def __init__(self, params: M.ParameterSet, cfg: M.ModelConfig):
         self.params = params
         self.cfg = cfg
-        self.cache = M.KVCache(cfg)
-        M.extend_cache(params, cfg, self.cache, template_tokens())
+        self.cache = _template_cache(params, cfg)
         self.suffixes = np.array([frame_step(c) for c in CANDIDATES], dtype=np.int64)
         self.decoded = bytearray()
 

@@ -38,7 +38,7 @@ implementation rules:
    between ``_embed`` and ``_head``: ``forward_full`` with no prefix,
    ``extend_cache`` against the cache (it writes each block's keys and
    values after the block runs; ``_attention`` reads only the first
-   ``cache.length`` rows), ``forward_step`` as ``extend_cache`` of one token,
+   ``cache.length`` rows; a one-token extension is a decoding step),
    ``hypothesis_taps`` with ``last_only`` in the tapped block, and the
    training pass in :mod:`ciphermind.trainer` with ``need_aux``. The first
    three never call one another, so a wrapper around one sees only its own
@@ -421,15 +421,22 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
                 live[:, h, :, lo:lo + n] = part[:, :n].reshape(B, S, n)
 
     # Own keys differ per item: per-item GEMMs with query rows padded to
-    # M_MIN and the keys zero-padded as rule 1 says.
-    qf = np.zeros((B, H, s_pad, hd), dtype=dtype)
-    qf[:, :, :S] = qh
-    qf = qf.reshape(BH, s_pad, hd)
-    kf = np.zeros((B, H, max(_round_up(Sk, M_MIN), 2 * M_MIN), hd), dtype=dtype)
-    kf[:, :, :Sk] = _split_heads(k_new, H)
-    kf = kf.reshape(BH, -1, hd)
-    own = np.matmul(qf, kf.transpose(0, 2, 1)).reshape(B, H, s_pad, -1)
-    live[..., P:] = own[:, :, :S, :Sk]
+    # M_MIN and the keys zero-padded as rule 1 says. Items run in chunks
+    # whose padded operands span at most _AV_CHUNK_BYTES: operands of a few
+    # MiB would be fresh mmap pages, faulted in on every call, whenever
+    # glibc's dynamic mmap threshold sits below their size.
+    kh = _split_heads(k_new, H)
+    k_cols = max(_round_up(Sk, M_MIN), 2 * M_MIN)
+    g = min(B, max(1, _AV_CHUNK_BYTES // (dtype.itemsize * H * (s_pad + k_cols) * hd)))
+    q_c = np.zeros((g, H, s_pad, hd), dtype=dtype)
+    k_c = np.zeros((g, H, k_cols, hd), dtype=dtype)
+    for b0 in range(0, B, g):
+        n = min(g, B - b0)
+        items = slice(b0, b0 + n)
+        q_c[:n, :, :S] = qh[items]
+        k_c[:n, :, :Sk] = kh[items]
+        own = np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2))
+        live[items, :, :, P:] = own[:, :, :S, :Sk]
 
     # Mask, row max and exp over the live region only: real query rows and
     # keys below T. Padded rows and keys from T on enter the AV GEMMs as
@@ -471,11 +478,13 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
     if need_aux:
         e = np.zeros((BH, s_pad, t_pad), dtype=dtype)
         e[:, :S, :T] = ex.reshape(BH, S, T)
+        q_aux = np.zeros((BH, s_pad, hd), dtype=dtype)
+        q_aux[:, :S] = qh.reshape(BH, S, hd)
         k_aux = np.zeros((BH, t_pad, hd), dtype=dtype)
-        k_aux[:, :Sk] = kf[:, :Sk]
+        k_aux[:, :Sk] = kh.reshape(BH, Sk, hd)
         v_aux = np.zeros((BH, t_pad, hd), dtype=dtype)
         v_aux[:, :Sk] = vh.reshape(BH, Sk, hd)
-        aux = (e, den.reshape(BH, s_pad, 1), qf, k_aux, v_aux, s_pad, t_pad)
+        aux = (e, den.reshape(BH, s_pad, 1), q_aux, k_aux, v_aux, s_pad, t_pad)
     return merged, aux
 
 
@@ -578,14 +587,6 @@ def extend_cache(params: ParameterSet, config: ModelConfig, cache: KVCache,
     cache.commit(tokens.size)
     logits, _ = _head(params, config, x)
     return np.stack(hidden), logits[0]
-
-
-def forward_step(params: ParameterSet, config: ModelConfig, cache: KVCache,
-                 token: int):
-    """extend_cache of one token. Returns (per-layer hidden (L, d),
-    logits (V,))."""
-    hidden, logits = extend_cache(params, config, cache, [token])
-    return hidden[:, 0], logits[0]
 
 
 def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,

@@ -7,7 +7,9 @@ whole twinning scheme stands on.
 
 Adapters follow the usual low-rank recipe on the Q and V projections of
 every block: W' = W + A @ B with A drawn from the seeded generator and B
-zero, so zero training steps are exactly a no-op.
+zero, so zero training steps are exactly a no-op. A twin's fine-tune sees
+only the examples of the shards its key selects; the repeat-task examples
+belong to the public pretraining corpus alone.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from .scheduler import Stream, mix64
 F32 = np.float32
 
 ADAPTED_FIELDS = ("wq", "wv")  # protocol constant; both twins must agree
-# the fine-tune's (shard, repeat) interleave and longest repeat payload; both
-# change the twin's bits, so they are constants like ADAPTED_FIELDS
-REPEAT_RATIO = (10, 1)
-MAX_REPEAT_LEN = 64
 
 ADAPTER_MAGIC = b"CMAD"
 ADAPTER_VERSION = 1
@@ -55,7 +53,10 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 16
     adapter_rank: int = 4
-    max_example_len: int = 139  # tokens, incl. <bos>/<sep>/<eos>
+    # tokens, incl. <bos>/<sep>/<eos>; 139 bounds only make_pretrain_corpus's
+    # longest repeat example: the sentence examples a generated registry
+    # gives the fine-tune are at most 82
+    max_example_len: int = 139
 
     def __post_init__(self):
         if self.steps < 0:
@@ -162,41 +163,6 @@ def make_pretrain_corpus(seed: int, n_examples: int,
             out.append(repeat_example(stream, _curriculum_length(stream)))
         else:
             out.append(sentence_example(stream))
-    return out
-
-
-def build_repeat_dataset(shards, ratio=REPEAT_RATIO, *, seed: int = 0) -> list:
-    """Interleave shard text with synthetic repeat-task examples.
-
-    ratio = (shard, repeat): after every `ratio[0]` shard examples,
-    `ratio[1]` repeat examples are injected (so (10, 1) turns 10 shard
-    examples into 11 total). Order and repeat payloads derive from the
-    shard digests and the seed.
-    """
-    if not shards:
-        raise TrainerError("no shards")
-    r_shard, r_repeat = ratio
-    if r_shard <= 0 or r_repeat <= 0:
-        raise TrainerError("ratio parts must be positive")
-    s0 = seed & (2**64 - 1)
-    for sh in shards:
-        s0 = mix64(s0 ^ int.from_bytes(sh.digest[:8], "little"))
-    stream = Stream(s0)
-
-    shard_examples = [ex for sh in shards for ex in sh.examples]
-    stream.shuffle(shard_examples)
-    out = []
-    pending = 0
-    for ex in shard_examples:
-        out.append(ex)
-        pending += 1
-        if pending == r_shard:
-            for _ in range(r_repeat):
-                out.append(repeat_example(stream, 1 + stream.next_below(MAX_REPEAT_LEN)))
-            pending = 0
-    if pending:
-        for _ in range(r_repeat):
-            out.append(repeat_example(stream, 1 + stream.next_below(MAX_REPEAT_LEN)))
     return out
 
 
@@ -486,7 +452,9 @@ def _merged(base: M.ParameterSet, factors) -> M.ParameterSet:
 
 def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
              loss_log=None) -> AdapterSet:
-    """Train only the adapter factors on the repeat-injected shard data."""
+    """Train only the adapter factors, on the shards' examples and nothing
+    else, taken in the order given (provisioning passes the key's shards in
+    ascending id); the SGD driver's seeded shuffle orders the batches."""
     if not shards:
         raise TrainerError("no shards to fine-tune on")
     cfg = base.config
@@ -496,7 +464,7 @@ def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
     if tconfig.steps == 0:
         return adapters
 
-    dataset = build_repeat_dataset(shards, REPEAT_RATIO, seed=tconfig.seed)
+    dataset = [ex for sh in shards for ex in sh.examples]
     prepared = _prepare(dataset, min(tconfig.max_example_len, cfg.max_seq))
     lr = F32(tconfig.learning_rate)
 

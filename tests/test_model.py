@@ -182,10 +182,10 @@ def test_step_equals_full_bitwise():
     tokens = _rand_tokens(rng, 20)
     cache = M.KVCache(CFG_SMALL)
     for t in range(len(tokens)):
-        hid_col, logits_col = M.forward_step(params, CFG_SMALL, cache, int(tokens[t]))
+        hid_col, logits_col = M.extend_cache(params, CFG_SMALL, cache, [int(tokens[t])])
         hid_full, logits_full = M.forward_full(params, CFG_SMALL, tokens[: t + 1])
-        assert (hid_col == hid_full[:, t]).all(), f"hidden mismatch at position {t}"
-        assert (logits_col == logits_full[t]).all(), f"logits mismatch at position {t}"
+        assert (hid_col[:, 0] == hid_full[:, t]).all(), f"hidden mismatch at position {t}"
+        assert (logits_col[0] == logits_full[t]).all(), f"logits mismatch at position {t}"
 
 
 def test_extend_cache_equals_full_bitwise():
@@ -264,7 +264,7 @@ def test_cache_overflow():
     cache = M.KVCache(CFG_SMALL)
     M.extend_cache(params, CFG_SMALL, cache, np.zeros(96, dtype=np.int64))
     with pytest.raises(M.ModelError):
-        M.forward_step(params, CFG_SMALL, cache, 1)
+        M.extend_cache(params, CFG_SMALL, cache, [1])
 
 
 def test_run_twice_bit_identical():

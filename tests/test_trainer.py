@@ -19,47 +19,17 @@ def _toy_shards(n=3, per=4, seed=0):
     return shards
 
 
-# ------------------------------------------------------------------ dataset
-
-def test_repeat_dataset_ten_to_one():
-    shards = [T.Shard(id=0, examples=[(b"q%d" % i, b"a%d" % i) for i in range(10)])]
-    ds = T.build_repeat_dataset(shards, (10, 1), seed=1)
-    assert len(ds) == 11
-    repeats = [ex for ex in ds if ex[0].startswith(codec.TEMPLATE_TEXT)]
-    assert len(repeats) == 1
-
-
-def test_repeat_dataset_one_to_one_alternates():
-    shards = [T.Shard(id=0, examples=[(b"q", b"a")])]
-    ds = T.build_repeat_dataset(shards, (1, 1), seed=2)
-    assert len(ds) == 2
-    assert not ds[0][0].startswith(codec.TEMPLATE_TEXT)
-    assert ds[1][0].startswith(codec.TEMPLATE_TEXT)
-
-
-def test_repeat_dataset_deterministic():
-    shards = _toy_shards()
-    a = T.build_repeat_dataset(shards, (10, 1), seed=3)
-    b = T.build_repeat_dataset(shards, (10, 1), seed=3)
-    assert a == b
-    c = T.build_repeat_dataset(shards, (10, 1), seed=4)
-    assert a != c
-
-
-def test_repeat_dataset_rejects_empty():
-    with pytest.raises(T.TrainerError):
-        T.build_repeat_dataset([], (10, 1), seed=0)
-
+# ------------------------------------------------------------------ corpus
 
 def test_repeat_payloads_in_bounds():
-    shards = _toy_shards(1, 30)
-    ds = T.build_repeat_dataset(shards, (1, 1), seed=5)
-    for prompt, completion in ds:
-        if prompt.startswith(codec.TEMPLATE_TEXT):
-            x = prompt[len(codec.TEMPLATE_TEXT):]
-            assert x == completion
-            assert 1 <= len(x) <= 64
-            assert all(0x21 <= b <= 0x7E for b in x)
+    corpus = T.make_pretrain_corpus(5, 60)
+    repeats = [ex for ex in corpus if ex[0].startswith(codec.TEMPLATE_TEXT)]
+    assert repeats
+    for prompt, completion in repeats:
+        x = prompt[len(codec.TEMPLATE_TEXT):]
+        assert x == completion
+        assert 1 <= len(x) <= 64
+        assert all(0x21 <= b <= 0x7E for b in x)
 
 
 def test_shard_digest_matches_content():
@@ -134,6 +104,29 @@ def test_finetune_steps_change_fingerprint():
     a20 = T.finetune(base, shards, T.TrainConfig(seed=4, steps=6, learning_rate=0.05,
                                                  batch_size=4, max_example_len=80))
     assert T.adapter_fingerprint(a10) != T.adapter_fingerprint(a20)
+
+
+def test_finetune_trains_on_shard_examples_alone(monkeypatch):
+    shards = _toy_shards()
+    want = sorted(T.tokenize_example(ex)[0] for sh in shards for ex in sh.examples)
+    rows = []
+    loss_and_grads = T.loss_and_grads
+
+    def recording(params, cfg, tokens, mask):
+        rows.extend([int(t) for t in row if t != codec.PAD] for row in tokens)
+        return loss_and_grads(params, cfg, tokens, mask)
+
+    monkeypatch.setattr(T, "loss_and_grads", recording)
+    # 3 batches of 4 are one pass over the 12 examples
+    T.finetune(M.init_parameters(CFG_TINY, 3), shards,
+               T.TrainConfig(seed=4, steps=3, batch_size=4))
+    assert sorted(rows) == want
+
+
+def test_finetune_rejects_no_shards():
+    base = M.init_parameters(CFG_TINY, 3)
+    with pytest.raises(T.TrainerError):
+        T.finetune(base, [], T.TrainConfig(seed=4, steps=1))
 
 
 def test_finetune_twin_determinism():
