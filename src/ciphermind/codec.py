@@ -92,12 +92,17 @@ def template_tokens() -> list[int]:
     return [BOS] + encode_bytes(TEMPLATE_TEXT)
 
 
-def _template_cache(params: M.ParameterSet, cfg: M.ModelConfig) -> M.KVCache:
-    """A KV cache over the template, where the encoder and the decoder
-    both start; a config the key schedule cannot draw a tap layer from
-    fails here, before any model work."""
+def check_config(cfg: M.ModelConfig) -> None:
+    """Raises CodecError on a config the key schedule cannot draw a tap
+    layer from: it taps blocks 1..n_blocks-1."""
     if cfg.n_blocks < 2:
         raise CodecError("codec needs at least 2 blocks")
+
+
+def _template_cache(params: M.ParameterSet, cfg: M.ModelConfig) -> M.KVCache:
+    """A KV cache over the template, where the encoder and the decoder
+    both start; a bad config fails here, before any model work."""
+    check_config(cfg)
     cache = M.KVCache(cfg)
     M.extend_cache(params, cfg, cache, template_tokens())
     return cache

@@ -58,6 +58,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import itertools
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -109,11 +111,13 @@ class ModelConfig:
                 raise ModelError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
-        if self.ln_epsilon <= 0:
-            raise ModelError("ln_epsilon must be positive")
-        # the epsilon lives in binary32 arithmetic; canonicalize so that a
-        # config survives its own 28-byte wire encoding exactly
-        object.__setattr__(self, "ln_epsilon", float(np.float32(self.ln_epsilon)))
+        # canonicalize to binary32, the precision the epsilon is used in, so a config
+        # survives its 28-byte encoding; a float64 may overflow or flush to zero there
+        with np.errstate(over="ignore"):
+            eps = float(np.float32(self.ln_epsilon))
+        if not (math.isfinite(eps) and eps > 0):
+            raise ModelError(f"ln_epsilon must be finite and positive, got {self.ln_epsilon}")
+        object.__setattr__(self, "ln_epsilon", eps)
 
     @property
     def head_dim(self) -> int:
@@ -121,22 +125,17 @@ class ModelConfig:
 
     def weight_count(self) -> int:
         """Total serialized float32 weights (the tied head contributes none)."""
-        per_block = 4 * self.d_model * self.d_model
-        per_block += 2 * self.d_model * self.d_ff
-        per_block += 4 * self.d_model  # two LN gain/bias pairs
-        return self.vocab_size * self.d_model + self.n_blocks * per_block + 2 * self.d_model
+        return layout_size(weight_layout(self))
 
     def pack(self) -> bytes:
-        """Fixed 28-byte config block (ln_epsilon stored as its f32 bits)."""
-        eps_bits = struct.unpack("<I", struct.pack("<f", self.ln_epsilon))[0]
-        return struct.pack("<7I", self.n_blocks, self.d_model, self.n_heads,
-                           self.d_ff, self.vocab_size, self.max_seq, eps_bits)
+        """Fixed 28-byte config block: the fields in order, ln_epsilon as
+        binary32."""
+        return struct.pack("<6If", self.n_blocks, self.d_model, self.n_heads,
+                           self.d_ff, self.vocab_size, self.max_seq, self.ln_epsilon)
 
     @classmethod
     def unpack(cls, blob: bytes) -> "ModelConfig":
-        vals = struct.unpack("<7I", blob)
-        eps = struct.unpack("<f", struct.pack("<I", vals[6]))[0]
-        return cls(*vals[:6], ln_epsilon=eps)
+        return cls(*struct.unpack("<6If", blob))
 
 
 @dataclass
@@ -154,15 +153,35 @@ class BlockParams:
 
     FIELD_ORDER = ("wq", "wk", "wv", "wo", "w1", "w2", "g1", "b1", "g2", "b2")
 
-    def fields(self):
-        return tuple(getattr(self, name) for name in self.FIELD_ORDER)
+
+def layout_size(layout) -> int:
+    """Float count of a weight layout, a list of (repeat, group) pairs whose
+    group is a tuple of (name, shape), in closed form."""
+    return sum(n * sum(math.prod(shape) for _, shape in group) for n, group in layout)
+
+
+def layout_entries(layout):
+    """(name, shape) of every array of a layout, in order: the file, digest
+    and draw order."""
+    return itertools.chain.from_iterable(
+        itertools.chain.from_iterable(itertools.repeat(group, n)) for n, group in layout)
+
+
+def weight_layout(config: ModelConfig) -> list:
+    """The one parameter layout: the embedding, each block's arrays in
+    BlockParams.FIELD_ORDER, then the final norm."""
+    d, dff = config.d_model, config.d_ff
+    block = zip(BlockParams.FIELD_ORDER, [(d, d)] * 4 + [(d, dff), (dff, d)] + [(d,)] * 4)
+    return [(1, (("emb", (config.vocab_size, d)),)), (config.n_blocks, tuple(block)),
+            (1, (("gf", (d,)), ("bf", (d,))))]
 
 
 @dataclass
 class ParameterSet:
-    """Full weights. Arrays are frozen after construction; the output head
-    is tied to the embedding, so the canonical serialization covers the
-    embedding, the blocks in field order, and the final norm only."""
+    """Full weights, or their gradients. Arrays are frozen after construction;
+    the output head is tied to the embedding, so the canonical serialization
+    covers only the arrays of ``weight_layout``, which ``iter_arrays``
+    yields in layout order: the file, digest and draw order."""
 
     config: ModelConfig
     emb: np.ndarray
@@ -178,10 +197,18 @@ class ParameterSet:
             arr.flags.writeable = False
         self.head_w.flags.writeable = False
 
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, arrays) -> "ParameterSet":
+        """The inverse of iter_arrays: takes the arrays in layout order."""
+        emb, *body, gf, bf = arrays
+        n = len(BlockParams.FIELD_ORDER)
+        blocks = [BlockParams(*body[i:i + n]) for i in range(0, len(body), n)]
+        return cls(config, emb, blocks, gf, bf)
+
     def iter_arrays(self):
         yield self.emb
         for bp in self.blocks:
-            yield from bp.fields()
+            yield from (getattr(bp, name) for name in BlockParams.FIELD_ORDER)
         yield self.gf
         yield self.bf
 
@@ -190,22 +217,8 @@ class ParameterSet:
         return self.emb.dtype
 
     def astype(self, dtype) -> "ParameterSet":
-        blocks = [BlockParams(*(a.astype(dtype) for a in bp.fields())) for bp in self.blocks]
-        return ParameterSet(self.config, self.emb.astype(dtype), blocks,
-                            self.gf.astype(dtype), self.bf.astype(dtype))
-
-    def replace_weights(self, updates: dict) -> "ParameterSet":
-        """New ParameterSet with some block matrices swapped (adapter merge).
-
-        updates: {block_index: {field_name: new_array}}
-        """
-        blocks = []
-        for i, bp in enumerate(self.blocks):
-            fields_ = dict(zip(BlockParams.FIELD_ORDER, bp.fields()))
-            for name, arr in updates.get(i, {}).items():
-                fields_[name] = arr
-            blocks.append(BlockParams(**fields_))
-        return ParameterSet(self.config, self.emb, blocks, self.gf, self.bf)
+        return ParameterSet.from_arrays(self.config,
+                                        (a.astype(dtype) for a in self.iter_arrays()))
 
 
 def draw_uniform(stream: Stream, shape, d_model: int) -> np.ndarray:
@@ -220,82 +233,80 @@ def draw_uniform(stream: Stream, shape, d_model: int) -> np.ndarray:
 def init_parameters(config: ModelConfig, seed: int) -> ParameterSet:
     """Draw all matrix weights from the SplitMix64 stream of ``seed``
     through draw_uniform; layer-norm gains start at one, biases at zero. The
-    draw order equals the serialization order, so (seed, config) pins every
-    bit.
+    draw order is the layout order, so (seed, config) pins every bit.
     """
     stream = Stream(seed)
-    d, dff, v = config.d_model, config.d_ff, config.vocab_size
 
-    def draw(shape):
-        return draw_uniform(stream, shape, d)
+    def init(name, shape):
+        if len(shape) == 2:
+            return draw_uniform(stream, shape, config.d_model)
+        return (np.ones if name[0] == "g" else np.zeros)(shape, dtype=np.float32)
 
-    emb = draw((v, d))
-    blocks = []
-    for _ in range(config.n_blocks):
-        blocks.append(BlockParams(
-            wq=draw((d, d)), wk=draw((d, d)), wv=draw((d, d)), wo=draw((d, d)),
-            w1=draw((d, dff)), w2=draw((dff, d)),
-            g1=np.ones(d, dtype=np.float32), b1=np.zeros(d, dtype=np.float32),
-            g2=np.ones(d, dtype=np.float32), b2=np.zeros(d, dtype=np.float32),
-        ))
-    return ParameterSet(config, emb, blocks,
-                        np.ones(d, dtype=np.float32), np.zeros(d, dtype=np.float32))
+    return ParameterSet.from_arrays(config, (init(name, shape) for name, shape
+                                             in layout_entries(weight_layout(config))))
 
 
-def fingerprint(params: ParameterSet) -> bytes:
-    """SHA-256 over the canonical little-endian float32 serialization."""
+def digest(arrays) -> bytes:
+    """SHA-256 over the arrays as little-endian float32, in the order given:
+    the bytes a weight file holds after its header."""
     h = hashlib.sha256()
-    for arr in params.iter_arrays():
+    for arr in arrays:
         h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     return h.digest()
 
 
-def save_parameters(path, params: ParameterSet) -> None:
+def fingerprint(params: ParameterSet) -> bytes:
+    """SHA-256 over the canonical little-endian float32 serialization."""
+    return digest(params.iter_arrays())
+
+
+def write_weight_file(path, magic: bytes, version: int, header: bytes, arrays) -> None:
+    """The one weight-file format: 4-byte magic, version byte, fixed header,
+    then the arrays, in layout order, as little-endian float32."""
     with open(path, "wb") as f:
-        f.write(PARAM_MAGIC)
-        f.write(bytes([PARAM_VERSION]))
-        f.write(params.config.pack())
-        for arr in params.iter_arrays():
+        f.write(magic + bytes([version]) + header)
+        for arr in arrays:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def load_parameters(path) -> ParameterSet:
+def read_weight_file(path, magic: bytes, version: int, header_len: int, parse_header, error):
+    """(parsed header, arrays) of a write_weight_file file, where
+    ``parse_header(header bytes)`` returns (parsed header, layout). A bad
+    magic, a cut header, another version, a payload of another size (checked
+    before any per-array work) or a non-finite weight raises ``error``."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != PARAM_MAGIC:
-        raise ModelError("not a parameter file (bad magic)")
-    if len(blob) < 33:
-        raise ModelError("parameter file cut inside its 33-byte header")
-    if blob[4] != PARAM_VERSION:
-        raise ModelError(f"unsupported parameter file version {blob[4]}")
-    config = ModelConfig.unpack(blob[5:33])
-    payload = blob[33:]
-    want = config.weight_count() * 4
-    if len(payload) != want:
-        raise ModelError(f"parameter payload is {len(payload)} bytes, expected {want}")
-    flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    kind, start = magic.decode(), 5 + header_len
+    if blob[:4] != magic:
+        raise error(f"not a {kind} file (bad magic)")
+    if len(blob) < start:
+        raise error(f"{kind} file cut inside its {start}-byte header")
+    if blob[4] != version:
+        raise error(f"unsupported {kind} file version {blob[4]}")
+    header, layout = parse_header(blob[5:start])
+    want = 4 * layout_size(layout)
+    if len(blob) - start != want:
+        raise error(f"{kind} payload is {len(blob) - start} bytes, expected {want}")
+    flat = np.frombuffer(blob, dtype="<f4", offset=start).astype(np.float32)
     if not np.all(np.isfinite(flat)):
-        raise ModelError("parameter file contains non-finite weights")
+        raise error(f"{kind} file contains non-finite weights")
+    shapes = [shape for _, shape in layout_entries(layout)]
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return header, [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]
 
-    pos = 0
 
-    def take(shape):
-        nonlocal pos
-        n = int(np.prod(shape))
-        out = flat[pos:pos + n].reshape(shape).copy()
-        pos += n
-        return out
+def save_parameters(path, params: ParameterSet) -> None:
+    write_weight_file(path, PARAM_MAGIC, PARAM_VERSION, params.config.pack(),
+                      params.iter_arrays())
 
-    d, dff, v = config.d_model, config.d_ff, config.vocab_size
-    emb = take((v, d))
-    blocks = []
-    for _ in range(config.n_blocks):
-        blocks.append(BlockParams(
-            wq=take((d, d)), wk=take((d, d)), wv=take((d, d)), wo=take((d, d)),
-            w1=take((d, dff)), w2=take((dff, d)),
-            g1=take((d,)), b1=take((d,)), g2=take((d,)), b2=take((d,)),
-        ))
-    return ParameterSet(config, emb, blocks, take((d,)), take((d,)))
+
+def load_parameters(path) -> ParameterSet:
+    def parse(header):
+        config = ModelConfig.unpack(header)
+        return config, weight_layout(config)
+
+    config, arrays = read_weight_file(path, PARAM_MAGIC, PARAM_VERSION, 28, parse, ModelError)
+    return ParameterSet.from_arrays(config, arrays)
 
 
 _PE_CACHE: dict = {}

@@ -103,7 +103,7 @@ def save_registry(path, registry: ShardRegistry) -> None:
     root.mkdir(parents=True, exist_ok=True)
     entries = []
     for shard in registry.shards:
-        fname = f"shard_{shard.id:03d}.bin"
+        fname = _shard_file(shard.id)
         (root / fname).write_bytes(T.example_digest_bytes(shard.examples))
         entries.append({"id": shard.id, "file": fname,
                         "digest": shard.digest.hex()})
@@ -111,9 +111,15 @@ def save_registry(path, registry: ShardRegistry) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 
+def _shard_file(shard_id: int) -> str:
+    return f"shard_{shard_id:03d}.bin"
+
+
 def _load_manifest(root: Path):
     """The manifest's shard entries and registry digest; a manifest that is
-    not JSON or lacks a field or has a wrong type raises ProvisioningError."""
+    not JSON or lacks a field or has a wrong type raises ProvisioningError.
+    A shard's file must be the one save_registry names: a path the manifest
+    chose could lie outside the registry."""
     try:
         manifest = json.loads((root / "manifest.json").read_text())
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
@@ -123,9 +129,10 @@ def _load_manifest(root: Path):
         raise ProvisioningError("registry manifest needs a shards list and a registry_digest")
     for entry in manifest["shards"]:
         if not (isinstance(entry, dict) and type(entry.get("id")) is int
-                and isinstance(entry.get("file"), str) and isinstance(entry.get("digest"), str)):
-            raise ProvisioningError(
-                "registry manifest entry needs an integer id, a file and a digest")
+                and entry.get("file") == _shard_file(entry["id"])
+                and isinstance(entry.get("digest"), str)):
+            raise ProvisioningError("registry manifest entry needs an integer id, "
+                                    "the shard file of that id and a digest")
     return manifest["shards"], manifest["registry_digest"]
 
 
@@ -134,7 +141,10 @@ def load_registry(path) -> ShardRegistry:
     entries, registry_digest = _load_manifest(root)
     shards = []
     for entry in entries:
-        blob = (root / entry["file"]).read_bytes()
+        try:
+            blob = (root / entry["file"]).read_bytes()
+        except FileNotFoundError:
+            raise ProvisioningError(f"shard {entry['id']} file {entry['file']} is missing") from None
         # length-prefixed prompt, completion, prompt, ... (example_digest_bytes)
         parts, pos = [], 0
         while pos + 4 <= len(blob):

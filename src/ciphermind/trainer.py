@@ -14,6 +14,7 @@ belong to the public pretraining corpus alone.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -68,16 +69,13 @@ class TrainConfig:
         object.__setattr__(self, "learning_rate", float(np.float32(self.learning_rate)))
 
     def pack(self) -> bytes:
-        lr_bits = struct.unpack("<I", struct.pack("<f", self.learning_rate))[0]
-        return struct.pack("<Q5I", self.seed & (2**64 - 1), self.steps, lr_bits,
+        """Fixed 28-byte block: the fields in order, learning_rate as binary32."""
+        return struct.pack("<QIf3I", self.seed & (2**64 - 1), self.steps, self.learning_rate,
                            self.batch_size, self.adapter_rank, self.max_example_len)
 
     @classmethod
     def unpack(cls, blob: bytes) -> "TrainConfig":
-        seed, steps, lr_bits, batch, rank, mel = struct.unpack("<Q5I", blob)
-        lr = struct.unpack("<f", struct.pack("<I", lr_bits))[0]
-        return cls(seed=seed, steps=steps, learning_rate=lr, batch_size=batch,
-                   adapter_rank=rank, max_example_len=mel)
+        return cls(*struct.unpack("<QIf3I", blob))
 
 
 Example = tuple[bytes, bytes]  # (prompt text, completion text)
@@ -275,7 +273,8 @@ def _cross_entropy(logits: np.ndarray, tokens: np.ndarray, mask: np.ndarray):
 
 def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
                    tokens: np.ndarray, mask: np.ndarray):
-    """Masked cross-entropy and analytic gradients for every weight."""
+    """Masked cross-entropy and the analytic gradient of every weight, as a
+    ParameterSet in the parameters' layout."""
     dtype = params.dtype
     nmask = float(mask.sum())
     if nmask == 0:
@@ -323,16 +322,13 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
         d_ln1, dg1, db1 = _ln_backward(da, st["xn1"], st["inv1"], bp.g1)
         dx = dx_mid + d_ln1
 
-        gblocks.append({"wq": dWq, "wk": dWk, "wv": dWv, "wo": dWo,
-                        "w1": dW1, "w2": dW2, "g1": dg1, "b1": db1,
-                        "g2": dg2, "b2": db2})
+        gblocks.append(M.BlockParams(dWq, dWk, dWv, dWo, dW1, dW2, dg1, db1, dg2, db2))
     gblocks.reverse()
 
     emb_scale = np.sqrt(dtype.type(d))
     np.add.at(demb, tokens, dx * emb_scale)
 
-    grads = {"emb": demb, "blocks": gblocks, "gf": dgf, "bf": dbf}
-    return loss, grads
+    return loss, M.ParameterSet(cfg, demb, gblocks, dgf, dbf)
 
 
 # --------------------------------------------------------------------- SGD
@@ -381,25 +377,13 @@ def pretrain_base(corpus, config: M.ModelConfig, tconfig: TrainConfig,
     prepared = _prepare(corpus, min(tconfig.max_example_len, config.max_seq))
     lr = F32(tconfig.learning_rate)
 
-    state = {
-        "emb": params.emb, "gf": params.gf, "bf": params.bf,
-        "blocks": [dict(zip(M.BlockParams.FIELD_ORDER, bp.fields()))
-                   for bp in params.blocks],
-    }
-
-    def materialize():
-        blocks = [M.BlockParams(**b) for b in state["blocks"]]
-        return M.ParameterSet(config, state["emb"], blocks, state["gf"], state["bf"])
+    arrays = list(params.iter_arrays())
 
     def apply_update(grads):
-        state["emb"] = state["emb"] - lr * grads["emb"]
-        state["gf"] = state["gf"] - lr * grads["gf"]
-        state["bf"] = state["bf"] - lr * grads["bf"]
-        for b, gb in zip(state["blocks"], grads["blocks"]):
-            for name in M.BlockParams.FIELD_ORDER:
-                b[name] = b[name] - lr * gb[name]
+        arrays[:] = [w - lr * g for w, g in zip(arrays, grads.iter_arrays())]
 
-    return _run_sgd(config, prepared, tconfig, apply_update, materialize, loss_log)
+    return _run_sgd(config, prepared, tconfig, apply_update,
+                    lambda: M.ParameterSet.from_arrays(config, arrays), loss_log)
 
 
 # -------------------------------------------------------------------- LoRA
@@ -408,8 +392,9 @@ def pretrain_base(corpus, config: M.ModelConfig, tconfig: TrainConfig,
 class AdapterSet:
     """Low-rank factors per block for the adapted projections.
 
-    factors[i][name] = (A, B) with A (d_model x r), B (r x d_model);
-    the merged weight is W + A @ B.
+    factors[i][name] = (A, B) with A (d_model x r), B (r x d_model); the
+    merged weight is W + A @ B. ``iter_arrays`` yields the arrays in the
+    order of ``adapter_layout``, the file, digest and draw order.
     """
 
     factors: list
@@ -419,16 +404,27 @@ class AdapterSet:
     def iter_arrays(self):
         for block in self.factors:
             for name in ADAPTED_FIELDS:
-                a, b = block[name]
-                yield a
-                yield b
+                yield from block[name]
+
+
+def adapter_layout(config: M.ModelConfig, rank: int) -> list:
+    """The one adapter layout (see M.layout_size): per block, A then B for
+    each ADAPTED_FIELDS name."""
+    d = config.d_model
+    block = tuple(entry for name in ADAPTED_FIELDS
+                  for entry in ((name + ".A", (d, rank)), (name + ".B", (rank, d))))
+    return [(config.n_blocks, block)]
+
+
+def _factors(config: M.ModelConfig, arrays) -> list:
+    """factors[i][name] from arrays in adapter_layout order."""
+    it = iter(arrays)
+    return [{name: (next(it), next(it)) for name in ADAPTED_FIELDS}
+            for _ in range(config.n_blocks)]
 
 
 def adapter_fingerprint(adapters: AdapterSet) -> bytes:
-    h = hashlib.sha256()
-    for arr in adapters.iter_arrays():
-        h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return h.digest()
+    return M.digest(adapters.iter_arrays())
 
 
 def _init_adapters(config: M.ModelConfig, tconfig: TrainConfig):
@@ -437,17 +433,17 @@ def _init_adapters(config: M.ModelConfig, tconfig: TrainConfig):
     if r > d:
         raise TrainerError("adapter rank exceeds d_model")
     stream = Stream(mix64(tconfig.seed ^ 0x61646170746572))  # "adapter"
-    return [{name: (M.draw_uniform(stream, (d, r), d), np.zeros((r, d), dtype=np.float32))
-             for name in ADAPTED_FIELDS}
-            for _ in range(config.n_blocks)]
+    return _factors(config, (M.draw_uniform(stream, shape, d) if name.endswith(".A")
+                             else np.zeros(shape, dtype=np.float32)
+                             for name, shape in M.layout_entries(adapter_layout(config, r))))
 
 
 def _merged(base: M.ParameterSet, factors) -> M.ParameterSet:
     """base with W + A @ B on every adapted projection of every block."""
-    return base.replace_weights(
-        {i: {name: getattr(base.blocks[i], name) + a @ b
-             for name, (a, b) in block.items()}
-         for i, block in enumerate(factors)})
+    blocks = [dataclasses.replace(bp, **{name: getattr(bp, name) + a @ b
+                                         for name, (a, b) in block.items()})
+              for bp, block in zip(base.blocks, factors)]
+    return dataclasses.replace(base, blocks=blocks)
 
 
 def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
@@ -469,13 +465,10 @@ def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
     lr = F32(tconfig.learning_rate)
 
     def apply_update(grads):
-        for i, block in enumerate(factors):
-            for name in ADAPTED_FIELDS:
-                a, b = block[name]
-                dw = grads["blocks"][i][name]
-                da = dw @ b.T
-                db = a.T @ dw
-                block[name] = (a - lr * da, b - lr * db)
+        for block, gb in zip(factors, grads.blocks):
+            for name, (a, b) in block.items():
+                dw = getattr(gb, name)
+                block[name] = (a - lr * (dw @ b.T), b - lr * (a.T @ dw))
 
     _run_sgd(cfg, prepared, tconfig, apply_update,
              lambda: _merged(base, factors), loss_log)
@@ -490,43 +483,20 @@ def merge(base: M.ParameterSet, adapters: AdapterSet) -> M.ParameterSet:
 
 
 def save_adapters(path, adapters: AdapterSet) -> None:
-    with open(path, "wb") as f:
-        f.write(ADAPTER_MAGIC)
-        f.write(bytes([ADAPTER_VERSION]))
-        f.write(adapters.base_fingerprint)
-        f.write(adapters.tconfig.pack())
-        for arr in adapters.iter_arrays():
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    M.write_weight_file(path, ADAPTER_MAGIC, ADAPTER_VERSION,
+                        adapters.base_fingerprint + adapters.tconfig.pack(),
+                        adapters.iter_arrays())
 
 
 def load_adapters(path, config: M.ModelConfig) -> AdapterSet:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != ADAPTER_MAGIC:
-        raise TrainerError("not an adapter file (bad magic)")
-    if len(blob) < 65:
-        raise TrainerError("adapter file cut inside its 65-byte header")
-    if blob[4] != ADAPTER_VERSION:
-        raise TrainerError(f"unsupported adapter file version {blob[4]}")
-    base_fp = blob[5:37]
-    tconfig = TrainConfig.unpack(blob[37:65])
-    d, r = config.d_model, tconfig.adapter_rank
-    flat = np.frombuffer(blob[65:], dtype="<f4").astype(np.float32)
-    want = config.n_blocks * len(ADAPTED_FIELDS) * 2 * d * r
-    if flat.size != want:
-        raise TrainerError("adapter payload size mismatch")
-    pos = 0
-    factors = []
-    for _ in range(config.n_blocks):
-        block = {}
-        for name in ADAPTED_FIELDS:
-            a = flat[pos: pos + d * r].reshape(d, r).copy()
-            pos += d * r
-            b = flat[pos: pos + r * d].reshape(r, d).copy()
-            pos += r * d
-            block[name] = (a, b)
-        factors.append(block)
-    return AdapterSet(factors=factors, tconfig=tconfig, base_fingerprint=base_fp)
+    def parse(header):
+        tconfig = TrainConfig.unpack(header[32:])
+        return (header[:32], tconfig), adapter_layout(config, tconfig.adapter_rank)
+
+    (base_fp, tconfig), arrays = M.read_weight_file(path, ADAPTER_MAGIC, ADAPTER_VERSION,
+                                                    32 + 28, parse, TrainerError)
+    return AdapterSet(factors=_factors(config, arrays), tconfig=tconfig,
+                      base_fingerprint=base_fp)
 
 
 # ------------------------------------------------------------------ probes

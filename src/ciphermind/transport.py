@@ -169,11 +169,13 @@ def unpack_frame(body: bytes, d_model: int):
     (message_seq,) = struct.unpack_from("<Q", body, 0)
     (token_seq,) = struct.unpack_from("<I", body, 8)
     flags = body[12]
+    if flags not in (0, 1):
+        raise MalformedMessage(f"bad frame flags {flags:#04x}")
     payload = np.frombuffer(body[13:], dtype="<f4").astype(np.float32)
     if not np.all(np.isfinite(payload)):
         raise MalformedMessage("non-finite frame payload")
     return message_seq, codec.TokenFrame(seq=token_seq, payload=payload,
-                                         is_final=bool(flags & 1))
+                                         is_final=flags == 1)
 
 
 def pack_error(code: int, reason: str) -> bytes:
@@ -329,6 +331,8 @@ def read_transcript(path):
         if pos + 5 > len(blob):
             raise MalformedMessage(f"transcript record at byte {pos}: truncated header")
         direction = blob[pos]
+        if direction not in (TranscriptWriter.DIR_SENT, TranscriptWriter.DIR_RECEIVED):
+            raise MalformedMessage(f"transcript record at byte {pos}: bad direction {direction}")
         (length,) = struct.unpack_from("<I", blob, pos + 1)
         end = pos + 5 + length
         if end > len(blob):
@@ -365,8 +369,7 @@ class Session:
                  codec_params: codec.CodecParams | None = None,
                  timeout: float = DEFAULT_TIMEOUT,
                  transcript: TranscriptWriter | None = None):
-        if config.n_blocks < 2:
-            raise ValueError("sessions need at least 2 blocks to schedule taps")
+        codec.check_config(config)
         self.stream = stream
         self.params = params
         self.config = config

@@ -43,6 +43,11 @@ GOLDEN = {
         "ddcbe25d129ca54ff5437df825252b9cd5b00e4fb768085f6f9d263ea439625b",
     "init_adapters_default_config":
         "723681b7f2ea87be1851e63cf1d3a8c1bb1f4cfbf0978d6c63cc4a4a60c6c95b",
+    # SHA-256 of the bytes save_parameters and save_adapters write
+    "parameter_file":
+        "e5ff04f30c5f6a1ab0abffafcaa94cad3a48d367cd5f9525a2387c65aeb19b39",
+    "adapter_file":
+        "365ac06d3465a5ce6375f5d068cbd22b3d0e8fe8de72cd67ffac980fc28adbe0",
 }
 
 
@@ -108,18 +113,29 @@ def test_loss_and_grads():
         mask = np.zeros((3, length - 1), dtype=np.float32)
         mask[:, 10:] = 1.0
         loss, grads = T.loss_and_grads(params, CFG, tokens, mask)
-        parts += [np.float64(loss), grads["emb"], grads["gf"], grads["bf"]]
-        for gb in grads["blocks"]:
-            parts.extend(gb[name] for name in M.BlockParams.FIELD_ORDER)
+        parts += [np.float64(loss), grads.emb, grads.gf, grads.bf]
+        for gb in grads.blocks:
+            parts.extend(getattr(gb, name) for name in M.BlockParams.FIELD_ORDER)
     assert _digest(*parts) == GOLDEN["loss_and_grads"]
 
 
-def test_finetune_adapter_fingerprint():
+def _finetuned():
     stream = Stream(9)
     shards = [T.Shard(id=0, examples=[T.sentence_example(stream) for _ in range(4)])]
     tconfig = T.TrainConfig(seed=3, steps=2, batch_size=2, max_example_len=80)
-    adapters = T.finetune(_params(), shards, tconfig)
-    assert T.adapter_fingerprint(adapters).hex() == GOLDEN["finetune_adapters"]
+    return T.finetune(_params(), shards, tconfig)
+
+
+def test_finetune_adapter_fingerprint():
+    assert T.adapter_fingerprint(_finetuned()).hex() == GOLDEN["finetune_adapters"]
+
+
+def test_weight_file_bytes(tmp_path):
+    M.save_parameters(tmp_path / "params.bin", _params())
+    T.save_adapters(tmp_path / "adapters.bin", _finetuned())
+    got = {name: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for name, f in (("parameter_file", "params.bin"), ("adapter_file", "adapters.bin"))}
+    assert got == {name: GOLDEN[name] for name in got}
 
 
 def test_init_parameters_fingerprint_default_config():

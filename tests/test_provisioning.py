@@ -1,3 +1,4 @@
+import json
 import logging
 
 import pytest
@@ -93,6 +94,25 @@ def test_registry_damaged_manifest_fails_typed(tmp_path, registry, damage):
     text = manifest.read_text()
     manifest.write_text(text[:50] if damage == "cut at 50 bytes" else damage)
     with pytest.raises(P.ProvisioningError, match="manifest"):
+        P.load_registry(tmp_path / "reg")
+
+
+def test_registry_manifest_names_no_file_outside_the_registry(tmp_path, registry):
+    P.save_registry(tmp_path / "reg", registry)
+    outside = tmp_path / "elsewhere.bin"
+    outside.write_bytes((tmp_path / "reg" / "shard_000.bin").read_bytes())
+    manifest = tmp_path / "reg" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["shards"][0]["file"] = str(outside)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(P.ProvisioningError, match="manifest"):
+        P.load_registry(tmp_path / "reg")
+
+
+def test_registry_missing_shard_file_fails_typed(tmp_path, registry):
+    P.save_registry(tmp_path / "reg", registry)
+    (tmp_path / "reg" / "shard_005.bin").unlink()
+    with pytest.raises(P.ProvisioningError, match="shard 5"):
         P.load_registry(tmp_path / "reg")
 
 

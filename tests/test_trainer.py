@@ -181,18 +181,6 @@ def test_adapter_file_roundtrip(tmp_path):
     assert loaded.tconfig == adapters.tconfig
 
 
-def test_adapter_file_cut_inside_its_header(tmp_path):
-    base = M.init_parameters(CFG_TINY, 7)
-    adapters = T.finetune(base, _toy_shards(), T.TrainConfig(seed=4, steps=0))
-    path = tmp_path / "a.cmad"
-    T.save_adapters(path, adapters)
-    blob = path.read_bytes()
-    for cut in range(4 + 1 + 32 + 28):  # magic, version, base fingerprint, config
-        path.write_bytes(blob[:cut])
-        with pytest.raises(T.TrainerError):
-            T.load_adapters(path, CFG_TINY)
-
-
 # ------------------------------------------------------------------- probes
 
 def test_forgetting_probe_deterministic():
@@ -233,23 +221,13 @@ def test_gradients_match_finite_differences():
 
     loss0, grads = T.loss_and_grads(params64, cfg, tokens, mask)
 
-    arrays = [("emb", params64.emb, grads["emb"])]
-    for name in M.BlockParams.FIELD_ORDER:
-        arrays.append((name, getattr(params64.blocks[0], name),
-                       grads["blocks"][0][name]))
-    arrays.append(("gf", params64.gf, grads["gf"]))
-    arrays.append(("bf", params64.bf, grads["bf"]))
+    # (weight, gradient) of every array, in layout order
+    arrays = list(zip(params64.iter_arrays(), grads.iter_arrays()))
 
-    def loss_with(name_idx, flat_idx, delta):
-        mutated = []
-        for i, (nm, arr, _) in enumerate(arrays):
-            a = arr.copy()
-            if i == name_idx:
-                a.flat[flat_idx] += delta
-            mutated.append(a)
-        emb = mutated[0]
-        block = M.BlockParams(*mutated[1:11])
-        p = M.ParameterSet(cfg, emb, [block], mutated[11], mutated[12])
+    def loss_with(idx, flat_idx, delta):
+        mutated = [w.copy() for w, _ in arrays]
+        mutated[idx].flat[flat_idx] += delta
+        p = M.ParameterSet.from_arrays(cfg, mutated)
         return T.loss_and_grads(p, cfg, tokens, mask)[0]
 
     rng = np.random.default_rng(7)
@@ -257,9 +235,9 @@ def test_gradients_match_finite_differences():
     worst = 0.0
     for _ in range(100):
         ai = int(rng.integers(0, len(arrays)))
-        fi = int(rng.integers(0, arrays[ai][1].size))
+        fi = int(rng.integers(0, arrays[ai][0].size))
         fd = (loss_with(ai, fi, h) - loss_with(ai, fi, -h)) / (2 * h)
-        an = float(arrays[ai][2].flat[fi])
+        an = float(arrays[ai][1].flat[fi])
         denom = max(abs(fd), abs(an), 1e-8)
         worst = max(worst, abs(fd - an) / denom)
     assert worst <= 1e-2, f"worst relative gradient error {worst}"

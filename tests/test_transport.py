@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import socket
+import struct
 import threading
 from pathlib import Path
 
@@ -127,6 +128,13 @@ def test_unpack_frame_rejects_non_finite_payload():
         body = W.pack_frame(0, codec.TokenFrame(seq=0, payload=payload))
         with pytest.raises(W.MalformedMessage, match="non-finite"):
             W.unpack_frame(body, 32)
+
+
+@pytest.mark.parametrize("flags", [0x02, 0x81, 0x82, 0xFF])
+def test_unpack_frame_rejects_flags_other_than_0_or_1(flags):
+    body = W.pack_frame(0, codec.TokenFrame(seq=0, payload=np.ones(32, dtype=np.float32)))
+    with pytest.raises(W.MalformedMessage, match="flags"):
+        W.unpack_frame(body[:12] + bytes([flags]) + body[13:], 32)
 
 
 def test_parser_never_crashes_on_fuzz():
@@ -374,6 +382,23 @@ def test_transcript_truncated_anywhere_in_last_record(tmp_path):
         cut_path.write_bytes(blob[:cut])
         with pytest.raises(W.MalformedMessage, match="truncated"):
             W.read_transcript(cut_path)
+
+
+def test_transcript_record_with_an_unknown_direction(tmp_path):
+    fin = W.serialize(W.WireMessage(W.TYPE_FIN))
+    path = tmp_path / "cap.bin"
+    path.write_bytes(bytes([2]) + struct.pack("<I", len(fin)) + fin)
+    with pytest.raises(W.MalformedMessage, match="direction"):
+        W.read_transcript(path)
+
+
+def test_session_rejects_a_one_block_config(profile):
+    # the same typed error the codec raises for this config
+    one = dataclasses.replace(CFG, n_blocks=1)
+    a, _ = W.loopback_pair()
+    with pytest.raises(codec.CodecError, match="at least 2 blocks"):
+        W.Session(a, params=M.init_parameters(one, seed=3), config=one,
+                  profile=profile, key=KEY)
 
 
 def test_non_finite_frame_gets_error_reply(params, profile):

@@ -1,0 +1,78 @@
+"""Parameter files and adapter files share one format and one reader: a
+magic, a version byte, a fixed header, then little-endian float32 arrays in
+layout order. A damaged file of either kind fails with its own module's
+error: ModelError for parameters, TrainerError for adapters."""
+
+import dataclasses
+import struct
+import time
+
+import pytest
+
+from ciphermind import model as M
+from ciphermind import trainer as T
+from ciphermind.scheduler import Stream
+
+CFG = M.ModelConfig(n_blocks=2, d_model=16, n_heads=2, d_ff=32,
+                    vocab_size=260, max_seq=64)
+TC = T.TrainConfig(seed=4, steps=0)
+
+
+def _adapters():
+    stream = Stream(9)
+    shards = [T.Shard(id=0, examples=[T.sentence_example(stream) for _ in range(2)])]
+    return T.finetune(M.init_parameters(CFG, seed=5), shards, TC)
+
+
+# kind -> (write a good file, load it, the error a damaged one raises,
+#          header length incl. magic and version, header of a huge layout)
+KINDS = {
+    "parameters": (
+        lambda path: M.save_parameters(path, M.init_parameters(CFG, seed=5)),
+        M.load_parameters, M.ModelError, 4 + 1 + 28,
+        dataclasses.replace(CFG, n_blocks=2**32 - 1).pack()),
+    "adapters": (
+        lambda path: T.save_adapters(path, _adapters()),
+        lambda path: T.load_adapters(path, CFG), T.TrainerError, 4 + 1 + 32 + 28,
+        bytes(range(1, 33)) + dataclasses.replace(TC, adapter_rank=2**32 - 1).pack()),
+}
+
+# damage -> the damaged files made from a good file and its header length
+DAMAGES = {
+    "bad magic": lambda blob, h: [b"NOPE" + blob[4:]],
+    "every cut inside the header": lambda blob, h: [blob[:cut] for cut in range(h)],
+    "bad version": lambda blob, h: [blob[:4] + bytes([blob[4] + 1]) + blob[5:]],
+    "payload 4 bytes short": lambda blob, h: [blob[:-4]],
+    "payload 4 bytes long": lambda blob, h: [blob + bytes(4)],
+    "one NaN weight": lambda blob, h: [blob[:h + 8] + struct.pack("<f", float("nan"))
+                                       + blob[h + 12:]],
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_damaged_weight_file_fails_typed(tmp_path, kind, damage):
+    write, load, error, header_len, _ = KINDS[kind]
+    path = tmp_path / "weights.bin"
+    write(path)
+    blob = path.read_bytes()
+    load(path)  # the undamaged file loads
+    for bad in DAMAGES[damage](blob, header_len):
+        path.write_bytes(bad)
+        with pytest.raises(error):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_header_claiming_a_huge_layout_fails_fast(tmp_path, kind):
+    # 2**32 - 1 blocks of parameters, or adapters of rank 2**32 - 1: the
+    # payload size is checked in closed form, before any per-array work
+    write, load, error, header_len, huge_header = KINDS[kind]
+    path = tmp_path / "weights.bin"
+    write(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:5] + huge_header + blob[header_len:])
+    start = time.perf_counter()
+    with pytest.raises(error, match="payload"):
+        load(path)
+    assert time.perf_counter() - start < 1.0
