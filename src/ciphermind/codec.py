@@ -99,12 +99,14 @@ def check_config(cfg: M.ModelConfig) -> None:
         raise CodecError("codec needs at least 2 blocks")
 
 
-def _template_cache(params: M.ParameterSet, cfg: M.ModelConfig) -> M.KVCache:
-    """A KV cache over the template, where the encoder and the decoder
-    both start; a bad config fails here, before any model work."""
+def _template_cache(params: M.ParameterSet, cfg: M.ModelConfig, message=()) -> M.KVCache:
+    """A KV cache over the template followed by the message bytes, filled in
+    one extend_cache; the decoder starts from the template alone, the
+    encoder from its whole plaintext. A bad config fails here, before any
+    model work."""
     check_config(cfg)
     cache = M.KVCache(cfg)
-    M.extend_cache(params, cfg, cache, template_tokens())
+    M.extend_cache(params, cfg, cache, template_tokens() + encode_bytes(message))
     return cache
 
 
@@ -177,22 +179,22 @@ def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
                                plaintext: bytes):
     """One tapped frame per plaintext byte plus the final END frame.
 
-    Keeps a KV cache over the committed prefix, template ++ plaintext[:t],
-    as the receiver does: frame t's payload is the scheduled layer's output
-    at the <sep> of a one-item hypothesis_taps call with
-    frame_step(plaintext[t]), after which the byte joins the cache.
+    Fills one KV cache over template ++ plaintext, then taps frame t with a
+    one-item hypothesis_taps call of frame_step(plaintext[t]) against its
+    read-only prefix template ++ plaintext[:t]: the cache the receiver holds
+    when it scores that frame.
     """
     _check_length(len(plaintext), cfg)
-    cache = _template_cache(params, cfg)
+    cache = _template_cache(params, cfg, plaintext)
+    committed = len(template_tokens())
     state = scheduler.init_chain(key, nonce, msg_seq)
     frames = []
     for t, tok in enumerate(encode_bytes(plaintext) + [EOS]):
         layer = scheduler.layer_of(state, cfg.n_blocks)
         step = np.array([frame_step(tok)], dtype=np.int64)
-        payload = M.hypothesis_taps(params, cfg, cache, step, layer)[0]
+        payload = M.hypothesis_taps(params, cfg, cache.prefix(committed + t), step, layer)[0]
         frames.append(TokenFrame(seq=t, payload=payload, is_final=tok == EOS))
         if tok != EOS:
-            M.extend_cache(params, cfg, cache, [tok])
             state = scheduler.advance(state, tok, cfg.vocab_size)
     return frames
 

@@ -19,7 +19,16 @@ implementation rules:
    score GEMM that reduces over 32 or more terms takes a kernel with other
    bits, an AV GEMM whose N is not a multiple of 16 loses row-independent
    bits, and an N of 1 turns a GEMM into a GEMV. Within these limits a
-   score's bits depend neither on N nor on its column.
+   score's bits depend neither on N nor on its column, so the own-key score
+   GEMMs stack c = max(1, 2 * M_MIN // max(S, Sk)) items of S query rows
+   and Sk keys, capped at the batch size, into one GEMM per head and keep
+   its diagonal blocks. c = 1 is one GEMM per item: a cache extension (one
+   item) and a training pass over more than M_MIN positions run that.
+   One exception to the row floor: the per-item AV GEMMs (K = KEY_SEG,
+   N = den_col + M_MIN) run at max(S, 2) rows, since at that shape every
+   row count from 2 to M_MIN gives the M_MIN-row bits. One row does not
+   (a 1-row GEMM is a GEMV), nor do other projections at few rows (w2
+   below 16 rows, the head below 31), so ``_mm`` keeps the floor.
 
 2. Attention reduces over keys in fixed ``KEY_SEG``-wide segments combined
    in ascending order: per item and head, one AV GEMM with K = KEY_SEG per
@@ -42,10 +51,9 @@ implementation rules:
    ``hypothesis_taps`` with ``last_only`` in the tapped block, and the
    training pass in :mod:`ciphermind.trainer` with ``need_aux``. The first
    three never call one another, so a wrapper around one sees only its own
-   calls. By rules 1 and 2 an item's bits never depend on the other items
-   of its batch, so ``hypothesis_taps`` may split a batch into chunks of at
-   least M_MIN items, run them on several threads and concatenate the
-   results.
+   calls. Each runs on the calling thread alone: with the padding gone
+   from a hypothesis batch, splitting it over worker threads ran no faster
+   on 2 CPUs.
 
 Elementwise transcendentals come from :mod:`ciphermind.detmath`; add, mul,
 div and sqrt are IEEE-exact and need no pinning.
@@ -56,11 +64,10 @@ residual addition (1-indexed), before the next block's first layer norm.
 
 from __future__ import annotations
 
-import concurrent.futures
+import copy
 import hashlib
 import itertools
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -356,17 +363,28 @@ def _layer_norm(x, g, b, eps):
 class KVCache:
     """Grow-only per-block key/value store for one decode stream.
 
-    Appending never mutates earlier positions. A cache is single-owner:
-    one cache must not serve two concurrent decode streams.
+    Appending never mutates earlier positions, so ``prefix(n)`` can share
+    the arrays. A cache is single-owner: one cache must not serve two
+    concurrent decode streams.
     """
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
         self.config = config
         self.length = 0
+        self.read_only = False
         self._k = [np.zeros((config.max_seq, config.d_model), dtype=dtype)
                    for _ in range(config.n_blocks)]
         self._v = [np.zeros((config.max_seq, config.d_model), dtype=dtype)
                    for _ in range(config.n_blocks)]
+
+    def prefix(self, n: int) -> "KVCache":
+        """Read-only view of the first n positions: the cache as it stood
+        at length n, without a copy."""
+        if not 0 <= n <= self.length:
+            raise ModelError(f"prefix length {n} outside 0..{self.length}")
+        view = copy.copy(self)
+        view.length, view.read_only = n, True
+        return view
 
     def keys(self, block: int) -> np.ndarray:
         return self._k[block][: self.length]
@@ -375,6 +393,8 @@ class KVCache:
         return self._v[block][: self.length]
 
     def write(self, block: int, k: np.ndarray, v: np.ndarray) -> None:
+        if self.read_only:
+            raise ModelError("a KV cache prefix view is read-only")
         new_len = self.length + k.shape[0]
         if new_len > self.config.max_seq:
             raise ModelError("KV cache overflow")
@@ -382,6 +402,8 @@ class KVCache:
         self._v[block][self.length:new_len] = v
 
     def commit(self, n_new: int) -> None:
+        if self.read_only:
+            raise ModelError("a KV cache prefix view is read-only")
         self.length += n_new
 
 
@@ -389,6 +411,41 @@ def _split_heads(x, n_heads):
     # (B, S, d) -> (B, H, S, hd)
     b, s, d = x.shape
     return np.ascontiguousarray(x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3))
+
+
+def _own_key_scores(qh, kh, out) -> None:
+    """Scores of each item's query rows qh (B, H, S, hd) against its own
+    keys kh (B, H, Sk, hd), written into out (B, H, S, Sk): one GEMM per
+    head and stack of c items, whose diagonal blocks are the items' scores
+    (rule 1). Stacks run in chunks whose padded operands span at most
+    _AV_CHUNK_BYTES: operands of a few MiB would be fresh mmap pages,
+    faulted in on every call, whenever glibc's dynamic mmap threshold sits
+    below their size.
+    """
+    B, H, S, hd = qh.shape
+    Sk = kh.shape[2]
+    dtype = qh.dtype
+    c = min(B, max(1, 2 * M_MIN // max(S, Sk)))
+    n_stacks = -(-B // c)
+    if n_stacks * c > B:  # the last stack is filled up with zero items
+        qh, kh = (np.concatenate([x, np.zeros((n_stacks * c - B, *x.shape[1:]), dtype)])
+                  for x in (qh, kh))
+    rows, cols = max(c * S, M_MIN), max(_round_up(c * Sk, M_MIN), 2 * M_MIN)
+    g = min(n_stacks, max(1, _AV_CHUNK_BYTES // (dtype.itemsize * H * (rows + cols) * hd)))
+    q_c = np.zeros((g, H, rows, hd), dtype=dtype)
+    k_c = np.zeros((g, H, cols, hd), dtype=dtype)
+    # (stack, item, head, row, hd) views of the buffers' live rows
+    q_items = q_c[:, :, :c * S].reshape(g, H, c, S, hd).transpose(0, 2, 1, 3, 4)
+    k_items = k_c[:, :, :c * Sk].reshape(g, H, c, Sk, hd).transpose(0, 2, 1, 3, 4)
+    for s0 in range(0, n_stacks, g):
+        n = min(g, n_stacks - s0)
+        b0, b1 = s0 * c, min(B, (s0 + n) * c)
+        q_items[:n] = qh[b0:b0 + n * c].reshape(n, c, H, S, hd)
+        k_items[:n] = kh[b0:b0 + n * c].reshape(n, c, H, Sk, hd)
+        own = np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2))
+        blocks = own[:, :, :c * S, :c * Sk].reshape(n, H, c, S, c, Sk)
+        diag = np.diagonal(blocks, axis1=2, axis2=4).transpose(0, 4, 1, 2, 3)
+        out[b0:b1] = diag.reshape(n * c, H, S, Sk)[:b1 - b0]
 
 
 def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
@@ -400,10 +457,11 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
     0 .. base + i. Returns (merged, aux) with merged (B, S, d).
 
     With need_aux (training passes, which have no prefix), aux = (e, den,
-    qf, kf, vf, s_pad, t_pad) for the backward pass: e (B*H, s_pad, t_pad)
-    holds exp(score - rowmax) on live entries and exact zeros elsewhere, den
-    (B*H, s_pad, 1) its row sums (1 in padded query rows), and qf/kf/vf the
-    scaled, padded per-head Q, K and V. Otherwise aux is None.
+    qf, kf, vf, s_pad, t_pad) for the backward pass, s_pad = max(S, M_MIN):
+    e (B*H, s_pad, t_pad) holds exp(score - rowmax) on live entries and
+    exact zeros elsewhere, den (B*H, s_pad, 1) its row sums (1 in padded
+    query rows), and qf/kf/vf the scaled, padded per-head Q, K and V.
+    Otherwise aux is None.
     """
     dtype = q.dtype
     B, S, d = q.shape
@@ -414,7 +472,6 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
     if need_aux and P:
         raise ModelError("a training pass takes no cache prefix")
     BH = B * H
-    s_pad = max(S, M_MIN)
     t_pad = _round_up(T, KEY_SEG)
     qh = _split_heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd))), H)
     live = np.empty((B, H, S, T), dtype=dtype)
@@ -431,23 +488,9 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
                 part = _mm(q_rows, kp[h, lo:lo + KEY_SEG].T)
                 live[:, h, :, lo:lo + n] = part[:, :n].reshape(B, S, n)
 
-    # Own keys differ per item: per-item GEMMs with query rows padded to
-    # M_MIN and the keys zero-padded as rule 1 says. Items run in chunks
-    # whose padded operands span at most _AV_CHUNK_BYTES: operands of a few
-    # MiB would be fresh mmap pages, faulted in on every call, whenever
-    # glibc's dynamic mmap threshold sits below their size.
+    # Own keys differ per item: stacked GEMMs, diagonal blocks kept.
     kh = _split_heads(k_new, H)
-    k_cols = max(_round_up(Sk, M_MIN), 2 * M_MIN)
-    g = min(B, max(1, _AV_CHUNK_BYTES // (dtype.itemsize * H * (s_pad + k_cols) * hd)))
-    q_c = np.zeros((g, H, s_pad, hd), dtype=dtype)
-    k_c = np.zeros((g, H, k_cols, hd), dtype=dtype)
-    for b0 in range(0, B, g):
-        n = min(g, B - b0)
-        items = slice(b0, b0 + n)
-        q_c[:n, :, :S] = qh[items]
-        k_c[:n, :, :Sk] = kh[items]
-        own = np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2))
-        live[items, :, :, P:] = own[:, :, :S, :Sk]
+    _own_key_scores(qh, kh, live[:, :, :, P:])
 
     # Mask, row max and exp over the live region only: real query rows and
     # keys below T. Padded rows and keys from T on enter the AV GEMMs as
@@ -457,21 +500,23 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
     live[:, blocked] = dtype.type(MASK_FILL)
     ex = detmath.exp(live - np.max(live, axis=-1, keepdims=True)).reshape(B, H, S, T)
 
-    # AV: per-item GEMMs over each KEY_SEG segment, added in ascending order.
-    # V is zero-padded to a multiple of M_MIN columns and then gains M_MIN
-    # ones-columns, so the same GEMMs yield the softmax denominators in
-    # column den_col. Items run in chunks whose padded e and V stay in
-    # cache; the prefix rows of V are written once into the chunk buffer.
+    # AV: per-item GEMMs over each KEY_SEG segment, added in ascending order,
+    # at max(S, 2) rows (rule 1). V is zero-padded to a multiple of M_MIN
+    # columns and then gains M_MIN ones-columns, so the same GEMMs yield the
+    # softmax denominators in column den_col. Items run in chunks whose
+    # padded e and V stay in cache; the prefix rows of V are written once
+    # into the chunk buffer.
     den_col = _round_up(hd, M_MIN)
-    item_bytes = dtype.itemsize * H * t_pad * (s_pad + den_col + M_MIN)
+    av_rows = max(S, 2)
+    item_bytes = dtype.itemsize * H * t_pad * (av_rows + den_col + M_MIN)
     g = min(B, max(1, _AV_CHUNK_BYTES // item_bytes))
-    e_c = np.zeros((g, H, s_pad, t_pad), dtype=dtype)
+    e_c = np.zeros((g, H, av_rows, t_pad), dtype=dtype)
     v_c = np.zeros((g, H, t_pad, den_col + M_MIN), dtype=dtype)
     v_c[:, :, :P, :hd] = v_pref.reshape(P, H, hd).transpose(1, 0, 2)
     v_c[..., den_col:] = dtype.type(1.0)
-    acc = np.empty((g, H, s_pad, den_col + M_MIN), dtype=dtype)
+    acc = np.empty((g, H, av_rows, den_col + M_MIN), dtype=dtype)
     vh = _split_heads(v_new, H)
-    den = np.ones((B, H, s_pad, 1), dtype=dtype)  # padded rows: 0 / 1, never 0 / 0
+    den = np.empty((B, H, S, 1), dtype=dtype)
     attn = np.empty((B, H, S, hd), dtype=dtype)
     for b0 in range(0, B, g):
         n = min(g, B - b0)
@@ -481,21 +526,24 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
         acc[:n] = dtype.type(0.0)
         for lo in range(0, t_pad, KEY_SEG):
             acc[:n] += np.matmul(e_c[:n, :, :, lo:lo + KEY_SEG], v_c[:n, :, lo:lo + KEY_SEG])
-        den[items, :, :S] = acc[:n, :, :S, den_col:den_col + 1]
-        attn[items] = acc[:n, :, :S, :hd] / den[items, :, :S]
+        den[items] = acc[:n, :, :S, den_col:den_col + 1]
+        attn[items] = acc[:n, :, :S, :hd] / den[items]
 
     merged = np.ascontiguousarray(attn.transpose(0, 2, 1, 3)).reshape(B, S, d)
     aux = None
     if need_aux:
+        s_pad = max(S, M_MIN)
         e = np.zeros((BH, s_pad, t_pad), dtype=dtype)
         e[:, :S, :T] = ex.reshape(BH, S, T)
+        den_aux = np.ones((BH, s_pad, 1), dtype=dtype)  # padded rows: 0 / 1, never 0 / 0
+        den_aux[:, :S] = den.reshape(BH, S, 1)
         q_aux = np.zeros((BH, s_pad, hd), dtype=dtype)
         q_aux[:, :S] = qh.reshape(BH, S, hd)
         k_aux = np.zeros((BH, t_pad, hd), dtype=dtype)
         k_aux[:, :Sk] = kh.reshape(BH, Sk, hd)
         v_aux = np.zeros((BH, t_pad, hd), dtype=dtype)
         v_aux[:, :Sk] = vh.reshape(BH, Sk, hd)
-        aux = (e, den.reshape(BH, s_pad, 1), q_aux, k_aux, v_aux, s_pad, t_pad)
+        aux = (e, den_aux, q_aux, k_aux, v_aux, s_pad, t_pad)
     return merged, aux
 
 
@@ -603,40 +651,16 @@ def extend_cache(params: ParameterSet, config: ModelConfig, cache: KVCache,
 def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
                     suffixes, layer: int) -> np.ndarray:
     """Residual-stream tap of block `layer` at the last position of
-    prefix+suffix for a batch of equal-length suffixes. The cache is read
-    but never modified. Returns (B, d_model).
-
-    The batch is split into contiguous chunks, one per available CPU and
-    each of at least M_MIN suffixes; the calling thread runs the first and
-    one worker thread each of the others (rule 3 of the module docstring).
-    The workers live for one call: starting them costs ~0.1 ms, against
-    tens of ms per tapped block for a 256-suffix batch.
+    prefix+suffix for a batch of equal-length suffixes, on the calling
+    thread. The cache is read but never modified. Returns (B, d_model).
     """
     suffixes = np.asarray(suffixes, dtype=np.int64)
     if suffixes.ndim != 2 or suffixes.shape[1] == 0:
         raise ModelError("suffixes must be (B, S) with S >= 1")
     if not 1 <= layer <= config.n_blocks:
         raise ModelError("tap layer out of range")
-
-    def taps(chunk):
-        x = _embed(params, config, chunk, cache.length)
-        for bi in range(layer):
-            x, _, _, _ = _block(params.blocks[bi], config, x, cache.keys(bi),
-                                cache.values(bi), cache.length,
-                                last_only=bi == layer - 1)
-        return x[:, 0, :]
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_chunks = min(cpus or 1, suffixes.shape[0] // M_MIN)
-    if n_chunks < 2:
-        return taps(suffixes)
-    first, *rest = np.array_split(suffixes, n_chunks)
-    with concurrent.futures.ThreadPoolExecutor(
-            len(rest), thread_name_prefix="ciphermind-taps") as pool:
-        futures = [pool.submit(taps, chunk) for chunk in rest]
-        try:
-            head = taps(first)
-        finally:
-            tails = [f.result() for f in futures]
-    return np.concatenate([head] + tails)
-
+    x = _embed(params, config, suffixes, cache.length)
+    for bi in range(layer):
+        x, _, _, _ = _block(params.blocks[bi], config, x, cache.keys(bi), cache.values(bi),
+                            cache.length, last_only=bi == layer - 1)
+    return x[:, 0, :]

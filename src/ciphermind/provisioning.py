@@ -221,11 +221,12 @@ def make_profile(base_fp: bytes, adapter_fp: bytes, registry: ShardRegistry,
 def provision(base: M.ParameterSet, key: SessionKey, registry: ShardRegistry,
               tconfig: T.TrainConfig):
     """select_shards -> finetune -> merge; returns (merged twin, profile,
-    adapters). Pure function of its inputs."""
+    adapters). Pure function of its inputs. The profile takes the base
+    fingerprint finetune recorded, which merge has checked against base."""
     shards = select_shards(key, registry)
     adapters = T.finetune(base, shards, tconfig)
     merged = T.merge(base, adapters)
-    profile = make_profile(M.fingerprint(base), T.adapter_fingerprint(adapters),
+    profile = make_profile(adapters.base_fingerprint, T.adapter_fingerprint(adapters),
                            registry, key, base.config)
     return merged, profile, adapters
 

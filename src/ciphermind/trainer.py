@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -65,8 +66,13 @@ class TrainConfig:
         if self.batch_size <= 0 or self.adapter_rank <= 0:
             raise TrainerError("batch_size and adapter_rank must be positive")
         # the rate is applied in binary32; canonicalize so a config equals
-        # its own wire-format echo
-        object.__setattr__(self, "learning_rate", float(np.float32(self.learning_rate)))
+        # its own wire-format echo, and reject a rate that is not finite there
+        with np.errstate(over="ignore"):
+            lr = float(np.float32(self.learning_rate))
+        if not (math.isfinite(lr) and lr >= 0):
+            raise TrainerError(f"learning_rate must be finite and non-negative, "
+                               f"got {self.learning_rate}")
+        object.__setattr__(self, "learning_rate", lr)
 
     def pack(self) -> bytes:
         """Fixed 28-byte block: the fields in order, learning_rate as binary32."""

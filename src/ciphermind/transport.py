@@ -402,6 +402,24 @@ class Session:
         except TransportError:
             pass
 
+    def _drain_message(self, seq: int) -> None:
+        """Reads and drops the rest of message seq, up to its final frame,
+        after its decode failed. The peer writes a message's frames without
+        reading: this way its send completes and its next read finds the
+        ERROR, where a stream closed at once fails its send or not by
+        thread timing. A read error, another message or MAX_MESSAGE_LEN + 1
+        frames end the drain."""
+        for _ in range(codec.MAX_MESSAGE_LEN + 1):
+            try:
+                msg = self._recv()
+                if msg.type != TYPE_FRAME:
+                    return
+                mseq, frame = unpack_frame(msg.body, self.config.d_model)
+            except TransportError:
+                return
+            if mseq != seq or frame.is_final:
+                return
+
     def _hello_body(self) -> bytes:
         return pack_hello(self.nonce, self.profile, self.config.d_model)
 
@@ -500,6 +518,8 @@ class Session:
                 decoder.feed(frame)
             except codec.CodecError as e:
                 self._fail(ERR_DECODE, f"token {frame.seq}: {e}")
+                if not frame.is_final:
+                    self._drain_message(seq)
                 raise
             if frame.is_final:
                 self.recv_seq += 1

@@ -54,6 +54,24 @@ def decode_oracle(params, cfg, key, nonce, msg_seq, frames, cp=CP) -> bytes:
     raise C.DecodeFailure("frames ended without a final frame")
 
 
+def encode_oracle(params, cfg, key, nonce, msg_seq, plaintext):
+    """Reference encoder for the frame layout: a cache over the template
+    that grows by one extend_cache per byte, each frame tapped against the
+    cache as it stands before its byte joins."""
+    cache = M.KVCache(cfg)
+    M.extend_cache(params, cfg, cache, C.template_tokens())
+    state = scheduler.init_chain(key, nonce, msg_seq)
+    frames = []
+    for t, tok in enumerate(list(plaintext) + [C.EOS]):
+        layer = scheduler.layer_of(state, cfg.n_blocks)
+        payload = M.hypothesis_taps(params, cfg, cache, [C.frame_step(tok)], layer)[0]
+        frames.append(C.TokenFrame(seq=t, payload=payload, is_final=tok == C.EOS))
+        if tok != C.EOS:
+            M.extend_cache(params, cfg, cache, [tok])
+            state = scheduler.advance(state, tok, cfg.vocab_size)
+    return frames
+
+
 # ---------------------------------------------------------------- tokenizer
 
 def test_tokenizer_constants():
@@ -140,6 +158,17 @@ def test_frame_payload_matches_forward_oracle(params):
     hid, _ = M.forward_full(params, CFG, ctx0)
     layer0 = scheduler.layer_of(state, CFG.n_blocks)
     assert (frames[0].payload == hid[layer0 - 1, -1]).all()
+
+
+@pytest.mark.parametrize("n_bytes", [0, 1, 33, C.MAX_MESSAGE_LEN])
+def test_encoder_agrees_with_per_byte_oracle(params, n_bytes):
+    plaintext = bytes(np.random.default_rng(n_bytes).integers(0, 256, size=n_bytes).tolist())
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 21, plaintext)
+    want = encode_oracle(params, CFG, KEY, NONCE, 21, plaintext)
+    assert len(frames) == len(want) == n_bytes + 1
+    for got, ref in zip(frames, want):
+        assert (got.seq, got.is_final) == (ref.seq, ref.is_final)
+        assert (got.payload.view(np.uint32) == ref.payload.view(np.uint32)).all(), got.seq
 
 
 def test_oversize_message_rejected(params):

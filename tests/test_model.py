@@ -232,10 +232,115 @@ CFG_HEAD_DIM_32 = M.ModelConfig(n_blocks=2, d_model=128, n_heads=4, d_ff=256,
     (120, (33,)),  # positions 120..152 cross KEY_SEG
 ])
 def test_hypothesis_taps_match_full_pass_bitwise_head_dim_32(prefix_len, s_lens):
-    # a batch of 2 * M_MIN is what the shared-prefix GEMMs stack and what the
-    # tap pool splits on a machine with more than one CPU
+    # a batch of 2 * M_MIN fills the shared-prefix GEMMs past M_MIN rows
+    # and the own-key score GEMMs with several stacks of items
     _assert_taps_match_full_pass(CFG_HEAD_DIM_32, 8, prefix_len, s_lens,
                                  batch=2 * M.M_MIN)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _per_item_own_key_scores(qh, kh):
+    """One GEMM per item and head: query rows zero-padded to M_MIN, keys to
+    a multiple of M_MIN columns and at least 2 * M_MIN."""
+    B, H, S, hd = qh.shape
+    Sk = kh.shape[2]
+    q = np.zeros((max(S, M.M_MIN), hd), dtype=np.float32)
+    k = np.zeros((max(-(-Sk // M.M_MIN) * M.M_MIN, 2 * M.M_MIN), hd), dtype=np.float32)
+    out = np.empty((B, H, S, Sk), dtype=np.float32)
+    for b in range(B):
+        for h in range(H):
+            q[:S], k[:Sk] = qh[b, h], kh[b, h]
+            out[b, h] = (q @ k.T)[:S, :Sk]
+    return out
+
+
+@pytest.mark.parametrize("head_dim", [16, 32])
+@pytest.mark.parametrize("s_rows", [1, 2])  # the tapped block's query row; a frame step's two
+@pytest.mark.parametrize("B", [3, 257])  # one stack short of M_MIN rows; a frame's hypotheses
+def test_stacked_own_key_scores_equal_per_item_gemms(head_dim, s_rows, B):
+    rng = np.random.default_rng(head_dim + s_rows + B)
+    H, Sk = 4, 2
+    qh = rng.standard_normal((B, H, s_rows, head_dim)).astype(np.float32)
+    kh = rng.standard_normal((B, H, Sk, head_dim)).astype(np.float32)
+    out = np.empty((B, H, s_rows, Sk), dtype=np.float32)
+    M._own_key_scores(qh, kh, out)
+    assert (_bits(out) == _bits(_per_item_own_key_scores(qh, kh))).all()
+
+
+@pytest.mark.parametrize("head_dim", [16, 32, 64])
+def test_av_gemm_bits_at_2_to_m_min_rows_equal_m_min_rows(head_dim):
+    # the AV GEMM's shape: K = KEY_SEG, N = den_col + M_MIN, e sliced from a
+    # two-segment buffer as _attention slices it
+    den_col = -(-head_dim // M.M_MIN) * M.M_MIN
+    rng = np.random.default_rng(head_dim)
+    e = rng.random((M.M_MIN, 2 * M.KEY_SEG)).astype(np.float32)
+    v = rng.standard_normal((M.KEY_SEG, den_col + M.M_MIN)).astype(np.float32)
+    v[:, den_col:] = 1.0
+    want = e[:, :M.KEY_SEG] @ v
+    for rows in range(2, M.M_MIN + 1):
+        batch = np.repeat(e[None, None, :rows], 2, axis=1)
+        got = np.matmul(batch[..., :M.KEY_SEG], v)
+        assert (_bits(got[0, 1]) == _bits(want[:rows])).all(), rows
+
+
+def test_one_row_av_input_is_padded_to_two_rows(monkeypatch):
+    # layer 1 runs only the tapped block, whose one query row would make
+    # each AV GEMM a GEMV
+    params = M.init_parameters(CFG_SMALL, seed=15)
+    cache = M.KVCache(CFG_SMALL)
+    M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
+    av_rows = []
+    original = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        if a.shape[-1] == M.KEY_SEG:
+            av_rows.append(a.shape[-2])
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    M.hypothesis_taps(params, CFG_SMALL, cache, np.array([[4, 5], [6, 7], [8, 9]]), 1)
+    monkeypatch.undo()
+    assert av_rows and set(av_rows) == {2}
+
+
+def test_cache_prefix_taps_equal_a_cache_of_that_length():
+    rng = np.random.default_rng(17)
+    params = M.init_parameters(CFG_SMALL, seed=17)
+    tokens = _rand_tokens(rng, 40)
+    full, short = M.KVCache(CFG_SMALL), M.KVCache(CFG_SMALL)
+    M.extend_cache(params, CFG_SMALL, full, tokens)
+    M.extend_cache(params, CFG_SMALL, short, tokens[:25])
+    suffixes = rng.integers(0, 260, size=(5, 2))
+    for layer in range(1, CFG_SMALL.n_blocks + 1):
+        got = M.hypothesis_taps(params, CFG_SMALL, full.prefix(25), suffixes, layer)
+        want = M.hypothesis_taps(params, CFG_SMALL, short, suffixes, layer)
+        assert (_bits(got) == _bits(want)).all(), layer
+
+
+def test_cache_prefix_view_rejects_writes():
+    params = M.init_parameters(CFG_SMALL, seed=18)
+    cache = M.KVCache(CFG_SMALL)
+    M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3, 4])
+    keys = cache.keys(0).copy()
+    view = cache.prefix(2)
+    with pytest.raises(M.ModelError, match="read-only"):
+        M.extend_cache(params, CFG_SMALL, view, [5])
+    with pytest.raises(M.ModelError, match="read-only"):
+        view.commit(1)
+    assert view.length == 2 and cache.length == 4
+    assert (cache.keys(0) == keys).all()
+
+
+@pytest.mark.parametrize("n", [-1, 5])
+def test_cache_prefix_outside_the_cache_fails_typed(n):
+    params = M.init_parameters(CFG_SMALL, seed=19)
+    cache = M.KVCache(CFG_SMALL)
+    M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3, 4])
+    with pytest.raises(M.ModelError, match="prefix length"):
+        cache.prefix(n)
 
 
 def test_hypothesis_taps_empty_prefix():

@@ -125,6 +125,18 @@ def test_provision_twinness(registry):
     assert p1 == p2
 
 
+def test_provision_fingerprints_the_base_twice(registry, monkeypatch):
+    # finetune records the base fingerprint and merge checks it; the
+    # profile reuses the recorded one
+    calls = []
+    original = M.fingerprint
+    monkeypatch.setattr(M, "fingerprint", lambda params: calls.append(params) or original(params))
+    base = M.init_parameters(CFG, 1)
+    _, profile, _ = P.provision(base, _key(0x1234_5678_9ABC), registry, TC)
+    assert len(calls) == 2 and all(p is base for p in calls)
+    assert profile.base_fingerprint == original(base)
+
+
 def test_one_bit_key_difference_changes_adapters(registry):
     base = M.init_parameters(CFG, 1)
     _, p1, _ = P.provision(base, _key(0b0110), registry, TC)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,24 @@ def test_adapter_file_roundtrip(tmp_path):
     assert T.adapter_fingerprint(loaded) == T.adapter_fingerprint(adapters)
     assert loaded.base_fingerprint == adapters.base_fingerprint
     assert loaded.tconfig == adapters.tconfig
+
+
+# 1e300 overflows binary32
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -1e-3, 1e300])
+def test_config_rejects_a_rate_not_finite_and_non_negative(rate):
+    with pytest.raises(T.TrainerError, match="learning_rate"):
+        T.TrainConfig(learning_rate=rate)
+
+
+def test_adapter_file_with_a_nan_rate_fails_typed(tmp_path):
+    base = M.init_parameters(CFG_TINY, 3)
+    path = tmp_path / "a.cmad"
+    T.save_adapters(path, T.finetune(base, _toy_shards(), T.TrainConfig(steps=0)))
+    blob = path.read_bytes()
+    rate_at = 4 + 1 + 32 + 8 + 4  # magic, version, base fingerprint, seed, steps
+    path.write_bytes(blob[:rate_at] + struct.pack("<f", float("nan")) + blob[rate_at + 4:])
+    with pytest.raises(T.TrainerError, match="learning_rate"):
+        T.load_adapters(path, CFG_TINY)
 
 
 # ------------------------------------------------------------------- probes

@@ -508,6 +508,23 @@ def test_send_before_handshake_rejected(params, profile):
         s1.send_message(b"x")
 
 
+def test_decode_failure_drains_the_rest_of_the_message(params, profile):
+    # a delta no margin reaches fails the first frame; the receiver reads on
+    # to that message's final frame, so the peer's send never meets a closed
+    # stream, and leaves the next message unread
+    a, b = W.loopback_pair()
+    s1, s2 = _handshaken(a, b, params, profile, codec_params=codec.CodecParams(delta=0.5))
+    s1.send_message(b"abcd")
+    s1.send_message(b"e")
+    with pytest.raises(codec.AmbiguousDecode):
+        s2.recv_message()
+    reply = W.read_message(a, timeout=5)
+    assert reply.type == W.TYPE_ERROR
+    assert W.unpack_error(reply.body)[0] == W.ERR_DECODE
+    mseq, frame = W.unpack_frame(W.read_message(b, timeout=5).body, CFG.d_model)
+    assert (mseq, frame.seq) == (1, 0)
+
+
 # ------------------------------------------------------------ adversarial peer
 
 # where pack_frame puts each field a mutation rewrites
