@@ -32,8 +32,8 @@ _EXP_HORNER = tuple(F32(1.0) / F32(n) for n in (720.0, 120.0, 24.0, 6.0)) + (
 
 # exp runs its ~20 passes block by block, so that the five arrays of one
 # block (640 KiB) stay in cache between passes; 32768 elements was the
-# fastest of 8192..65536 on a 2-core Xeon. float32 gelu runs in the same
-# blocks.
+# fastest of 8192..65536 on a 2-core Xeon. float32 gelu and gelu_grad run
+# in the same blocks.
 _EXP_BLOCK = 32768
 
 # |tanh(x)| rounds to 1.0f beyond this.
@@ -150,38 +150,63 @@ def log(x: np.ndarray) -> np.ndarray:
     return e * _LN2_HI + (s * p + e * _LN2_LO)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """tanh-form GELU, inner polynomial 0.7978845608*(x + 0.044715*x^3).
+def gelu(x: np.ndarray, *, return_tanh: bool = False):
+    """tanh-form GELU, 0.5*x*(1 + tanh(0.7978845608*(x + 0.044715*x^3))).
 
-    float32 runs in _EXP_BLOCK-element blocks, so that every temporary of
-    a block stays in cache from the cube through tanh to the product.
+    With return_tanh, returns (gelu(x), t) with t the tanh of the inner
+    polynomial, which gelu_from_tanh and gelu_grad take in place of a second
+    tanh. float32 runs in _EXP_BLOCK-element blocks, so that every temporary
+    of a block stays in cache from the cube through tanh to the product;
+    float64 runs as one block, so that its t is numpy's tanh of the whole
+    array, as gelu_grad(x) computes it.
     """
     x = _check_dtype(x)
-    half = x.dtype.type(0.5)
-    one = x.dtype.type(1.0)
-    c0, c1 = x.dtype.type(_GELU_C0), x.dtype.type(_GELU_C1)
-    if x.dtype == np.float64:
-        return half * x * (one + tanh(c0 * (x + c1 * (x * x * x))))
-
-    out = np.empty(x.shape, dtype=F32)
+    out = np.empty(x.shape, dtype=x.dtype)
+    t = np.empty(x.shape, dtype=x.dtype) if return_tanh else None
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    for lo in range(0, flat_x.size, _EXP_BLOCK):
-        xb = flat_x[lo:lo + _EXP_BLOCK]
-        inner = c0 * (xb + c1 * (xb * xb * xb))
-        np.multiply(half * xb, one + tanh(inner), out=flat_out[lo:lo + _EXP_BLOCK])
-    return out
+    block = _EXP_BLOCK if x.dtype == np.float32 else max(flat_x.size, 1)
+    for lo in range(0, flat_x.size, block):
+        xb = flat_x[lo:lo + block]
+        tb = _inner_tanh(xb)
+        gelu_from_tanh(xb, tb, out=flat_out[lo:lo + block])
+        if return_tanh:
+            t.reshape(-1)[lo:lo + block] = tb
+    return (out, t) if return_tanh else out
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx of gelu(x), written against the same pinned tanh."""
+def _inner_tanh(x: np.ndarray) -> np.ndarray:
+    c0, c1 = x.dtype.type(_GELU_C0), x.dtype.type(_GELU_C1)
+    return tanh(c0 * (x + c1 * (x * x * x)))
+
+
+def gelu_from_tanh(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """gelu(x) from t, the tanh gelu(x, return_tanh=True) returned: the
+    operations gelu itself runs after its tanh, so the bits are gelu's."""
+    half, one = x.dtype.type(0.5), x.dtype.type(1.0)
+    return np.multiply(half * x, one + t, out=out)
+
+
+def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """d/dx of gelu(x), written against the same pinned tanh.
+
+    t, when given, is the tanh gelu(x, return_tanh=True) returned for this
+    x, and no tanh runs here; it has the bits of the tanh gelu_grad(x)
+    computes. The product runs in _EXP_BLOCK-element blocks, as gelu's does.
+    """
     x = _check_dtype(x)
+    if t is None:
+        t = _inner_tanh(x)
+    elif t.shape != x.shape or t.dtype != x.dtype:
+        raise ValueError("t must match x in shape and dtype")
     c0 = x.dtype.type(_GELU_C0)
     c1 = x.dtype.type(_GELU_C1)
     half = x.dtype.type(0.5)
     one = x.dtype.type(1.0)
     three = x.dtype.type(3.0)
-    inner = c0 * (x + c1 * (x * x * x))
-    t = tanh(inner)
-    dinner = c0 * (one + three * c1 * (x * x))
-    return half * (one + t) + half * x * (one - t * t) * dinner
-
+    out = np.empty(x.shape, dtype=x.dtype)
+    flat_x, flat_t, flat_out = x.reshape(-1), t.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_x.size, _EXP_BLOCK):
+        xb, tb = flat_x[lo:lo + _EXP_BLOCK], flat_t[lo:lo + _EXP_BLOCK]
+        dinner = c0 * (one + three * c1 * (xb * xb))
+        flat_out[lo:lo + _EXP_BLOCK] = half * (one + tb) + half * xb * (one - tb * tb) * dinner
+    return out

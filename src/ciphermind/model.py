@@ -49,11 +49,14 @@ implementation rules:
    values after the block runs; ``_attention`` reads only the first
    ``cache.length`` rows; a one-token extension is a decoding step),
    ``hypothesis_taps`` with ``last_only`` in the tapped block, and the
-   training pass in :mod:`ciphermind.trainer` with ``need_aux``. The first
-   three never call one another, so a wrapper around one sees only its own
-   calls. Each runs on the calling thread alone: with the padding gone
-   from a hypothesis batch, splitting it over worker threads ran no faster
-   on 2 CPUs.
+   training pass in :mod:`ciphermind.trainer` with ``need_aux``. Of the MLP,
+   the training pass saves the GELU input u and the tanh ``detmath.gelu``
+   computed for it, t, not the GELU output g: the backward pass takes t
+   for the GELU derivative and rebuilds g from u and t with gelu's own
+   operations when it needs g. The first three never call one another, so
+   a wrapper around one sees only its own calls. Each runs on the calling
+   thread alone: with the padding gone from a hypothesis batch, splitting
+   it over worker threads ran no faster on 2 CPUs.
 
 Elementwise transcendentals come from :mod:`ciphermind.detmath`; add, mul,
 div and sqrt are IEEE-exact and need no pinning.
@@ -68,6 +71,7 @@ import copy
 import hashlib
 import itertools
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -96,6 +100,19 @@ class ModelError(Exception):
     pass
 
 
+U32_MAX = 2**32 - 1
+
+
+def check_int_fields(obj, bounds: dict, error: type) -> None:
+    """Raise error unless every field of obj that bounds names is an integer
+    in its inclusive (lo, hi) range, the range its slot in a fixed-width
+    config block holds."""
+    for name, (lo, hi) in bounds.items():
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+            raise error(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters shared verbatim by both twins."""
@@ -109,13 +126,12 @@ class ModelConfig:
     ln_epsilon: float = 1e-5
 
     def __post_init__(self):
-        # single-block configs exist for gradient probes; anything that taps
-        # a middle layer (codec, scheduler) separately demands >= 2 blocks
-        if self.n_blocks < 1:
-            raise ModelError("need at least 1 block")
-        for name in ("d_model", "n_heads", "d_ff", "vocab_size", "max_seq"):
-            if getattr(self, name) <= 0:
-                raise ModelError(f"{name} must be positive")
+        # each field fills a u32 of the packed block; single-block configs
+        # exist for gradient probes, and anything that taps a middle layer
+        # (codec, scheduler) separately demands >= 2 blocks
+        check_int_fields(self, dict.fromkeys(
+            ("n_blocks", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq"),
+            (1, U32_MAX)), ModelError)
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
         # canonicalize to binary32, the precision the epsilon is used in, so a config
@@ -590,12 +606,15 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     x = x + _mm(attn.reshape(n, d), bp.wo).reshape(x.shape)
     f, xn2, inv2 = _layer_norm(x, bp.g2, bp.b2, cfg.ln_epsilon)
     u = _mm(f.reshape(n, d), bp.w1)
-    g = detmath.gelu(u)
+    if need_aux:
+        g, t = detmath.gelu(u, return_tanh=True)
+    else:
+        g = detmath.gelu(u)
     x = x + _mm(g, bp.w2).reshape(x.shape)
     saved = None
     if need_aux:
         saved = {"xn1": xn1, "inv1": inv1, "a": a, "att": aux, "attn_merged": attn,
-                 "xn2": xn2, "inv2": inv2, "u": u, "g": g}
+                 "xn2": xn2, "inv2": inv2, "u": u, "t": t}
     return x, k_new, v_new, saved
 
 

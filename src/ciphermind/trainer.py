@@ -9,7 +9,9 @@ Adapters follow the usual low-rank recipe on the Q and V projections of
 every block: W' = W + A @ B with A drawn from the seeded generator and B
 zero, so zero training steps are exactly a no-op. A twin's fine-tune sees
 only the examples of the shards its key selects; the repeat-task examples
-belong to the public pretraining corpus alone.
+belong to the public pretraining corpus alone. Its step differentiates only
+the adapted projections: the base weights are frozen, so the backward pass
+builds no other weight's gradient and stops at block 1's projections.
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ class TrainConfig:
     max_example_len: int = 139
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise TrainerError("steps must be non-negative")
-        if self.batch_size <= 0 or self.adapter_rank <= 0:
-            raise TrainerError("batch_size and adapter_rank must be positive")
+        # the ranges of the fields' u64 and u32 slots in the packed block
+        M.check_int_fields(self, {"seed": (0, 2**64 - 1), "steps": (0, M.U32_MAX),
+                                  "batch_size": (1, M.U32_MAX),
+                                  "adapter_rank": (1, M.U32_MAX),
+                                  "max_example_len": (0, M.U32_MAX)}, TrainerError)
         # the rate is applied in binary32; canonicalize so a config equals
         # its own wire-format echo, and reject a rate that is not finite there
         with np.errstate(over="ignore"):
@@ -76,7 +79,7 @@ class TrainConfig:
 
     def pack(self) -> bytes:
         """Fixed 28-byte block: the fields in order, learning_rate as binary32."""
-        return struct.pack("<QIf3I", self.seed & (2**64 - 1), self.steps, self.learning_rate,
+        return struct.pack("<QIf3I", self.seed, self.steps, self.learning_rate,
                            self.batch_size, self.adapter_rank, self.max_example_len)
 
     @classmethod
@@ -207,14 +210,20 @@ def _make_batch(prepared, idxs):
 # ----------------------------------------------------------------- backward
 
 def _ln_backward(dy, xn, inv, g):
-    dg = np.sum(dy * xn, axis=tuple(range(dy.ndim - 1)))
-    db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    """Gradient of a layer norm's input."""
     dxn = dy * g
-    dx = inv * (dxn - dxn.mean(-1, keepdims=True) - xn * (dxn * xn).mean(-1, keepdims=True))
-    return dx, dg, db
+    return inv * (dxn - dxn.mean(-1, keepdims=True) - xn * (dxn * xn).mean(-1, keepdims=True))
 
 
-def _attention_backward(dmerged, aux, B, S, cfg):
+def _ln_param_grads(dy, xn):
+    """(dg, db): gradients of a layer norm's gain and bias."""
+    axes = tuple(range(dy.ndim - 1))
+    return np.sum(dy * xn, axis=axes), np.sum(dy, axis=axes)
+
+
+def _attention_backward(dmerged, aux, B, S, cfg, keys=True):
+    """(dq, dk, dv) of the attention's projected inputs; dk is None unless
+    keys."""
     e, den, qf, kf, vf, s_pad, t_pad = aux
     H, hd = cfg.n_heads, cfg.head_dim
     d = cfg.d_model
@@ -229,13 +238,13 @@ def _attention_backward(dmerged, aux, B, S, cfg):
     dv = np.matmul(p.transpose(0, 2, 1), dA)
     ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
     dq = np.matmul(ds, kf) * (dtype.type(1.0) / np.sqrt(dtype.type(hd)))
-    dk = np.matmul(ds.transpose(0, 2, 1), qf)
 
     def unsplit(x, n):
         return np.ascontiguousarray(
             x[:, :n].reshape(B, H, n, hd).transpose(0, 2, 1, 3)).reshape(B, n, d)
 
-    return unsplit(dq, S), unsplit(dk, S), unsplit(dv, S)
+    dk = unsplit(np.matmul(ds.transpose(0, 2, 1), qf), S) if keys else None
+    return unsplit(dq, S), dk, unsplit(dv, S)
 
 
 def _forward_train(params: M.ParameterSet, cfg: M.ModelConfig, tokens: np.ndarray):
@@ -278,9 +287,19 @@ def _cross_entropy(logits: np.ndarray, tokens: np.ndarray, mask: np.ndarray):
 
 
 def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
-                   tokens: np.ndarray, mask: np.ndarray):
-    """Masked cross-entropy and the analytic gradient of every weight, as a
-    ParameterSet in the parameters' layout."""
+                   tokens: np.ndarray, mask: np.ndarray, wrt=None):
+    """Masked cross-entropy and its analytic gradient.
+
+    With wrt None, the gradient of every weight, as a ParameterSet in the
+    parameters' layout. With wrt a tuple of BlockParams field names, the
+    gradient of those alone, as one {name: gradient} dict per block, bit for
+    bit the full call's: the backward pass then builds no other gradient,
+    and as the embedding takes none, it stops at block 1's projections.
+    """
+    want = M.BlockParams.FIELD_ORDER if wrt is None else tuple(wrt)
+    unknown = set(want) - set(M.BlockParams.FIELD_ORDER)
+    if unknown:
+        raise TrainerError(f"wrt names no block weight: {sorted(unknown)}")
     dtype = params.dtype
     nmask = float(mask.sum())
     if nmask == 0:
@@ -297,44 +316,57 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     dlogits[:, :-1] = dlg
 
     dl2 = dlogits.reshape(-1, V)
-    demb = dl2.T @ xf.reshape(-1, d)
     dxf = (dl2 @ params.emb).reshape(B, T, d)
-    dx, dgf, dbf = _ln_backward(dxf, xnf, invf, params.gf)
+    dx = _ln_backward(dxf, xnf, invf, params.gf)
 
     gblocks = []
     for bi in range(cfg.n_blocks - 1, -1, -1):
         st = saved[bi]
         bp = params.blocks[bi]
+        # the residual stream's gradient below this block feeds a lower
+        # block or the embedding
+        dx_below = wrt is None or bi > 0
+        gb = {}
         dy2 = dx.reshape(-1, d)
-        dW2 = st["g"].T @ dy2
-        dgelu = dy2 @ bp.w2.T
-        du = dgelu * detmath.gelu_grad(st["u"])
-        f2 = (st["xn2"] * bp.g2 + bp.b2).reshape(-1, d)
-        dW1 = f2.T @ du
+        if "w2" in want:
+            gb["w2"] = detmath.gelu_from_tanh(st["u"], st["t"]).T @ dy2
+        du = (dy2 @ bp.w2.T) * detmath.gelu_grad(st["u"], st["t"])
+        if "w1" in want:
+            gb["w1"] = (st["xn2"] * bp.g2 + bp.b2).reshape(-1, d).T @ du
         df = (du @ bp.w1.T).reshape(B, T, d)
-        d_ln2, dg2, db2 = _ln_backward(df, st["xn2"], st["inv2"], bp.g2)
-        dx_mid = dx + d_ln2
+        if "g2" in want or "b2" in want:
+            gb["g2"], gb["b2"] = _ln_param_grads(df, st["xn2"])
+        dx_mid = dx + _ln_backward(df, st["xn2"], st["inv2"], bp.g2)
 
         dxm2 = dx_mid.reshape(-1, d)
-        dWo = st["attn_merged"].reshape(-1, d).T @ dxm2
+        if "wo" in want:
+            gb["wo"] = st["attn_merged"].reshape(-1, d).T @ dxm2
         dmerged = (dxm2 @ bp.wo.T).reshape(B, T, d)
-        dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], B, T, cfg)
+        ln1_wanted = "g1" in want or "b1" in want
+        need_da = dx_below or ln1_wanted
+        dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], B, T, cfg,
+                                               keys=need_da or "wk" in want)
         a2 = st["a"].reshape(-1, d)
-        dWq = a2.T @ dq_m.reshape(-1, d)
-        dWk = a2.T @ dk_m.reshape(-1, d)
-        dWv = a2.T @ dv_m.reshape(-1, d)
-        da = (dq_m.reshape(-1, d) @ bp.wq.T + dk_m.reshape(-1, d) @ bp.wk.T
-              + dv_m.reshape(-1, d) @ bp.wv.T).reshape(B, T, d)
-        d_ln1, dg1, db1 = _ln_backward(da, st["xn1"], st["inv1"], bp.g1)
-        dx = dx_mid + d_ln1
-
-        gblocks.append(M.BlockParams(dWq, dWk, dWv, dWo, dW1, dW2, dg1, db1, dg2, db2))
+        for name, dm in (("wq", dq_m), ("wk", dk_m), ("wv", dv_m)):
+            if name in want:
+                gb[name] = a2.T @ dm.reshape(-1, d)
+        if need_da:
+            da = (dq_m.reshape(-1, d) @ bp.wq.T + dk_m.reshape(-1, d) @ bp.wk.T
+                  + dv_m.reshape(-1, d) @ bp.wv.T).reshape(B, T, d)
+            if ln1_wanted:
+                gb["g1"], gb["b1"] = _ln_param_grads(da, st["xn1"])
+            if dx_below:
+                dx = dx_mid + _ln_backward(da, st["xn1"], st["inv1"], bp.g1)
+        gblocks.append(gb)
     gblocks.reverse()
+    if wrt is not None:
+        return loss, [{name: gb[name] for name in want} for gb in gblocks]
 
+    demb = dl2.T @ xf.reshape(-1, d)
     emb_scale = np.sqrt(dtype.type(d))
     np.add.at(demb, tokens, dx * emb_scale)
-
-    return loss, M.ParameterSet(cfg, demb, gblocks, dgf, dbf)
+    dgf, dbf = _ln_param_grads(dxf, xnf)
+    return loss, M.ParameterSet(cfg, demb, [M.BlockParams(**gb) for gb in gblocks], dgf, dbf)
 
 
 # --------------------------------------------------------------------- SGD
@@ -344,8 +376,9 @@ def _batch_order_stream(seed: int) -> Stream:
 
 
 def _run_sgd(cfg: M.ModelConfig, prepared, tconfig, apply_update, materialize,
-             loss_log=None):
-    """Common SGD driver; update policy differs between base and adapters."""
+             loss_log=None, wrt=None):
+    """Common SGD driver; update policy differs between base and adapters,
+    and wrt names the block weights the update takes (None: every weight)."""
     stream = _batch_order_stream(tconfig.seed)
     order: list[int] = []
     n = len(prepared)
@@ -361,7 +394,7 @@ def _run_sgd(cfg: M.ModelConfig, prepared, tconfig, apply_update, materialize,
         try:
             # a diverging run overflows before it is caught; keep that quiet
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_grads(step_params, cfg, tokens, mask)
+                loss, grads = loss_and_grads(step_params, cfg, tokens, mask, wrt=wrt)
         except NonFiniteLoss:
             raise DivergenceError(step) from None
         if not np.isfinite(loss):
@@ -471,13 +504,13 @@ def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
     lr = F32(tconfig.learning_rate)
 
     def apply_update(grads):
-        for block, gb in zip(factors, grads.blocks):
+        for block, gb in zip(factors, grads):
             for name, (a, b) in block.items():
-                dw = getattr(gb, name)
+                dw = gb[name]
                 block[name] = (a - lr * (dw @ b.T), b - lr * (a.T @ dw))
 
     _run_sgd(cfg, prepared, tconfig, apply_update,
-             lambda: _merged(base, factors), loss_log)
+             lambda: _merged(base, factors), loss_log, wrt=ADAPTED_FIELDS)
     return adapters
 
 

@@ -104,19 +104,35 @@ def test_hypothesis_taps_every_layer_across_segments():
     assert _digest(*taps) == GOLDEN["hypothesis_taps"]
 
 
-def test_loss_and_grads():
+def _loss_batches():
     # 45 positions need no padded query rows; 20 positions pad up to M_MIN
-    params = _params()
-    parts = []
     for seed, length in ((5, 45), (6, 20)):
-        tokens = _tokens(seed, (3, length))
         mask = np.zeros((3, length - 1), dtype=np.float32)
         mask[:, 10:] = 1.0
+        yield _tokens(seed, (3, length)), mask
+
+
+def test_loss_and_grads():
+    params = _params()
+    parts = []
+    for tokens, mask in _loss_batches():
         loss, grads = T.loss_and_grads(params, CFG, tokens, mask)
         parts += [np.float64(loss), grads.emb, grads.gf, grads.bf]
         for gb in grads.blocks:
             parts.extend(getattr(gb, name) for name in M.BlockParams.FIELD_ORDER)
     assert _digest(*parts) == GOLDEN["loss_and_grads"]
+
+
+def test_adapter_gradients_equal_the_full_calls():
+    params = _params()
+    for tokens, mask in _loss_batches():
+        loss, full = T.loss_and_grads(params, CFG, tokens, mask)
+        loss_a, part = T.loss_and_grads(params, CFG, tokens, mask, wrt=T.ADAPTED_FIELDS)
+        assert loss_a == loss
+        assert [tuple(gb) for gb in part] == [T.ADAPTED_FIELDS] * CFG.n_blocks
+        for gb, fb in zip(part, full.blocks):
+            for name in T.ADAPTED_FIELDS:
+                assert _digest(gb[name]) == _digest(getattr(fb, name))
 
 
 def _finetuned():
@@ -158,3 +174,20 @@ def test_pinned_math_sweep():
         got = {name: _digest(getattr(detmath, name)(x))
                for name in ("exp", "tanh", "gelu")}
     assert got == {name: GOLDEN[name] for name in got}
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gelu_tanh_reuse_keeps_the_bits():
+    # the training pass keeps gelu's tanh for gelu_grad and rebuilds gelu's
+    # output from it; both must give the bits of the recomputing routines
+    with np.errstate(all="ignore"):
+        for x in (_float32_sweep(), _float32_sweep().astype(np.float64)):
+            c0, c1 = x.dtype.type(detmath._GELU_C0), x.dtype.type(detmath._GELU_C1)
+            g, t = detmath.gelu(x, return_tanh=True)
+            assert _same_bits(t, detmath.tanh(c0 * (x + c1 * (x * x * x))))
+            assert _same_bits(g, detmath.gelu(x))
+            assert _same_bits(detmath.gelu_from_tanh(x, t), g)
+            assert _same_bits(detmath.gelu_grad(x, t), detmath.gelu_grad(x))

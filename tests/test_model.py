@@ -117,6 +117,22 @@ def test_config_validation():
     M.ModelConfig(n_blocks=1)  # single block allowed for gradient probes
 
 
+_INT_FIELDS = ("n_blocks", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq")
+
+
+# 2**32 overflows the field's u32 slot in the packed block
+@pytest.mark.parametrize("field", _INT_FIELDS)
+@pytest.mark.parametrize("value", [0, 2**32, 2.0])
+def test_config_rejects_a_field_its_block_cannot_carry(field, value):
+    with pytest.raises(M.ModelError, match=field):
+        M.ModelConfig(**{field: value})
+
+
+def test_config_block_carries_each_field_at_its_limit():
+    cfg = M.ModelConfig(**dict.fromkeys(_INT_FIELDS, 2**32 - 1))
+    assert M.ModelConfig.unpack(cfg.pack()) == cfg
+
+
 # 1e300 overflows binary32 and 1e-50 flushes to zero in it
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-5,
                                  1e300, 1e-50])

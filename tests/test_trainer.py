@@ -111,18 +111,20 @@ def test_finetune_steps_change_fingerprint():
 def test_finetune_trains_on_shard_examples_alone(monkeypatch):
     shards = _toy_shards()
     want = sorted(T.tokenize_example(ex)[0] for sh in shards for ex in sh.examples)
-    rows = []
+    rows, wrts = [], []
     loss_and_grads = T.loss_and_grads
 
-    def recording(params, cfg, tokens, mask):
+    def recording(params, cfg, tokens, mask, wrt=None):
         rows.extend([int(t) for t in row if t != codec.PAD] for row in tokens)
-        return loss_and_grads(params, cfg, tokens, mask)
+        wrts.append(wrt)
+        return loss_and_grads(params, cfg, tokens, mask, wrt=wrt)
 
     monkeypatch.setattr(T, "loss_and_grads", recording)
     # 3 batches of 4 are one pass over the 12 examples
     T.finetune(M.init_parameters(CFG_TINY, 3), shards,
                T.TrainConfig(seed=4, steps=3, batch_size=4))
     assert sorted(rows) == want
+    assert wrts == [T.ADAPTED_FIELDS] * 3
 
 
 def test_finetune_rejects_no_shards():
@@ -181,6 +183,26 @@ def test_adapter_file_roundtrip(tmp_path):
     assert T.adapter_fingerprint(loaded) == T.adapter_fingerprint(adapters)
     assert loaded.base_fingerprint == adapters.base_fingerprint
     assert loaded.tconfig == adapters.tconfig
+
+
+# each value is outside the field's u64 or u32 slot in the packed block, or
+# not an integer
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("seed", 2**64), ("seed", 1.5),
+    ("steps", -1), ("steps", 2**32),
+    ("batch_size", 0), ("batch_size", 2**32),
+    ("adapter_rank", 0), ("adapter_rank", 2**32),
+    ("max_example_len", -1), ("max_example_len", 2**32)])
+def test_config_rejects_a_field_its_block_cannot_carry(field, value):
+    with pytest.raises(T.TrainerError, match=field):
+        T.TrainConfig(**{field: value})
+
+
+def test_config_block_carries_each_field_at_its_limits():
+    for tc in (T.TrainConfig(seed=0, steps=0, batch_size=1, adapter_rank=1, max_example_len=0),
+               T.TrainConfig(seed=2**64 - 1, steps=2**32 - 1, batch_size=2**32 - 1,
+                             adapter_rank=2**32 - 1, max_example_len=2**32 - 1)):
+        assert T.TrainConfig.unpack(tc.pack()) == tc
 
 
 # 1e300 overflows binary32
@@ -261,6 +283,25 @@ def test_gradients_match_finite_differences():
         denom = max(abs(fd), abs(an), 1e-8)
         worst = max(worst, abs(fd - an) / denom)
     assert worst <= 1e-2, f"worst relative gradient error {worst}"
+
+
+@pytest.mark.parametrize("name", M.BlockParams.FIELD_ORDER)
+def test_gradient_wrt_one_weight_equals_the_full_calls(name):
+    params = M.init_parameters(CFG_TINY, 5)
+    tokens, mask = T._make_batch(T._prepare(T.make_pretrain_corpus(13, 6), 40), [0, 1, 2])
+    loss, full = T.loss_and_grads(params, CFG_TINY, tokens, mask)
+    loss_w, part = T.loss_and_grads(params, CFG_TINY, tokens, mask, wrt=(name,))
+    assert loss_w == loss
+    assert [list(gb) for gb in part] == [[name]] * CFG_TINY.n_blocks
+    for gb, fb in zip(part, full.blocks):
+        assert gb[name].tobytes() == getattr(fb, name).tobytes()
+
+
+def test_gradient_wrt_an_unknown_name_is_rejected():
+    params = M.init_parameters(CFG_TINY, 5)
+    tokens, mask = T._make_batch(T._prepare(T.make_pretrain_corpus(13, 6), 40), [0])
+    with pytest.raises(T.TrainerError, match="emb"):
+        T.loss_and_grads(params, CFG_TINY, tokens, mask, wrt=("wq", "emb"))
 
 
 def test_divergence_reported_with_step():
