@@ -93,18 +93,26 @@ def template_tokens() -> list[int]:
 
 
 def check_config(cfg: M.ModelConfig) -> None:
-    """Raises CodecError on a config the key schedule cannot draw a tap
-    layer from: it taps blocks 1..n_blocks-1."""
+    """Raises CodecError on a config the codec cannot frame with: the key
+    schedule taps blocks 1..n_blocks-1, every frame's tokens are ids below
+    VOCAB_SIZE, and the shortest message, the empty one, needs its END
+    frame's context to fit max_seq."""
     if cfg.n_blocks < 2:
         raise CodecError("codec needs at least 2 blocks")
+    if cfg.vocab_size < VOCAB_SIZE:
+        raise CodecError(f"codec needs vocab_size >= {VOCAB_SIZE}, got {cfg.vocab_size}")
+    shortest = len(frame_context([EOS]))
+    if cfg.max_seq < shortest:
+        raise CodecError(f"codec needs max_seq >= {shortest}, got {cfg.max_seq}")
 
 
-def _template_cache(params: M.ParameterSet, cfg: M.ModelConfig, message=()) -> M.KVCache:
+def _template_cache(params: M.ParameterSet, cfg: M.ModelConfig, message=b"") -> M.KVCache:
     """A KV cache over the template followed by the message bytes, filled in
     one extend_cache; the decoder starts from the template alone, the
-    encoder from its whole plaintext. A bad config fails here, before any
-    model work."""
+    encoder from its whole plaintext. A bad config or a message too long
+    for it fails here, before any model work."""
     check_config(cfg)
+    _check_length(len(message), cfg)
     cache = M.KVCache(cfg)
     M.extend_cache(params, cfg, cache, template_tokens() + encode_bytes(message))
     return cache
@@ -184,7 +192,6 @@ def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
     read-only prefix template ++ plaintext[:t]: the cache the receiver holds
     when it scores that frame.
     """
-    _check_length(len(plaintext), cfg)
     cache = _template_cache(params, cfg, plaintext)
     committed = len(template_tokens())
     state = scheduler.init_chain(key, nonce, msg_seq)

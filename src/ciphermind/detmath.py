@@ -1,10 +1,16 @@
 """Pinned elementwise transcendentals for the bit-reproducible forward pass.
 
 Platform libm routines (and numpy's vectorized wrappers around them) may
-round exp/tanh/log differently between builds, and even between SIMD and
+round exp/tanh differently between builds, and even between SIMD and
 scalar tails of the same array. Everything here is built from IEEE-754
 binary32 add/mul/div/sqrt and integer bit manipulation only, so results
 are a pure function of the input bits.
+
+What is pinned is what reaches a twin, a tap or a frame: exp (the attention
+softmax and the cross-entropy's softmax, whose output is the gradient the
+fine-tune applies), tanh, and through it gelu and gelu_grad (the MLP
+forward and backward). A value nothing else is computed from is not pinned:
+the reported training loss takes numpy's float64 log.
 
 float64 arrays take the numpy fallback path: the double-precision route
 exists only for finite-difference gradient probes, where accuracy matters
@@ -41,9 +47,6 @@ _TANH_SAT = F32(9.010913)
 
 _GELU_C0 = F32(0.7978845608)
 _GELU_C1 = F32(0.044715)
-
-_SQRT2 = F32(1.4142135623730951)
-_FLT_MIN = F32(1.1754943508222875e-38)
 
 
 def _check_dtype(x: np.ndarray) -> np.ndarray:
@@ -120,36 +123,6 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return (mag.view(np.uint32) ^ flip).view(np.float32)
 
 
-def log(x: np.ndarray) -> np.ndarray:
-    """Pinned natural log for positive normal float32; numpy log for float64.
-
-    Inputs below FLT_MIN are clamped up to FLT_MIN (callers feed softmax
-    probabilities, where that clamp is the pinned behaviour).
-    """
-    x = _check_dtype(x)
-    if x.dtype == np.float64:
-        return np.log(np.maximum(x, np.finfo(np.float64).tiny))
-    if np.any(~np.isfinite(x)) or np.any(x < 0):
-        raise ValueError("log requires finite non-negative input")
-
-    x = np.maximum(x, _FLT_MIN)
-    bits = x.view(np.int32)
-    e = ((bits >> 23) & 0xFF).astype(np.int32) - 127
-    m = ((bits & 0x007FFFFF) | 0x3F800000).view(np.float32)
-    big = m > _SQRT2
-    m = np.where(big, m * F32(0.5), m)
-    e = np.where(big, e + 1, e).astype(np.float32)
-    s = (m - F32(1.0)) / (m + F32(1.0))
-    s2 = s * s
-    # 2*atanh(s) on |s| <= sqrt(2)-1, Horner order pinned
-    p = F32(2.0) / F32(9.0)
-    p = p * s2 + F32(2.0) / F32(7.0)
-    p = p * s2 + F32(2.0) / F32(5.0)
-    p = p * s2 + F32(2.0) / F32(3.0)
-    p = p * s2 + F32(2.0)
-    return e * _LN2_HI + (s * p + e * _LN2_LO)
-
-
 def gelu(x: np.ndarray, *, return_tanh: bool = False):
     """tanh-form GELU, 0.5*x*(1 + tanh(0.7978845608*(x + 0.044715*x^3))).
 
@@ -157,26 +130,22 @@ def gelu(x: np.ndarray, *, return_tanh: bool = False):
     polynomial, which gelu_from_tanh and gelu_grad take in place of a second
     tanh. float32 runs in _EXP_BLOCK-element blocks, so that every temporary
     of a block stays in cache from the cube through tanh to the product;
-    float64 runs as one block, so that its t is numpy's tanh of the whole
-    array, as gelu_grad(x) computes it.
+    float64 runs as one block, so that its t has the bits of numpy's tanh
+    over the whole array, which may round a block's tail otherwise.
     """
     x = _check_dtype(x)
     out = np.empty(x.shape, dtype=x.dtype)
     t = np.empty(x.shape, dtype=x.dtype) if return_tanh else None
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     block = _EXP_BLOCK if x.dtype == np.float32 else max(flat_x.size, 1)
+    c0, c1 = x.dtype.type(_GELU_C0), x.dtype.type(_GELU_C1)
     for lo in range(0, flat_x.size, block):
         xb = flat_x[lo:lo + block]
-        tb = _inner_tanh(xb)
+        tb = tanh(c0 * (xb + c1 * (xb * xb * xb)))
         gelu_from_tanh(xb, tb, out=flat_out[lo:lo + block])
         if return_tanh:
             t.reshape(-1)[lo:lo + block] = tb
     return (out, t) if return_tanh else out
-
-
-def _inner_tanh(x: np.ndarray) -> np.ndarray:
-    c0, c1 = x.dtype.type(_GELU_C0), x.dtype.type(_GELU_C1)
-    return tanh(c0 * (x + c1 * (x * x * x)))
 
 
 def gelu_from_tanh(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
@@ -186,17 +155,13 @@ def gelu_from_tanh(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(half * x, one + t, out=out)
 
 
-def gelu_grad(x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """d/dx of gelu(x), written against the same pinned tanh.
-
-    t, when given, is the tanh gelu(x, return_tanh=True) returned for this
-    x, and no tanh runs here; it has the bits of the tanh gelu_grad(x)
-    computes. The product runs in _EXP_BLOCK-element blocks, as gelu's does.
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d/dx of gelu(x), from t, the tanh gelu(x, return_tanh=True) returned
+    for this x; no tanh runs here. The product runs in _EXP_BLOCK-element
+    blocks, as gelu's does.
     """
     x = _check_dtype(x)
-    if t is None:
-        t = _inner_tanh(x)
-    elif t.shape != x.shape or t.dtype != x.dtype:
+    if t.shape != x.shape or t.dtype != x.dtype:
         raise ValueError("t must match x in shape and dtype")
     c0 = x.dtype.type(_GELU_C0)
     c1 = x.dtype.type(_GELU_C1)

@@ -49,14 +49,17 @@ implementation rules:
    values after the block runs; ``_attention`` reads only the first
    ``cache.length`` rows; a one-token extension is a decoding step),
    ``hypothesis_taps`` with ``last_only`` in the tapped block, and the
-   training pass in :mod:`ciphermind.trainer` with ``need_aux``. Of the MLP,
-   the training pass saves the GELU input u and the tanh ``detmath.gelu``
-   computed for it, t, not the GELU output g: the backward pass takes t
-   for the GELU derivative and rebuilds g from u and t with gelu's own
-   operations when it needs g. The first three never call one another, so
-   a wrapper around one sees only its own calls. Each runs on the calling
-   thread alone: with the padding gone from a hypothesis batch, splitting
-   it over worker threads ran no faster on 2 CPUs.
+   training pass in :mod:`ciphermind.trainer` with ``need_aux``. Of the
+   attention, the training pass saves the unpadded arrays ``_attention``
+   computes on every call; the backward pass pads them to the shapes of its
+   own GEMMs, which only :mod:`ciphermind.trainer` knows. Of the MLP, it
+   saves the GELU input u and the tanh ``detmath.gelu`` computed for it, t,
+   not the GELU output g: the backward pass takes t for the GELU derivative
+   and rebuilds g from u and t with gelu's own operations when it needs g.
+   The first three never call one another, so a wrapper around one sees
+   only its own calls. Each runs on the calling thread alone: with the
+   padding gone from a hypothesis batch, splitting it over worker threads
+   ran no faster on 2 CPUs.
 
 Elementwise transcendentals come from :mod:`ciphermind.detmath`; add, mul,
 div and sqrt are IEEE-exact and need no pinning.
@@ -384,13 +387,13 @@ class KVCache:
     concurrent decode streams.
     """
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
+    def __init__(self, config: ModelConfig):
         self.config = config
         self.length = 0
         self.read_only = False
-        self._k = [np.zeros((config.max_seq, config.d_model), dtype=dtype)
+        self._k = [np.zeros((config.max_seq, config.d_model), dtype=F32)
                    for _ in range(config.n_blocks)]
-        self._v = [np.zeros((config.max_seq, config.d_model), dtype=dtype)
+        self._v = [np.zeros((config.max_seq, config.d_model), dtype=F32)
                    for _ in range(config.n_blocks)]
 
     def prefix(self, n: int) -> "KVCache":
@@ -464,20 +467,17 @@ def _own_key_scores(qh, kh, out) -> None:
         out[b0:b1] = diag.reshape(n * c, H, S, Sk)[:b1 - b0]
 
 
-def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
+def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     """Segmented causal attention (rules 1 and 2 of the module docstring).
 
     q: (B, S, d) queries; k_new, v_new: (B, Sk, d) each item's own keys and
     values; k_pref/v_pref: (P, d) prefix shared by the whole batch (may be
     empty). Query row i sits at absolute position base + i and attends keys
-    0 .. base + i. Returns (merged, aux) with merged (B, S, d).
-
-    With need_aux (training passes, which have no prefix), aux = (e, den,
-    qf, kf, vf, s_pad, t_pad) for the backward pass, s_pad = max(S, M_MIN):
-    e (B*H, s_pad, t_pad) holds exp(score - rowmax) on live entries and
-    exact zeros elsewhere, den (B*H, s_pad, 1) its row sums (1 in padded
-    query rows), and qf/kf/vf the scaled, padded per-head Q, K and V.
-    Otherwise aux is None.
+    0 .. base + i. Returns (merged, (ex, den, qh, kh, vh)) with merged
+    (B, S, d) and the arrays it was computed from, unpadded: ex (B, H, S, T)
+    holds exp(score - rowmax), exactly zero on masked keys, den (B, H, S, 1)
+    its row sums, and qh, kh, vh the per-head Q (scaled by 1/sqrt(hd)), K
+    and V of the batch's own positions, (B, H, S or Sk, hd).
     """
     dtype = q.dtype
     B, S, d = q.shape
@@ -485,9 +485,6 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
     H, hd = cfg.n_heads, cfg.head_dim
     P = k_pref.shape[0]
     T = P + Sk
-    if need_aux and P:
-        raise ModelError("a training pass takes no cache prefix")
-    BH = B * H
     t_pad = _round_up(T, KEY_SEG)
     qh = _split_heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd))), H)
     live = np.empty((B, H, S, T), dtype=dtype)
@@ -511,7 +508,7 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
     # Mask, row max and exp over the live region only: real query rows and
     # keys below T. Padded rows and keys from T on enter the AV GEMMs as
     # exact zeros.
-    live = live.reshape(BH, S, T)
+    live = live.reshape(B * H, S, T)
     blocked = np.arange(T)[None, :] > (base + np.arange(S))[:, None]
     live[:, blocked] = dtype.type(MASK_FILL)
     ex = detmath.exp(live - np.max(live, axis=-1, keepdims=True)).reshape(B, H, S, T)
@@ -546,21 +543,7 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux=False):
         attn[items] = acc[:n, :, :S, :hd] / den[items]
 
     merged = np.ascontiguousarray(attn.transpose(0, 2, 1, 3)).reshape(B, S, d)
-    aux = None
-    if need_aux:
-        s_pad = max(S, M_MIN)
-        e = np.zeros((BH, s_pad, t_pad), dtype=dtype)
-        e[:, :S, :T] = ex.reshape(BH, S, T)
-        den_aux = np.ones((BH, s_pad, 1), dtype=dtype)  # padded rows: 0 / 1, never 0 / 0
-        den_aux[:, :S] = den.reshape(BH, S, 1)
-        q_aux = np.zeros((BH, s_pad, hd), dtype=dtype)
-        q_aux[:, :S] = qh.reshape(BH, S, hd)
-        k_aux = np.zeros((BH, t_pad, hd), dtype=dtype)
-        k_aux[:, :Sk] = kh.reshape(BH, Sk, hd)
-        v_aux = np.zeros((BH, t_pad, hd), dtype=dtype)
-        v_aux[:, :Sk] = vh.reshape(BH, Sk, hd)
-        aux = (e, den_aux, q_aux, k_aux, v_aux, s_pad, t_pad)
-    return merged, aux
+    return merged, (ex, den, qh, kh, vh)
 
 
 def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
@@ -588,7 +571,9 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     positions' keys and values, for the caller's cache. With last_only only
     the last position's query runs and x comes back (B, 1, d): the tapped
     block of hypothesis_taps. With need_aux (training) saved holds what
-    trainer.loss_and_grads needs for the backward pass; otherwise None.
+    trainer.loss_and_grads needs for the backward pass: the layer norms'
+    intermediates, _attention's unpadded arrays ("att") and output, and the
+    GELU input u with its tanh t; otherwise None.
     """
     B, S, d = x.shape
     a, xn1, inv1 = _layer_norm(x, bp.g1, bp.b1, cfg.ln_epsilon)
@@ -602,7 +587,9 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     else:
         q = _mm(a2, bp.wq).reshape(B, S, d)
     n = B * q.shape[1]
-    attn, aux = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg, need_aux)
+    attn, att = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
+    if not need_aux:
+        att = None  # freed now, not held through the MLP
     x = x + _mm(attn.reshape(n, d), bp.wo).reshape(x.shape)
     f, xn2, inv2 = _layer_norm(x, bp.g2, bp.b2, cfg.ln_epsilon)
     u = _mm(f.reshape(n, d), bp.w1)
@@ -613,7 +600,7 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     x = x + _mm(g, bp.w2).reshape(x.shape)
     saved = None
     if need_aux:
-        saved = {"xn1": xn1, "inv1": inv1, "a": a, "att": aux, "attn_merged": attn,
+        saved = {"xn1": xn1, "inv1": inv1, "a": a, "att": att, "attn_merged": attn,
                  "xn2": xn2, "inv2": inv2, "u": u, "t": t}
     return x, k_new, v_new, saved
 

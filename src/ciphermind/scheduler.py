@@ -12,8 +12,6 @@ whole artifact has exactly one PRF primitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -66,33 +64,23 @@ class Stream:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass
-class ChainState:
-    """64-bit scheduler state plus the count of tokens chained so far."""
-
-    s: int
-    t: int = 0
-
-
-def init_chain(key_bytes: bytes, nonce: int, message_seq: int) -> ChainState:
-    """Derive the chain IV from the session key, nonce and message number."""
+def init_chain(key_bytes: bytes, nonce: int, message_seq: int) -> int:
+    """The chain's 64-bit IV, from the session key, nonce and message number."""
     if len(key_bytes) != 16:
         raise ValueError("session key must be 16 bytes")
     key_low = int.from_bytes(key_bytes[0:8], "little")
     key_high = int.from_bytes(key_bytes[8:16], "little")
-    s0 = mix64(key_low ^ key_high ^ (nonce & MASK64) ^ ((message_seq * GOLDEN) & MASK64))
-    return ChainState(s=s0, t=0)
+    return mix64(key_low ^ key_high ^ (nonce & MASK64) ^ ((message_seq * GOLDEN) & MASK64))
 
 
-def advance(state: ChainState, token_id: int, vocab_size: int = 260) -> ChainState:
-    """Chain one transmitted token into the state."""
+def advance(state: int, token_id: int, vocab_size: int = 260) -> int:
+    """Chain one transmitted token into the 64-bit state."""
     if not 0 <= token_id < vocab_size:
         raise ValueError(f"token id {token_id} out of range [0, {vocab_size})")
-    s_next = mix64(state.s ^ (((token_id + 1) * GOLDEN) & MASK64))
-    return ChainState(s=s_next, t=state.t + 1)
+    return mix64(state ^ (((token_id + 1) * GOLDEN) & MASK64))
 
 
-def layer_of(state: ChainState, n_blocks: int) -> int:
+def layer_of(state: int, n_blocks: int) -> int:
     """Tapped block for the next frame: uniform over 1..n_blocks-1.
 
     The final block is never tapped; its output is one head multiplication
@@ -100,4 +88,4 @@ def layer_of(state: ChainState, n_blocks: int) -> int:
     """
     if n_blocks < 2:
         raise ValueError("need at least 2 blocks to schedule a middle layer")
-    return 1 + (state.s % (n_blocks - 1))
+    return 1 + (state % (n_blocks - 1))

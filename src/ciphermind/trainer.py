@@ -159,14 +159,12 @@ def _curriculum_length(stream: Stream) -> int:
     return 33 + stream.next_below(32)
 
 
-def make_pretrain_corpus(seed: int, n_examples: int,
-                         repeat_fraction: float = 0.9) -> list:
-    """Public pretraining corpus: mostly repeat-task, some plain sentences."""
+def make_pretrain_corpus(seed: int, n_examples: int) -> list:
+    """Public pretraining corpus: 90 % repeat-task, the rest plain sentences."""
     stream = Stream(mix64(seed ^ 0x707265747261696E))  # "pretrain"
     out = []
-    cut = int(repeat_fraction * 1000)
     for _ in range(n_examples):
-        if stream.next_below(1000) < cut:
+        if stream.next_below(1000) < 900:
             out.append(repeat_example(stream, _curriculum_length(stream)))
         else:
             out.append(sentence_example(stream))
@@ -221,18 +219,43 @@ def _ln_param_grads(dy, xn):
     return np.sum(dy * xn, axis=axes), np.sum(dy, axis=axes)
 
 
-def _attention_backward(dmerged, aux, B, S, cfg, keys=True):
-    """(dq, dk, dv) of the attention's projected inputs; dk is None unless
-    keys."""
-    e, den, qf, kf, vf, s_pad, t_pad = aux
-    H, hd = cfg.n_heads, cfg.head_dim
-    d = cfg.d_model
-    dtype = dmerged.dtype
-    p = e / den  # zero in padded rows, where dA is zero too
+def _attention_pads(B, S, cfg, dtype):
+    """Zeroed buffers (p, dA, qf, kf, vf) for _attention_backward over B
+    items of S positions, padded to s_pad = max(S, M_MIN) query rows and
+    t_pad = S rounded up to a KEY_SEG multiple keys: the shapes of the
+    forward's per-segment attention. The pinned gradient bits, and with them
+    every twin's adapters, were taken at these shapes; numpy's batched
+    matmul may pick another kernel, and round otherwise, at other shapes.
 
-    dA = np.zeros((B * H, s_pad, hd), dtype=dtype)
+    Each block writes only the live region, so the padding stays zero and
+    one set serves every block. Allocating them per block instead pages
+    them in afresh each time: measured at about twice the page faults and
+    system time of a provision at ModelConfig().
+    """
+    BH, hd = B * cfg.n_heads, cfg.head_dim
+    s_pad, t_pad = max(S, M.M_MIN), M._round_up(S, M.KEY_SEG)
+    return (np.zeros((BH, s_pad, t_pad), dtype),
+            *(np.zeros((BH, n, hd), dtype) for n in (s_pad, s_pad, t_pad, t_pad)))
+
+
+def _attention_backward(dmerged, att, pads, cfg, keys=True):
+    """(dq, dk, dv) of the attention's projected inputs for dmerged (B, S, d),
+    from the unpadded arrays _attention returned for that training pass,
+    run on the _attention_pads buffers; dk is None unless keys. The padded
+    rows and keys are exact zeros, so they add nothing.
+    """
+    ex, den, qh, kh, vh = att
+    p, dA, qf, kf, vf = pads
+    B, S, d = dmerged.shape
+    H, hd = cfg.n_heads, cfg.head_dim
+    dtype = dmerged.dtype
+    BH = B * H
+    np.divide(ex.reshape(BH, S, S), den.reshape(BH, S, 1), out=p[:, :S, :S])
     dA[:, :S] = np.ascontiguousarray(
-        dmerged.reshape(B, S, H, hd).transpose(0, 2, 1, 3)).reshape(B * H, S, hd)
+        dmerged.reshape(B, S, H, hd).transpose(0, 2, 1, 3)).reshape(BH, S, hd)
+    qf[:, :S] = qh.reshape(BH, S, hd)
+    kf[:, :S] = kh.reshape(BH, S, hd)
+    vf[:, :S] = vh.reshape(BH, S, hd)
 
     dp = np.matmul(dA, vf.transpose(0, 2, 1))
     dv = np.matmul(p.transpose(0, 2, 1), dA)
@@ -268,19 +291,21 @@ def _cross_entropy(logits: np.ndarray, tokens: np.ndarray, mask: np.ndarray):
 
     Returns (nll, dlg): nll the float64 sum of -log p(target) over the
     positions mask (B, T-1) selects, dlg (B, T-1, V) the softmax minus the
-    one-hot target, the gradient of each position's -log p(target).
+    one-hot target, the gradient of each position's -log p(target). dlg
+    feeds the weights and is pinned; nll is only reported, so it takes
+    numpy's float64 log of the softmax denominators.
     """
     lg = logits[:, :-1]
     if not np.all(np.isfinite(lg)):
         raise NonFiniteLoss("non-finite logits")
     targets = tokens[:, 1:]
-    mx = lg.max(-1, keepdims=True)
-    e = detmath.exp(lg - mx)
+    z = lg - lg.max(-1, keepdims=True)
+    e = detmath.exp(z)
     den = e.sum(-1, keepdims=True)
     rows = np.arange(lg.shape[0])[:, None]
     cols = np.arange(lg.shape[1])[None, :]
-    logp_t = (lg - mx - detmath.log(den))[rows, cols, targets]
-    nll = float(-(logp_t.astype(np.float64) * mask).sum())
+    logp_t = z[rows, cols, targets].astype(np.float64) - np.log(den[..., 0].astype(np.float64))
+    nll = float(-(logp_t * mask).sum())
     dlg = e / den
     dlg[rows, cols, targets] -= lg.dtype.type(1.0)
     return nll, dlg
@@ -320,6 +345,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     dx = _ln_backward(dxf, xnf, invf, params.gf)
 
     gblocks = []
+    pads = _attention_pads(B, T, cfg, dtype)
     for bi in range(cfg.n_blocks - 1, -1, -1):
         st = saved[bi]
         bp = params.blocks[bi]
@@ -344,7 +370,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
         dmerged = (dxm2 @ bp.wo.T).reshape(B, T, d)
         ln1_wanted = "g1" in want or "b1" in want
         need_da = dx_below or ln1_wanted
-        dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], B, T, cfg,
+        dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], pads, cfg,
                                                keys=need_da or "wk" in want)
         a2 = st["a"].reshape(-1, d)
         for name, dm in (("wq", dq_m), ("wk", dk_m), ("wv", dv_m)):

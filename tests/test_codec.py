@@ -263,6 +263,25 @@ def test_both_ends_reject_a_one_block_config():
         C.decode_message_incremental(params1, one, KEY, NONCE, 0, [frame], CP)
 
 
+@pytest.mark.parametrize("field, value", [("vocab_size", 100), ("max_seq", 8), ("max_seq", 10)])
+def test_both_ends_reject_a_config_the_frames_do_not_fit(field, value):
+    # without the check the template's ids, or the empty message's END frame
+    # (template, <eos>, <sep>: 11 positions), fail inside the model instead
+    bad = dataclasses.replace(CFG, **{field: value})
+    params_bad = M.init_parameters(bad, seed=3)
+    with pytest.raises(C.CodecError, match=f"{field} >= "):
+        C.encode_message_incremental(params_bad, bad, KEY, NONCE, 0, b"")
+    frame = C.TokenFrame(seq=0, payload=np.ones(bad.d_model, dtype=np.float32), is_final=True)
+    with pytest.raises(C.CodecError, match=f"{field} >= "):
+        C.decode_message_incremental(params_bad, bad, KEY, NONCE, 0, [frame], CP)
+
+
+def test_the_empty_message_fits_the_smallest_max_seq(params):
+    small = dataclasses.replace(CFG, max_seq=len(C.frame_context([C.EOS])))
+    frames = C.encode_message_incremental(params, small, KEY, NONCE, 0, b"")
+    assert C.decode_message_incremental(params, small, KEY, NONCE, 0, frames, CP) == b""
+
+
 def test_nan_score_and_margin_fail_the_gates(params, monkeypatch):
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 12, b"q")
     nan = float("nan")

@@ -240,7 +240,8 @@ def test_forgetting_probe_rejects_empty():
 
 
 def test_trained_corpus_scores_better_than_noise():
-    corpus = T.make_pretrain_corpus(11, 150, repeat_fraction=0.0)
+    sentences = Stream(11)
+    corpus = [T.sentence_example(sentences) for _ in range(150)]
     tc = T.TrainConfig(seed=11, steps=80, learning_rate=0.5, batch_size=8,
                        max_example_len=96)
     params = T.pretrain_base(corpus, CFG_TINY, tc)

@@ -401,6 +401,15 @@ def test_session_rejects_a_one_block_config(profile):
                   profile=profile, key=KEY)
 
 
+@pytest.mark.parametrize("field, value", [("vocab_size", 100), ("max_seq", 8)])
+def test_session_rejects_a_config_the_frames_do_not_fit(profile, field, value):
+    bad = dataclasses.replace(CFG, **{field: value})
+    a, _ = W.loopback_pair()
+    with pytest.raises(codec.CodecError, match=f"{field} >= "):
+        W.Session(a, params=M.init_parameters(bad, seed=3), config=bad,
+                  profile=profile, key=KEY)
+
+
 def test_non_finite_frame_gets_error_reply(params, profile):
     one_inf = np.ones(CFG.d_model, dtype=np.float32)
     one_inf[0] = np.inf
