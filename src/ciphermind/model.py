@@ -8,40 +8,41 @@ implementation rules:
    are zero-padded). The BLAS picks different microkernels for very small
    row counts, and those kernels reduce in a different order; at >= M_MIN
    rows an output row's bits depend only on that row's content and the
-   other operand. That is what lets attention stack the query rows of all
-   batch items into one GEMM per head and key segment against the prefix
-   keys the batch shares, instead of padding each item's rows and copying
-   the prefix into every item. Column counts are fixed by the architecture
-   except in attention, where they follow the sequence: the score GEMMs
-   against an item's own keys zero-pad those keys to a multiple of M_MIN
-   and to at least 2 * M_MIN, and V is zero-padded to a multiple of M_MIN
-   columns. Measured on OpenBLAS 0.3.31: at M_MIN rows by M_MIN columns a
-   score GEMM that reduces over 32 or more terms takes a kernel with other
-   bits, an AV GEMM whose N is not a multiple of 16 loses row-independent
-   bits, and an N of 1 turns a GEMM into a GEMV. Within these limits a
-   score's bits depend neither on N nor on its column, so the own-key score
-   GEMMs stack c = max(1, 2 * M_MIN // max(S, Sk)) items of S query rows
-   and Sk keys, capped at the batch size, into one GEMM per head and keep
-   its diagonal blocks. c = 1 is one GEMM per item: a cache extension (one
-   item) and a training pass over more than M_MIN positions run that.
+   other operand. Column counts are fixed by the architecture except in
+   attention, where they follow the sequence: a score GEMM zero-pads its
+   keys to a multiple of M_MIN and to at least 2 * M_MIN columns, and V is
+   zero-padded to a multiple of M_MIN columns. Measured on OpenBLAS 0.3.31:
+   at M_MIN rows by M_MIN columns a score GEMM that reduces over 32 or more
+   terms takes a kernel with other bits, an AV GEMM whose N is not a
+   multiple of 16 loses row-independent bits, and an N of 1 turns a GEMM
+   into a GEMV. Within these limits a score's bits depend neither on N nor
+   on its column, so every score comes from one GEMM form, ``_scores``: per
+   head, a stack of c = max(1, 2 * M_MIN // max(S, Sk)) items of S query
+   rows and Sk own keys, capped at the batch size, against a key buffer
+   that holds the P prefix keys the batch shares, then the c items' own
+   keys. Each item keeps its rows' first P columns and its own diagonal
+   block, so the prefix is never copied into every item. c = 1 is one GEMM
+   per item: a cache extension (one item) and a training pass over more
+   than M_MIN positions (no prefix) run that.
    One exception to the row floor: the per-item AV GEMMs (K = KEY_SEG,
    N = den_col + M_MIN) run at max(S, 2) rows, since at that shape every
    row count from 2 to M_MIN gives the M_MIN-row bits. One row does not
    (a 1-row GEMM is a GEMV), nor do other projections at few rows (w2
    below 16 rows, the head below 31), so ``_mm`` keeps the floor.
 
-2. Attention reduces over keys in fixed ``KEY_SEG``-wide segments combined
-   in ascending order: per item and head, one AV GEMM with K = KEY_SEG per
-   segment, the key axis zero-padded to a segment multiple and masked.
-   ``M_MIN`` ones-columns appended to V make the same GEMM yield the
-   softmax denominators. A position's attention output therefore has
-   identical bits whether it is computed inside a long teacher-forced pass,
-   an incremental step against a KV cache, or a batched hypothesis
-   evaluation. The softmax numerator ``exp`` runs only on live entries
-   (real query rows, keys below the sequence end); masked, padded-row and
-   padded-column entries enter the fixed-shape GEMMs as exact zeros, which
-   is what ``exp`` of a masked score yields anyway, so only the work
-   shrinks, never the shapes.
+2. Attention's AV reduction runs over keys in fixed ``KEY_SEG``-wide
+   segments combined in ascending order: per item and head, one AV GEMM
+   with K = KEY_SEG per segment, the key axis zero-padded to a segment
+   multiple and masked. The scores need no segments, since a score reduces
+   over the head dim, not over keys. ``M_MIN`` ones-columns appended to V
+   make the same GEMM yield the softmax denominators. A position's
+   attention output therefore has identical bits whether it is computed
+   inside a long teacher-forced pass, an incremental step against a KV
+   cache, or a batched hypothesis evaluation. The softmax numerator ``exp``
+   runs only on live entries (real query rows, keys below the sequence
+   end); masked, padded-row and padded-column entries enter the fixed-shape
+   GEMMs as exact zeros, which is what ``exp`` of a masked score yields
+   anyway, so only the work shrinks, never the shapes.
 
 3. Every path is a short loop over one per-block function, ``_block``,
    between ``_embed`` and ``_head``: ``forward_full`` with no prefix,
@@ -89,11 +90,13 @@ M_MIN = 32
 KEY_SEG = 128
 MASK_FILL = -1e30
 
-# Bytes of padded e and V that one chunk of batch items may span in the
-# attention's AV GEMMs, so that they stay in cache from the copy to the GEMM.
+# Bytes of padded arrays that one chunk of batch items may span in each of
+# attention's two GEMM loops, so that they stay in cache from the copy to the
+# GEMM: Q rows, keys and their product in the score GEMMs (_scores), e and V
+# in the AV GEMMs.
 # 512 KiB .. 2 MiB ran alike on a 2-core Xeon (2 MiB L2); without chunks the
 # same hypothesis batches ran 10-35 % slower.
-_AV_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 20
 
 PARAM_MAGIC = b"CMWT"
 PARAM_VERSION = 1
@@ -356,7 +359,7 @@ def positional_table(config: ModelConfig, dtype=np.float32) -> np.ndarray:
 
 
 def _mm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """2-D GEMM with the M_MIN row floor."""
+    """2-D GEMM with the M_MIN row floor: the projections and the head."""
     a = np.ascontiguousarray(a)
     m = a.shape[0]
     if m >= M_MIN:
@@ -432,43 +435,52 @@ def _split_heads(x, n_heads):
     return np.ascontiguousarray(x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3))
 
 
-def _own_key_scores(qh, kh, out) -> None:
-    """Scores of each item's query rows qh (B, H, S, hd) against its own
-    keys kh (B, H, Sk, hd), written into out (B, H, S, Sk): one GEMM per
-    head and stack of c items, whose diagonal blocks are the items' scores
-    (rule 1). Stacks run in chunks whose padded operands span at most
-    _AV_CHUNK_BYTES: operands of a few MiB would be fresh mmap pages,
-    faulted in on every call, whenever glibc's dynamic mmap threshold sits
-    below their size.
+def _scores(qh, kp, kh, out) -> None:
+    """Every attention score (rule 1): each item's query rows qh (B, H, S, hd)
+    against the prefix keys kp (H, P, hd) the batch shares and against its
+    own keys kh (B, H, Sk, hd), written into out (B, H, S, P + Sk). One GEMM
+    per head and stack of c items; a stack's key buffer holds the prefix
+    keys, then the c items' own keys. Each item keeps its rows' first P
+    columns and its own diagonal block. Stacks run in chunks whose padded
+    operands and product span at most _CHUNK_BYTES, in buffers filled in
+    place: arrays of a few MiB, or one fresh product per chunk, would be
+    fresh mmap pages, faulted in on every call, whenever glibc's dynamic
+    mmap threshold sits below their size.
     """
     B, H, S, hd = qh.shape
-    Sk = kh.shape[2]
+    P, Sk = kp.shape[1], kh.shape[2]
     dtype = qh.dtype
     c = min(B, max(1, 2 * M_MIN // max(S, Sk)))
     n_stacks = -(-B // c)
     if n_stacks * c > B:  # the last stack is filled up with zero items
         qh, kh = (np.concatenate([x, np.zeros((n_stacks * c - B, *x.shape[1:]), dtype)])
                   for x in (qh, kh))
-    rows, cols = max(c * S, M_MIN), max(_round_up(c * Sk, M_MIN), 2 * M_MIN)
-    g = min(n_stacks, max(1, _AV_CHUNK_BYTES // (dtype.itemsize * H * (rows + cols) * hd)))
+    rows, cols = max(c * S, M_MIN), max(_round_up(P + c * Sk, M_MIN), 2 * M_MIN)
+    stack_bytes = dtype.itemsize * H * ((rows + cols) * hd + rows * cols)
+    g = min(n_stacks, max(1, _CHUNK_BYTES // stack_bytes))
     q_c = np.zeros((g, H, rows, hd), dtype=dtype)
     k_c = np.zeros((g, H, cols, hd), dtype=dtype)
+    sc_c = np.empty((g, H, rows, cols), dtype=dtype)
+    k_c[:, :, :P] = kp
     # (stack, item, head, row, hd) views of the buffers' live rows
     q_items = q_c[:, :, :c * S].reshape(g, H, c, S, hd).transpose(0, 2, 1, 3, 4)
-    k_items = k_c[:, :, :c * Sk].reshape(g, H, c, Sk, hd).transpose(0, 2, 1, 3, 4)
+    k_items = k_c[:, :, P:P + c * Sk].reshape(g, H, c, Sk, hd).transpose(0, 2, 1, 3, 4)
     for s0 in range(0, n_stacks, g):
         n = min(g, n_stacks - s0)
         b0, b1 = s0 * c, min(B, (s0 + n) * c)
         q_items[:n] = qh[b0:b0 + n * c].reshape(n, c, H, S, hd)
         k_items[:n] = kh[b0:b0 + n * c].reshape(n, c, H, Sk, hd)
-        own = np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2))
-        blocks = own[:, :, :c * S, :c * Sk].reshape(n, H, c, S, c, Sk)
-        diag = np.diagonal(blocks, axis1=2, axis2=4).transpose(0, 4, 1, 2, 3)
-        out[b0:b1] = diag.reshape(n * c, H, S, Sk)[:b1 - b0]
+        sc = np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2), out=sc_c[:n])[:, :, :c * S]
+        sc = sc.reshape(n, H, c, S, cols).transpose(0, 2, 1, 3, 4)  # (stack, item, ...)
+        out[b0:b1, :, :, :P] = sc[..., :P].reshape(n * c, H, S, P)[:b1 - b0]
+        own = sc[..., P:P + c * Sk].reshape(n, c, H, S, c, Sk)
+        diag = np.diagonal(own, axis1=1, axis2=4).transpose(0, 4, 1, 2, 3)
+        out[b0:b1, :, :, P:] = diag.reshape(n * c, H, S, Sk)[:b1 - b0]
 
 
 def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
-    """Segmented causal attention (rules 1 and 2 of the module docstring).
+    """Causal attention (rules 1 and 2 of the module docstring): every score
+    from one _scores call, the AV reduction in KEY_SEG segments.
 
     q: (B, S, d) queries; k_new, v_new: (B, Sk, d) each item's own keys and
     values; k_pref/v_pref: (P, d) prefix shared by the whole batch (may be
@@ -487,23 +499,9 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     T = P + Sk
     t_pad = _round_up(T, KEY_SEG)
     qh = _split_heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd))), H)
-    live = np.empty((B, H, S, T), dtype=dtype)
-
-    # Prefix keys are shared: one GEMM per head and key segment over all B*S
-    # query rows, N = KEY_SEG with the segment zero-padded.
-    if P:
-        kp = np.zeros((H, _round_up(P, KEY_SEG), hd), dtype=dtype)
-        kp[:, :P] = k_pref.reshape(P, H, hd).transpose(1, 0, 2)
-        for h in range(H):
-            q_rows = qh[:, h].reshape(B * S, hd)
-            for lo in range(0, P, KEY_SEG):
-                n = min(P - lo, KEY_SEG)
-                part = _mm(q_rows, kp[h, lo:lo + KEY_SEG].T)
-                live[:, h, :, lo:lo + n] = part[:, :n].reshape(B, S, n)
-
-    # Own keys differ per item: stacked GEMMs, diagonal blocks kept.
     kh = _split_heads(k_new, H)
-    _own_key_scores(qh, kh, live[:, :, :, P:])
+    live = np.empty((B, H, S, T), dtype=dtype)
+    _scores(qh, k_pref.reshape(P, H, hd).transpose(1, 0, 2), kh, live)
 
     # Mask, row max and exp over the live region only: real query rows and
     # keys below T. Padded rows and keys from T on enter the AV GEMMs as
@@ -522,7 +520,7 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     den_col = _round_up(hd, M_MIN)
     av_rows = max(S, 2)
     item_bytes = dtype.itemsize * H * t_pad * (av_rows + den_col + M_MIN)
-    g = min(B, max(1, _AV_CHUNK_BYTES // item_bytes))
+    g = min(B, max(1, _CHUNK_BYTES // item_bytes))
     e_c = np.zeros((g, H, av_rows, t_pad), dtype=dtype)
     v_c = np.zeros((g, H, t_pad, den_col + M_MIN), dtype=dtype)
     v_c[:, :, :P, :hd] = v_pref.reshape(P, H, hd).transpose(1, 0, 2)

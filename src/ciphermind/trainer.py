@@ -511,8 +511,7 @@ def _merged(base: M.ParameterSet, factors) -> M.ParameterSet:
     return dataclasses.replace(base, blocks=blocks)
 
 
-def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
-             loss_log=None) -> AdapterSet:
+def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig) -> AdapterSet:
     """Train only the adapter factors, on the shards' examples and nothing
     else, taken in the order given (provisioning passes the key's shards in
     ascending id); the SGD driver's seeded shuffle orders the batches."""
@@ -536,7 +535,7 @@ def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig,
                 block[name] = (a - lr * (dw @ b.T), b - lr * (a.T @ dw))
 
     _run_sgd(cfg, prepared, tconfig, apply_update,
-             lambda: _merged(base, factors), loss_log, wrt=ADAPTED_FIELDS)
+             lambda: _merged(base, factors), wrt=ADAPTED_FIELDS)
     return adapters
 
 

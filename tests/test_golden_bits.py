@@ -85,21 +85,27 @@ def _float32_sweep() -> np.ndarray:
     return np.concatenate([bits.view(np.float32), edges])
 
 
+def _forward_full_digest(cfg, params):
+    return _digest(*M.forward_full(params, cfg, _tokens(1, 220)))
+
+
+def _extend_cache_and_step_digest(cfg, params):
+    toks = _tokens(2, 140)
+    cache = M.KVCache(cfg)
+    hid, logits = M.extend_cache(params, cfg, cache, toks[:125])
+    parts = [hid, logits]
+    for tok in toks[125:]:  # one-token steps cross into the second key segment
+        hid_t, logits_t = M.extend_cache(params, cfg, cache, [int(tok)])
+        parts += [hid_t[:, 0], logits_t[0]]
+    return _digest(*parts)
+
+
 def test_forward_full_two_segments():
-    hid, logits = M.forward_full(_params(), CFG, _tokens(1, 220))
-    assert _digest(hid, logits) == GOLDEN["forward_full"]
+    assert _forward_full_digest(CFG, _params()) == GOLDEN["forward_full"]
 
 
 def test_extend_cache_and_forward_step():
-    params = _params()
-    toks = _tokens(2, 140)
-    cache = M.KVCache(CFG)
-    hid, logits = M.extend_cache(params, CFG, cache, toks[:125])
-    parts = [hid, logits]
-    for tok in toks[125:]:  # one-token steps cross into the second key segment
-        hid_t, logits_t = M.extend_cache(params, CFG, cache, [int(tok)])
-        parts += [hid_t[:, 0], logits_t[0]]
-    assert _digest(*parts) == GOLDEN["extend_cache_and_step"]
+    assert _extend_cache_and_step_digest(CFG, _params()) == GOLDEN["extend_cache_and_step"]
 
 
 def test_hypothesis_taps_every_layer_across_segments():
@@ -110,6 +116,50 @@ def test_hypothesis_taps_every_layer_across_segments():
     taps = [M.hypothesis_taps(params, CFG, cache, suffixes, layer)
             for layer in range(1, CFG.n_blocks + 1)]
     assert _digest(*taps) == GOLDEN["hypothesis_taps"]
+
+
+# The shipped head dim: at 32 terms the score GEMMs' kernel switch of model
+# rule 1 applies, which head dim 16 never reaches. These pins were taken from
+# the engine that still scored the shared prefix in its own per-KEY_SEG GEMMs.
+CFG_HEAD_DIM_32 = M.ModelConfig(n_blocks=2, d_model=128, n_heads=4, d_ff=256,
+                                vocab_size=260, max_seq=288)
+
+GOLDEN_HEAD_DIM_32 = {
+    "forward_full":
+        "e9f8b145809737bbb0b38fcc318613dd4341facab148ab3febeecff09563e6a8",
+    "extend_cache_and_step":
+        "260cb31178d41c23bf1dda35a10df8e81983c5c0477b2e1ad823859d4f31c71a",
+    # a frame's (257, 2) hypotheses and the encoder's (1, 2) tap, at every
+    # layer, against a 41-position prefix and a 130-position one that
+    # crosses KEY_SEG
+    "hypothesis_taps":
+        "c311ebaf75a06d02c36141897cbc350f3e245aceb94703793a07df77cfd6d365",
+}
+
+
+def _params_head_dim_32():
+    return M.init_parameters(CFG_HEAD_DIM_32, seed=2507)
+
+
+def test_forward_full_head_dim_32():
+    digest = _forward_full_digest(CFG_HEAD_DIM_32, _params_head_dim_32())
+    assert digest == GOLDEN_HEAD_DIM_32["forward_full"]
+
+
+def test_extend_cache_and_forward_step_head_dim_32():
+    digest = _extend_cache_and_step_digest(CFG_HEAD_DIM_32, _params_head_dim_32())
+    assert digest == GOLDEN_HEAD_DIM_32["extend_cache_and_step"]
+
+
+def test_hypothesis_taps_frame_batches_head_dim_32():
+    cfg, params = CFG_HEAD_DIM_32, _params_head_dim_32()
+    cache = M.KVCache(cfg)
+    M.extend_cache(params, cfg, cache, _tokens(8, 130))
+    taps = [M.hypothesis_taps(params, cfg, cache.prefix(n), _tokens(seed, (batch, 2)), layer)
+            for n in (41, 130)
+            for seed, batch in ((9, 257), (10, 1))
+            for layer in range(1, cfg.n_blocks + 1)]
+    assert _digest(*taps) == GOLDEN_HEAD_DIM_32["hypothesis_taps"]
 
 
 def _loss_batches():

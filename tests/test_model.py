@@ -248,8 +248,7 @@ CFG_HEAD_DIM_32 = M.ModelConfig(n_blocks=2, d_model=128, n_heads=4, d_ff=256,
     (120, (33,)),  # positions 120..152 cross KEY_SEG
 ])
 def test_hypothesis_taps_match_full_pass_bitwise_head_dim_32(prefix_len, s_lens):
-    # a batch of 2 * M_MIN fills the shared-prefix GEMMs past M_MIN rows
-    # and the own-key score GEMMs with several stacks of items
+    # a batch of 2 * M_MIN fills the score GEMMs with several stacks of items
     _assert_taps_match_full_pass(CFG_HEAD_DIM_32, 8, prefix_len, s_lens,
                                  batch=2 * M.M_MIN)
 
@@ -273,17 +272,44 @@ def _per_item_own_key_scores(qh, kh):
     return out
 
 
+def _per_segment_prefix_scores(qh, kp):
+    """One GEMM per head and KEY_SEG segment of the shared prefix keys kp
+    (H, P, hd) over all B * S query rows, zero-padded to M_MIN rows and the
+    segment to KEY_SEG columns."""
+    B, H, S, hd = qh.shape
+    P = kp.shape[1]
+    q = np.zeros((max(B * S, M.M_MIN), hd), dtype=np.float32)
+    k = np.zeros((M.KEY_SEG, hd), dtype=np.float32)
+    out = np.empty((B, H, S, P), dtype=np.float32)
+    for h in range(H):
+        q[:B * S] = qh[:, h].reshape(B * S, hd)
+        for lo in range(0, P, M.KEY_SEG):
+            n = min(P - lo, M.KEY_SEG)
+            k[:] = 0.0
+            k[:n] = kp[h, lo:lo + n]
+            out[:, h, :, lo:lo + n] = (q @ k.T)[:B * S, :n].reshape(B, S, n)
+    return out
+
+
 @pytest.mark.parametrize("head_dim", [16, 32])
 @pytest.mark.parametrize("s_rows", [1, 2])  # the tapped block's query row; a frame step's two
-@pytest.mark.parametrize("B", [3, 257])  # one stack short of M_MIN rows; a frame's hypotheses
+# an encoder tap; one stack short of M_MIN rows; a frame's hypotheses
+@pytest.mark.parametrize("B", [1, 3, 257])
 def test_stacked_own_key_scores_equal_per_item_gemms(head_dim, s_rows, B):
+    # _scores puts the shared prefix keys in front of each stack's own keys;
+    # its bits must equal the two GEMM forms it replaced, at no prefix, one
+    # below M_MIN, one below KEY_SEG and one that crosses KEY_SEG
     rng = np.random.default_rng(head_dim + s_rows + B)
     H, Sk = 4, 2
     qh = rng.standard_normal((B, H, s_rows, head_dim)).astype(np.float32)
     kh = rng.standard_normal((B, H, Sk, head_dim)).astype(np.float32)
-    out = np.empty((B, H, s_rows, Sk), dtype=np.float32)
-    M._own_key_scores(qh, kh, out)
-    assert (_bits(out) == _bits(_per_item_own_key_scores(qh, kh))).all()
+    for P in (0, 9, 41, 130):
+        kp = rng.standard_normal((H, P, head_dim)).astype(np.float32)
+        out = np.empty((B, H, s_rows, P + Sk), dtype=np.float32)
+        M._scores(qh, kp, kh, out)
+        want = np.concatenate([_per_segment_prefix_scores(qh, kp),
+                               _per_item_own_key_scores(qh, kh)], axis=-1)
+        assert (_bits(out) == _bits(want)).all(), P
 
 
 @pytest.mark.parametrize("head_dim", [16, 32, 64])

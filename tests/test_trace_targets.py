@@ -43,10 +43,12 @@ def _workload_uses():
 
 
 def test_every_ciphermind_name_the_workloads_use_resolves():
-    # tier-1 does not run perfbench/tests: the workloads call init_parameters,
-    # generate_registry, provision, Session, the stream constructors and the
-    # scheduler directly, and a refactor that renames one or changes its
-    # parameters should fail here
+    # tier-1 also runs perfbench/tests, which drive whole conversations, but
+    # only at a tiny config with a zero-step fine-tune: the workloads call
+    # init_parameters, generate_registry, provision, Session, the stream
+    # constructors and the scheduler directly, and a refactor that renames
+    # one or changes its parameters should fail here, by name, at every call
+    # site, whichever ones those tiny runs reach
     uses = _workload_uses()
     assert {"init_parameters", "provision", "Session", "layer_of"} <= {a for _, a, _ in uses}
     broken = []
