@@ -18,9 +18,11 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer. Bijective on 64-bit integers; mix64(0) == 0."""
-    z &= MASK64
+def mix64(z):
+    """SplitMix64 finalizer of a Python int, or of each element of a uint64
+    array (whose products wrap as the masks do). Bijective on 64-bit
+    integers; mix64(0) == 0."""
+    z = z & MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & MASK64
     z ^= z >> 27
@@ -44,12 +46,7 @@ class Stream:
         vectorized draw, leaving the stream in the same state."""
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
         self._state = (self._state + n * GOLDEN) & MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
+        return mix64(z)
 
     def next_below(self, n: int) -> int:
         """Uniform-ish draw in [0, n). Modulo bias < n/2**64, accepted."""

@@ -1,4 +1,4 @@
-"""Bit-exact wire protocol, session handshake, and byte-stream transports.
+"""Bit-exact wire protocol, session handshake, and the byte stream under them.
 
 Wire layout (little-endian):
 
@@ -10,6 +10,13 @@ chained scheduler state, which is the point of the scheme.
 
 Legal message order per session: HELLO -> HELLO_ACK -> FRAME* -> FIN, with
 ERROR terminal anywhere.
+
+Both link kinds, a TCP connection (tcp_connect, tcp_listen_once) and an
+in-process pair (loopback_pair, a kernel socket pair), carry the bytes in
+one SocketStream. Its one timeout rule: recv_exact(n, timeout) raises
+TransportTimeout once timeout seconds have passed over the whole read, and
+a send raises TransportTimeout once the last read's timeout has passed with
+the peer not taking the bytes. The kernel bounds what a pair buffers.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import secrets
 import socket
 import struct
 import threading
+import time
 import zlib
 from dataclasses import dataclass
 
@@ -190,73 +198,46 @@ def unpack_error(body: bytes):
 
 # --------------------------------------------------------------- transports
 
-class LoopbackEndpoint:
-    """In-process duplex byte stream (one half of a pair)."""
+class SocketStream:
+    """One end of a duplex byte stream over a kernel socket: a TCP
+    connection or one end of an in-process socket pair."""
 
-    def __init__(self):
-        self._buf = bytearray()
-        self._cond = threading.Condition()
-        self._closed = False
-        self.peer: "LoopbackEndpoint" = None
-
-    def send_bytes(self, data: bytes) -> None:
-        with self.peer._cond:
-            if self.peer._closed:
-                raise TransportError("peer closed")
-            self.peer._buf.extend(data)
-            self.peer._cond.notify_all()
-
-    def recv_exact(self, n: int, timeout: float = DEFAULT_TIMEOUT) -> bytes:
-        with self._cond:
-            ok = self._cond.wait_for(lambda: len(self._buf) >= n or self._closed,
-                                     timeout=timeout)
-            if not ok:
-                raise TransportTimeout(f"timed out waiting for {n} bytes")
-            if len(self._buf) < n:
-                raise TransportError("stream closed")
-            out = bytes(self._buf[:n])
-            del self._buf[:n]
-            return out
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        if self.peer is not None:
-            with self.peer._cond:
-                self.peer._closed = True
-                self.peer._cond.notify_all()
-
-
-def loopback_pair():
-    a, b = LoopbackEndpoint(), LoopbackEndpoint()
-    a.peer, b.peer = b, a
-    return a, b
-
-
-class TcpStream:
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        self._timeout = DEFAULT_TIMEOUT  # a send's limit: the last read's timeout
 
     def send_bytes(self, data: bytes) -> None:
+        """Writes all of data, or raises TransportTimeout once the timeout of
+        the last read (DEFAULT_TIMEOUT before any read) has passed."""
         try:
+            self.sock.settimeout(self._timeout)
             self.sock.sendall(data)
+        except socket.timeout as e:
+            raise TransportTimeout(f"send of {len(data)} bytes timed out") from e
         except OSError as e:
             raise TransportError(f"send failed: {e}") from e
 
     def recv_exact(self, n: int, timeout: float = DEFAULT_TIMEOUT) -> bytes:
-        self.sock.settimeout(timeout)
+        """Reads exactly n bytes, or raises TransportTimeout once timeout
+        seconds have passed over the whole read, however the bytes trickle
+        in."""
+        self._timeout = timeout
+        deadline = time.monotonic() + timeout
         buf = bytearray()
-        while len(buf) < n:
-            try:
+        try:
+            while len(buf) < n:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TransportTimeout(f"timed out waiting for {n} bytes")
+                self.sock.settimeout(left)
                 chunk = self.sock.recv(n - len(buf))
-            except socket.timeout as e:
-                raise TransportTimeout(str(e)) from e
-            except OSError as e:
-                raise TransportError(f"recv failed: {e}") from e
-            if not chunk:
-                raise TransportError("connection closed")
-            buf.extend(chunk)
+                if not chunk:
+                    raise TransportError("connection closed")
+                buf.extend(chunk)
+        except socket.timeout as e:
+            raise TransportTimeout(f"timed out waiting for {n} bytes") from e
+        except OSError as e:
+            raise TransportError(f"recv failed: {e}") from e
         return bytes(buf)
 
     def close(self) -> None:
@@ -266,17 +247,23 @@ class TcpStream:
             pass
 
 
-def tcp_connect(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> TcpStream:
+def loopback_pair() -> tuple[SocketStream, SocketStream]:
+    """The two ends of an in-process socket pair."""
+    a, b = socket.socketpair()
+    return SocketStream(a), SocketStream(b)
+
+
+def tcp_connect(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketStream:
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as e:
         raise TransportError(f"connect to {host}:{port} failed: {e}") from e
-    return TcpStream(sock)
+    return SocketStream(sock)
 
 
 def tcp_listen_once(host: str, port: int, timeout: float = DEFAULT_TIMEOUT,
                     ready_event: threading.Event | None = None,
-                    bound_port: list | None = None) -> TcpStream:
+                    bound_port: list | None = None) -> SocketStream:
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     try:
@@ -295,7 +282,7 @@ def tcp_listen_once(host: str, port: int, timeout: float = DEFAULT_TIMEOUT,
         srv.close()
         raise TransportError(f"listen on {host}:{port} failed: {e}") from e
     srv.close()
-    return TcpStream(conn)
+    return SocketStream(conn)
 
 
 class TranscriptWriter:

@@ -3,6 +3,7 @@ import json
 import socket
 import struct
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,44 @@ def params():
 def profile():
     return P.TwinProfile(bytes([1]) * 32, bytes([2]) * 32, bytes([3]) * 32,
                          bytes([4]) * 32, P.config_summary(CFG))
+
+
+def _tcp_pair():
+    """Both ends of a TCP connection on 127.0.0.1: (connecting, accepting)."""
+    ready, port, accepted = threading.Event(), [], []
+    t = threading.Thread(target=lambda: accepted.append(W.tcp_listen_once(
+        "127.0.0.1", 0, ready_event=ready, bound_port=port)))
+    t.start()
+    assert ready.wait(5)
+    a = W.tcp_connect("127.0.0.1", port[0])
+    t.join(timeout=5)
+    assert not t.is_alive()
+    return a, accepted[0]
+
+
+_LINKS = {"loopback": W.loopback_pair, "tcp": _tcp_pair}
+
+
+@pytest.fixture
+def open_pair():
+    """Opens stream pairs, a loopback_pair() by default, and closes both
+    ends of each at teardown."""
+    ends = []
+
+    def open_(kind="loopback"):
+        pair = _LINKS[kind]()
+        ends.extend(pair)
+        return pair
+
+    yield open_
+    for end in ends:
+        end.close()
+
+
+@pytest.fixture(params=sorted(_LINKS))
+def link(request, open_pair):
+    """Both ends of each link kind."""
+    return open_pair(request.param)
 
 
 def _session(stream, params, profile, **kw):
@@ -147,10 +186,97 @@ def test_parser_never_crashes_on_fuzz():
             pass
 
 
+# ---------------------------------------------------------- stream contract
+# Every test runs on both link kinds, a loopback_pair() and a TCP connection.
+
+def _fill_until_timeout(stream):
+    """Writes 256 KiB chunks into a stream whose peer never reads until a
+    send times out; returns how long that last send waited."""
+    chunk = bytes(256 * 1024)
+    for _ in range(256):  # 64 MiB: well past any pair's or connection's buffers
+        start = time.monotonic()
+        try:
+            stream.send_bytes(chunk)
+        except W.TransportTimeout:
+            return time.monotonic() - start
+    pytest.fail("64 MiB went into a stream nobody reads")
+
+
+def test_a_trickling_peer_meets_the_read_deadline(link):
+    a, b = link
+    stop = threading.Event()
+
+    def trickle():
+        for _ in range(30):
+            if stop.wait(0.1):
+                return
+            b.send_bytes(b"x")
+
+    t = threading.Thread(target=trickle)
+    t.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(W.TransportTimeout):
+            a.recv_exact(30, timeout=0.3)
+        elapsed = time.monotonic() - start
+    finally:
+        stop.set()
+        t.join(timeout=5)
+    assert not t.is_alive()
+    # 30 bytes trickle in over 3 s; one timeout per recv() would wait them out
+    assert 0.3 <= elapsed < 2.0
+
+
+def test_a_writer_nobody_reads_times_out(link):
+    a, _ = link
+    with pytest.raises(W.TransportTimeout):
+        a.recv_exact(1, timeout=0.2)  # the sends below wait up to 0.2 s
+    assert _fill_until_timeout(a) >= 0.15
+
+
+def test_bytes_sent_before_a_close_are_read_then_the_stream_ends(link):
+    a, b = link
+    b.send_bytes(b"last words")
+    b.close()
+    assert a.recv_exact(4, timeout=5) + a.recv_exact(6, timeout=5) == b"last words"
+    with pytest.raises(W.TransportError) as err:
+        a.recv_exact(1, timeout=5)
+    assert not isinstance(err.value, W.TransportTimeout)
+
+
+def test_a_send_after_the_peer_closed_fails(link):
+    a, b = link
+    b.close()
+    # a TCP peer answers the first send with a reset; the next one fails
+    with pytest.raises(W.TransportError) as err:
+        for _ in range(100):
+            a.send_bytes(b"x")
+            time.sleep(0.01)
+    assert not isinstance(err.value, W.TransportTimeout)
+
+
+def test_a_send_after_a_read_keeps_the_whole_read_timeout(link):
+    a, b = link
+
+    def two_parts():
+        b.send_bytes(b"!")
+        time.sleep(0.05)
+        b.send_bytes(b"?")
+
+    timer = threading.Timer(0.4, two_parts)
+    timer.start()
+    # the read's second recv() has about 0.2 s of the deadline left
+    assert a.recv_exact(2, timeout=0.6) == b"!?"
+    timer.join(timeout=5)
+    assert not timer.is_alive()
+    # the sends wait out the read's whole 0.6 s, not what was left of it
+    assert _fill_until_timeout(a) >= 0.5
+
+
 # --------------------------------------------------------------- handshake
 
-def test_handshake_established_with_equal_nonces(params, profile):
-    a, b = W.loopback_pair()
+def test_handshake_established_with_equal_nonces(open_pair, params, profile):
+    a, b = open_pair()
     s1 = _session(a, params, profile)
     s2 = _session(b, params, profile)
     t = threading.Thread(target=s2.handshake, args=("responder",))
@@ -161,10 +287,10 @@ def test_handshake_established_with_equal_nonces(params, profile):
     assert s1.nonce == s2.nonce == 42
 
 
-def _mismatched_handshake(params, initiator_profile, responder_profile):
+def _mismatched_handshake(open_pair, params, initiator_profile, responder_profile):
     """Handshake two sessions whose profiles differ; returns the field the
     initiator's TwinMismatch names and what the responder raised."""
-    a, b = W.loopback_pair()
+    a, b = open_pair()
     s1 = _session(a, params, initiator_profile)
     s2 = _session(b, params, responder_profile)
     errs = []
@@ -184,27 +310,27 @@ def _mismatched_handshake(params, initiator_profile, responder_profile):
     return ei.value.field, errs
 
 
-def test_handshake_twin_mismatch_names_field(params, profile):
+def test_handshake_twin_mismatch_names_field(open_pair, params, profile):
     other = P.TwinProfile(profile.base_fingerprint, bytes([9]) * 32,
                           profile.registry_digest, profile.key_commitment,
                           profile.config_summary)
-    field, errs = _mismatched_handshake(params, profile, other)
+    field, errs = _mismatched_handshake(open_pair, params, profile, other)
     assert field == "adapter"
     assert isinstance(errs[0], W.TwinMismatch)
 
 
 @pytest.mark.parametrize("v1_side", ["initiator", "responder"])
-def test_handshake_rejects_a_template_v1_peer(params, profile, v1_side):
+def test_handshake_rejects_a_template_v1_peer(open_pair, params, profile, v1_side):
     assert codec.TEMPLATE_VERSION == 2 and profile.config_summary[-1] == 2
     v1 = dataclasses.replace(profile, config_summary=CFG.pack() + bytes([1]))
     pair = (v1, profile) if v1_side == "initiator" else (profile, v1)
-    field, errs = _mismatched_handshake(params, *pair)
+    field, errs = _mismatched_handshake(open_pair, params, *pair)
     assert field == "config"
     assert isinstance(errs[0], W.TwinMismatch)
 
 
-def test_frame_before_hello_is_protocol_violation(params, profile):
-    a, b = W.loopback_pair()
+def test_frame_before_hello_is_protocol_violation(open_pair, params, profile):
+    a, b = open_pair()
     s2 = _session(b, params, profile)
     frame = codec.TokenFrame(seq=0, payload=np.ones(32, dtype=np.float32))
     a.send_bytes(W.serialize(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame))))
@@ -214,7 +340,7 @@ def test_frame_before_hello_is_protocol_violation(params, profile):
 
 @pytest.mark.parametrize("fault", ["profile magic", "zero fingerprint", "body length",
                                    "mode byte"])
-def test_malformed_hello_gets_error_reply(params, profile, fault):
+def test_malformed_hello_gets_error_reply(open_pair, params, profile, fault):
     body = bytearray(W.pack_hello(8, profile, CFG.d_model))
     if fault == "profile magic":
         body[8:12] = b"XXXX"
@@ -224,7 +350,7 @@ def test_malformed_hello_gets_error_reply(params, profile, fault):
         body[8 + P.TwinProfile.packed_size()] = 2  # a retired one-shot peer
     else:
         body += b"\x00"
-    a, b = W.loopback_pair()
+    a, b = open_pair()
     s2 = _session(b, params, profile)
     a.send_bytes(W.serialize(W.WireMessage(W.TYPE_HELLO, bytes(body))))
     with pytest.raises(W.MalformedMessage):
@@ -236,8 +362,8 @@ def test_malformed_hello_gets_error_reply(params, profile, fault):
 
 # ---------------------------------------------------------------- sessions
 
-def _run_exchange(params, profile, messages):
-    a, b = W.loopback_pair()
+def _run_exchange(open_pair, params, profile, messages, kind="loopback"):
+    a, b = open_pair(kind)
     s1 = _session(a, params, profile)
     s2 = _session(b, params, profile)
     received = []
@@ -264,14 +390,14 @@ def _run_exchange(params, profile, messages):
     return received
 
 
-def test_loopback_roundtrip(params, profile):
+def test_loopback_roundtrip(open_pair, params, profile):
     msgs = [b"test1234", b"", b"\x00\xff salts"]
-    assert _run_exchange(params, profile, msgs) == msgs
+    assert _run_exchange(open_pair, params, profile, msgs) == msgs
 
 
-def test_two_messages_use_distinct_schedules(params, profile):
+def test_two_messages_use_distinct_schedules(open_pair, params, profile):
     # decoded through one session: message seq 0 and 1 get different IVs
-    a, b = W.loopback_pair()
+    a, b = open_pair()
     s1 = _session(a, params, profile)
     s2 = _session(b, params, profile)
     layer_logs = []
@@ -299,45 +425,14 @@ def test_two_messages_use_distinct_schedules(params, profile):
     assert layer_logs[0] != layer_logs[1]
 
 
-def test_tcp_matches_loopback(params, profile):
+def test_tcp_matches_loopback(open_pair, params, profile):
     msgs = [b"alpha", b"beta gamma", bytes(range(32))]
-    loop = _run_exchange(params, profile, msgs)
-
-    ready = threading.Event()
-    port_box = []
-    received = []
-    errors = []
-
-    def server():
-        try:
-            stream = W.tcp_listen_once("127.0.0.1", 0, ready_event=ready,
-                                       bound_port=port_box)
-            s2 = _session(stream, params, profile)
-            s2.handshake("responder")
-            for _ in msgs:
-                received.append(s2.recv_message())
-            s2.wait_fin()
-        except Exception as e:
-            errors.append(e)
-            ready.set()
-
-    t = threading.Thread(target=server)
-    t.start()
-    ready.wait(5)
-    stream = W.tcp_connect("127.0.0.1", port_box[0])
-    s1 = _session(stream, params, profile)
-    s1.handshake("initiator", nonce=777)
-    for m in msgs:
-        s1.send_message(m)
-    s1.close()
-    t.join()
-    if errors:
-        raise errors[0]
-    assert received == msgs == loop
+    loop = _run_exchange(open_pair, params, profile, msgs)
+    assert _run_exchange(open_pair, params, profile, msgs, kind="tcp") == msgs == loop
 
 
-def test_transcript_capture_and_replay(tmp_path, params, profile):
-    a, b = W.loopback_pair()
+def test_transcript_capture_and_replay(tmp_path, open_pair, params, profile):
+    a, b = open_pair()
     tw = W.TranscriptWriter(tmp_path / "cap.bin")
     s1 = _session(a, params, profile, transcript=tw)
     s2 = _session(b, params, profile)
@@ -392,29 +487,29 @@ def test_transcript_record_with_an_unknown_direction(tmp_path):
         W.read_transcript(path)
 
 
-def test_session_rejects_a_one_block_config(profile):
+def test_session_rejects_a_one_block_config(open_pair, profile):
     # the same typed error the codec raises for this config
     one = dataclasses.replace(CFG, n_blocks=1)
-    a, _ = W.loopback_pair()
+    a, _ = open_pair()
     with pytest.raises(codec.CodecError, match="at least 2 blocks"):
         W.Session(a, params=M.init_parameters(one, seed=3), config=one,
                   profile=profile, key=KEY)
 
 
 @pytest.mark.parametrize("field, value", [("vocab_size", 100), ("max_seq", 8)])
-def test_session_rejects_a_config_the_frames_do_not_fit(profile, field, value):
+def test_session_rejects_a_config_the_frames_do_not_fit(open_pair, profile, field, value):
     bad = dataclasses.replace(CFG, **{field: value})
-    a, _ = W.loopback_pair()
+    a, _ = open_pair()
     with pytest.raises(codec.CodecError, match=f"{field} >= "):
         W.Session(a, params=M.init_parameters(bad, seed=3), config=bad,
                   profile=profile, key=KEY)
 
 
-def test_non_finite_frame_gets_error_reply(params, profile):
+def test_non_finite_frame_gets_error_reply(open_pair, params, profile):
     one_inf = np.ones(CFG.d_model, dtype=np.float32)
     one_inf[0] = np.inf
     for payload in (np.full(CFG.d_model, np.nan, dtype=np.float32), one_inf):
-        a, b = W.loopback_pair()
+        a, b = open_pair()
         s1 = _session(a, params, profile)
         s2 = _session(b, params, profile)
         t = threading.Thread(target=s2.handshake, args=("responder",))
@@ -431,8 +526,8 @@ def test_non_finite_frame_gets_error_reply(params, profile):
         assert s2.recv_seq == 0
 
 
-def test_bad_crc_frame_gets_error_reply(params, profile):
-    a, b = W.loopback_pair()
+def test_bad_crc_frame_gets_error_reply(open_pair, params, profile):
+    a, b = open_pair()
     s1 = _session(a, params, profile)
     s2 = _session(b, params, profile)
     t = threading.Thread(target=s2.handshake, args=("responder",))
@@ -465,17 +560,28 @@ def _handshaken(a, b, params, profile, **kw):
     return s1, s2
 
 
-def test_over_cap_message_gets_decode_error(params, profile, monkeypatch):
-    a, b = W.loopback_pair()
+def test_over_cap_message_gets_decode_error(open_pair, params, profile, monkeypatch):
+    a, b = open_pair()
     # the untrained fixture leaves some of 64 bytes a margin near 1e-6; the
     # exact hypothesis still scores 1.0, and this test is about the cap
     s1, s2 = _handshaken(a, b, params, profile,
                          codec_params=codec.CodecParams(delta=0.0))
     monkeypatch.setattr(codec, "MAX_MESSAGE_LEN", 80)
-    s1.send_message(bytes(range(40, 120)))
+    frames = codec.encode_message_incremental(params, CFG, KEY.value, s1.nonce, 0,
+                                              bytes(range(40, 120)))
     monkeypatch.undo()
+
+    def write():
+        for frame in frames:
+            s1._send(W.WireMessage(W.TYPE_FRAME, W.pack_frame(0, frame)))
+
+    # 81 frames outgrow what an unread pair holds: write them while s2 reads
+    writer = threading.Thread(target=write)
+    writer.start()
     with pytest.raises(codec.DecodeFailure, match="frame 64: message is 65 bytes"):
         s2.recv_message()
+    writer.join(timeout=30)
+    assert not writer.is_alive()
     reply = W.read_message(a, timeout=5)
     assert reply.type == W.TYPE_ERROR
     code, reason = W.unpack_error(reply.body)
@@ -501,8 +607,8 @@ class _CloseSpy:
         self.inner.close()
 
 
-def test_wait_fin_closes_the_stream(params, profile):
-    a, b = W.loopback_pair()
+def test_wait_fin_closes_the_stream(open_pair, params, profile):
+    a, b = open_pair()
     spy = _CloseSpy(b)
     s1, s2 = _handshaken(a, spy, params, profile)
     s1.close()
@@ -510,18 +616,18 @@ def test_wait_fin_closes_the_stream(params, profile):
     assert s2.closed and spy.closed
 
 
-def test_send_before_handshake_rejected(params, profile):
-    a, _ = W.loopback_pair()
+def test_send_before_handshake_rejected(open_pair, params, profile):
+    a, _ = open_pair()
     s1 = _session(a, params, profile)
     with pytest.raises(W.ProtocolViolation):
         s1.send_message(b"x")
 
 
-def test_decode_failure_drains_the_rest_of_the_message(params, profile):
+def test_decode_failure_drains_the_rest_of_the_message(open_pair, params, profile):
     # a delta no margin reaches fails the first frame; the receiver reads on
     # to that message's final frame, so the peer's send never meets a closed
     # stream, and leaves the next message unread
-    a, b = W.loopback_pair()
+    a, b = open_pair()
     s1, s2 = _handshaken(a, b, params, profile, codec_params=codec.CodecParams(delta=0.5))
     s1.send_message(b"abcd")
     s1.send_message(b"e")
@@ -603,8 +709,7 @@ def test_adversarial_peer_gets_only_typed_errors(params, profile, plaintext,
                                                  mutations, data):
     # a socket pair half-closes: the receiver sees the end of the stream and
     # can still answer the sender
-    sa, sb = socket.socketpair()
-    a, b = W.TcpStream(sa), W.TcpStream(sb)
+    a, b = W.loopback_pair()
     try:
         s1, s2 = _handshaken(a, b, params, profile, timeout=5.0)
         frames = codec.encode_message_incremental(params, CFG, KEY.value, s1.nonce,
@@ -614,7 +719,7 @@ def test_adversarial_peer_gets_only_typed_errors(params, profile, plaintext,
         for mutation in mutations:
             _mutate(data, wire, mutation)
         a.send_bytes(b"".join(wire))
-        sa.shutdown(socket.SHUT_WR)
+        a.sock.shutdown(socket.SHUT_WR)
         try:
             got = s2.recv_message()
         except (codec.CodecError, W.TransportError) as e:
