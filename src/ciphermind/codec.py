@@ -13,10 +13,14 @@ schedule draws for the frame, tapped at that ``<sep>``. ``frame_step`` and
 ``frame_context`` hold this layout. The receiver's KV cache over the prefix
 grows one byte per frame, and each frame is scored as one batch of 257
 steps against it, ``[c, <sep>]`` for c in 0..255 and then ``[<eos>, <sep>]``.
-A position has the same bits in a full pass, a cache extension and a
-hypothesis batch (rules 1-3 of :mod:`ciphermind.model`), so the true
-candidate re-creates the payload bit for bit and scores cosine 1.0 whatever
-the model's quality; the theta and delta gates reject anything else.
+An accepted byte joins the cache at the depth its frame's batch reached,
+with the rows the winning hypothesis computed, and gains the blocks above
+only when a later frame taps them; no cache runs block n_blocks or the
+head, which no frame reads. A position has the same bits in a full pass, a
+cache extension and a hypothesis batch (rules 1-3 of
+:mod:`ciphermind.model`), so the true candidate re-creates the payload bit
+for bit and scores cosine 1.0 whatever the model's quality; the theta and
+delta gates reject anything else.
 
 No <sep> is kept between bytes. Interleaving them would let one forward
 pass encode a message, but it doubles the context, and a wrong byte's tap
@@ -107,14 +111,15 @@ def check_config(cfg: M.ModelConfig) -> None:
 
 
 def _template_cache(params: M.ParameterSet, cfg: M.ModelConfig, message=b"") -> M.KVCache:
-    """A KV cache over the template followed by the message bytes, filled in
-    one extend_cache; the decoder starts from the template alone, the
-    encoder from its whole plaintext. A bad config or a message too long
-    for it fails here, before any model work."""
+    """A KV cache over the template followed by the message bytes, caught
+    up to block n_blocks - 1, the deepest a frame taps; the decoder starts
+    from the template alone, the encoder from its whole plaintext. A bad
+    config or a message too long for it fails here, before any model work."""
     check_config(cfg)
     _check_length(len(message), cfg)
     cache = M.KVCache(cfg)
-    M.extend_cache(params, cfg, cache, template_tokens() + encode_bytes(message))
+    M.append_tokens(params, cfg, cache, template_tokens() + encode_bytes(message))
+    M.catch_up(params, cfg, cache, cfg.n_blocks - 1)
     return cache
 
 
@@ -199,8 +204,8 @@ def encode_message_incremental(params: M.ParameterSet, cfg: M.ModelConfig,
     for t, tok in enumerate(encode_bytes(plaintext) + [EOS]):
         layer = scheduler.layer_of(state, cfg.n_blocks)
         step = np.array([frame_step(tok)], dtype=np.int64)
-        payload = M.hypothesis_taps(params, cfg, cache.prefix(committed + t), step, layer)[0]
-        frames.append(TokenFrame(seq=t, payload=payload, is_final=tok == EOS))
+        taps, _ = M.hypothesis_taps(params, cfg, cache.prefix(committed + t), step, layer)
+        frames.append(TokenFrame(seq=t, payload=taps[0], is_final=tok == EOS))
         if tok != EOS:
             state = scheduler.advance(state, tok, cfg.vocab_size)
     return frames
@@ -212,9 +217,13 @@ class HypothesisScorer:
     """Shared-prefix candidate evaluation against intercepted frames.
 
     Keeps a KV cache over the committed prefix, template ++ accepted
-    bytes. A frame is scored as one hypothesis_taps batch of 257 two-token
-    suffixes against it, each candidate's frame_step: [c, <sep>] for bytes
-    c = 0..255, then [<eos>, <sep>] for END. Candidates are scored in
+    bytes, each position at its committed depth (see model.KVCache): the
+    template at n_blocks - 1, an accepted byte at the depth its frame's
+    batch reached. A frame tapped at layer L first catches the cache up
+    through block L, one block call per block that some position lacks,
+    then is scored as one hypothesis_taps batch of 257 two-token suffixes
+    against it, each candidate's frame_step: [c, <sep>] for bytes c =
+    0..255, then [<eos>, <sep>] for END. Candidates are scored in
     CANDIDATES order; ties resolve to the lowest index.
     """
 
@@ -224,6 +233,7 @@ class HypothesisScorer:
         self.cache = _template_cache(params, cfg)
         self.suffixes = np.array([frame_step(c) for c in CANDIDATES], dtype=np.int64)
         self.decoded = bytearray()
+        self._first = None  # the last batch's first-position rows, until push
 
     @property
     def prefix(self) -> bytes:
@@ -231,7 +241,9 @@ class HypothesisScorer:
 
     def score_frame(self, payload: np.ndarray, layer: int):
         """Returns (token, score, margin, scores[257]) for one frame."""
-        taps = M.hypothesis_taps(self.params, self.cfg, self.cache, self.suffixes, layer)
+        M.catch_up(self.params, self.cfg, self.cache, layer)
+        taps, self._first = M.hypothesis_taps(self.params, self.cfg, self.cache,
+                                              self.suffixes, layer)
         scores = cosine(taps, payload).astype(np.float64)
         best = int(np.argmax(scores))
         best_score = float(scores[best])
@@ -239,9 +251,17 @@ class HypothesisScorer:
         return CANDIDATES[best], best_score, margin, scores
 
     def push(self, byte_val: int) -> None:
-        """Commit one accepted byte into the shared prefix."""
+        """Commit one accepted byte of the last scored frame into the shared
+        prefix, at the depth that frame's batch reached: its hypothesis
+        [byte_val, <sep>] computed the byte's keys and values below the
+        tapped block and its residual entering it. No block runs."""
+        if self._first is None:
+            raise CodecError("no scored frame to commit a byte from")
+        keys, values, x = self._first
+        i = CANDIDATES.index(byte_val)
+        self.cache.commit(x[i:i + 1], [k[i:i + 1] for k in keys], [v[i:i + 1] for v in values])
+        self._first = None
         self.decoded.append(byte_val)
-        M.extend_cache(self.params, self.cfg, self.cache, [byte_val])
 
 
 def _check_frame_index(t: int, frame: TokenFrame, cfg: M.ModelConfig) -> None:

@@ -45,20 +45,28 @@ implementation rules:
    anyway, so only the work shrinks, never the shapes.
 
 3. Every path is a short loop over one per-block function, ``_block``,
-   between ``_embed`` and ``_head``: ``forward_full`` with no prefix,
-   ``extend_cache`` against the cache (it writes each block's keys and
-   values after the block runs; ``_attention`` reads only the first
-   ``cache.length`` rows; a one-token extension is a decoding step),
-   ``hypothesis_taps`` with ``last_only`` in the tapped block, and the
-   training pass in :mod:`ciphermind.trainer` with ``need_aux``. Of the
-   attention, the training pass saves the unpadded arrays ``_attention``
-   computes on every call; the backward pass pads them to the shapes of its
-   own GEMMs, which only :mod:`ciphermind.trainer` knows. Of the MLP, it
-   saves the GELU input u and the tanh ``detmath.gelu`` computed for it, t,
-   not the GELU output g: the backward pass takes t for the GELU derivative
-   and rebuilds g from u and t with gelu's own operations when it needs g.
-   The first three never call one another, so a wrapper around one sees
-   only its own calls. Each runs on the calling thread alone: with the
+   between ``_embed`` and ``_head``: ``forward_full`` with no prefix;
+   ``catch_up`` against the cache, which runs each block once over the
+   positions that lack its keys and values (a contiguous suffix, see
+   ``KVCache``) and writes them after the block runs, against the keys of
+   the positions before (``extend_cache`` is ``append_tokens``, then a
+   catch_up through every block, then the head; a one-token extension is a
+   decoding step); ``hypothesis_taps`` with ``last_only`` in the tapped
+   block; and the training pass in :mod:`ciphermind.trainer` with
+   ``need_aux``. A hypothesis batch also hands back each item's first
+   position as the cache would hold it: its keys and values in the blocks
+   below the tapped one and its residual entering that block. Those rows
+   have the bits a catch_up would compute for the same token, so a decoder
+   commits the accepted byte with them (``KVCache.commit``) and runs no
+   block for it; the blocks above run only when a later frame taps them.
+   Of the attention, the training pass saves the unpadded arrays
+   ``_attention`` computes on every call; the backward pass pads them to the
+   shapes of its own GEMMs, which only :mod:`ciphermind.trainer` knows. Of
+   the MLP, it saves the GELU input u and the tanh ``detmath.gelu`` computed
+   for it, t, not the GELU output g: the backward pass takes t for the GELU
+   derivative and rebuilds g from u and t with gelu's own operations when
+   it needs g. ``forward_full``, ``extend_cache`` and ``hypothesis_taps``
+   never call one another, so a wrapper around one sees only its own calls. Each runs on the calling thread alone: with the
    padding gone from a hypothesis batch, splitting it over worker threads
    ran no faster on 2 CPUs.
 
@@ -385,15 +393,22 @@ def _layer_norm(x, g, b, eps):
 class KVCache:
     """Grow-only per-block key/value store for one decode stream.
 
-    Appending never mutates earlier positions, so ``prefix(n)`` can share
-    the arrays. A cache is single-owner: one cache must not serve two
-    concurrent decode streams.
+    ``length`` positions are committed, each at a depth: position p holds
+    its keys and values in blocks 0 .. depth(p) - 1 and its residual stream
+    entering block depth(p). Depths never increase along the positions, so
+    block b's keys cover the first ``rows[b]`` positions and the positions
+    that lack block b are the contiguous suffix from there, which
+    ``catch_up`` runs the block over. A position's keys and values never
+    change once written, so ``prefix(n)`` can share the arrays. A cache is
+    single-owner: one cache must not serve two concurrent decode streams.
     """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         self.length = 0
+        self.rows = [0] * config.n_blocks
         self.read_only = False
+        self._x = np.zeros((config.max_seq, config.d_model), dtype=F32)
         self._k = [np.zeros((config.max_seq, config.d_model), dtype=F32)
                    for _ in range(config.n_blocks)]
         self._v = [np.zeros((config.max_seq, config.d_model), dtype=F32)
@@ -406,27 +421,52 @@ class KVCache:
             raise ModelError(f"prefix length {n} outside 0..{self.length}")
         view = copy.copy(self)
         view.length, view.read_only = n, True
+        view.rows = [min(r, n) for r in self.rows]
         return view
 
+    @property
+    def depth(self) -> int:
+        """Blocks whose keys and values every position holds."""
+        return sum(r == self.length for r in self.rows)
+
     def keys(self, block: int) -> np.ndarray:
-        return self._k[block][: self.length]
+        return self._k[block][: self.rows[block]]
 
     def values(self, block: int) -> np.ndarray:
-        return self._v[block][: self.length]
+        return self._v[block][: self.rows[block]]
 
-    def write(self, block: int, k: np.ndarray, v: np.ndarray) -> None:
+    def residual(self, block: int) -> np.ndarray:
+        """Residual stream entering block of the positions that lack it."""
+        return self._x[self.rows[block]: self.length]
+
+    def _check_writable(self) -> None:
         if self.read_only:
             raise ModelError("a KV cache prefix view is read-only")
-        new_len = self.length + k.shape[0]
-        if new_len > self.config.max_seq:
+
+    def commit(self, x: np.ndarray, keys=(), values=()) -> None:
+        """Appends x.shape[0] positions at depth len(keys): x (n, d) is their
+        residual entering that block, keys[b] and values[b] (n, d) their keys
+        and values in block b. They may be no deeper than the positions before."""
+        self._check_writable()
+        lo, hi = self.length, self.length + x.shape[0]
+        if hi > self.config.max_seq:
             raise ModelError("KV cache overflow")
-        self._k[block][self.length:new_len] = k
-        self._v[block][self.length:new_len] = v
+        if len(keys) > self.depth:
+            raise ModelError("a position cannot be committed deeper than the one before it")
+        for bi, (k, v) in enumerate(zip(keys, values)):
+            self._k[bi][lo:hi], self._v[bi][lo:hi] = k, v
+            self.rows[bi] = hi
+        self._x[lo:hi] = x
+        self.length = hi
 
-    def commit(self, n_new: int) -> None:
-        if self.read_only:
-            raise ModelError("a KV cache prefix view is read-only")
-        self.length += n_new
+    def write(self, block: int, k: np.ndarray, v: np.ndarray, x: np.ndarray) -> None:
+        """Gives the positions that lack block its keys k and values v, and
+        moves their residual to x, the block's output."""
+        self._check_writable()
+        lo = self.rows[block]
+        self._k[block][lo:self.length], self._v[block][lo:self.length] = k, v
+        self._x[lo:self.length] = x
+        self.rows[block] = self.length
 
 
 def _split_heads(x, n_heads):
@@ -634,37 +674,72 @@ def forward_full(params: ParameterSet, config: ModelConfig, tokens):
     return np.stack(hidden), logits[0]
 
 
+def append_tokens(params: ParameterSet, config: ModelConfig, cache: KVCache,
+                  tokens) -> None:
+    """Commits the tokens at depth 0: their embeddings join the cache, and
+    no block runs until catch_up."""
+    tokens = _sequence(tokens)
+    cache.commit(_embed(params, config, tokens[None], cache.length)[0])
+
+
+def catch_up(params: ParameterSet, config: ModelConfig, cache: KVCache,
+             depth: int) -> list:
+    """Gives every position the keys and values of blocks 0 .. depth - 1:
+    each block runs once over the positions that lack it, against the keys
+    of those that hold it. Returns the output rows (n_b, d) of each block
+    that ran, in block order."""
+    outputs = []
+    for bi in range(depth):
+        base = cache.rows[bi]
+        if base == cache.length:
+            continue
+        x, k_new, v_new, _ = _block(params.blocks[bi], config, cache.residual(bi)[None],
+                                    cache.keys(bi), cache.values(bi), base)
+        cache.write(bi, k_new[0], v_new[0], x[0])
+        outputs.append(x[0])
+    return outputs
+
+
 def extend_cache(params: ParameterSet, config: ModelConfig, cache: KVCache,
                  tokens):
-    """Teacher-forced multi-token cache extension: appends the tokens' keys
-    and values and returns (hidden (L, S, d), logits (S, V)) for them,
-    bitwise equal to the matching forward_full columns."""
+    """Teacher-forced multi-token cache extension: append_tokens, then a
+    catch_up through every block. Returns (hidden (L, S, d), logits (S, V))
+    for the tokens, bitwise equal to the matching forward_full columns."""
     tokens = _sequence(tokens)
-    base = cache.length
-    x = _embed(params, config, tokens[None], base)
-    hidden = []
-    for bi, bp in enumerate(params.blocks):
-        x, k_new, v_new, _ = _block(bp, config, x, cache.keys(bi), cache.values(bi), base)
-        cache.write(bi, k_new[0], v_new[0])
-        hidden.append(x[0])
-    cache.commit(tokens.size)
-    logits, _ = _head(params, config, x)
-    return np.stack(hidden), logits[0]
+    append_tokens(params, config, cache, tokens)
+    hidden = np.stack([x[-tokens.size:] for x in catch_up(params, config, cache,
+                                                          config.n_blocks)])
+    logits, _ = _head(params, config, hidden[-1:])
+    return hidden, logits[0]
 
 
 def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
-                    suffixes, layer: int) -> np.ndarray:
+                    suffixes, layer: int):
     """Residual-stream tap of block `layer` at the last position of
     prefix+suffix for a batch of equal-length suffixes, on the calling
-    thread. The cache is read but never modified. Returns (B, d_model).
+    thread, against a cache that holds blocks 1 .. layer at every position.
+    The cache is read but never modified.
+
+    Returns (taps (B, d), first). first = (keys, values, x) holds what a
+    KVCache.commit of each item's first position takes: its keys and values
+    in each block below the tapped one (layer - 1 arrays of (B, d)) and its
+    residual entering the tapped block (B, d).
     """
     suffixes = np.asarray(suffixes, dtype=np.int64)
     if suffixes.ndim != 2 or suffixes.shape[1] == 0:
         raise ModelError("suffixes must be (B, S) with S >= 1")
     if not 1 <= layer <= config.n_blocks:
         raise ModelError("tap layer out of range")
+    if cache.depth < layer:
+        raise ModelError(f"tap layer {layer} is above the cache's depth {cache.depth}")
     x = _embed(params, config, suffixes, cache.length)
-    for bi in range(layer):
-        x, _, _, _ = _block(params.blocks[bi], config, x, cache.keys(bi), cache.values(bi),
-                            cache.length, last_only=bi == layer - 1)
-    return x[:, 0, :]
+    keys, values = [], []
+    for bi in range(layer - 1):
+        x, k_new, v_new, _ = _block(params.blocks[bi], config, x, cache.keys(bi),
+                                    cache.values(bi), cache.length)
+        keys.append(k_new[:, 0].copy())
+        values.append(v_new[:, 0].copy())
+    first = (keys, values, x[:, 0].copy())
+    x, _, _, _ = _block(params.blocks[layer - 1], config, x, cache.keys(layer - 1),
+                        cache.values(layer - 1), cache.length, last_only=True)
+    return x[:, 0, :], first

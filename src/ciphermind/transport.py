@@ -258,7 +258,7 @@ def tcp_connect(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> Socke
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as e:
         raise TransportError(f"connect to {host}:{port} failed: {e}") from e
-    return SocketStream(sock)
+    return _tcp_stream(sock)
 
 
 def tcp_listen_once(host: str, port: int, timeout: float = DEFAULT_TIMEOUT,
@@ -282,7 +282,15 @@ def tcp_listen_once(host: str, port: int, timeout: float = DEFAULT_TIMEOUT,
         srv.close()
         raise TransportError(f"listen on {host}:{port} failed: {e}") from e
     srv.close()
-    return SocketStream(conn)
+    return _tcp_stream(conn)
+
+
+def _tcp_stream(sock: socket.socket) -> SocketStream:
+    """A TCP end with Nagle's algorithm off: a frame is written the moment it
+    is encoded, and with Nagle on a 33-frame message over 127.0.0.1 took up
+    to 43 ms waiting for delayed ACKs, against 1.5 ms without."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return SocketStream(sock)
 
 
 class TranscriptWriter:

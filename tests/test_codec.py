@@ -64,7 +64,7 @@ def encode_oracle(params, cfg, key, nonce, msg_seq, plaintext):
     frames = []
     for t, tok in enumerate(list(plaintext) + [C.EOS]):
         layer = scheduler.layer_of(state, cfg.n_blocks)
-        payload = M.hypothesis_taps(params, cfg, cache, [C.frame_step(tok)], layer)[0]
+        payload = M.hypothesis_taps(params, cfg, cache, [C.frame_step(tok)], layer)[0][0]
         frames.append(C.TokenFrame(seq=t, payload=payload, is_final=tok == C.EOS))
         if tok != C.EOS:
             M.extend_cache(params, cfg, cache, [tok])
@@ -142,9 +142,11 @@ def test_every_frame_payload_matches_its_own_context(params):
         layer = scheduler.layer_of(state, CFG.n_blocks)
         hid, _ = M.forward_full(params, CFG, C.frame_context(tokens[:t + 1]))
         assert (frame.payload == hid[layer - 1, -1]).all(), f"frame {t}"
-        taps = M.hypothesis_taps(params, CFG, scorer.cache, scorer.suffixes, layer)
+        M.catch_up(params, CFG, scorer.cache, layer)
+        taps, _ = M.hypothesis_taps(params, CFG, scorer.cache, scorer.suffixes, layer)
         assert (taps[C.CANDIDATES.index(tok)] == frame.payload).all(), f"frame {t}"
         assert frame.is_final == (tok == C.EOS)
+        assert scorer.score_frame(frame.payload, layer)[:2] == (tok, 1.0), f"frame {t}"
         if tok != C.EOS:
             scorer.push(tok)
         state = scheduler.advance(state, tok, CFG.vocab_size)
@@ -334,6 +336,69 @@ def test_naive_decoder_agrees_with_fast(params):
     fast = C.decode_message_incremental(params, CFG, KEY, NONCE, 8, frames, CP)
     slow = decode_oracle(params, CFG, KEY, NONCE, 8, frames)
     assert fast == slow == plaintext
+
+
+# the shipped head dim (32); 4 blocks, so a frame can tap above a long run of
+# bytes that lack every block but the first
+CFG_HEAD_DIM_32 = M.ModelConfig(n_blocks=4, d_model=64, n_heads=2, d_ff=128,
+                                vocab_size=260, max_seq=256)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG_HEAD_DIM_32], ids=["head_dim_16", "head_dim_32"])
+def test_catch_up_under_a_scripted_tap_schedule(cfg):
+    # a run of layer-1 frames commits each byte at depth 0 and catches only
+    # block 1 up; the frame at n_blocks - 1 then catches blocks 2.. up over
+    # the whole run in one call each, more than M_MIN rows; the frames after
+    # it leave positions at depths 2, 0 and 1 for the last to catch up
+    params = M.init_parameters(cfg, seed=31)
+    run = M.M_MIN + 1
+    deep = cfg.n_blocks - 1
+    schedule = [1] * run + [deep, 1, 2, deep]
+    text = np.random.default_rng(31).integers(0, 256, size=len(schedule)).tolist()
+    scorer = C.HypothesisScorer(params, cfg)
+    for t, (tok, layer) in enumerate(zip(text, schedule)):
+        want = M.KVCache(cfg)
+        M.extend_cache(params, cfg, want, C.template_tokens() + text[:t])
+        payload = M.hypothesis_taps(params, cfg, want, [C.frame_step(tok)], layer)[0][0]
+        if t == run:
+            assert scorer.cache.length - scorer.cache.rows[1] > M.M_MIN
+        assert scorer.score_frame(payload, layer)[:2] == (tok, 1.0), f"frame {t}"
+        got = scorer.cache
+        assert got.length == want.length
+        for bi in range(layer):
+            assert (got.keys(bi).view(np.uint32) == want.keys(bi).view(np.uint32)).all(), (t, bi)
+            assert (got.values(bi).view(np.uint32) == want.values(bi).view(np.uint32)).all(), (t, bi)
+        scorer.push(tok)
+
+
+def test_codec_never_runs_the_last_block_or_the_head(params, monkeypatch):
+    # no frame taps block n_blocks, and nothing reads the logits
+    block = M._block
+
+    def guarded_block(bp, *args, **kwargs):
+        if bp is params.blocks[-1]:
+            raise AssertionError("the last block ran")
+        return block(bp, *args, **kwargs)
+
+    def no_head(*args, **kwargs):
+        raise AssertionError("the head ran")
+
+    monkeypatch.setattr(M, "_block", guarded_block)
+    monkeypatch.setattr(M, "_head", no_head)
+    plaintext = bytes(np.random.default_rng(5).integers(0, 256, size=C.MAX_MESSAGE_LEN).tolist())
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 21, plaintext)
+    assert C.decode_message_incremental(params, CFG, KEY, NONCE, 21, frames, CP) == plaintext
+
+
+def test_push_needs_a_scored_frame(params):
+    scorer = C.HypothesisScorer(params, CFG)
+    with pytest.raises(C.CodecError, match="no scored frame"):
+        scorer.push(7)
+    scorer.score_frame(np.ones(CFG.d_model, dtype=np.float32), 2)
+    scorer.push(ord("a"))
+    with pytest.raises(C.CodecError, match="no scored frame"):
+        scorer.push(ord("a"))
+    assert scorer.prefix == b"a" and scorer.cache.length == len(C.template_tokens()) + 1
 
 
 def test_score_frame_runs_one_hypothesis_batch_per_frame(params, monkeypatch):

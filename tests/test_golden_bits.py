@@ -113,7 +113,7 @@ def test_hypothesis_taps_every_layer_across_segments():
     cache = M.KVCache(CFG)
     M.extend_cache(params, CFG, cache, _tokens(3, 120))
     suffixes = _tokens(4, (6, 25))  # positions 120..144 straddle KEY_SEG
-    taps = [M.hypothesis_taps(params, CFG, cache, suffixes, layer)
+    taps = [M.hypothesis_taps(params, CFG, cache, suffixes, layer)[0]
             for layer in range(1, CFG.n_blocks + 1)]
     assert _digest(*taps) == GOLDEN["hypothesis_taps"]
 
@@ -155,7 +155,7 @@ def test_hypothesis_taps_frame_batches_head_dim_32():
     cfg, params = CFG_HEAD_DIM_32, _params_head_dim_32()
     cache = M.KVCache(cfg)
     M.extend_cache(params, cfg, cache, _tokens(8, 130))
-    taps = [M.hypothesis_taps(params, cfg, cache.prefix(n), _tokens(seed, (batch, 2)), layer)
+    taps = [M.hypothesis_taps(params, cfg, cache.prefix(n), _tokens(seed, (batch, 2)), layer)[0]
             for n in (41, 130)
             for seed, batch in ((9, 257), (10, 1))
             for layer in range(1, cfg.n_blocks + 1)]

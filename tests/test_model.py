@@ -225,7 +225,7 @@ def _assert_taps_match_full_pass(cfg, seed, prefix_len, s_lens, batch):
     layers = range(1, cfg.n_blocks + 1)
     for s_len in s_lens:
         suffixes = rng.integers(0, 260, size=(batch, s_len)).astype(np.int64)
-        taps = [M.hypothesis_taps(params, cfg, cache, suffixes, layer) for layer in layers]
+        taps = [M.hypothesis_taps(params, cfg, cache, suffixes, layer)[0] for layer in layers]
         for b in range(batch):
             hid_full, _ = M.forward_full(params, cfg, np.concatenate([prefix, suffixes[b]]))
             for layer in layers:
@@ -357,8 +357,8 @@ def test_cache_prefix_taps_equal_a_cache_of_that_length():
     M.extend_cache(params, CFG_SMALL, short, tokens[:25])
     suffixes = rng.integers(0, 260, size=(5, 2))
     for layer in range(1, CFG_SMALL.n_blocks + 1):
-        got = M.hypothesis_taps(params, CFG_SMALL, full.prefix(25), suffixes, layer)
-        want = M.hypothesis_taps(params, CFG_SMALL, short, suffixes, layer)
+        got, _ = M.hypothesis_taps(params, CFG_SMALL, full.prefix(25), suffixes, layer)
+        want, _ = M.hypothesis_taps(params, CFG_SMALL, short, suffixes, layer)
         assert (_bits(got) == _bits(want)).all(), layer
 
 
@@ -390,10 +390,59 @@ def test_hypothesis_taps_empty_prefix():
     params = M.init_parameters(CFG_SMALL, seed=9)
     cache = M.KVCache(CFG_SMALL)
     suffixes = rng.integers(0, 260, size=(4, 3)).astype(np.int64)
-    taps = M.hypothesis_taps(params, CFG_SMALL, cache, suffixes, 2)
+    taps, _ = M.hypothesis_taps(params, CFG_SMALL, cache, suffixes, 2)
     for b in range(4):
         hid_full, _ = M.forward_full(params, CFG_SMALL, suffixes[b])
         assert (taps[b] == hid_full[1, -1]).all()
+
+
+def _assert_caches_equal(got, want, blocks):
+    assert got.length == want.length
+    for bi in blocks:
+        assert (_bits(got.keys(bi)) == _bits(want.keys(bi))).all(), bi
+        assert (_bits(got.values(bi)) == _bits(want.values(bi))).all(), bi
+
+
+def test_hypothesis_first_rows_commit_as_a_cache_extension_at_every_layer():
+    # the decoder commits an accepted byte from its hypothesis's first
+    # position; caught up from there, the cache must hold extend_cache's bits
+    rng = np.random.default_rng(20)
+    params = M.init_parameters(CFG_SMALL, seed=20)
+    prefix = _rand_tokens(rng, 15)
+    suffixes = rng.integers(0, 256, size=(3, 2)).astype(np.int64)
+    cache = M.KVCache(CFG_SMALL)
+    M.extend_cache(params, CFG_SMALL, cache, prefix)
+    blocks = range(CFG_SMALL.n_blocks)
+    for layer in range(1, CFG_SMALL.n_blocks + 1):
+        _, (keys, values, x) = M.hypothesis_taps(params, CFG_SMALL, cache, suffixes, layer)
+        assert len(keys) == len(values) == layer - 1
+        for b in range(len(suffixes)):
+            got, want = M.KVCache(CFG_SMALL), M.KVCache(CFG_SMALL)
+            M.extend_cache(params, CFG_SMALL, got, prefix)
+            M.extend_cache(params, CFG_SMALL, want, [*prefix, suffixes[b, 0]])
+            got.commit(x[b:b + 1], [k[b:b + 1] for k in keys], [v[b:b + 1] for v in values])
+            assert got.depth == layer - 1
+            _assert_caches_equal(got, want, range(layer - 1))
+            M.catch_up(params, CFG_SMALL, got, CFG_SMALL.n_blocks)
+            _assert_caches_equal(got, want, blocks)
+
+
+def test_cache_depth_is_checked_on_commit_and_tap():
+    params = M.init_parameters(CFG_SMALL, seed=22)
+    cache = M.KVCache(CFG_SMALL)
+    M.append_tokens(params, CFG_SMALL, cache, [1, 2, 3])
+    assert cache.depth == 0 and cache.prefix(0).depth == CFG_SMALL.n_blocks
+    with pytest.raises(M.ModelError, match="above the cache's depth"):
+        M.hypothesis_taps(params, CFG_SMALL, cache, [[4, 5]], 1)
+    M.catch_up(params, CFG_SMALL, cache, 2)
+    assert cache.depth == 2 and cache.prefix(2).depth == 2
+    M.hypothesis_taps(params, CFG_SMALL, cache, [[4, 5]], 2)
+    with pytest.raises(M.ModelError, match="above the cache's depth"):
+        M.hypothesis_taps(params, CFG_SMALL, cache, [[4, 5]], 3)
+    row = np.zeros((1, CFG_SMALL.d_model), dtype=np.float32)
+    with pytest.raises(M.ModelError, match="deeper than the one before it"):
+        cache.commit(row, [row] * 3, [row] * 3)
+    assert cache.length == 3
 
 
 def test_forward_rejects_bad_input():

@@ -65,3 +65,57 @@ def test_every_ciphermind_name_the_workloads_use_resolves():
             except TypeError as e:
                 broken.append(f"{module.__name__}.{attr}: {e}")
     assert not broken
+
+
+def test_tracer_sees_one_batch_per_frame_with_the_catch_up_beside_it():
+    # the per-layer metrics read each score_frame's one hypothesis_taps child
+    # and its note; the catch-up that runs before the batch shows as exp
+    # spans directly under score_frame, one per block call
+    cfg = model.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64,
+                            vocab_size=260, max_seq=256)
+    params = model.init_parameters(cfg, 77)
+    key, nonce, plaintext = bytes(range(16)), 0xC0FFEE, b"traced message"
+    frames = codec.encode_message_incremental(params, cfg, key, nonce, 0, plaintext)
+    targets = tracing.targets(MODULES)
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _, _ in targets]
+    tracer = tracing.Tracer()
+    tracer.install(targets)
+    try:
+        dec = codec.IncrementalDecoder(params, cfg, key, nonce, 0, codec.CodecParams(delta=1e-6))
+        for frame in frames:
+            dec.feed(frame)
+    finally:
+        tracer.restore()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+    assert dec.plaintext == plaintext
+
+    by_id = {s.id: s for s in tracer.spans}
+    children = {}
+    for s in tracer.spans:
+        children.setdefault(s.parent, []).append(s)
+    scores = [s for s in tracer.spans if s.name == "codec.score_frame"]
+    assert len(scores) == len(frames) == len(dec.layers_used)
+    shallowest = cfg.n_blocks - 1  # the template's depth
+    catch_up_calls = 0
+    for t, (span, layer) in enumerate(zip(scores, dec.layers_used)):
+        kids = children.get(span.id, [])
+        taps = [k for k in kids if k.name == "model.hypothesis_taps"]
+        assert len(taps) == 1, t
+        assert taps[0].note == (len(codec.template_tokens()) + t, 257, 2, layer, cfg.n_heads)
+        calls = sum(k.name == "detmath.exp" for k in kids)
+        assert calls == max(0, layer - shallowest), t
+        catch_up_calls += calls
+        shallowest = layer - 1  # the byte this frame commits
+    assert catch_up_calls > 0
+
+    def ancestors(s):
+        names = []
+        while s.parent is not None:
+            s = by_id[s.parent]
+            names.append(s.name)
+        return names
+
+    # push runs no block: every engine call of a feed is inside its scoring
+    fed = [ancestors(s) for s in tracer.spans
+           if s.name.startswith("detmath.") and "codec.feed" in ancestors(s)]
+    assert fed and all("codec.score_frame" in names for names in fed)

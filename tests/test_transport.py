@@ -89,6 +89,11 @@ def link(request, open_pair):
     return open_pair(request.param)
 
 
+def test_both_tcp_ends_turn_nagle_off(open_pair):
+    for end in open_pair("tcp"):
+        assert end.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
 def _session(stream, params, profile, **kw):
     kw.setdefault("codec_params", CP)
     return W.Session(stream, params=params, config=CFG, profile=profile,

@@ -1,0 +1,143 @@
+"""Frame-by-frame decode time of two checkouts, in one process, in alternation.
+
+    python3 tools/decode_ab.py --old DIR [--new DIR] [--rounds 10] [--length 32]
+
+Loads the ``ciphermind`` package of each checkout's ``src/`` under its own
+name, encodes one message of ``--length`` seeded bytes with the new tree at
+the shipped ``ModelConfig()`` (untrained base, seed 11) and decodes it once a
+round with a decoder of each tree. Frame t of the old decoder and frame t of
+the new one are fed one after the other, the order alternating by frame and
+round, so both trees see the same machine state. A frame's time is its
+``IncrementalDecoder.feed``; per block is that time over its tap layer. A
+separate untimed pass counts the ``_block`` and ``_head`` calls of each feed:
+those of the 257-item hypothesis batch (one per block up to the tap layer)
+and the one-item calls that keep the cache over the committed prefix, with
+their rows. The frames of both trees must be bitwise equal. The last line
+is one JSON object.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # as perfbench/run.py: one BLAS thread
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+KEY = bytes(range(1, 17))
+NONCE = 0x5EED
+
+
+def load(root: Path, name: str):
+    """The ciphermind package under root/src, imported as `name`."""
+    pkg = root / "src" / "ciphermind"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return {m: importlib.import_module(f"{name}.{m}") for m in ("codec", "model")}
+
+
+def quartiles(values) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": round(q1, 3), "median": round(q2, 3), "q3": round(q3, 3)}
+
+
+def count_calls(tree, params, cfg, frames, cp) -> dict:
+    """Per-frame means of one decode's engine calls: every _block call, the
+    cache's one-item _block calls and their rows, and the _head calls."""
+    M, C = tree["model"], tree["codec"]
+    calls = []  # (function name, items, rows) of the current feed
+    originals = {name: getattr(M, name) for name in ("_block", "_head")}
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            x = args[2]
+            calls.append((name, x.shape[0], x.shape[1]))
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    dec = C.IncrementalDecoder(params, cfg, KEY, NONCE, 0, cp)
+    per_frame = []
+    try:
+        for name in originals:
+            setattr(M, name, counting(name))
+        for frame in frames:
+            calls.clear()
+            dec.feed(frame)
+            per_frame.append(list(calls))
+    finally:
+        for name, fn in originals.items():
+            setattr(M, name, fn)
+    cache_rows = [r for c in per_frame for name, b, r in c if name == "_block" and b == 1]
+    n = len(per_frame)
+    return {"block_calls": round(sum(name == "_block" for c in per_frame for name, _, _ in c) / n, 3),
+            "cache_block_calls": round(len(cache_rows) / n, 3),
+            "rows_per_cache_block_call": round(statistics.mean(cache_rows), 3) if cache_rows else 0,
+            "head_calls": round(sum(name == "_head" for c in per_frame for name, _, _ in c) / n, 3)}
+
+
+def main(argv=None) -> int:
+    here = Path(__file__).resolve().parent.parent
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--old", required=True)
+    ap.add_argument("--new", default=str(here))
+    ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--length", type=int, default=32)
+    args = ap.parse_args(argv)
+
+    trees = {"old": load(Path(args.old).resolve(), "ciphermind_old"),
+             "new": load(Path(args.new).resolve(), "ciphermind_new")}
+    params, cfg, frames, cp = {}, None, {}, {}
+    rng = np.random.default_rng(args.length)
+    plaintext = bytes(rng.integers(0, 256, size=args.length).tolist())
+    for side, tree in trees.items():
+        M, C = tree["model"], tree["codec"]
+        cfg = M.ModelConfig()
+        params[side] = M.init_parameters(cfg, 11)
+        cp[side] = C.CodecParams(delta=1e-6)
+        frames[side] = C.encode_message_incremental(params[side], cfg, KEY, NONCE, 0, plaintext)
+    assert all((a.payload == b.payload).all() for a, b in zip(frames["old"], frames["new"]))
+
+    per_block = {side: [] for side in trees}
+    for r in range(args.rounds):
+        decs = {side: tree["codec"].IncrementalDecoder(params[side], cfg, KEY, NONCE, 0, cp[side])
+                for side, tree in trees.items()}
+        for t in range(len(frames["new"])):
+            order = ("old", "new") if (r + t) % 2 == 0 else ("new", "old")
+            for side in order:
+                start = time.perf_counter()
+                decs[side].feed(frames[side][t])
+                ms = (time.perf_counter() - start) * 1e3
+                per_block[side].append(ms / decs[side].layers_used[-1])
+        assert decs["old"].plaintext == decs["new"].plaintext == plaintext
+
+    calls = {side: count_calls(tree, params[side], cfg, frames[side], cp[side])
+             for side, tree in trees.items()}
+    report = {
+        "message_bytes": args.length, "frames": len(frames["new"]), "rounds": args.rounds,
+        "decode_ms_per_block": {side: quartiles(v) for side, v in per_block.items()},
+        "median_change_pct": round(100 * (statistics.median(per_block["new"])
+                                          / statistics.median(per_block["old"]) - 1), 2),
+        "mean_tap_layer": round(statistics.mean(decs["new"].layers_used), 3),
+        "calls_per_frame": calls,
+    }
+    for side in trees:
+        print(f"{side}: decode ms/block {report['decode_ms_per_block'][side]}, "
+              f"calls a frame {calls[side]}")
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
