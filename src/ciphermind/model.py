@@ -66,9 +66,10 @@ implementation rules:
    for it, t, not the GELU output g: the backward pass takes t for the GELU
    derivative and rebuilds g from u and t with gelu's own operations when
    it needs g. ``forward_full``, ``extend_cache`` and ``hypothesis_taps``
-   never call one another, so a wrapper around one sees only its own calls. Each runs on the calling thread alone: with the
-   padding gone from a hypothesis batch, splitting it over worker threads
-   ran no faster on 2 CPUs.
+   never call one another, so a wrapper around one sees only its own calls.
+   Each runs on the calling thread alone: with the padding gone from a
+   hypothesis batch, splitting it over worker threads ran no faster on 2
+   CPUs.
 
 Elementwise transcendentals come from :mod:`ciphermind.detmath`; add, mul,
 div and sqrt are IEEE-exact and need no pinning.

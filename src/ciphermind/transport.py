@@ -8,8 +8,16 @@ crc32 is the reflected-0xEDB88320 checksum (zlib's) over header+body. The
 frame body carries no layer index: both ends derive the tap layer from the
 chained scheduler state, which is the point of the scheme.
 
-Legal message order per session: HELLO -> HELLO_ACK -> FRAME* -> FIN, with
-ERROR terminal anywhere.
+Legal message order per session: HELLO -> HELLO_ACK -> FRAME* -> FIN. A
+failed handshake, recv_message or wait_fin closes the session, answered as:
+
+    a malformed, corrupt, wrong-version or unexpected    ERROR(ERR_PROTOCOL)
+    message, seq out of order, wrong nonce or d_model
+    this side's twin check failed                        ERROR(ERR_TWIN_MISMATCH, field)
+    the decode failed (then the message's rest is read)  ERROR(ERR_DECODE, "token t: ...")
+    the peer's ERROR, a closed link or a timeout         no answer
+
+A failed session takes no further step, and its close() sends no FIN.
 
 Both link kinds, a TCP connection (tcp_connect, tcp_listen_once) and an
 in-process pair (loopback_pair, a kernel socket pair), carry the bytes in
@@ -21,6 +29,7 @@ the peer not taking the bytes. The kernel bounds what a pair buffers.
 
 from __future__ import annotations
 
+import contextlib
 import secrets
 import socket
 import struct
@@ -45,7 +54,8 @@ TYPE_HELLO_ACK = 2
 TYPE_FRAME = 3
 TYPE_FIN = 4
 TYPE_ERROR = 5
-_TYPES = {TYPE_HELLO, TYPE_HELLO_ACK, TYPE_FRAME, TYPE_FIN, TYPE_ERROR}
+_NAMES = {TYPE_HELLO: "HELLO", TYPE_HELLO_ACK: "HELLO_ACK", TYPE_FRAME: "FRAME",
+          TYPE_FIN: "FIN", TYPE_ERROR: "ERROR"}
 
 MODE_INCREMENTAL = 1  # the HELLO's mode byte; no other value is accepted
 
@@ -77,9 +87,10 @@ class ProtocolViolation(TransportError):
 
 
 class TwinMismatch(TransportError):
-    def __init__(self, field: str):
+    def __init__(self, field: str, by_peer: bool = False):
         super().__init__(f"twin verification failed on field '{field}'")
         self.field = field
+        self.by_peer = by_peer  # the peer's ERROR named it
 
 
 class TransportTimeout(TransportError):
@@ -102,7 +113,7 @@ class WireMessage:
 
 
 def serialize(msg: WireMessage) -> bytes:
-    if msg.type not in _TYPES:
+    if msg.type not in _NAMES:
         raise MalformedMessage(f"unknown message type {msg.type}")
     if len(msg.body) > MAX_BODY:
         raise MalformedMessage("body exceeds 1 MiB cap")
@@ -119,7 +130,7 @@ def _parse_header(head: bytes):
     if head[4] != VERSION:
         raise UnsupportedVersion(f"version {head[4]}")
     mtype = head[5]
-    if mtype not in _TYPES:
+    if mtype not in _NAMES:
         raise MalformedMessage(f"unknown message type {mtype}")
     (length,) = struct.unpack_from("<I", head, 6)
     if length > MAX_BODY:
@@ -377,9 +388,12 @@ class Session:
         self.send_seq = 0
         self.recv_seq = 0
         self.established = False
-        self.closed = False
+        self.closed = False  # by FIN or a failure; close() still closes the stream
 
-    # -- handshake ---------------------------------------------------------
+    def _require(self, established: bool) -> None:
+        """Refuses a step out of order or on a closed session; the stream is untouched."""
+        if self.closed or self.established != established:
+            raise ProtocolViolation("session closed" if self.closed else "handshake out of order")
 
     def _send(self, msg: WireMessage) -> int:
         data = serialize(msg)
@@ -387,9 +401,6 @@ class Session:
             self.transcript.record(TranscriptWriter.DIR_SENT, data)
         self.stream.send_bytes(data)
         return len(data)
-
-    def _recv(self) -> WireMessage:
-        return read_message(self.stream, self.timeout, self.transcript)
 
     def _fail(self, code: int, reason: str) -> None:
         try:
@@ -404,70 +415,76 @@ class Session:
         ERROR, where a stream closed at once fails its send or not by
         thread timing. A read error, another message or MAX_MESSAGE_LEN + 1
         frames end the drain."""
-        for _ in range(codec.MAX_MESSAGE_LEN + 1):
-            try:
-                msg = self._recv()
-                if msg.type != TYPE_FRAME:
+        with contextlib.suppress(TransportError):
+            for _ in range(codec.MAX_MESSAGE_LEN + 1):
+                mseq, frame = unpack_frame(self._expect(TYPE_FRAME).body,
+                                           self.config.d_model)
+                if mseq != seq or frame.is_final:
                     return
-                mseq, frame = unpack_frame(msg.body, self.config.d_model)
-            except TransportError:
-                return
-            if mseq != seq or frame.is_final:
-                return
+
+    def _expect(self, mtype: int) -> WireMessage:
+        """The next message, which must have type mtype; the peer's ERROR raises
+        TwinMismatch if it names a profile field, else PeerError."""
+        msg = read_message(self.stream, self.timeout, self.transcript)
+        if msg.type == TYPE_ERROR:
+            code, reason = unpack_error(msg.body)
+            if code == ERR_TWIN_MISMATCH and reason in P.PROFILE_FIELDS:
+                raise TwinMismatch(reason, by_peer=True)
+            raise PeerError(code, reason)
+        if msg.type != mtype:
+            raise ProtocolViolation(f"expected {_NAMES[mtype]}, got {_NAMES[msg.type]}")
+        return msg
+
+    @contextlib.contextmanager
+    def _exit(self):
+        """The one way out of a failed step: closes the session and answers as
+        the module docstring says; the decode path answered its own failure."""
+        try:
+            yield
+        except (TransportError, codec.CodecError) as e:
+            self.closed = True
+            if isinstance(e, TwinMismatch) and not e.by_peer:
+                self._fail(ERR_TWIN_MISMATCH, e.field)
+            elif isinstance(e, (MalformedMessage, BadCrc, UnsupportedVersion,
+                                ProtocolViolation)):
+                self._fail(ERR_PROTOCOL, str(e))
+            raise
+
+    # -- handshake ---------------------------------------------------------
 
     def _hello_body(self) -> bytes:
         return pack_hello(self.nonce, self.profile, self.config.d_model)
 
-    def _check_hello(self, body: bytes):
-        try:
-            nonce, remote_profile, d_model = unpack_hello(body)
-        except MalformedMessage as e:
-            self._fail(ERR_PROTOCOL, str(e))
-            raise
+    def _check_hello(self, body: bytes) -> int:
+        nonce, remote_profile, d_model = unpack_hello(body)
         if d_model != self.config.d_model:
-            self._fail(ERR_PROTOCOL, "d_model echo mismatch")
             raise ProtocolViolation("d_model echo mismatch")
         ok, field = P.verify_twin(self.profile, remote_profile)
         if not ok:
-            self._fail(ERR_TWIN_MISMATCH, field)
             raise TwinMismatch(field)
         return nonce
 
     def handshake(self, role: str, nonce: int | None = None) -> None:
         """initiator sends HELLO with a fresh nonce; responder verifies and
         acks. Both ends derive chain IVs from (key, nonce, message seq)."""
-        if self.established:
-            raise ProtocolViolation("handshake already done")
-        if role == "initiator":
-            self.nonce = int.from_bytes(secrets.token_bytes(8), "little") if nonce is None else nonce
-            self._send(WireMessage(TYPE_HELLO, self._hello_body()))
-            reply = self._recv()
-            if reply.type == TYPE_ERROR:
-                code, reason = unpack_error(reply.body)
-                if code == ERR_TWIN_MISMATCH:
-                    raise TwinMismatch(reason)
-                raise PeerError(code, reason)
-            if reply.type != TYPE_HELLO_ACK:
-                raise ProtocolViolation(f"expected HELLO_ACK, got type {reply.type}")
-            echoed = self._check_hello(reply.body)
-            if echoed != self.nonce:
-                raise ProtocolViolation("nonce echo mismatch")
-        elif role == "responder":
-            msg = self._recv()
-            if msg.type != TYPE_HELLO:
-                self._fail(ERR_PROTOCOL, "expected HELLO first")
-                raise ProtocolViolation(f"expected HELLO, got type {msg.type}")
-            self.nonce = self._check_hello(msg.body)
-            self._send(WireMessage(TYPE_HELLO_ACK, self._hello_body()))
-        else:
+        if role not in ("initiator", "responder"):
             raise ValueError("role must be initiator or responder")
+        self._require(established=False)
+        with self._exit():
+            if role == "initiator":
+                self.nonce = int.from_bytes(secrets.token_bytes(8), "little") if nonce is None else nonce
+                self._send(WireMessage(TYPE_HELLO, self._hello_body()))
+                if self._check_hello(self._expect(TYPE_HELLO_ACK).body) != self.nonce:
+                    raise ProtocolViolation("nonce echo mismatch")
+            else:
+                self.nonce = self._check_hello(self._expect(TYPE_HELLO).body)
+                self._send(WireMessage(TYPE_HELLO_ACK, self._hello_body()))
         self.established = True
 
     # -- messages ----------------------------------------------------------
 
     def send_message(self, plaintext: bytes) -> SessionStats:
-        if not self.established or self.closed:
-            raise ProtocolViolation("session not established")
+        self._require(established=True)
         seq = self.send_seq
         frames = codec.encode_message_incremental(
             self.params, self.config, self.key.value, self.nonce, seq, plaintext)
@@ -480,59 +497,40 @@ class Session:
         return stats
 
     def recv_message(self) -> bytes:
-        if not self.established or self.closed:
-            raise ProtocolViolation("session not established")
+        self._require(established=True)
         seq = self.recv_seq
         decoder = codec.IncrementalDecoder(
             self.params, self.config, self.key.value, self.nonce, seq,
             self.codec_params)
-        while True:
-            try:
-                msg = self._recv()
-            except (MalformedMessage, BadCrc, UnsupportedVersion) as e:
-                self._fail(ERR_PROTOCOL, str(e))
-                raise
-            if msg.type == TYPE_ERROR:
-                code, reason = unpack_error(msg.body)
-                raise PeerError(code, reason)
-            if msg.type == TYPE_FIN:
-                self._fail(ERR_PROTOCOL, "FIN in the middle of a message")
-                raise ProtocolViolation("FIN in the middle of a message")
-            if msg.type != TYPE_FRAME:
-                self._fail(ERR_PROTOCOL, "expected FRAME")
-                raise ProtocolViolation(f"expected FRAME, got type {msg.type}")
-            try:
-                mseq, frame = unpack_frame(msg.body, self.config.d_model)
-            except MalformedMessage as e:
-                self._fail(ERR_PROTOCOL, str(e))
-                raise
-            if mseq != seq:
-                self._fail(ERR_PROTOCOL, "message seq out of order")
-                raise ProtocolViolation("message seq out of order")
-            try:
-                decoder.feed(frame)
-            except codec.CodecError as e:
-                self._fail(ERR_DECODE, f"token {frame.seq}: {e}")
-                if not frame.is_final:
-                    self._drain_message(seq)
-                raise
-            if frame.is_final:
-                self.recv_seq += 1
-                return decoder.plaintext
+        with self._exit():
+            while True:
+                mseq, frame = unpack_frame(self._expect(TYPE_FRAME).body,
+                                           self.config.d_model)
+                if mseq != seq:
+                    raise ProtocolViolation("message seq out of order")
+                try:
+                    decoder.feed(frame)
+                except codec.CodecError as e:
+                    self._fail(ERR_DECODE, f"token {frame.seq}: {e}")
+                    if not frame.is_final:
+                        self._drain_message(seq)
+                    raise
+                if frame.is_final:
+                    self.recv_seq += 1
+                    return decoder.plaintext
 
     def close(self) -> None:
-        if self.closed:
-            return
+        """Sends FIN on a live session, then closes the stream."""
         try:
-            if self.established:
+            if self.established and not self.closed:
                 self._send(WireMessage(TYPE_FIN))
         finally:
             self.closed = True
             self.stream.close()
 
     def wait_fin(self) -> None:
-        msg = self._recv()
-        if msg.type != TYPE_FIN:
-            raise ProtocolViolation(f"expected FIN, got type {msg.type}")
+        self._require(established=True)
+        with self._exit():
+            self._expect(TYPE_FIN)
         self.closed = True
         self.stream.close()

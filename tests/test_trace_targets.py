@@ -5,6 +5,7 @@ traced benchmark run."""
 import ast
 import importlib
 import inspect
+import threading
 from pathlib import Path
 
 import perfbench
@@ -119,3 +120,76 @@ def test_tracer_sees_one_batch_per_frame_with_the_catch_up_beside_it():
     fed = [ancestors(s) for s in tracer.spans
            if s.name.startswith("detmath.") and "codec.feed" in ancestors(s)]
     assert fed and all("codec.score_frame" in names for names in fed)
+
+
+class _RecordingStream:
+    """A session's byte stream that keeps each write, and each read's size
+    with the read_message call, counted per thread, that made it."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls = inner, calls
+        self.sent, self.reads = [], []
+
+    def send_bytes(self, data):
+        self.sent.append(data)
+        self.inner.send_bytes(data)
+
+    def recv_exact(self, n, timeout=transport.DEFAULT_TIMEOUT):
+        self.reads.append((getattr(self.calls, "open", None), n))
+        return self.inner.recv_exact(n, timeout)
+
+    def close(self):
+        self.inner.close()
+
+
+def test_a_session_reads_each_message_as_header_then_body_in_one_read_message(monkeypatch):
+    # perfbench's TimedStream takes a frame's decode time from the gap between
+    # one message's body read and the next message's header read, and the
+    # tracer times transport.read_message: the session must read every message
+    # with exactly those two recv_exact calls, inside one call of the module's
+    # read_message
+    cfg = model.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64,
+                            vocab_size=260, max_seq=256)
+    params = model.init_parameters(cfg, 77)
+    profile = provisioning.TwinProfile(bytes([1]) * 32, bytes([2]) * 32, bytes([3]) * 32,
+                                       bytes([4]) * 32, provisioning.config_summary(cfg))
+    calls = threading.local()
+    read_message = transport.read_message
+
+    def counted(*args, **kwargs):
+        calls.n = getattr(calls, "n", 0) + 1
+        calls.open = calls.n
+        try:
+            return read_message(*args, **kwargs)
+        finally:
+            calls.open = None
+
+    monkeypatch.setattr(transport, "read_message", counted)
+    a, b = transport.loopback_pair()
+    sender, receiver = _RecordingStream(a, calls), _RecordingStream(b, calls)
+    sessions = [transport.Session(
+        stream, params=params, config=cfg, profile=profile,
+        key=provisioning.SessionKey(bytes(range(1, 17))),
+        codec_params=codec.CodecParams(delta=1e-6)) for stream in (sender, receiver)]
+    got = []
+
+    def receive():
+        sessions[1].handshake("responder")
+        got.append(sessions[1].recv_message())
+        sessions[1].wait_fin()
+
+    t = threading.Thread(target=receive)
+    t.start()
+    try:
+        sessions[0].handshake("initiator", nonce=3)
+        sessions[0].send_message(b"hi")
+        sessions[0].close()
+    finally:
+        t.join(timeout=60)
+        a.close()
+        b.close()
+    assert not t.is_alive() and got == [b"hi"]
+    assert [data[5] for data in sender.sent] == [transport.TYPE_HELLO, *[transport.TYPE_FRAME] * 3,
+                                                 transport.TYPE_FIN]
+    assert receiver.reads == [(k, n) for k, data in enumerate(sender.sent, 1)
+                              for n in (transport.HEADER_LEN, len(data) - transport.HEADER_LEN)]

@@ -645,6 +645,169 @@ def test_decode_failure_drains_the_rest_of_the_message(open_pair, params, profil
     assert (mseq, frame.seq) == (1, 0)
 
 
+# ------------------------------------------------------------- exit policy
+
+def _wire(mtype, body=b""):
+    return W.serialize(W.WireMessage(mtype, body))
+
+
+def _hello(profile, mtype=W.TYPE_HELLO, nonce=8, d_model=CFG.d_model):
+    return _wire(mtype, W.pack_hello(nonce, profile, d_model))
+
+
+def _ack(profile, **kw):
+    return _hello(profile, W.TYPE_HELLO_ACK, **kw)
+
+
+def _other_twin(profile):
+    return dataclasses.replace(profile, adapter_fingerprint=bytes([9]) * 32)
+
+
+def _bad_mode(profile):
+    body = bytearray(W.pack_hello(8, profile, CFG.d_model))
+    body[8 + P.TwinProfile.packed_size()] = 2
+    return _wire(W.TYPE_HELLO, bytes(body))
+
+
+def _frame_wire(mseq=0, value=1.0, final=True):
+    payload = np.full(CFG.d_model, value, dtype=np.float32)
+    return _wire(W.TYPE_FRAME, W.pack_frame(mseq, codec.TokenFrame(0, payload, final)))
+
+
+def _flip_crc(data):
+    return data[:-1] + bytes([data[-1] ^ 0x01])
+
+
+def _error(code, reason):
+    return _wire(W.TYPE_ERROR, W.pack_error(code, reason))
+
+
+_PROTO, _TWIN, _DECODE = W.ERR_PROTOCOL, W.ERR_TWIN_MISMATCH, W.ERR_DECODE
+# (step, what the peer sends as a function of the profile, or None for the end
+# of its stream, the error the step raises, the ERROR code the peer reads)
+_EXITS = {
+    "initiator: ack with a flipped crc bit":
+        ("initiator", lambda p: _flip_crc(_ack(p)), W.BadCrc, _PROTO),
+    "initiator: frame for the ack":
+        ("initiator", lambda p: _frame_wire(), W.ProtocolViolation, _PROTO),
+    "initiator: ack echoing another nonce":
+        ("initiator", lambda p: _ack(p, nonce=9), W.ProtocolViolation, _PROTO),
+    "initiator: ack with another d_model":
+        ("initiator", lambda p: _ack(p, d_model=64), W.ProtocolViolation, _PROTO),
+    "initiator: ack from another twin":
+        ("initiator", lambda p: _ack(_other_twin(p)), W.TwinMismatch, _TWIN),
+    "initiator: twin mismatch named by the peer":
+        ("initiator", lambda p: _error(_TWIN, "adapter"), W.TwinMismatch, None),
+    "initiator: twin mismatch naming garbage":
+        ("initiator", lambda p: _error(_TWIN, "garbage"), W.PeerError, None),
+    "initiator: silence":
+        ("initiator", lambda p: b"", W.TransportTimeout, None),
+    "responder: hello with a flipped crc bit":
+        ("responder", lambda p: _flip_crc(_hello(p)), W.BadCrc, _PROTO),
+    "responder: hello of version 2":
+        ("responder", lambda p: _hello(p)[:4] + b"\x02" + _hello(p)[5:],
+         W.UnsupportedVersion, _PROTO),
+    "responder: frame for the hello":
+        ("responder", lambda p: _frame_wire(), W.ProtocolViolation, _PROTO),
+    "responder: hello with a bad mode byte":
+        ("responder", _bad_mode, W.MalformedMessage, _PROTO),
+    "responder: hello with another d_model":
+        ("responder", lambda p: _hello(p, d_model=64), W.ProtocolViolation, _PROTO),
+    "responder: hello from another twin":
+        ("responder", lambda p: _hello(_other_twin(p)), W.TwinMismatch, _TWIN),
+    "responder: peer error":
+        ("responder", lambda p: _error(_PROTO, "no"), W.PeerError, None),
+    "recv: frame with a flipped crc bit":
+        ("recv", lambda p: _flip_crc(_frame_wire()), W.BadCrc, _PROTO),
+    "recv: non-finite frame":
+        ("recv", lambda p: _frame_wire(value=np.inf), W.MalformedMessage, _PROTO),
+    "recv: frame of the next message":
+        ("recv", lambda p: _frame_wire(mseq=1), W.ProtocolViolation, _PROTO),
+    "recv: fin for a frame":
+        ("recv", lambda p: _wire(W.TYPE_FIN), W.ProtocolViolation, _PROTO),
+    "recv: hello for a frame":
+        ("recv", lambda p: _hello(p), W.ProtocolViolation, _PROTO),
+    "recv: frame that does not decode, then the final one":
+        ("recv", lambda p: _frame_wire(value=0.0, final=False) + _frame_wire(),
+         codec.DecodeFailure, _DECODE),
+    "recv: peer error":
+        ("recv", lambda p: _error(_DECODE, "no"), W.PeerError, None),
+    "recv: twin mismatch named by the peer":
+        ("recv", lambda p: _error(_TWIN, "adapter"), W.TwinMismatch, None),
+    "recv: twin mismatch naming garbage":
+        ("recv", lambda p: _error(_TWIN, "garbage"), W.PeerError, None),
+    "recv: silence":
+        ("recv", lambda p: b"", W.TransportTimeout, None),
+    "recv: end of the stream":
+        ("recv", lambda p: None, W.TransportError, None),
+    "wait_fin: frame for the fin":
+        ("wait_fin", lambda p: _frame_wire(), W.ProtocolViolation, _PROTO),
+    "wait_fin: peer error":
+        ("wait_fin", lambda p: _error(_PROTO, "no"), W.PeerError, None),
+}
+
+
+def _answer(peer):
+    """The code of the ERROR the peer reads before its stream ends, or None
+    when the stream ends first."""
+    try:
+        msg = W.read_message(peer, timeout=1)
+    except W.TransportError:
+        return None
+    assert msg.type == W.TYPE_ERROR
+    with pytest.raises(W.TransportError):  # and nothing after it
+        W.read_message(peer, timeout=1)
+    return W.unpack_error(msg.body)[0]
+
+
+@pytest.mark.parametrize("step, wire, raised, answer", _EXITS.values(), ids=_EXITS)
+def test_every_failure_closes_the_session_with_its_one_answer(
+        open_pair, params, profile, step, wire, raised, answer):
+    a, b = open_pair()
+    kw = {"timeout": 0.5} if raised is W.TransportTimeout else {}
+    if step in ("initiator", "responder"):
+        s = _session(b, params, profile, **kw)
+    else:
+        _, s = _handshaken(a, b, params, profile, **kw)
+    steps = {"initiator": lambda: s.handshake("initiator", nonce=8),
+             "responder": lambda: s.handshake("responder"),
+             "recv": s.recv_message, "wait_fin": s.wait_fin}
+    data = wire(profile)
+    if data is None:
+        a.sock.shutdown(socket.SHUT_WR)
+    else:
+        a.send_bytes(data)
+    with pytest.raises(raised) as err:
+        steps[step]()
+    assert type(err.value) is raised
+    if raised is W.TwinMismatch:
+        assert err.value.field == "adapter"
+    assert s.closed
+    s.close()
+    if step == "initiator":
+        assert W.read_message(a, timeout=1).type == W.TYPE_HELLO
+    assert _answer(a) == answer
+
+
+def test_a_failed_session_takes_no_further_step(open_pair, params, profile):
+    # after a decode failure nothing is read or sent, the next message stays
+    # unread, and close() ends the stream with no FIN
+    a, b = open_pair()
+    s1, s2 = _handshaken(a, b, params, profile, codec_params=codec.CodecParams(delta=0.5))
+    s1.send_message(b"abcd")
+    s1.send_message(b"e")
+    with pytest.raises(codec.AmbiguousDecode):
+        s2.recv_message()
+    for step in (s2.recv_message, s2.wait_fin, lambda: s2.send_message(b"x"),
+                 lambda: s2.handshake("responder")):
+        with pytest.raises(W.ProtocolViolation, match="session closed"):
+            step()
+    mseq, frame = W.unpack_frame(W.read_message(b, timeout=5).body, CFG.d_model)
+    assert (mseq, frame.seq) == (1, 0)
+    s2.close()
+    assert _answer(a) == W.ERR_DECODE
+
+
 # ------------------------------------------------------------ adversarial peer
 
 # where pack_frame puts each field a mutation rewrites
