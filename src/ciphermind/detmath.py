@@ -66,27 +66,26 @@ def exp(x: np.ndarray) -> np.ndarray:
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     n = flat_x.size
     m = min(n, _EXP_BLOCK)
-    k, r, ki = np.empty(m, F32), np.empty(m, F32), np.empty(m, np.int32)
+    k, r, ki, hit = np.empty(m, F32), np.empty(m, F32), np.empty(m, np.int32), np.empty(m, bool)
     for lo in range(0, n, max(m, 1)):
         hi = min(lo + m, n)
         _exp_block(flat_x[lo:hi], flat_out[lo:hi], k[:hi - lo], r[:hi - lo],
-                   ki[:hi - lo])
+                   ki[:hi - lo], hit[:hi - lo])
     return out
 
 
-def _exp_block(x, out, k, r, ki) -> None:
-    """out = exp(x) for one block, through the scratch buffers k, r, ki.
+def _exp_block(x, out, k, r, ki, hit) -> None:
+    """out = exp(x) for one block, through the scratch buffers k, r, ki and
+    the bool buffer hit.
 
     Every step writes in place; the binary32 operations and their order are
     those of r = (xc - k*LN2_HI) - k*LN2_LO, p = ((c7*r + c6)*r + ...)*r + 1.
     """
     # clamp first so the polynomial never sees huge arguments (e.g. mask fill)
-    xc = np.maximum(x, _EXP_LO, out=out)
-    np.minimum(xc, F32(88.72283), out=xc)
+    xc = np.clip(x, _EXP_LO, F32(88.72283), out=out)
     np.multiply(xc, _INV_LN2, out=k)
     np.rint(k, out=k)
-    np.maximum(k, F32(-126.0), out=k)
-    np.minimum(k, F32(127.0), out=k)
+    np.clip(k, F32(-126.0), F32(127.0), out=k)
     np.multiply(k, _LN2_HI, out=r)
     np.subtract(xc, r, out=r)
     np.multiply(k, _LN2_LO, out=xc)
@@ -102,8 +101,8 @@ def _exp_block(x, out, k, r, ki) -> None:
     ki += 127
     ki <<= 23
     p *= ki.view(np.float32)
-    np.copyto(p, F32(0.0), where=x <= _EXP_LO)
-    np.copyto(p, F32(np.inf), where=x >= _EXP_HI)
+    np.copyto(p, F32(0.0), where=np.less_equal(x, _EXP_LO, out=hit))
+    np.copyto(p, F32(np.inf), where=np.greater_equal(x, _EXP_HI, out=hit))
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
@@ -112,9 +111,12 @@ def tanh(x: np.ndarray) -> np.ndarray:
     if x.dtype == np.float64:
         return np.tanh(x)
 
-    a = -np.abs(x)
-    e = exp(a + a)
-    mag = (F32(1.0) - e) / (F32(1.0) + e)
+    a = np.abs(x, out=np.empty(x.shape, F32))
+    np.negative(a, out=a)
+    mag = np.add(a, a, out=np.empty(x.shape, F32))
+    e = exp(mag)
+    np.subtract(F32(1.0), e, out=mag)
+    np.divide(mag, np.add(F32(1.0), e, out=e), out=mag)
     np.copyto(mag, F32(1.0), where=a <= -_TANH_SAT)
     # -mag where x < 0, as a sign-bit flip: the same bits as
     # np.where(x < 0, -mag, mag), NaNs included, at a fifth of the time
@@ -141,7 +143,12 @@ def gelu(x: np.ndarray, *, return_tanh: bool = False):
     c0, c1 = x.dtype.type(_GELU_C0), x.dtype.type(_GELU_C1)
     for lo in range(0, flat_x.size, block):
         xb = flat_x[lo:lo + block]
-        tb = tanh(c0 * (xb + c1 * (xb * xb * xb)))
+        p = xb * xb  # c0 * (x + c1 * x^3), built in place
+        p *= xb
+        p *= c1
+        p += xb
+        p *= c0
+        tb = tanh(p)
         gelu_from_tanh(xb, tb, out=flat_out[lo:lo + block])
         if return_tanh:
             t.reshape(-1)[lo:lo + block] = tb

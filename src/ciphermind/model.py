@@ -24,16 +24,27 @@ implementation rules:
    block, so the prefix is never copied into every item. c = 1 is one GEMM
    per item: a cache extension (one item) and a training pass over more
    than M_MIN positions (no prefix) run that.
-   One exception to the row floor: the per-item AV GEMMs (K = KEY_SEG,
-   N = den_col + M_MIN) run at max(S, 2) rows, since at that shape every
-   row count from 2 to M_MIN gives the M_MIN-row bits. One row does not
-   (a 1-row GEMM is a GEMV), nor do other projections at few rows (w2
-   below 16 rows, the head below 31), so ``_mm`` keeps the floor.
+   One exception to the row floor: the AV GEMMs (K = KEY_SEG,
+   N = den_col + M_MIN) run at max(c * S, 2) rows for a stack of c items
+   (rule 2), since at that shape every row count from 2 to M_MIN gives the
+   M_MIN-row bits (and above M_MIN the floor's own guarantee holds). One
+   row does not (a 1-row GEMM is a GEMV), nor do other projections at few
+   rows (w2 below 16 rows, the head below 31), so ``_mm`` keeps the floor.
 
 2. Attention's AV reduction runs over keys in fixed ``KEY_SEG``-wide
-   segments combined in ascending order: per item and head, one AV GEMM
-   with K = KEY_SEG per segment, the key axis zero-padded to a segment
-   multiple and masked. The scores need no segments, since a score reduces
+   segments combined in ascending order: per head and stack of c items,
+   one AV GEMM with K = KEY_SEG per segment, the key axis zero-padded to a
+   segment multiple and masked. A stack's V holds the P prefix values the
+   batch shares, then the c items' own Sk values; each item's rows of e
+   hold its prefix columns and its own columns on the diagonal, every other
+   entry an exact zero. Items stack, c = min(B, (t_pad - P) // Sk), only
+   when the prefix ends in the last segment (P >= t_pad - KEY_SEG), so that
+   every item's own columns fall in the segment that holds its last key:
+   a row then meets the products it would meet alone, in the same order,
+   and the zeros between them add nothing. Otherwise c = 1, one GEMM per
+   item: a cache catch-up, an encoder tap, a training pass over more than
+   KEY_SEG / 2 positions and a batch whose own keys straddle a segment
+   boundary run that. The scores need no segments, since a score reduces
    over the head dim, not over keys. ``M_MIN`` ones-columns appended to V
    make the same GEMM yield the softmax denominators. A position's
    attention output therefore has identical bits whether it is computed
@@ -89,6 +100,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import detmath
 from .scheduler import Stream
@@ -99,12 +111,14 @@ M_MIN = 32
 KEY_SEG = 128
 MASK_FILL = -1e30
 
-# Bytes of padded arrays that one chunk of batch items may span in each of
+# Bytes of padded arrays that one chunk of stacks may span in each of
 # attention's two GEMM loops, so that they stay in cache from the copy to the
 # GEMM: Q rows, keys and their product in the score GEMMs (_scores), e and V
-# in the AV GEMMs.
-# 512 KiB .. 2 MiB ran alike on a 2-core Xeon (2 MiB L2); without chunks the
-# same hypothesis batches ran 10-35 % slower.
+# in the AV GEMMs. The buffers of one chunk are reused for the next, so a
+# call faults in at most one chunk's pages.
+# On a 2-core Xeon (2 MiB L2), a (257, 2) hypothesis batch at layer 4 ran
+# alike at 512 KiB and 1 MiB, and 2-7 % slower at 2 MiB or without chunks,
+# which also took 23-33 % more page faults in a fresh process.
 _CHUNK_BYTES = 1 << 20
 
 PARAM_MAGIC = b"CMWT"
@@ -400,8 +414,10 @@ class KVCache:
     block b's keys cover the first ``rows[b]`` positions and the positions
     that lack block b are the contiguous suffix from there, which
     ``catch_up`` runs the block over. A position's keys and values never
-    change once written, so ``prefix(n)`` can share the arrays. A cache is
-    single-owner: one cache must not serve two concurrent decode streams.
+    change once written, so ``prefix(n)`` can share the arrays. A block's
+    arrays are allocated when the block is first written: a codec cache never
+    runs the last block. A cache is single-owner: one cache must not serve
+    two concurrent decode streams.
     """
 
     def __init__(self, config: ModelConfig):
@@ -410,10 +426,9 @@ class KVCache:
         self.rows = [0] * config.n_blocks
         self.read_only = False
         self._x = np.zeros((config.max_seq, config.d_model), dtype=F32)
-        self._k = [np.zeros((config.max_seq, config.d_model), dtype=F32)
-                   for _ in range(config.n_blocks)]
-        self._v = [np.zeros((config.max_seq, config.d_model), dtype=F32)
-                   for _ in range(config.n_blocks)]
+        empty = np.zeros((0, config.d_model), dtype=F32)  # until _put writes the block
+        self._k = [empty] * config.n_blocks
+        self._v = [empty] * config.n_blocks
 
     def prefix(self, n: int) -> "KVCache":
         """Read-only view of the first n positions: the cache as it stood
@@ -444,6 +459,13 @@ class KVCache:
         if self.read_only:
             raise ModelError("a KV cache prefix view is read-only")
 
+    def _put(self, block: int, lo: int, hi: int, k, v) -> None:
+        if not self._k[block].size:
+            self._k[block] = np.zeros_like(self._x)
+            self._v[block] = np.zeros_like(self._x)
+        self._k[block][lo:hi], self._v[block][lo:hi] = k, v
+        self.rows[block] = hi
+
     def commit(self, x: np.ndarray, keys=(), values=()) -> None:
         """Appends x.shape[0] positions at depth len(keys): x (n, d) is their
         residual entering that block, keys[b] and values[b] (n, d) their keys
@@ -455,8 +477,7 @@ class KVCache:
         if len(keys) > self.depth:
             raise ModelError("a position cannot be committed deeper than the one before it")
         for bi, (k, v) in enumerate(zip(keys, values)):
-            self._k[bi][lo:hi], self._v[bi][lo:hi] = k, v
-            self.rows[bi] = hi
+            self._put(bi, lo, hi, k, v)
         self._x[lo:hi] = x
         self.length = hi
 
@@ -465,15 +486,36 @@ class KVCache:
         moves their residual to x, the block's output."""
         self._check_writable()
         lo = self.rows[block]
-        self._k[block][lo:self.length], self._v[block][lo:self.length] = k, v
         self._x[lo:self.length] = x
-        self.rows[block] = self.length
+        self._put(block, lo, self.length, k, v)
 
 
 def _split_heads(x, n_heads):
     # (B, S, d) -> (B, H, S, hd)
     b, s, d = x.shape
     return np.ascontiguousarray(x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3))
+
+
+def _to_stacks(stacked, items) -> None:
+    """Writes items (m, ...) into stacked (n, c, ...), a (stack, item) view
+    with m <= n * c; the item slots past m are zeroed."""
+    c = stacked.shape[1]
+    full, rest = divmod(items.shape[0], c)
+    stacked[:full] = items[:full * c].reshape(full, c, *items.shape[1:])
+    if rest:
+        stacked[full, :rest] = items[full * c:]
+        stacked[full, rest:] = 0
+
+
+def _from_stacks(items, stacked) -> None:
+    """The inverse of _to_stacks: items (m, ...), a view whose first axis
+    splits in two without a copy, takes the first m item slots of stacked
+    (n, c, ...)."""
+    c = stacked.shape[1]
+    full, rest = divmod(items.shape[0], c)
+    items[:full * c].reshape(full, c, *items.shape[1:])[...] = stacked[:full]
+    if rest:
+        items[full * c:] = stacked[full, :rest]
 
 
 def _scores(qh, kp, kh, out) -> None:
@@ -493,9 +535,6 @@ def _scores(qh, kp, kh, out) -> None:
     dtype = qh.dtype
     c = min(B, max(1, 2 * M_MIN // max(S, Sk)))
     n_stacks = -(-B // c)
-    if n_stacks * c > B:  # the last stack is filled up with zero items
-        qh, kh = (np.concatenate([x, np.zeros((n_stacks * c - B, *x.shape[1:]), dtype)])
-                  for x in (qh, kh))
     rows, cols = max(c * S, M_MIN), max(_round_up(P + c * Sk, M_MIN), 2 * M_MIN)
     stack_bytes = dtype.itemsize * H * ((rows + cols) * hd + rows * cols)
     g = min(n_stacks, max(1, _CHUNK_BYTES // stack_bytes))
@@ -508,15 +547,15 @@ def _scores(qh, kp, kh, out) -> None:
     k_items = k_c[:, :, P:P + c * Sk].reshape(g, H, c, Sk, hd).transpose(0, 2, 1, 3, 4)
     for s0 in range(0, n_stacks, g):
         n = min(g, n_stacks - s0)
-        b0, b1 = s0 * c, min(B, (s0 + n) * c)
-        q_items[:n] = qh[b0:b0 + n * c].reshape(n, c, H, S, hd)
-        k_items[:n] = kh[b0:b0 + n * c].reshape(n, c, H, Sk, hd)
+        items = slice(s0 * c, min(B, (s0 + n) * c))
+        _to_stacks(q_items[:n], qh[items])
+        _to_stacks(k_items[:n], kh[items])
         sc = np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2), out=sc_c[:n])[:, :, :c * S]
         sc = sc.reshape(n, H, c, S, cols).transpose(0, 2, 1, 3, 4)  # (stack, item, ...)
-        out[b0:b1, :, :, :P] = sc[..., :P].reshape(n * c, H, S, P)[:b1 - b0]
+        _from_stacks(out[items, :, :, :P], sc[..., :P])
         own = sc[..., P:P + c * Sk].reshape(n, c, H, S, c, Sk)
         diag = np.diagonal(own, axis1=1, axis2=4).transpose(0, 4, 1, 2, 3)
-        out[b0:b1, :, :, P:] = diag.reshape(n * c, H, S, Sk)[:b1 - b0]
+        _from_stacks(out[items, :, :, P:], diag)
 
 
 def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
@@ -552,34 +591,45 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     live[:, blocked] = dtype.type(MASK_FILL)
     ex = detmath.exp(live - np.max(live, axis=-1, keepdims=True)).reshape(B, H, S, T)
 
-    # AV: per-item GEMMs over each KEY_SEG segment, added in ascending order,
-    # at max(S, 2) rows (rule 1). V is zero-padded to a multiple of M_MIN
-    # columns and then gains M_MIN ones-columns, so the same GEMMs yield the
-    # softmax denominators in column den_col. Items run in chunks whose
-    # padded e and V stay in cache; the prefix rows of V are written once
-    # into the chunk buffer.
+    # AV (rule 2): one GEMM per head, KEY_SEG segment and stack of c items,
+    # added in ascending segment order, at max(c * S, 2) rows (rule 1). V is
+    # zero-padded to a multiple of M_MIN columns and then gains M_MIN
+    # ones-columns, so the same GEMMs yield the softmax denominators in
+    # column den_col. Stacks run in chunks whose e and V stay in cache, in
+    # buffers filled in place through strided views; only the item slots
+    # change from chunk to chunk.
     den_col = _round_up(hd, M_MIN)
-    av_rows = max(S, 2)
-    item_bytes = dtype.itemsize * H * t_pad * (av_rows + den_col + M_MIN)
-    g = min(B, max(1, _CHUNK_BYTES // item_bytes))
-    e_c = np.zeros((g, H, av_rows, t_pad), dtype=dtype)
-    v_c = np.zeros((g, H, t_pad, den_col + M_MIN), dtype=dtype)
+    cols = den_col + M_MIN
+    c = min(B, (t_pad - P) // Sk) if P >= t_pad - KEY_SEG else 1
+    n_stacks, rows = -(-B // c), max(c * S, 2)
+    g = min(n_stacks, max(1, _CHUNK_BYTES // (dtype.itemsize * H * t_pad * (rows + cols))))
+    e_c = np.zeros((g, H, rows, t_pad), dtype=dtype)
+    v_c = np.zeros((g, H, t_pad, cols), dtype=dtype)
     v_c[:, :, :P, :hd] = v_pref.reshape(P, H, hd).transpose(1, 0, 2)
     v_c[..., den_col:] = dtype.type(1.0)
-    acc = np.empty((g, H, av_rows, den_col + M_MIN), dtype=dtype)
+    acc = np.empty((g, H, rows, cols), dtype=dtype)
+    # (stack, item, head, row, column) views of the buffers
+    e_pref = e_c[:, :, :c * S, :P].reshape(g, H, c, S, P).transpose(0, 2, 1, 3, 4)
+    st = e_c.strides
+    e_own = as_strided(e_c[..., P:], (g, c, H, S, Sk),
+                       (st[0], S * st[2] + Sk * st[3], st[1], st[2], st[3]))
+    v_own = v_c[:, :, P:P + c * Sk, :hd].reshape(g, H, c, Sk, hd).transpose(0, 2, 1, 3, 4)
+    acc_items = acc[:, :, :c * S].reshape(g, H, c, S, cols).transpose(0, 2, 1, 3, 4)
     vh = _split_heads(v_new, H)
     den = np.empty((B, H, S, 1), dtype=dtype)
     attn = np.empty((B, H, S, hd), dtype=dtype)
-    for b0 in range(0, B, g):
-        n = min(g, B - b0)
-        items = slice(b0, b0 + n)
-        e_c[:n, :, :S, :T] = ex[items]
-        v_c[:n, :, P:T, :hd] = vh[items]
+    for s0 in range(0, n_stacks, g):
+        n = min(g, n_stacks - s0)
+        items = slice(s0 * c, min(B, (s0 + n) * c))
+        _to_stacks(e_pref[:n], ex[items, ..., :P])
+        _to_stacks(e_own[:n], ex[items, ..., P:])
+        _to_stacks(v_own[:n], vh[items])
         acc[:n] = dtype.type(0.0)
         for lo in range(0, t_pad, KEY_SEG):
             acc[:n] += np.matmul(e_c[:n, :, :, lo:lo + KEY_SEG], v_c[:n, :, lo:lo + KEY_SEG])
-        den[items] = acc[:n, :, :S, den_col:den_col + 1]
-        attn[items] = acc[:n, :, :S, :hd] / den[items]
+        _from_stacks(attn[items], acc_items[:n, ..., :hd])
+        _from_stacks(den[items], acc_items[:n, ..., den_col:den_col + 1])
+    attn /= den
 
     merged = np.ascontiguousarray(attn.transpose(0, 2, 1, 3)).reshape(B, S, d)
     return merged, (ex, den, qh, kh, vh)

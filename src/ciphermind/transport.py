@@ -361,12 +361,6 @@ def read_message(stream, timeout: float = DEFAULT_TIMEOUT,
     return parse(data)
 
 
-@dataclass
-class SessionStats:
-    frames: int = 0
-    wire_bytes: int = 0
-
-
 class Session:
     """One ordered duplex conversation between provisioned twins."""
 
@@ -395,12 +389,11 @@ class Session:
         if self.closed or self.established != established:
             raise ProtocolViolation("session closed" if self.closed else "handshake out of order")
 
-    def _send(self, msg: WireMessage) -> int:
+    def _send(self, msg: WireMessage) -> None:
         data = serialize(msg)
         if self.transcript is not None:
             self.transcript.record(TranscriptWriter.DIR_SENT, data)
         self.stream.send_bytes(data)
-        return len(data)
 
     def _fail(self, code: int, reason: str) -> None:
         try:
@@ -483,18 +476,14 @@ class Session:
 
     # -- messages ----------------------------------------------------------
 
-    def send_message(self, plaintext: bytes) -> SessionStats:
+    def send_message(self, plaintext: bytes) -> None:
         self._require(established=True)
         seq = self.send_seq
         frames = codec.encode_message_incremental(
             self.params, self.config, self.key.value, self.nonce, seq, plaintext)
-        stats = SessionStats()
         for frame in frames:
-            stats.wire_bytes += self._send(
-                WireMessage(TYPE_FRAME, pack_frame(seq, frame)))
-            stats.frames += 1
+            self._send(WireMessage(TYPE_FRAME, pack_frame(seq, frame)))
         self.send_seq += 1
-        return stats
 
     def recv_message(self) -> bytes:
         self._require(established=True)

@@ -372,8 +372,15 @@ def test_catch_up_under_a_scripted_tap_schedule(cfg):
 
 
 def test_codec_never_runs_the_last_block_or_the_head(params, monkeypatch):
-    # no frame taps block n_blocks, and nothing reads the logits
+    # no frame taps block n_blocks, and nothing reads the logits; nor does
+    # an encoder's or a decoder's cache allocate that block's keys and values
     block = M._block
+    caches = []
+
+    class RecordedCache(M.KVCache):
+        def __init__(self, config):
+            super().__init__(config)
+            caches.append(self)
 
     def guarded_block(bp, *args, **kwargs):
         if bp is params.blocks[-1]:
@@ -385,9 +392,14 @@ def test_codec_never_runs_the_last_block_or_the_head(params, monkeypatch):
 
     monkeypatch.setattr(M, "_block", guarded_block)
     monkeypatch.setattr(M, "_head", no_head)
+    monkeypatch.setattr(M, "KVCache", RecordedCache)
     plaintext = bytes(np.random.default_rng(5).integers(0, 256, size=C.MAX_MESSAGE_LEN).tolist())
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 21, plaintext)
     assert C.decode_message_incremental(params, CFG, KEY, NONCE, 21, frames, CP) == plaintext
+    assert len(caches) == 2  # the encoder's and the decoder's
+    for cache in caches:
+        assert [k.shape[0] for k in cache._k] == [CFG.max_seq] * (CFG.n_blocks - 1) + [0]
+        assert [v.shape[0] for v in cache._v] == [CFG.max_seq] * (CFG.n_blocks - 1) + [0]
 
 
 def test_push_needs_a_scored_frame(params):

@@ -312,6 +312,56 @@ def test_stacked_own_key_scores_equal_per_item_gemms(head_dim, s_rows, B):
         assert (_bits(out) == _bits(want)).all(), P
 
 
+def _per_item_av(ex, vp, vh):
+    """attn (B, H, S, hd) and den (B, H, S, 1) from one AV GEMM per item,
+    head and KEY_SEG segment, segments added in ascending order: the item's
+    e rows ex (B, H, S, T) zero-padded to max(S, 2) rows and a KEY_SEG
+    multiple of keys, against the prefix V vp (H, P, hd), then its own V vh
+    (B, H, Sk, hd), zero-padded to den_col columns, then M_MIN ones-columns."""
+    B, H, S, T = ex.shape
+    P, hd = vp.shape[1], vh.shape[-1]
+    t_pad, den_col = -(-T // M.KEY_SEG) * M.KEY_SEG, -(-hd // M.M_MIN) * M.M_MIN
+    e = np.zeros((max(S, 2), t_pad), dtype=np.float32)
+    v = np.zeros((t_pad, den_col + M.M_MIN), dtype=np.float32)
+    v[:, den_col:] = 1.0
+    attn = np.empty((B, H, S, hd), dtype=np.float32)
+    den = np.empty((B, H, S, 1), dtype=np.float32)
+    for b in range(B):
+        for h in range(H):
+            e[:S, :T], v[:P, :hd], v[P:T, :hd] = ex[b, h], vp[h], vh[b, h]
+            acc = np.zeros((max(S, 2), den_col + M.M_MIN), dtype=np.float32)
+            for lo in range(0, t_pad, M.KEY_SEG):
+                acc += e[:, lo:lo + M.KEY_SEG] @ v[lo:lo + M.KEY_SEG]
+            den[b, h] = acc[:S, den_col:den_col + 1]
+            attn[b, h] = acc[:S, :hd] / den[b, h]
+    return attn, den
+
+
+@pytest.mark.parametrize("head_dim", [16, 32])
+@pytest.mark.parametrize("s_rows", [1, 2])
+@pytest.mark.parametrize("B", [1, 3, 257])
+def test_stacked_av_equals_per_item_gemms(head_dim, s_rows, B):
+    # _attention stacks items whose own keys share the prefix's last
+    # segment; its bits must equal one AV GEMM per item: at no prefix (a
+    # stack of 64 fills the segment), below M_MIN, below and at the end of
+    # KEY_SEG (P = 126: one item fills it), straddling it (P = 127: no
+    # stack) and past it
+    rng = np.random.default_rng(head_dim + s_rows + B)
+    H, Sk = 4, 2
+    cfg = M.ModelConfig(d_model=H * head_dim, n_heads=H)
+    d = cfg.d_model
+    q = rng.standard_normal((B, s_rows, d)).astype(np.float32)
+    k_new, v_new = rng.standard_normal((2, B, Sk, d)).astype(np.float32)
+    for P in (0, 9, 41, 73, 126, 127, 130):
+        k_pref, v_pref = rng.standard_normal((2, P, d)).astype(np.float32)
+        merged, (ex, den, _, _, vh) = M._attention(q, k_pref, v_pref, k_new, v_new,
+                                                  P + Sk - s_rows, cfg)
+        attn, want_den = _per_item_av(ex, v_pref.reshape(P, H, head_dim).transpose(1, 0, 2), vh)
+        want = attn.transpose(0, 2, 1, 3).reshape(B, s_rows, d)
+        assert (_bits(den) == _bits(want_den)).all(), P
+        assert (_bits(merged) == _bits(want)).all(), P
+
+
 @pytest.mark.parametrize("head_dim", [16, 32, 64])
 def test_av_gemm_bits_at_2_to_m_min_rows_equal_m_min_rows(head_dim):
     # the AV GEMM's shape: K = KEY_SEG, N = den_col + M_MIN, e sliced from a
@@ -330,7 +380,7 @@ def test_av_gemm_bits_at_2_to_m_min_rows_equal_m_min_rows(head_dim):
 
 def test_one_row_av_input_is_padded_to_two_rows(monkeypatch):
     # layer 1 runs only the tapped block, whose one query row would make
-    # each AV GEMM a GEMV
+    # each AV GEMM a GEMV; three items stack into one GEMM of three rows
     params = M.init_parameters(CFG_SMALL, seed=15)
     cache = M.KVCache(CFG_SMALL)
     M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
@@ -344,7 +394,11 @@ def test_one_row_av_input_is_padded_to_two_rows(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", recording)
     M.hypothesis_taps(params, CFG_SMALL, cache, np.array([[4, 5], [6, 7], [8, 9]]), 1)
+    stacked = av_rows.copy()
+    av_rows.clear()
+    M.hypothesis_taps(params, CFG_SMALL, cache, np.array([[4, 5]]), 1)
     monkeypatch.undo()
+    assert stacked and min(stacked) >= 2
     assert av_rows and set(av_rows) == {2}
 
 
