@@ -16,55 +16,49 @@ implementation rules:
    terms takes a kernel with other bits, an AV GEMM whose N is not a
    multiple of 16 loses row-independent bits, and an N of 1 turns a GEMM
    into a GEMV. Within these limits a score's bits depend neither on N nor
-   on its column, so every score comes from one GEMM form, ``_scores``: per
-   head, a stack of c = max(1, 2 * M_MIN // max(S, Sk)) items of S query
-   rows and Sk own keys, capped at the batch size, against a key buffer
-   that holds the P prefix keys the batch shares, then the c items' own
-   keys. Each item keeps its rows' first P columns and its own diagonal
-   block, so the prefix is never copied into every item. c = 1 is one GEMM
-   per item: a cache extension (one item) and a training pass over more
-   than M_MIN positions (no prefix) run that.
-   One exception to the row floor: the AV GEMMs (K = KEY_SEG,
+   on its column. One exception to the row floor: the AV GEMMs (K = KEY_SEG,
    N = den_col + M_MIN) run at max(c * S, 2) rows for a stack of c items
    (rule 2), since at that shape every row count from 2 to M_MIN gives the
-   M_MIN-row bits (and above M_MIN the floor's own guarantee holds). One
-   row does not (a 1-row GEMM is a GEMV), nor do other projections at few
-   rows (w2 below 16 rows, the head below 31), so ``_mm`` keeps the floor.
+   M_MIN-row bits. One row does not (a 1-row GEMM is a GEMV), nor do other
+   projections at few rows (w2 below 16 rows, the head below 31), so ``_mm``
+   keeps the floor.
 
-2. Attention's AV reduction runs over keys in fixed ``KEY_SEG``-wide
-   segments combined in ascending order: per head and stack of c items,
-   one AV GEMM with K = KEY_SEG per segment, the key axis zero-padded to a
-   segment multiple and masked. A stack's V holds the P prefix values the
-   batch shares, then the c items' own Sk values; each item's rows of e
-   hold its prefix columns and its own columns on the diagonal, every other
-   entry an exact zero. Items stack, c = min(B, (t_pad - P) // Sk), only
-   when the prefix ends in the last segment (P >= t_pad - KEY_SEG), so that
-   every item's own columns fall in the segment that holds its last key:
-   a row then meets the products it would meet alone, in the same order,
-   and the zeros between them add nothing. Otherwise c = 1, one GEMM per
-   item: a cache catch-up, an encoder tap, a training pass over more than
-   KEY_SEG / 2 positions and a batch whose own keys straddle a segment
-   boundary run that. The scores need no segments, since a score reduces
-   over the head dim, not over keys. ``M_MIN`` ones-columns appended to V
-   make the same GEMM yield the softmax denominators. A position's
-   attention output therefore has identical bits whether it is computed
-   inside a long teacher-forced pass, an incremental step against a KV
-   cache, or a batched hypothesis evaluation. The softmax numerator ``exp``
-   runs only on live entries (real query rows, keys below the sequence
-   end); masked, padded-row and padded-column entries enter the fixed-shape
-   GEMMs as exact zeros, which is what ``exp`` of a masked score yields
-   anyway, so only the work shrinks, never the shapes.
+2. Attention stacks items by one rule, in both of its GEMMs. Per head, a
+   stack of c items of S query rows and Sk own keys runs against one key
+   axis that holds the P prefix keys (or values) the batch shares, then the
+   c items' own; each item keeps its rows' first P columns and its own
+   diagonal block, every other entry of e is an exact zero, and the prefix
+   is never copied into every item. The AV reduction runs over keys in fixed
+   ``KEY_SEG``-wide segments combined in ascending order, one GEMM with
+   K = KEY_SEG per segment, the key axis zero-padded to a segment multiple
+   and masked; the scores need none, since a score reduces over the head
+   dim. ``_stack_size`` gives c = min(B, (t_pad - P) // Sk) when the prefix
+   ends in the last segment (P >= t_pad - KEY_SEG), so that every item's own
+   columns fall in the segment that holds its last key: a row then meets the
+   products it would meet alone, in the same order, and the zeros between
+   them add nothing. Otherwise c = 1, one GEMM per item: a cache catch-up,
+   an encoder tap, a training pass over more than KEY_SEG / 2 positions and
+   a batch whose own keys straddle a segment boundary run that. ``M_MIN``
+   ones-columns appended to V make the same GEMM yield the softmax
+   denominators. A position's attention output therefore has identical bits
+   whether it is computed inside a long teacher-forced pass, an incremental
+   step against a KV cache, or a batched hypothesis evaluation. The softmax
+   numerator ``exp`` runs only on live entries (real query rows, keys below
+   the sequence end); masked, padded-row and padded-column entries enter the
+   fixed-shape GEMMs as exact zeros, which is what ``exp`` of a masked score
+   yields anyway, so only the work shrinks, never the shapes.
 
 3. Every path is a short loop over one per-block function, ``_block``,
-   between ``_embed`` and ``_head``: ``forward_full`` with no prefix;
-   ``catch_up`` against the cache, which runs each block once over the
+   between ``_embed`` and ``_head``: ``_forward``, the teacher-forced pass
+   with no prefix that ``forward_full`` and, with ``need_aux``, the
+   training pass in :mod:`ciphermind.trainer` run; ``catch_up`` against the
+   cache, which runs each block once over the
    positions that lack its keys and values (a contiguous suffix, see
    ``KVCache``) and writes them after the block runs, against the keys of
    the positions before (``extend_cache`` is ``append_tokens``, then a
    catch_up through every block, then the head; a one-token extension is a
-   decoding step); ``hypothesis_taps`` with ``last_only`` in the tapped
-   block; and the training pass in :mod:`ciphermind.trainer` with
-   ``need_aux``. A hypothesis batch also hands back each item's first
+   decoding step); and ``hypothesis_taps`` with ``last_only`` in the
+   tapped block. A hypothesis batch also hands back each item's first
    position as the cache would hold it: its keys and values in the blocks
    below the tapped one and its residual entering that block. Those rows
    have the bits a catch_up would compute for the same token, so a decoder
@@ -114,8 +108,10 @@ MASK_FILL = -1e30
 # Bytes of padded arrays that one chunk of stacks may span in each of
 # attention's two GEMM loops, so that they stay in cache from the copy to the
 # GEMM: Q rows, keys and their product in the score GEMMs (_scores), e and V
-# in the AV GEMMs. The buffers of one chunk are reused for the next, so a
-# call faults in at most one chunk's pages.
+# in the AV GEMMs. The buffers of one chunk are filled in place for the next,
+# so a call faults in at most one chunk's pages: arrays of a few MiB, or a
+# fresh product per chunk, would be fresh mmap pages on every call whenever
+# glibc's dynamic mmap threshold sits below their size.
 # On a 2-core Xeon (2 MiB L2), a (257, 2) hypothesis batch at layer 4 ran
 # alike at 512 KiB and 1 MiB, and 2-7 % slower at 2 MiB or without chunks,
 # which also took 23-33 % more page faults in a fresh process.
@@ -518,49 +514,65 @@ def _from_stacks(items, stacked) -> None:
         items[full * c:] = stacked[full, :rest]
 
 
-def _scores(qh, kp, kh, out) -> None:
+def _stack_size(B: int, P: int, Sk: int) -> int:
+    """c, the items a stack holds in both of attention's GEMMs (rule 2)."""
+    t_pad = _round_up(P + Sk, KEY_SEG)
+    return min(B, (t_pad - P) // Sk) if P >= t_pad - KEY_SEG else 1
+
+
+def _chunks(B: int, c: int, stack_bytes: int):
+    """(g, chunks) for a batch of B items in stacks of c: g stacks a chunk,
+    so that a chunk's buffers span at most _CHUNK_BYTES at stack_bytes a
+    stack, and (n stacks, item slice) of each chunk in order."""
+    n_stacks = -(-B // c)
+    g = min(n_stacks, max(1, _CHUNK_BYTES // stack_bytes))
+    return g, [(min(g, n_stacks - s0), slice(s0 * c, min(B, (s0 + g) * c)))
+               for s0 in range(0, n_stacks, g)]
+
+
+def _items(buf, c: int, n: int, shift: int = 0):
+    """(stack, item, head, row, column) view of buf (stack, head, row,
+    column) in stacks of c items: item i's n rows from row i * n, its columns
+    moved right by i * shift. Shift 0 gives a stack's Q, own K or V and
+    accumulator rows, and its scores' or e's prefix columns; shift Sk on the
+    Sk columns from P gives each item's own diagonal block, which for i > 0
+    lies past that slice but inside the buffer."""
+    g, H, _, width = buf.shape
+    st = buf.strides
+    return as_strided(buf, (g, c, H, n, width),
+                      (st[0], n * st[2] + shift * st[3], st[1], st[2], st[3]))
+
+
+def _scores(qh, kp, kh, out, c: int) -> None:
     """Every attention score (rule 1): each item's query rows qh (B, H, S, hd)
     against the prefix keys kp (H, P, hd) the batch shares and against its
     own keys kh (B, H, Sk, hd), written into out (B, H, S, P + Sk). One GEMM
-    per head and stack of c items; a stack's key buffer holds the prefix
-    keys, then the c items' own keys. Each item keeps its rows' first P
-    columns and its own diagonal block. Stacks run in chunks whose padded
-    operands and product span at most _CHUNK_BYTES, in buffers filled in
-    place: arrays of a few MiB, or one fresh product per chunk, would be
-    fresh mmap pages, faulted in on every call, whenever glibc's dynamic
-    mmap threshold sits below their size.
+    per head and stack of c items (rule 2), at max(c * S, M_MIN) rows, the
+    stacks in chunks of _CHUNK_BYTES.
     """
     B, H, S, hd = qh.shape
     P, Sk = kp.shape[1], kh.shape[2]
     dtype = qh.dtype
-    c = min(B, max(1, 2 * M_MIN // max(S, Sk)))
-    n_stacks = -(-B // c)
     rows, cols = max(c * S, M_MIN), max(_round_up(P + c * Sk, M_MIN), 2 * M_MIN)
-    stack_bytes = dtype.itemsize * H * ((rows + cols) * hd + rows * cols)
-    g = min(n_stacks, max(1, _CHUNK_BYTES // stack_bytes))
+    g, chunks = _chunks(B, c, dtype.itemsize * H * ((rows + cols) * hd + rows * cols))
     q_c = np.zeros((g, H, rows, hd), dtype=dtype)
     k_c = np.zeros((g, H, cols, hd), dtype=dtype)
     sc_c = np.empty((g, H, rows, cols), dtype=dtype)
     k_c[:, :, :P] = kp
-    # (stack, item, head, row, hd) views of the buffers' live rows
-    q_items = q_c[:, :, :c * S].reshape(g, H, c, S, hd).transpose(0, 2, 1, 3, 4)
-    k_items = k_c[:, :, P:P + c * Sk].reshape(g, H, c, Sk, hd).transpose(0, 2, 1, 3, 4)
-    for s0 in range(0, n_stacks, g):
-        n = min(g, n_stacks - s0)
-        items = slice(s0 * c, min(B, (s0 + n) * c))
+    q_items, k_items = _items(q_c, c, S), _items(k_c[:, :, P:], c, Sk)
+    sc_pref, sc_own = _items(sc_c[..., :P], c, S), _items(sc_c[..., P:P + Sk], c, S, Sk)
+    for n, items in chunks:
         _to_stacks(q_items[:n], qh[items])
         _to_stacks(k_items[:n], kh[items])
-        sc = np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2), out=sc_c[:n])[:, :, :c * S]
-        sc = sc.reshape(n, H, c, S, cols).transpose(0, 2, 1, 3, 4)  # (stack, item, ...)
-        _from_stacks(out[items, :, :, :P], sc[..., :P])
-        own = sc[..., P:P + c * Sk].reshape(n, c, H, S, c, Sk)
-        diag = np.diagonal(own, axis1=1, axis2=4).transpose(0, 4, 1, 2, 3)
-        _from_stacks(out[items, :, :, P:], diag)
+        np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2), out=sc_c[:n])
+        _from_stacks(out[items, ..., :P], sc_pref[:n])
+        _from_stacks(out[items, ..., P:], sc_own[:n])
 
 
 def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     """Causal attention (rules 1 and 2 of the module docstring): every score
-    from one _scores call, the AV reduction in KEY_SEG segments.
+    from one _scores call, the AV reduction in KEY_SEG segments, both GEMMs
+    in the stacks of one _stack_size.
 
     q: (B, S, d) queries; k_new, v_new: (B, Sk, d) each item's own keys and
     values; k_pref/v_pref: (P, d) prefix shared by the whole batch (may be
@@ -578,10 +590,11 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     P = k_pref.shape[0]
     T = P + Sk
     t_pad = _round_up(T, KEY_SEG)
+    c = _stack_size(B, P, Sk)
     qh = _split_heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd))), H)
     kh = _split_heads(k_new, H)
     live = np.empty((B, H, S, T), dtype=dtype)
-    _scores(qh, k_pref.reshape(P, H, hd).transpose(1, 0, 2), kh, live)
+    _scores(qh, k_pref.reshape(P, H, hd).transpose(1, 0, 2), kh, live, c)
 
     # Mask, row max and exp over the live region only: real query rows and
     # keys below T. Padded rows and keys from T on enter the AV GEMMs as
@@ -591,36 +604,24 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     live[:, blocked] = dtype.type(MASK_FILL)
     ex = detmath.exp(live - np.max(live, axis=-1, keepdims=True)).reshape(B, H, S, T)
 
-    # AV (rule 2): one GEMM per head, KEY_SEG segment and stack of c items,
-    # added in ascending segment order, at max(c * S, 2) rows (rule 1). V is
-    # zero-padded to a multiple of M_MIN columns and then gains M_MIN
-    # ones-columns, so the same GEMMs yield the softmax denominators in
-    # column den_col. Stacks run in chunks whose e and V stay in cache, in
-    # buffers filled in place through strided views; only the item slots
-    # change from chunk to chunk.
+    # AV (rule 2): one GEMM per head, KEY_SEG segment and stack, added in
+    # ascending segment order, at max(c * S, 2) rows (rule 1); V's ones-columns
+    # from den_col on yield the softmax denominators.
     den_col = _round_up(hd, M_MIN)
     cols = den_col + M_MIN
-    c = min(B, (t_pad - P) // Sk) if P >= t_pad - KEY_SEG else 1
-    n_stacks, rows = -(-B // c), max(c * S, 2)
-    g = min(n_stacks, max(1, _CHUNK_BYTES // (dtype.itemsize * H * t_pad * (rows + cols))))
+    rows = max(c * S, 2)
+    g, chunks = _chunks(B, c, dtype.itemsize * H * t_pad * (rows + cols))
     e_c = np.zeros((g, H, rows, t_pad), dtype=dtype)
     v_c = np.zeros((g, H, t_pad, cols), dtype=dtype)
     v_c[:, :, :P, :hd] = v_pref.reshape(P, H, hd).transpose(1, 0, 2)
     v_c[..., den_col:] = dtype.type(1.0)
     acc = np.empty((g, H, rows, cols), dtype=dtype)
-    # (stack, item, head, row, column) views of the buffers
-    e_pref = e_c[:, :, :c * S, :P].reshape(g, H, c, S, P).transpose(0, 2, 1, 3, 4)
-    st = e_c.strides
-    e_own = as_strided(e_c[..., P:], (g, c, H, S, Sk),
-                       (st[0], S * st[2] + Sk * st[3], st[1], st[2], st[3]))
-    v_own = v_c[:, :, P:P + c * Sk, :hd].reshape(g, H, c, Sk, hd).transpose(0, 2, 1, 3, 4)
-    acc_items = acc[:, :, :c * S].reshape(g, H, c, S, cols).transpose(0, 2, 1, 3, 4)
+    e_pref, e_own = _items(e_c[..., :P], c, S), _items(e_c[..., P:P + Sk], c, S, Sk)
+    v_own, acc_items = _items(v_c[:, :, P:, :hd], c, Sk), _items(acc, c, S)
     vh = _split_heads(v_new, H)
     den = np.empty((B, H, S, 1), dtype=dtype)
     attn = np.empty((B, H, S, hd), dtype=dtype)
-    for s0 in range(0, n_stacks, g):
-        n = min(g, n_stacks - s0)
-        items = slice(s0 * c, min(B, (s0 + n) * c))
+    for n, items in chunks:
         _to_stacks(e_pref[:n], ex[items, ..., :P])
         _to_stacks(e_own[:n], ex[items, ..., P:])
         _to_stacks(v_own[:n], vh[items])
@@ -709,20 +710,30 @@ def _sequence(tokens) -> np.ndarray:
     return tokens
 
 
+def _forward(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
+             need_aux: bool = False):
+    """Teacher-forced pass over a batch (B, T) from position 0. Returns
+    (logits, per_block, head_ln): per_block[i] is block i's output (B, T, d),
+    or with need_aux its saved intermediates (see _block); head_ln is the
+    final layer norm's (out, normalized, inverse std)."""
+    x = _embed(params, cfg, tokens, 0)
+    empty = np.zeros((0, cfg.d_model), dtype=params.dtype)
+    per_block = []
+    for bp in params.blocks:
+        x, _, _, saved = _block(bp, cfg, x, empty, empty, 0, need_aux=need_aux)
+        per_block.append(saved if need_aux else x)
+    logits, head_ln = _head(params, cfg, x)
+    return logits, per_block, head_ln
+
+
 def forward_full(params: ParameterSet, config: ModelConfig, tokens):
     """Teacher-forced pass over one sequence.
 
     Returns (hidden, logits): hidden[l-1][p] is the residual-stream output
     of block l at position p; logits[p] spans the vocabulary.
     """
-    x = _embed(params, config, _sequence(tokens)[None], 0)
-    empty = np.zeros((0, config.d_model), dtype=params.dtype)
-    hidden = []
-    for bp in params.blocks:
-        x, _, _, _ = _block(bp, config, x, empty, empty, 0)
-        hidden.append(x[0])
-    logits, _ = _head(params, config, x)
-    return np.stack(hidden), logits[0]
+    logits, hidden, _ = _forward(params, config, _sequence(tokens)[None])
+    return np.stack([x[0] for x in hidden]), logits[0]
 
 
 def append_tokens(params: ParameterSet, config: ModelConfig, cache: KVCache,

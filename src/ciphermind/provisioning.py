@@ -117,9 +117,10 @@ def _shard_file(shard_id: int) -> str:
 
 def _load_manifest(root: Path):
     """The manifest's shard entries and registry digest; a manifest that is
-    not JSON or lacks a field or has a wrong type raises ProvisioningError.
-    A shard's file must be the one save_registry names: a path the manifest
-    chose could lie outside the registry."""
+    not JSON or lacks a field or has a wrong type raises ProvisioningError,
+    as does one whose entries are not shards 0..127 in order, before any
+    shard file is read. A shard's file must be the one save_registry names:
+    a path the manifest chose could lie outside the registry."""
     try:
         manifest = json.loads((root / "manifest.json").read_text())
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
@@ -127,11 +128,12 @@ def _load_manifest(root: Path):
     if not (isinstance(manifest, dict) and isinstance(manifest.get("shards"), list)
             and isinstance(manifest.get("registry_digest"), str)):
         raise ProvisioningError("registry manifest needs a shards list and a registry_digest")
-    for entry in manifest["shards"]:
-        if not (isinstance(entry, dict) and type(entry.get("id")) is int
-                and entry.get("file") == _shard_file(entry["id"])
-                and isinstance(entry.get("digest"), str)):
-            raise ProvisioningError("registry manifest entry needs an integer id, "
+    if len(manifest["shards"]) != N_SHARDS:
+        raise ProvisioningError(f"registry manifest needs exactly {N_SHARDS} shards")
+    for i, entry in enumerate(manifest["shards"]):
+        if not (isinstance(entry, dict) and type(entry.get("id")) is int and entry["id"] == i
+                and entry.get("file") == _shard_file(i) and isinstance(entry.get("digest"), str)):
+            raise ProvisioningError(f"registry manifest entry {i} needs id {i}, "
                                     "the shard file of that id and a digest")
     return manifest["shards"], manifest["registry_digest"]
 

@@ -270,21 +270,6 @@ def _attention_backward(dmerged, att, pads, cfg, keys=True):
     return unsplit(dq, S), dk, unsplit(dv, S)
 
 
-def _forward_train(params: M.ParameterSet, cfg: M.ModelConfig, tokens: np.ndarray):
-    """Teacher-forced pass over a batch (B, T) that keeps what the backward
-    pass needs. Returns (logits, saved, head_ln): saved[i] are block i's
-    intermediates, head_ln the final layer norm's (out, normalized, inverse
-    std)."""
-    x = M._embed(params, cfg, tokens, 0)
-    empty = np.zeros((0, cfg.d_model), dtype=params.dtype)
-    saved = []
-    for bp in params.blocks:
-        x, _, _, st = M._block(bp, cfg, x, empty, empty, 0, need_aux=True)
-        saved.append(st)
-    logits, head_ln = M._head(params, cfg, x)
-    return logits, saved, head_ln
-
-
 def _cross_entropy(logits: np.ndarray, tokens: np.ndarray, mask: np.ndarray):
     """Next-token cross-entropy of logits (B, T, V) against tokens (B, T),
     from one pinned exp.
@@ -330,7 +315,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     if nmask == 0:
         raise TrainerError("loss mask is empty")
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, saved, (xf, xnf, invf) = _forward_train(params, cfg, tokens)
+        logits, saved, (xf, xnf, invf) = M._forward(params, cfg, tokens, need_aux=True)
     B, T, V = logits.shape
     d = cfg.d_model
 
@@ -401,8 +386,7 @@ def _batch_order_stream(seed: int) -> Stream:
     return Stream(mix64(seed ^ 0x73687566666C65))  # "shuffle"
 
 
-def _run_sgd(cfg: M.ModelConfig, prepared, tconfig, apply_update, materialize,
-             loss_log=None, wrt=None):
+def _run_sgd(cfg: M.ModelConfig, prepared, tconfig, apply_update, materialize, wrt=None):
     """Common SGD driver; update policy differs between base and adapters,
     and wrt names the block weights the update takes (None: every weight)."""
     stream = _batch_order_stream(tconfig.seed)
@@ -425,14 +409,11 @@ def _run_sgd(cfg: M.ModelConfig, prepared, tconfig, apply_update, materialize,
             raise DivergenceError(step) from None
         if not np.isfinite(loss):
             raise DivergenceError(step)
-        if loss_log is not None:
-            loss_log.append(loss)
         apply_update(grads)
     return materialize()
 
 
-def pretrain_base(corpus, config: M.ModelConfig, tconfig: TrainConfig,
-                  loss_log=None) -> M.ParameterSet:
+def pretrain_base(corpus, config: M.ModelConfig, tconfig: TrainConfig) -> M.ParameterSet:
     """Cross-entropy SGD over every weight, starting from the seeded init."""
     if not corpus:
         raise TrainerError("empty corpus")
@@ -448,7 +429,7 @@ def pretrain_base(corpus, config: M.ModelConfig, tconfig: TrainConfig,
         arrays[:] = [w - lr * g for w, g in zip(arrays, grads.iter_arrays())]
 
     return _run_sgd(config, prepared, tconfig, apply_update,
-                    lambda: M.ParameterSet.from_arrays(config, arrays), loss_log)
+                    lambda: M.ParameterSet.from_arrays(config, arrays))
 
 
 # -------------------------------------------------------------------- LoRA
@@ -576,7 +557,7 @@ def forgetting_probe(params: M.ParameterSet, cfg: M.ModelConfig,
     for start in range(0, len(prepared), batch_size):
         idxs = list(range(start, min(start + batch_size, len(prepared))))
         tokens, mask = _make_batch(prepared, idxs)
-        logits, _, _ = _forward_train(params, cfg, tokens)
+        logits, _, _ = M._forward(params, cfg, tokens)
         total += _cross_entropy(logits, tokens, mask)[0]
         count += float(mask.sum())
     return total / count

@@ -462,6 +462,8 @@ class Session:
         acks. Both ends derive chain IVs from (key, nonce, message seq)."""
         if role not in ("initiator", "responder"):
             raise ValueError("role must be initiator or responder")
+        if nonce is not None and not (isinstance(nonce, int) and 0 <= nonce < 2**64):
+            raise ValueError(f"nonce must be an integer in [0, 2**64), got {nonce!r}")
         self._require(established=False)
         with self._exit():
             if role == "initiator":

@@ -296,17 +296,19 @@ def _per_segment_prefix_scores(qh, kp):
 # an encoder tap; one stack short of M_MIN rows; a frame's hypotheses
 @pytest.mark.parametrize("B", [1, 3, 257])
 def test_stacked_own_key_scores_equal_per_item_gemms(head_dim, s_rows, B):
-    # _scores puts the shared prefix keys in front of each stack's own keys;
-    # its bits must equal the two GEMM forms it replaced, at no prefix, one
-    # below M_MIN, one below KEY_SEG and one that crosses KEY_SEG
+    # _scores puts the shared prefix keys in front of each stack's own keys,
+    # in the stacks _attention's _stack_size gives; its bits must equal the
+    # two GEMM forms it replaced, at no prefix, below M_MIN, below KEY_SEG,
+    # at its end (P = 126: one item fills the segment), straddling it (P =
+    # 127: one item a stack) and past it
     rng = np.random.default_rng(head_dim + s_rows + B)
     H, Sk = 4, 2
     qh = rng.standard_normal((B, H, s_rows, head_dim)).astype(np.float32)
     kh = rng.standard_normal((B, H, Sk, head_dim)).astype(np.float32)
-    for P in (0, 9, 41, 130):
+    for P in (0, 9, 41, 73, 126, 127, 130):
         kp = rng.standard_normal((H, P, head_dim)).astype(np.float32)
         out = np.empty((B, H, s_rows, P + Sk), dtype=np.float32)
-        M._scores(qh, kp, kh, out)
+        M._scores(qh, kp, kh, out, M._stack_size(B, P, Sk))
         want = np.concatenate([_per_segment_prefix_scores(qh, kp),
                                _per_item_own_key_scores(qh, kh)], axis=-1)
         assert (_bits(out) == _bits(want)).all(), P

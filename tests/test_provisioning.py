@@ -1,5 +1,6 @@
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,29 @@ def test_registry_manifest_names_no_file_outside_the_registry(tmp_path, registry
     manifest.write_text(json.dumps(doc))
     with pytest.raises(P.ProvisioningError, match="manifest"):
         P.load_registry(tmp_path / "reg")
+
+
+@pytest.mark.parametrize("damage", ["20000 extra copies of entry 0", "entries 0 and 1 swapped",
+                                    "entry 127 missing"])
+def test_registry_manifest_lists_shards_0_to_127_before_any_shard_read(
+        tmp_path, registry, monkeypatch, damage):
+    P.save_registry(tmp_path / "reg", registry)
+    manifest = tmp_path / "reg" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    shards = doc["shards"]
+    if damage.startswith("20000"):
+        shards += [shards[0]] * 20000
+    elif damage.endswith("swapped"):
+        shards[0], shards[1] = shards[1], shards[0]
+    else:
+        del shards[127]
+    manifest.write_text(json.dumps(doc))
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    with pytest.raises(P.ProvisioningError, match="manifest"):
+        P.load_registry(tmp_path / "reg")
+    assert reads == []
 
 
 def test_registry_missing_shard_file_fails_typed(tmp_path, registry):

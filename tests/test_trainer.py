@@ -78,10 +78,11 @@ def test_pretrain_loss_decreases():
     corpus = T.make_pretrain_corpus(3, 200)
     tc = T.TrainConfig(seed=6, steps=60, learning_rate=0.5, batch_size=8,
                        max_example_len=64)
-    log = []
-    T.pretrain_base(corpus, CFG_TINY, tc, loss_log=log)
-    assert len(log) == 60
-    assert np.mean(log[-10:]) < log[0]
+    tokens, mask = T._make_batch(T._prepare(corpus, 64), range(8))
+    init = M.init_parameters(CFG_TINY, tc.seed)
+    trained = T.pretrain_base(corpus, CFG_TINY, tc)
+    assert (T.loss_and_grads(trained, CFG_TINY, tokens, mask)[0]
+            < T.loss_and_grads(init, CFG_TINY, tokens, mask)[0])
 
 
 def test_pretrain_rejects_empty_corpus():

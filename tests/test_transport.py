@@ -292,6 +292,17 @@ def test_handshake_established_with_equal_nonces(open_pair, params, profile):
     assert s1.nonce == s2.nonce == 42
 
 
+@pytest.mark.parametrize("nonce", [-1, 2**64, 1.0])
+def test_handshake_rejects_a_nonce_outside_64_bits(open_pair, params, profile, nonce):
+    a, b = open_pair()
+    s = _session(b, params, profile)
+    with pytest.raises(ValueError, match="nonce"):
+        s.handshake("initiator", nonce=nonce)
+    assert not (s.established or s.closed)
+    with pytest.raises(W.TransportTimeout):  # the peer reads nothing
+        a.recv_exact(1, timeout=0.3)
+
+
 def _mismatched_handshake(open_pair, params, initiator_profile, responder_profile):
     """Handshake two sessions whose profiles differ; returns the field the
     initiator's TwinMismatch names and what the responder raised."""
