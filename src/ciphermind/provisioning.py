@@ -71,20 +71,42 @@ class SessionKey:
 
 @dataclass
 class ShardRegistry:
+    """128 shards, each its list of (prompt, completion) examples; id = index."""
+
     shards: list
 
     def __post_init__(self):
-        if len(self.shards) != N_SHARDS:
-            raise ProvisioningError(f"registry needs exactly {N_SHARDS} shards")
-        ids = [s.id for s in self.shards]
-        if ids != list(range(N_SHARDS)):
-            raise ProvisioningError("shard ids must be 0..127 in order")
+        if len(self.shards) != N_SHARDS or not all(self.shards):
+            raise ProvisioningError(f"registry needs exactly {N_SHARDS} non-empty shards")
 
     def digest(self) -> bytes:
+        """SHA-256 over each shard's digest, the SHA-256 of its shard_bytes, in id order."""
         h = hashlib.sha256()
-        for s in self.shards:
-            h.update(s.digest)
+        for examples in self.shards:
+            h.update(hashlib.sha256(shard_bytes(examples)).digest())
         return h.digest()
+
+
+def shard_bytes(examples) -> bytes:
+    """A shard's file and digest input: each prompt and completion behind its u32 length."""
+    out = bytearray()
+    for prompt, completion in examples:
+        out += struct.pack("<I", len(prompt)) + prompt
+        out += struct.pack("<I", len(completion)) + completion
+    return bytes(out)
+
+
+def parse_shard(blob: bytes) -> list | None:
+    """The examples that shard_bytes wrote as blob; None if blob is empty,
+    cut short or holds an odd number of texts."""
+    parts, pos = [], 0
+    while pos + 4 <= len(blob):
+        (n,) = struct.unpack_from("<I", blob, pos)
+        parts.append(blob[pos + 4:pos + 4 + n])
+        pos += 4 + n
+    if not parts or pos != len(blob) or len(parts) % 2:
+        return None
+    return list(zip(parts[::2], parts[1::2]))
 
 
 def generate_registry(seed: int, examples_per_shard: int = 24) -> ShardRegistry:
@@ -92,8 +114,7 @@ def generate_registry(seed: int, examples_per_shard: int = 24) -> ShardRegistry:
     shards = []
     for sid in range(N_SHARDS):
         stream = Stream(mix64(seed ^ (0x5348415244 + sid)))  # "SHARD" + id
-        examples = [T.sentence_example(stream) for _ in range(examples_per_shard)]
-        shards.append(T.Shard(id=sid, examples=examples))
+        shards.append([T.sentence_example(stream) for _ in range(examples_per_shard)])
     return ShardRegistry(shards)
 
 
@@ -102,11 +123,11 @@ def save_registry(path, registry: ShardRegistry) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     entries = []
-    for shard in registry.shards:
-        fname = _shard_file(shard.id)
-        (root / fname).write_bytes(T.example_digest_bytes(shard.examples))
-        entries.append({"id": shard.id, "file": fname,
-                        "digest": shard.digest.hex()})
+    for sid, examples in enumerate(registry.shards):
+        blob = shard_bytes(examples)
+        (root / _shard_file(sid)).write_bytes(blob)
+        entries.append({"id": sid, "file": _shard_file(sid),
+                        "digest": hashlib.sha256(blob).hexdigest()})
     manifest = {"shards": entries, "registry_digest": registry.digest().hex()}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
@@ -116,13 +137,16 @@ def _shard_file(shard_id: int) -> str:
 
 
 def _load_manifest(root: Path):
-    """The manifest's shard entries and registry digest; a manifest that is
-    not JSON or lacks a field or has a wrong type raises ProvisioningError,
-    as does one whose entries are not shards 0..127 in order, before any
-    shard file is read. A shard's file must be the one save_registry names:
-    a path the manifest chose could lie outside the registry."""
+    """The manifest's shard entries and registry digest; an unreadable or
+    non-JSON manifest, or one that lacks a field or has a wrong type or whose
+    entries are not shards 0..127 in order, raises ProvisioningError before
+    any shard file is read. A shard's file must be the one save_registry
+    names: a path the manifest chose could lie outside the registry."""
+    path = root / "manifest.json"
     try:
-        manifest = json.loads((root / "manifest.json").read_text())
+        manifest = json.loads(path.read_text())
+    except OSError as e:
+        raise ProvisioningError(f"registry manifest {path} cannot be read: {e.strerror}") from None
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         raise ProvisioningError(f"registry manifest is not JSON: {e}") from None
     if not (isinstance(manifest, dict) and isinstance(manifest.get("shards"), list)
@@ -142,33 +166,27 @@ def load_registry(path) -> ShardRegistry:
     root = Path(path)
     entries, registry_digest = _load_manifest(root)
     shards = []
-    for entry in entries:
+    for sid, entry in enumerate(entries):
         try:
             blob = (root / entry["file"]).read_bytes()
-        except FileNotFoundError:
-            raise ProvisioningError(f"shard {entry['id']} file {entry['file']} is missing") from None
-        # length-prefixed prompt, completion, prompt, ... (example_digest_bytes)
-        parts, pos = [], 0
-        while pos + 4 <= len(blob):
-            (n,) = struct.unpack_from("<I", blob, pos)
-            parts.append(blob[pos + 4:pos + 4 + n])
-            pos += 4 + n
-        if not parts or pos != len(blob) or len(parts) % 2:
-            raise ProvisioningError(f"shard {entry['id']} file is empty or cut short")
-        examples = list(zip(parts[::2], parts[1::2]))
-        shard = T.Shard(id=entry["id"], examples=examples)
-        if shard.digest.hex() != entry["digest"]:
-            raise ProvisioningError(f"shard {entry['id']} digest mismatch on load")
-        shards.append(shard)
+        except OSError as e:
+            raise ProvisioningError(
+                f"shard {sid} file {root / entry['file']} cannot be read: {e.strerror}") from None
+        examples = parse_shard(blob)
+        if examples is None:
+            raise ProvisioningError(f"shard {sid} file is empty or cut short")
+        if hashlib.sha256(blob).hexdigest() != entry["digest"]:
+            raise ProvisioningError(f"shard {sid} digest mismatch on load")
+        shards.append(examples)
     registry = ShardRegistry(shards)
     if registry.digest().hex() != registry_digest:
         raise ProvisioningError("registry digest mismatch on load")
     return registry
 
 
-def select_shards(key: SessionKey, registry: ShardRegistry) -> list:
-    """Shard i is selected iff key bit i is set; output in ascending id."""
-    return [registry.shards[i] for i in range(N_SHARDS) if key.bit(i)]
+def select_shards(key: SessionKey) -> list:
+    """Ids of the shards the key selects: i iff key bit i is set, ascending."""
+    return [i for i in range(N_SHARDS) if key.bit(i)]
 
 
 # the names verify_twin reports, one per TwinProfile field in order
@@ -225,8 +243,8 @@ def provision(base: M.ParameterSet, key: SessionKey, registry: ShardRegistry,
     """select_shards -> finetune -> merge; returns (merged twin, profile,
     adapters). Pure function of its inputs. The profile takes the base
     fingerprint finetune recorded, which merge has checked against base."""
-    shards = select_shards(key, registry)
-    adapters = T.finetune(base, shards, tconfig)
+    examples = [ex for i in select_shards(key) for ex in registry.shards[i]]
+    adapters = T.finetune(base, examples, tconfig)
     merged = T.merge(base, adapters)
     profile = make_profile(adapters.base_fingerprint, T.adapter_fingerprint(adapters),
                            registry, key, base.config)

@@ -17,10 +17,9 @@ builds no other weight's gradient and stops at block 1's projections.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,30 +87,6 @@ class TrainConfig:
 
 
 Example = tuple[bytes, bytes]  # (prompt text, completion text)
-
-
-def example_digest_bytes(examples) -> bytes:
-    out = bytearray()
-    for prompt, completion in examples:
-        out += struct.pack("<I", len(prompt)) + prompt
-        out += struct.pack("<I", len(completion)) + completion
-    return bytes(out)
-
-
-@dataclass
-class Shard:
-    id: int
-    examples: list
-    digest: bytes = field(default=b"")
-
-    def __post_init__(self):
-        if not self.examples:
-            raise TrainerError(f"shard {self.id} has no examples")
-        want = hashlib.sha256(example_digest_bytes(self.examples)).digest()
-        if not self.digest:
-            self.digest = want
-        elif self.digest != want:
-            raise TrainerError(f"shard {self.id} digest does not match content")
 
 
 # ----------------------------------------------------------- synthetic text
@@ -492,12 +467,12 @@ def _merged(base: M.ParameterSet, factors) -> M.ParameterSet:
     return dataclasses.replace(base, blocks=blocks)
 
 
-def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig) -> AdapterSet:
-    """Train only the adapter factors, on the shards' examples and nothing
-    else, taken in the order given (provisioning passes the key's shards in
+def finetune(base: M.ParameterSet, examples, tconfig: TrainConfig) -> AdapterSet:
+    """Train only the adapter factors, on the examples and nothing else,
+    taken in the order given (provisioning passes the key's shards in
     ascending id); the SGD driver's seeded shuffle orders the batches."""
-    if not shards:
-        raise TrainerError("no shards to fine-tune on")
+    if not examples:
+        raise TrainerError("no examples to fine-tune on")
     cfg = base.config
     base_fp = M.fingerprint(base)
     factors = _init_adapters(cfg, tconfig)
@@ -505,8 +480,7 @@ def finetune(base: M.ParameterSet, shards, tconfig: TrainConfig) -> AdapterSet:
     if tconfig.steps == 0:
         return adapters
 
-    dataset = [ex for sh in shards for ex in sh.examples]
-    prepared = _prepare(dataset, min(tconfig.max_example_len, cfg.max_seq))
+    prepared = _prepare(examples, min(tconfig.max_example_len, cfg.max_seq))
     lr = F32(tconfig.learning_rate)
 
     def apply_update(grads):

@@ -15,8 +15,8 @@ KEY = bytes(range(16))
 NONCE = 0xDEADBEEF
 
 # Untrained models leave thin margins between the exact hypothesis (1.0) and
-# wrong ones (~0.9997 at this scale), far below the shipped delta default,
-# so unit tests pin a tiny one.
+# wrong ones (~0.9997 at this scale), so unit tests pin a tiny delta: the
+# shipped default's value, named here so that the gate tested stays fixed.
 CP = C.CodecParams(delta=1e-6)
 
 
@@ -299,9 +299,15 @@ def test_nan_score_and_margin_fail_the_gates(params, monkeypatch):
 
 def test_wrong_key_decode_fails(params):
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 6, b"hi")
-    wrong = bytes(reversed(KEY))
+    # One flipped bit: the key's halves XOR to another value than KEY's, so
+    # the chain draws another layer for the first frame. (A key whose halves
+    # XOR to KEY's, such as KEY reversed, draws KEY's schedule and decodes.)
+    wrong = KEY[:15] + bytes([KEY[15] ^ 0x80])
+    first_layer = [scheduler.layer_of(scheduler.init_chain(k, NONCE, 6), CFG.n_blocks)
+                   for k in (KEY, wrong)]
+    assert first_layer[0] != first_layer[1]
     with pytest.raises((C.DecodeFailure, C.AmbiguousDecode)):
-        C.decode_message_incremental(params, CFG, wrong, NONCE, 6, frames)
+        C.decode_message_incremental(params, CFG, wrong, NONCE, 6, frames, CP)
 
 
 def test_layer_lockstep(params):

@@ -198,9 +198,9 @@ def test_adapter_gradients_equal_the_full_calls():
 
 def _finetuned():
     stream = Stream(9)
-    shards = [T.Shard(id=0, examples=[T.sentence_example(stream) for _ in range(4)])]
+    examples = [T.sentence_example(stream) for _ in range(4)]
     tconfig = T.TrainConfig(seed=3, steps=2, batch_size=2, max_example_len=80)
-    return T.finetune(_params(), shards, tconfig)
+    return T.finetune(_params(), examples, tconfig)
 
 
 def test_finetune_adapter_fingerprint():
@@ -223,9 +223,9 @@ def test_init_parameters_fingerprint_default_config():
 def test_init_adapters_fingerprint_default_config():
     # zero steps: the adapter factors are exactly their seeded initial draw
     stream = Stream(9)
-    shards = [T.Shard(id=0, examples=[T.sentence_example(stream) for _ in range(4)])]
+    examples = [T.sentence_example(stream) for _ in range(4)]
     base = M.init_parameters(M.ModelConfig(), seed=2506)
-    adapters = T.finetune(base, shards, T.TrainConfig(steps=0))
+    adapters = T.finetune(base, examples, T.TrainConfig(steps=0))
     assert T.adapter_fingerprint(adapters).hex() == GOLDEN["init_adapters_default_config"]
 
 

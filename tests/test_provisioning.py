@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -56,11 +57,11 @@ def test_weak_key_warns(caplog):
     assert any("popcount" in r.message for r in caplog.records)
 
 
-def test_select_shards_cases(registry):
-    assert [s.id for s in P.select_shards(_key(1), registry)] == [0]
-    assert [s.id for s in P.select_shards(_key(5), registry)] == [0, 2]
+def test_select_shards_cases():
+    assert P.select_shards(_key(1)) == [0]
+    assert P.select_shards(_key(5)) == [0, 2]
     all_ones = _key((1 << 128) - 1)
-    assert [s.id for s in P.select_shards(all_ones, registry)] == list(range(128))
+    assert P.select_shards(all_ones) == list(range(128))
 
 
 def test_registry_digest_stable(registry):
@@ -74,7 +75,24 @@ def test_registry_file_roundtrip(tmp_path, registry):
     P.save_registry(tmp_path / "reg", registry)
     loaded = P.load_registry(tmp_path / "reg")
     assert loaded.digest() == registry.digest()
-    assert loaded.shards[7].examples == registry.shards[7].examples
+    assert loaded.shards == registry.shards
+
+
+def test_shard_digest_is_sha256_of_its_file_bytes(tmp_path, registry):
+    P.save_registry(tmp_path / "reg", registry)
+    entries = json.loads((tmp_path / "reg" / "manifest.json").read_text())["shards"]
+    for sid in (0, 127):
+        blob = (tmp_path / "reg" / f"shard_{sid:03d}.bin").read_bytes()
+        assert blob == P.shard_bytes(registry.shards[sid])
+        assert P.parse_shard(blob) == registry.shards[sid]
+        assert entries[sid]["digest"] == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("shards", [[[(b"p", b"c")]] * 127, [[(b"p", b"c")]] * 127 + [[]]],
+                         ids=["127 shards", "shard 127 empty"])
+def test_registry_needs_128_non_empty_shards(shards):
+    with pytest.raises(P.ProvisioningError, match="non-empty"):
+        P.ShardRegistry(shards)
 
 
 def test_registry_shard_cut_inside_a_length_field(tmp_path, registry):
@@ -137,6 +155,39 @@ def test_registry_missing_shard_file_fails_typed(tmp_path, registry):
     P.save_registry(tmp_path / "reg", registry)
     (tmp_path / "reg" / "shard_005.bin").unlink()
     with pytest.raises(P.ProvisioningError, match="shard 5"):
+        P.load_registry(tmp_path / "reg")
+
+
+@pytest.mark.parametrize("name, damage", [("manifest.json", "missing"),
+                                          ("manifest.json", "a directory"),
+                                          ("shard_005.bin", "a directory")])
+def test_registry_unreadable_file_fails_typed_naming_it(tmp_path, registry, name, damage):
+    P.save_registry(tmp_path / "reg", registry)
+    path = tmp_path / "reg" / name
+    path.unlink()
+    if damage == "a directory":
+        path.mkdir()
+    with pytest.raises(P.ProvisioningError, match=name):
+        P.load_registry(tmp_path / "reg")
+
+
+def test_registry_shard_text_flip_fails_its_digest(tmp_path, registry):
+    P.save_registry(tmp_path / "reg", registry)
+    shard = tmp_path / "reg" / "shard_009.bin"
+    blob = bytearray(shard.read_bytes())
+    blob[4] ^= 0x01  # the first byte of the first prompt, after its length
+    shard.write_bytes(bytes(blob))
+    with pytest.raises(P.ProvisioningError, match="shard 9 digest mismatch on load"):
+        P.load_registry(tmp_path / "reg")
+
+
+def test_registry_manifest_digest_altered_fails_typed(tmp_path, registry):
+    P.save_registry(tmp_path / "reg", registry)
+    manifest = tmp_path / "reg" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["registry_digest"] = "00" * 32
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(P.ProvisioningError, match="registry digest mismatch on load"):
         P.load_registry(tmp_path / "reg")
 
 
@@ -210,9 +261,9 @@ def test_profile_pack_roundtrip(registry):
     assert P.TwinProfile.unpack(blob) == prof
 
 
-def test_keyspace_injectivity_on_samples(registry):
+def test_keyspace_injectivity_on_samples():
     seen = set()
     for v in (1, 2, 3, 0xFF, 1 << 64, (1 << 128) - 1):
-        ids = tuple(s.id for s in P.select_shards(_key(v), registry))
+        ids = tuple(P.select_shards(_key(v)))
         assert ids not in seen
         seen.add(ids)

@@ -12,13 +12,9 @@ CFG_TINY = M.ModelConfig(n_blocks=2, d_model=32, n_heads=2, d_ff=64,
                          vocab_size=260, max_seq=128)
 
 
-def _toy_shards(n=3, per=4, seed=0):
+def _toy_examples(n=12, seed=0):
     stream = Stream(seed)
-    shards = []
-    for i in range(n):
-        examples = [T.sentence_example(stream) for _ in range(per)]
-        shards.append(T.Shard(id=i, examples=examples))
-    return shards
+    return [T.sentence_example(stream) for _ in range(n)]
 
 
 # ------------------------------------------------------------------ corpus
@@ -32,15 +28,6 @@ def test_repeat_payloads_in_bounds():
         assert x == completion
         assert 1 <= len(x) <= 64
         assert all(0x21 <= b <= 0x7E for b in x)
-
-
-def test_shard_digest_matches_content():
-    sh = T.Shard(id=0, examples=[(b"p", b"c")])
-    assert len(sh.digest) == 32
-    with pytest.raises(T.TrainerError):
-        T.Shard(id=0, examples=[(b"p", b"c")], digest=b"\x00" * 32)
-    with pytest.raises(T.TrainerError):
-        T.Shard(id=1, examples=[])
 
 
 def test_tokenize_and_mask_layout():
@@ -94,24 +81,24 @@ def test_pretrain_rejects_empty_corpus():
 
 def test_finetune_zero_steps_merge_is_identity():
     base = M.init_parameters(CFG_TINY, 3)
-    adapters = T.finetune(base, _toy_shards(), T.TrainConfig(seed=4, steps=0))
+    adapters = T.finetune(base, _toy_examples(), T.TrainConfig(seed=4, steps=0))
     merged = T.merge(base, adapters)
     assert M.fingerprint(merged) == M.fingerprint(base)
 
 
 def test_finetune_steps_change_fingerprint():
     base = M.init_parameters(CFG_TINY, 3)
-    shards = _toy_shards()
-    a10 = T.finetune(base, shards, T.TrainConfig(seed=4, steps=3, learning_rate=0.05,
-                                                 batch_size=4, max_example_len=80))
-    a20 = T.finetune(base, shards, T.TrainConfig(seed=4, steps=6, learning_rate=0.05,
-                                                 batch_size=4, max_example_len=80))
+    examples = _toy_examples()
+    a10 = T.finetune(base, examples, T.TrainConfig(seed=4, steps=3, learning_rate=0.05,
+                                                   batch_size=4, max_example_len=80))
+    a20 = T.finetune(base, examples, T.TrainConfig(seed=4, steps=6, learning_rate=0.05,
+                                                   batch_size=4, max_example_len=80))
     assert T.adapter_fingerprint(a10) != T.adapter_fingerprint(a20)
 
 
 def test_finetune_trains_on_shard_examples_alone(monkeypatch):
-    shards = _toy_shards()
-    want = sorted(T.tokenize_example(ex)[0] for sh in shards for ex in sh.examples)
+    examples = _toy_examples()
+    want = sorted(T.tokenize_example(ex)[0] for ex in examples)
     rows, wrts = [], []
     loss_and_grads = T.loss_and_grads
 
@@ -122,7 +109,7 @@ def test_finetune_trains_on_shard_examples_alone(monkeypatch):
 
     monkeypatch.setattr(T, "loss_and_grads", recording)
     # 3 batches of 4 are one pass over the 12 examples
-    T.finetune(M.init_parameters(CFG_TINY, 3), shards,
+    T.finetune(M.init_parameters(CFG_TINY, 3), examples,
                T.TrainConfig(seed=4, steps=3, batch_size=4))
     assert sorted(rows) == want
     assert wrts == [T.ADAPTED_FIELDS] * 3
@@ -136,18 +123,18 @@ def test_finetune_rejects_no_shards():
 
 def test_finetune_twin_determinism():
     base = M.init_parameters(CFG_TINY, 3)
-    shards = _toy_shards()
+    examples = _toy_examples()
     tc = T.TrainConfig(seed=4, steps=3, learning_rate=0.05, batch_size=4,
                        max_example_len=80)
-    a = T.finetune(base, shards, tc)
-    b = T.finetune(base, shards, tc)
+    a = T.finetune(base, examples, tc)
+    b = T.finetune(base, examples, tc)
     assert T.adapter_fingerprint(a) == T.adapter_fingerprint(b)
 
 
 def test_finetune_leaves_base_untouched():
     base = M.init_parameters(CFG_TINY, 3)
     fp0 = M.fingerprint(base)
-    T.finetune(base, _toy_shards(), T.TrainConfig(seed=4, steps=2, batch_size=4,
+    T.finetune(base, _toy_examples(), T.TrainConfig(seed=4, steps=2, batch_size=4,
                                                   max_example_len=80))
     assert M.fingerprint(base) == fp0
 
@@ -162,7 +149,7 @@ def test_merge_rank1_hand_oracle():
 
 def test_merge_deterministic_and_checks_fingerprint():
     base = M.init_parameters(CFG_TINY, 3)
-    adapters = T.finetune(base, _toy_shards(), T.TrainConfig(seed=4, steps=2,
+    adapters = T.finetune(base, _toy_examples(), T.TrainConfig(seed=4, steps=2,
                                                              batch_size=4,
                                                              max_example_len=80))
     m1 = T.merge(base, adapters)
@@ -175,7 +162,7 @@ def test_merge_deterministic_and_checks_fingerprint():
 
 def test_adapter_file_roundtrip(tmp_path):
     base = M.init_parameters(CFG_TINY, 3)
-    adapters = T.finetune(base, _toy_shards(), T.TrainConfig(seed=4, steps=2,
+    adapters = T.finetune(base, _toy_examples(), T.TrainConfig(seed=4, steps=2,
                                                              batch_size=4,
                                                              max_example_len=80))
     path = tmp_path / "a.cmad"
@@ -216,7 +203,7 @@ def test_config_rejects_a_rate_not_finite_and_non_negative(rate):
 def test_adapter_file_with_a_nan_rate_fails_typed(tmp_path):
     base = M.init_parameters(CFG_TINY, 3)
     path = tmp_path / "a.cmad"
-    T.save_adapters(path, T.finetune(base, _toy_shards(), T.TrainConfig(steps=0)))
+    T.save_adapters(path, T.finetune(base, _toy_examples(), T.TrainConfig(steps=0)))
     blob = path.read_bytes()
     rate_at = 4 + 1 + 32 + 8 + 4  # magic, version, base fingerprint, seed, steps
     path.write_bytes(blob[:rate_at] + struct.pack("<f", float("nan")) + blob[rate_at + 4:])

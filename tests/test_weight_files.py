@@ -20,8 +20,8 @@ TC = T.TrainConfig(seed=4, steps=0)
 
 def _adapters():
     stream = Stream(9)
-    shards = [T.Shard(id=0, examples=[T.sentence_example(stream) for _ in range(2)])]
-    return T.finetune(M.init_parameters(CFG, seed=5), shards, TC)
+    examples = [T.sentence_example(stream) for _ in range(2)]
+    return T.finetune(M.init_parameters(CFG, seed=5), examples, TC)
 
 
 # kind -> (write a good file, load it, the error a damaged one raises,

@@ -7,7 +7,9 @@ name, encodes one message of ``--length`` seeded bytes with the new tree at
 the shipped ``ModelConfig()`` (untrained base, seed 11) and decodes it once a
 round with a decoder of each tree. Frame t of the old decoder and frame t of
 the new one are fed one after the other, the order alternating by frame and
-round, so both trees see the same machine state. A frame's time is its
+round, so both trees see the same machine state. Each decoder gates with
+its tree's shipped ``CodecParams()``, so both trees must ship δ = 1e-6: the
+earlier δ = 0.01 rejects every frame. A frame's time is its
 ``IncrementalDecoder.feed``; per block is that time over its tap layer. A
 separate untimed pass counts the ``_block`` and ``_head`` calls of each feed:
 those of the 257-item hypothesis batch (one per block up to the tap layer)
@@ -53,7 +55,7 @@ def quartiles(values) -> dict:
     return {"q1": round(q1, 3), "median": round(q2, 3), "q3": round(q3, 3)}
 
 
-def count_calls(tree, params, cfg, frames, cp) -> dict:
+def count_calls(tree, params, cfg, frames) -> dict:
     """Per-frame means of one decode's engine calls: every _block call, the
     cache's one-item _block calls and their rows, and the _head calls."""
     M, C = tree["model"], tree["codec"]
@@ -67,7 +69,7 @@ def count_calls(tree, params, cfg, frames, cp) -> dict:
             return originals[name](*args, **kwargs)
         return wrapper
 
-    dec = C.IncrementalDecoder(params, cfg, KEY, NONCE, 0, cp)
+    dec = C.IncrementalDecoder(params, cfg, KEY, NONCE, 0)
     per_frame = []
     try:
         for name in originals:
@@ -98,20 +100,19 @@ def main(argv=None) -> int:
 
     trees = {"old": load(Path(args.old).resolve(), "ciphermind_old"),
              "new": load(Path(args.new).resolve(), "ciphermind_new")}
-    params, cfg, frames, cp = {}, None, {}, {}
+    params, cfg, frames = {}, None, {}
     rng = np.random.default_rng(args.length)
     plaintext = bytes(rng.integers(0, 256, size=args.length).tolist())
     for side, tree in trees.items():
         M, C = tree["model"], tree["codec"]
         cfg = M.ModelConfig()
         params[side] = M.init_parameters(cfg, 11)
-        cp[side] = C.CodecParams(delta=1e-6)
         frames[side] = C.encode_message_incremental(params[side], cfg, KEY, NONCE, 0, plaintext)
     assert all((a.payload == b.payload).all() for a, b in zip(frames["old"], frames["new"]))
 
     per_block = {side: [] for side in trees}
     for r in range(args.rounds):
-        decs = {side: tree["codec"].IncrementalDecoder(params[side], cfg, KEY, NONCE, 0, cp[side])
+        decs = {side: tree["codec"].IncrementalDecoder(params[side], cfg, KEY, NONCE, 0)
                 for side, tree in trees.items()}
         for t in range(len(frames["new"])):
             order = ("old", "new") if (r + t) % 2 == 0 else ("new", "old")
@@ -122,7 +123,7 @@ def main(argv=None) -> int:
                 per_block[side].append(ms / decs[side].layers_used[-1])
         assert decs["old"].plaintext == decs["new"].plaintext == plaintext
 
-    calls = {side: count_calls(tree, params[side], cfg, frames[side], cp[side])
+    calls = {side: count_calls(tree, params[side], cfg, frames[side])
              for side, tree in trees.items()}
     report = {
         "message_bytes": args.length, "frames": len(frames["new"]), "rounds": args.rounds,
