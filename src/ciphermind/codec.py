@@ -11,16 +11,22 @@ committed prefix ``template ++ P[:t]`` followed by its step ``[P[t], <sep>]``
 (``[<eos>, <sep>]`` for END); the payload is the output of the layer the key
 schedule draws for the frame, tapped at that ``<sep>``. ``frame_step`` and
 ``frame_context`` hold this layout. The receiver's KV cache over the prefix
-grows one byte per frame, and each frame is scored as one batch of 257
-steps against it, ``[c, <sep>]`` for c in 0..255 and then ``[<eos>, <sep>]``.
-An accepted byte joins the cache at the depth its frame's batch reached,
-with the rows the winning hypothesis computed, and gains the blocks above
-only when a later frame taps them; no cache runs block n_blocks or the
-head, which no frame reads. A position has the same bits in a full pass, a
-cache extension and a hypothesis batch (rules 1-3 of
-:mod:`ciphermind.model`), so the true candidate re-creates the payload bit
-for bit and scores cosine 1.0 whatever the model's quality; the theta and
-delta gates reject anything else.
+grows one byte per frame. Each frame's 257 steps against it, ``[c, <sep>]``
+for c in 0..255 and then ``[<eos>, <sep>]``, run first as a draft, a pass
+that is close to the exact model but not bit-pinned and ranks them by
+cosine; one exact batch then verifies the draft's winner and its near
+rivals, and the full exact batch of 257 scores the frame when that verify
+cannot decide it (see ``HypothesisScorer``). The result is the full exact
+batch's as long as every draft cosine lies within DRAFT_ETA of its exact
+one, which the verify checks inside its set and which is measured, not
+checked, outside it. An accepted byte joins the cache at the depth its
+frame's exact batch reached, with the rows the winning hypothesis
+computed, and gains the blocks above only when a later frame taps them; no
+cache runs block n_blocks or the head, which no frame reads. A position has
+the same bits in a full pass, a cache extension and a hypothesis batch of
+any size (rules 1-3 of :mod:`ciphermind.model`), so the true candidate
+re-creates the payload bit for bit and scores cosine 1.0 whatever the
+model's quality; the theta and delta gates reject anything else.
 
 No <sep> is kept between bytes. Interleaving them would let one forward
 pass encode a message, but it doubles the context, and a wrong byte's tap
@@ -69,6 +75,21 @@ DEFAULT_THETA = 0.9999
 # TrainConfig() ran 3.0e-5 to 1.1e-3: 0.01 rejected them all. On the untrained
 # 4 x 32 test model, 2 of 780 frames fall below 1e-6 (least 6.0e-7).
 DEFAULT_DELTA = 1e-6
+
+# The draft's cosines (model.draft_taps) differed from the exact ones by at
+# most 6e-8, one float32 ulp below 1, on every candidate of 420 right-key
+# frames at ModelConfig() and 469 on the 4 x 32 test model
+# (tools/draft_check.py, BENCH_22.json). While no draft score is off by more
+# than DRAFT_ETA, the candidates the exact batch ranks first and second lie
+# within 2 * DRAFT_ETA of the draft's runner-up.
+DRAFT_ETA = 1e-6
+# Up to 16 two-token items fill the M_MIN = 32 rows that an exact GEMM pads
+# to, so a verify of 16 costs about what one costs: at layer 4 at
+# ModelConfig() on a 2-core Xeon, 2.2 ms for 1 item, 3.1 ms for 16, 26 ms
+# for 257. At DRAFT_ETA the verify set held 2 to 5 candidates on 1000 frames
+# at ModelConfig() and 2 to 9 on the 4 x 32 model, whose thin tap-layer-1
+# margins in 64-byte messages crowd more than 16 within reach on a few frames.
+VERIFY_CAP = 16
 
 
 class CodecError(Exception):
@@ -222,12 +243,28 @@ class HypothesisScorer:
     Keeps a KV cache over the committed prefix, template ++ accepted
     bytes, each position at its committed depth (see model.KVCache): the
     template at n_blocks - 1, an accepted byte at the depth its frame's
-    batch reached. A frame tapped at layer L first catches the cache up
-    through block L, one block call per block that some position lacks,
-    then is scored as one hypothesis_taps batch of 257 two-token suffixes
-    against it, each candidate's frame_step: [c, <sep>] for bytes c =
-    0..255, then [<eos>, <sep>] for END. Candidates are scored in
-    CANDIDATES order; ties resolve to the lowest index.
+    verify reached. A frame tapped at layer L first catches the cache up
+    through block L, one block call per block that some position lacks.
+    Its 257 two-token suffixes, each candidate's frame_step ([c, <sep>] for
+    bytes c = 0..255, then [<eos>, <sep>] for END), then run as a draft
+    (model.draft_taps), ranked by cosine against the payload. One exact
+    hypothesis_taps call verifies V: the draft's winner and every candidate
+    whose draft score lies within 2 * DRAFT_ETA of the draft's runner-up.
+    When the best exact tap in V equals the payload bit for bit and every
+    exact score in V lies within DRAFT_ETA of its draft score, V's exact
+    cosines give the token, score and margin. They are the full exact
+    batch's if no candidate outside V has a draft score more than DRAFT_ETA
+    from its exact one, for then V holds every candidate that batch could
+    rank first or second; that bound is measured (DRAFT_ETA's comment), not
+    checked, outside V. Otherwise (V larger than VERIFY_CAP, a draft score
+    not finite, or the check failed: a wrong key, a damaged payload, a BLAS
+    kernel off model rules 1-2) the frame is scored by the full exact batch
+    of 257. So only a frame whose payload verifies is fast; any other frame
+    pays the draft, the verify and the full batch, about 1.65 times the
+    full batch alone (tools/decode_ab.py --flip-bit). Candidates are scored
+    in CANDIDATES order; ties resolve to the lowest index.
+    ``verified_frames`` and ``fallback_frames`` count the frames each way
+    decided.
     """
 
     def __init__(self, params: M.ParameterSet, cfg: M.ModelConfig):
@@ -236,32 +273,57 @@ class HypothesisScorer:
         self.cache = _template_cache(params, cfg)
         self.suffixes = np.array([frame_step(c) for c in CANDIDATES], dtype=np.int64)
         self.decoded = bytearray()
-        self._first = None  # the last batch's first-position rows, until push
+        self.verified_frames = 0
+        self.fallback_frames = 0
+        # the last exact call's candidate indices and first-position rows, until push
+        self._first = None
 
     @property
     def prefix(self) -> bytes:
         return bytes(self.decoded)
 
-    def score_frame(self, payload: np.ndarray, layer: int):
-        """Returns (token, score, margin, scores[257]) for one frame."""
-        M.catch_up(self.params, self.cfg, self.cache, layer)
-        taps, self._first = M.hypothesis_taps(self.params, self.cfg, self.cache,
-                                              self.suffixes, layer)
+    def _exact(self, payload: np.ndarray, layer: int, rows):
+        """One exact hypothesis_taps call over the candidates rows: keeps
+        its first-position rows for push and returns (taps, their exact
+        cosines, the position of the best, its margin over the rest)."""
+        taps, first = M.hypothesis_taps(self.params, self.cfg, self.cache,
+                                        self.suffixes[rows], layer)
+        self._first = (rows, first)
         scores = cosine(taps, payload).astype(np.float64)
         best = int(np.argmax(scores))
-        best_score = float(scores[best])
-        margin = best_score - float(np.delete(scores, best).max())
-        return CANDIDATES[best], best_score, margin, scores
+        margin = scores[best] - np.delete(scores, best).max()
+        return taps, scores, best, float(margin)
+
+    def score_frame(self, payload: np.ndarray, layer: int):
+        """Returns (token, score, margin) for one frame."""
+        payload = np.asarray(payload, dtype=np.float32)
+        M.catch_up(self.params, self.cfg, self.cache, layer)
+        draft = cosine(M.draft_taps(self.params, self.cfg, self.cache, self.suffixes, layer),
+                       payload).astype(np.float64)
+        if np.all(np.isfinite(draft)):
+            rows = np.flatnonzero(draft >= np.partition(draft, -2)[-2] - 2 * DRAFT_ETA)
+            if rows.size <= VERIFY_CAP:
+                taps, scores, best, margin = self._exact(payload, layer, rows)
+                if (np.array_equal(taps[best].view(np.uint32), payload.view(np.uint32))
+                        and np.all(np.abs(scores - draft[rows]) <= DRAFT_ETA)):
+                    self.verified_frames += 1
+                    return CANDIDATES[rows[best]], float(scores[best]), margin
+        self.fallback_frames += 1
+        _, scores, best, margin = self._exact(payload, layer, np.arange(len(CANDIDATES)))
+        return CANDIDATES[best], float(scores[best]), margin
 
     def push(self, byte_val: int) -> None:
         """Commit one accepted byte of the last scored frame into the shared
-        prefix, at the depth that frame's batch reached: its hypothesis
+        prefix, at the depth that frame's exact call reached: its hypothesis
         [byte_val, <sep>] computed the byte's keys and values below the
         tapped block and its residual entering it. No block runs."""
         if self._first is None:
             raise CodecError("no scored frame to commit a byte from")
-        keys, values, x = self._first
-        i = CANDIDATES.index(byte_val)
+        rows, (keys, values, x) = self._first
+        i = np.flatnonzero(rows == CANDIDATES.index(byte_val))
+        if not i.size:
+            raise CodecError(f"byte {byte_val} was not verified in the last scored frame")
+        i = int(i[0])
         self.cache.commit(x[i:i + 1], [k[i:i + 1] for k in keys], [v[i:i + 1] for v in values])
         self._first = None
         self.decoded.append(byte_val)
@@ -310,7 +372,7 @@ class IncrementalDecoder:
         payload = _checked_payload(frame)
         layer = scheduler.layer_of(self.state, self.cfg.n_blocks)
         self.layers_used.append(layer)
-        token, score, margin, _ = self.scorer.score_frame(payload, layer)
+        token, score, margin = self.scorer.score_frame(payload, layer)
         # written so that a NaN score or margin fails the gate
         if not score >= self.cp.theta:
             raise DecodeFailure(

@@ -70,14 +70,22 @@ implementation rules:
    the MLP, it saves the GELU input u and the tanh ``detmath.gelu`` computed
    for it, t, not the GELU output g: the backward pass takes t for the GELU
    derivative and rebuilds g from u and t with gelu's own operations when
-   it needs g. ``forward_full``, ``extend_cache`` and ``hypothesis_taps``
-   never call one another, so a wrapper around one sees only its own calls.
-   Each runs on the calling thread alone: with the padding gone from a
-   hypothesis batch, splitting it over worker threads ran no faster on 2
-   CPUs.
+   it needs g. ``forward_full``, ``extend_cache``, ``hypothesis_taps`` and
+   ``draft_taps`` never call one another, so a wrapper around one sees only
+   its own calls. Each runs on the calling thread alone: with the padding
+   gone from a hypothesis batch, splitting it over worker threads ran no
+   faster on 2 CPUs.
+   The draft is the one path that is not bit-pinned. ``draft_taps`` runs
+   the tap loop of ``hypothesis_taps`` (``_taps``) with ``_block``'s
+   ``draft`` switch, which swaps in ``_draft_attention`` (numpy's exp, one
+   masked product per head, no stacks or segments) and ``_draft_gelu``
+   (numpy's tanh); it calls nothing in :mod:`ciphermind.detmath`. Its taps stay within a few float32 ulps of
+   the exact ones and only rank a decoder's candidates, which an exact
+   ``hypothesis_taps`` call then verifies: a draft value never reaches a
+   frame, a cache or a twin.
 
-Elementwise transcendentals come from :mod:`ciphermind.detmath`; add, mul,
-div and sqrt are IEEE-exact and need no pinning.
+Elementwise transcendentals come from :mod:`ciphermind.detmath`, except
+the draft's; add, mul, div and sqrt are IEEE-exact and need no pinning.
 
 The "hidden state at layer l" is the residual stream after block l's final
 residual addition (1-indexed), before the next block's first layer norm.
@@ -636,6 +644,55 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     return merged, (ex, den, qh, kh, vh)
 
 
+def _draft_attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
+    """The draft's causal attention (rule 3), on _attention's arguments
+    with a prefix the rows never mask (base >= P): numpy's exp, and per
+    head one product of every item's query rows against the prefix keys,
+    then one masked batched product against the item's own keys, with no
+    row floor, stacks or segments. Returns (merged (B, S, d), None): the
+    draft keeps nothing for a backward pass."""
+    dtype = q.dtype
+    B, S, d = q.shape
+    Sk = k_new.shape[1]
+    H, hd = cfg.n_heads, cfg.head_dim
+    P = k_pref.shape[0]
+
+    def heads(x):  # (B, n, d) -> (H, B, n, hd)
+        return x.reshape(B, -1, H, hd).transpose(2, 0, 1, 3)
+
+    qh = np.ascontiguousarray(heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd)))))
+    kh, vh = heads(k_new), heads(v_new)
+    sc = np.empty((H, B, S, P + Sk), dtype=dtype)
+    sc[..., :P] = np.matmul(qh.reshape(H, B * S, hd),
+                            k_pref.reshape(P, H, hd).transpose(1, 2, 0)).reshape(H, B, S, P)
+    own = sc[..., P:]
+    own[...] = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    own[..., P + np.arange(Sk)[None, :] > base + np.arange(S)[:, None]] = -np.inf
+    sc -= sc.max(axis=-1, keepdims=True)
+    np.exp(sc, out=sc)
+    sc /= sc.sum(axis=-1, keepdims=True)
+    out = np.matmul(sc[..., :P].reshape(H, B * S, P),
+                    v_pref.reshape(P, H, hd).transpose(1, 0, 2)).reshape(H, B, S, hd)
+    out += np.matmul(sc[..., P:], vh)
+    return np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(B, S, d), None
+
+
+def _draft_gelu(u):
+    """tanh-form GELU with numpy's tanh, for the draft (rule 3), built in
+    one buffer."""
+    c0, c1 = u.dtype.type(detmath._GELU_C0), u.dtype.type(detmath._GELU_C1)
+    g = u * u
+    g *= u
+    g *= c1
+    g += u
+    g *= c0
+    np.tanh(g, out=g)
+    g += u.dtype.type(1.0)
+    g *= u
+    g *= u.dtype.type(0.5)
+    return g
+
+
 def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
            base: int) -> np.ndarray:
     """Residual stream (B, S, d) entering block 1 for token ids (B, S) at
@@ -652,7 +709,7 @@ def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
 
 
 def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
-           last_only=False, need_aux=False):
+           last_only=False, need_aux=False, draft=False):
     """One block on the residual stream x (B, S, d) at positions base .. :
     layer norm, Q/K/V, _attention against the shared prefix k_pref/v_pref
     (P, d) and the items' own keys, O, layer norm, MLP.
@@ -663,7 +720,8 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     block of hypothesis_taps. With need_aux (training) saved holds what
     trainer.loss_and_grads needs for the backward pass: the layer norms'
     intermediates, _attention's unpadded arrays ("att") and output, and the
-    GELU input u with its tanh t; otherwise None.
+    GELU input u with its tanh t; otherwise None. With draft the block runs
+    the draft's parts (rule 3), _draft_attention and _draft_gelu.
     """
     B, S, d = x.shape
     a, xn1, inv1 = _layer_norm(x, bp.g1, bp.b1, cfg.ln_epsilon)
@@ -677,7 +735,8 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     else:
         q = _mm(a2, bp.wq).reshape(B, S, d)
     n = B * q.shape[1]
-    attn, att = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
+    attention = _draft_attention if draft else _attention
+    attn, att = attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
     if not need_aux:
         att = None  # freed now, not held through the MLP
     x = x + _mm(attn.reshape(n, d), bp.wo).reshape(x.shape)
@@ -686,7 +745,7 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     if need_aux:
         g, t = detmath.gelu(u, return_tanh=True)
     else:
-        g = detmath.gelu(u)
+        g = _draft_gelu(u) if draft else detmath.gelu(u)
     x = x + _mm(g, bp.w2).reshape(x.shape)
     saved = None
     if need_aux:
@@ -775,6 +834,29 @@ def extend_cache(params: ParameterSet, config: ModelConfig, cache: KVCache,
     return hidden, logits[0]
 
 
+def _taps(params: ParameterSet, config: ModelConfig, cache: KVCache, suffixes,
+          layer: int, draft: bool):
+    """The one tap loop of hypothesis_taps and draft_taps: (taps, first)."""
+    suffixes = np.asarray(suffixes, dtype=np.int64)
+    if suffixes.ndim != 2 or suffixes.shape[1] == 0:
+        raise ModelError("suffixes must be (B, S) with S >= 1")
+    if not 1 <= layer <= config.n_blocks:
+        raise ModelError("tap layer out of range")
+    if cache.depth < layer:
+        raise ModelError(f"tap layer {layer} is above the cache's depth {cache.depth}")
+    x = _embed(params, config, suffixes, cache.length)
+    keys, values = [], []
+    for bi in range(layer - 1):
+        x, k_new, v_new, _ = _block(params.blocks[bi], config, x, cache.keys(bi),
+                                    cache.values(bi), cache.length, draft=draft)
+        keys.append(k_new[:, 0].copy())
+        values.append(v_new[:, 0].copy())
+    first = (keys, values, x[:, 0].copy())
+    x, _, _, _ = _block(params.blocks[layer - 1], config, x, cache.keys(layer - 1),
+                        cache.values(layer - 1), cache.length, last_only=True, draft=draft)
+    return x[:, 0, :], first
+
+
 def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
                     suffixes, layer: int):
     """Residual-stream tap of block `layer` at the last position of
@@ -787,21 +869,11 @@ def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
     in each block below the tapped one (layer - 1 arrays of (B, d)) and its
     residual entering the tapped block (B, d).
     """
-    suffixes = np.asarray(suffixes, dtype=np.int64)
-    if suffixes.ndim != 2 or suffixes.shape[1] == 0:
-        raise ModelError("suffixes must be (B, S) with S >= 1")
-    if not 1 <= layer <= config.n_blocks:
-        raise ModelError("tap layer out of range")
-    if cache.depth < layer:
-        raise ModelError(f"tap layer {layer} is above the cache's depth {cache.depth}")
-    x = _embed(params, config, suffixes, cache.length)
-    keys, values = [], []
-    for bi in range(layer - 1):
-        x, k_new, v_new, _ = _block(params.blocks[bi], config, x, cache.keys(bi),
-                                    cache.values(bi), cache.length)
-        keys.append(k_new[:, 0].copy())
-        values.append(v_new[:, 0].copy())
-    first = (keys, values, x[:, 0].copy())
-    x, _, _, _ = _block(params.blocks[layer - 1], config, x, cache.keys(layer - 1),
-                        cache.values(layer - 1), cache.length, last_only=True)
-    return x[:, 0, :], first
+    return _taps(params, config, cache, suffixes, layer, draft=False)
+
+
+def draft_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
+               suffixes, layer: int) -> np.ndarray:
+    """hypothesis_taps' taps (B, d) as the draft computes them (rule 3):
+    close to the exact taps, not bit-pinned, for ranking candidates only."""
+    return _taps(params, config, cache, suffixes, layer, draft=True)[0]

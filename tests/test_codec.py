@@ -290,7 +290,7 @@ def test_nan_score_and_margin_fail_the_gates(params, monkeypatch):
     for score, margin, error in ((nan, 1.0, C.DecodeFailure),
                                  (1.0, nan, C.AmbiguousDecode)):
         monkeypatch.setattr(C.HypothesisScorer, "score_frame",
-                            lambda self, payload, layer: (ord("q"), score, margin, None))
+                            lambda self, payload, layer: (ord("q"), score, margin))
         dec = C.IncrementalDecoder(params, CFG, KEY, NONCE, 12, CP)
         with pytest.raises(error):
             dec.feed(frames[0])
@@ -417,6 +417,17 @@ def test_push_needs_a_scored_frame(params):
     with pytest.raises(C.CodecError, match="no scored frame"):
         scorer.push(ord("a"))
     assert scorer.prefix == b"a" and scorer.cache.length == len(C.template_tokens()) + 1
+    # a verified frame keeps the rows of its verify set alone
+    frame = C.encode_message_incremental(params, CFG, KEY, NONCE, 0, b"b")[0]
+    scorer = C.HypothesisScorer(params, CFG)
+    layer = scheduler.layer_of(scheduler.init_chain(KEY, NONCE, 0), CFG.n_blocks)
+    assert scorer.score_frame(frame.payload, layer)[0] == ord("b")
+    rows = scorer._first[0]
+    outside = next(c for c in range(256) if C.CANDIDATES.index(c) not in rows)
+    with pytest.raises(C.CodecError, match=f"byte {outside} was not verified"):
+        scorer.push(outside)
+    scorer.push(ord("b"))
+    assert scorer.prefix == b"b"
 
 
 def test_score_frame_runs_one_hypothesis_batch_per_frame(params, monkeypatch):
@@ -427,10 +438,164 @@ def test_score_frame_runs_one_hypothesis_batch_per_frame(params, monkeypatch):
         shapes.append(np.shape(suffixes))
         return taps(params, cfg, cache, suffixes, layer)
 
+    # the draft ranks the 257 candidates; one exact call verifies at most
+    # VERIFY_CAP of them, the draft's winner and runner-up among them
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 16, b"one")
     monkeypatch.setattr(M, "hypothesis_taps", counting)
     assert C.decode_message_incremental(params, CFG, KEY, NONCE, 16, frames, CP) == b"one"
-    assert shapes == [(257, 2)] * len(frames)
+    assert len(shapes) == len(frames)
+    assert all(2 <= b <= C.VERIFY_CAP and s == 2 for b, s in shapes)
+
+
+def _feed(params, cfg, key, msg_seq, frames, cp=CP):
+    """Every DecodeResult of one decoder fed the frames in order, then the
+    type and text of the typed error that stopped it, or None, and the
+    decoder's scorer."""
+    dec = C.IncrementalDecoder(params, cfg, key, NONCE, msg_seq, cp)
+    results = []
+    try:
+        for frame in frames:
+            results.append(dec.feed(frame))
+    except C.CodecError as e:
+        return results, (type(e), str(e)), dec.scorer
+    return results, None, dec.scorer
+
+
+def _flip_low_bit(frames):
+    for frame in frames:
+        frame.payload = frame.payload.copy()
+        frame.payload.view(np.uint32)[0] ^= 1
+    return frames
+
+
+# KEY with bit 127 flipped
+WRONG_KEY = KEY[:15] + bytes([KEY[15] ^ 0x80])
+
+
+@pytest.mark.parametrize("cfg, seed, lengths", [
+    (CFG, 77, (0, 5, 33, C.MAX_MESSAGE_LEN)),
+    (M.ModelConfig(), 11, (8, 24)),
+], ids=["4x32", "default"])
+def test_draft_ranks_the_true_byte_first_within_a_tenth_of_eta(cfg, seed, lengths):
+    # on every frame the draft's winner is the true byte, and no draft cosine
+    # is further than DRAFT_ETA / 10 from the exact one; so V, all within
+    # 2 * DRAFT_ETA of the draft's runner-up, holds the exact winner and
+    # runner-up, and a frame falls back only when V holds more than
+    # VERIFY_CAP candidates (on the 4 x 32 model, runners-up crowd within
+    # 2 * DRAFT_ETA on some tap-layer-1 frames of the longest messages)
+    params = M.init_parameters(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for msg_seq, n in enumerate(lengths):
+        plaintext = bytes(rng.integers(0, 256, size=n).tolist())
+        frames = C.encode_message_incremental(params, cfg, KEY, NONCE, msg_seq, plaintext)
+        scorer = C.HypothesisScorer(params, cfg)
+        state = scheduler.init_chain(KEY, NONCE, msg_seq)
+        for t, (frame, tok) in enumerate(zip(frames, list(plaintext) + [C.EOS])):
+            layer = scheduler.layer_of(state, cfg.n_blocks)
+            M.catch_up(params, cfg, scorer.cache, layer)
+            exact, _ = M.hypothesis_taps(params, cfg, scorer.cache, scorer.suffixes, layer)
+            draft = M.draft_taps(params, cfg, scorer.cache, scorer.suffixes, layer)
+            d = C.cosine(draft, frame.payload).astype(np.float64)
+            e = C.cosine(exact, frame.payload).astype(np.float64)
+            assert int(np.argmax(d)) == C.CANDIDATES.index(tok), (n, t)
+            assert np.abs(d - e).max() <= C.DRAFT_ETA / 10, (n, t)
+            crowded = np.sum(d >= np.partition(d, -2)[-2] - 2 * C.DRAFT_ETA) > C.VERIFY_CAP
+            fallbacks = scorer.fallback_frames
+            assert scorer.score_frame(frame.payload, layer)[0] == tok
+            assert scorer.fallback_frames - fallbacks == crowded, (n, t)
+            if tok != C.EOS:
+                scorer.push(tok)
+                state = scheduler.advance(state, tok, cfg.vocab_size)
+
+
+def test_every_frame_the_verify_cannot_decide_falls_back(params):
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 17, b"fall back")
+    results, error, scorer = _feed(params, CFG, KEY, 17, frames)
+    assert error is None and (scorer.verified_frames, scorer.fallback_frames) == (len(frames), 0)
+    # a wrong key draws its own layers: where one differs from the sender's,
+    # no candidate re-creates the payload
+    scorer = C.HypothesisScorer(params, CFG)
+    wrong, right = (scheduler.init_chain(k, NONCE, 17) for k in (WRONG_KEY, KEY))
+    other_layer = 0
+    for frame, tok in zip(frames, list(b"fall back") + [C.EOS]):
+        layer = scheduler.layer_of(wrong, CFG.n_blocks)
+        fallbacks = scorer.fallback_frames
+        token, _, _ = scorer.score_frame(frame.payload, layer)
+        if layer != scheduler.layer_of(right, CFG.n_blocks):
+            assert scorer.fallback_frames == fallbacks + 1
+            other_layer += 1
+        if token != C.END_HYPOTHESIS:
+            scorer.push(token)
+            wrong = scheduler.advance(wrong, token, CFG.vocab_size)
+        right = scheduler.advance(right, tok, CFG.vocab_size)
+    assert other_layer > 0
+    # a flipped payload bit: the true byte still wins, through the full batch
+    flipped = _flip_low_bit(C.encode_message_incremental(params, CFG, KEY, NONCE, 17,
+                                                          b"fall back"))
+    got, error, scorer = _feed(params, CFG, KEY, 17, flipped)
+    assert scorer.fallback_frames == len(got) + (error is not None) and scorer.verified_frames == 0
+    assert [r.token for r in got] == [r.token for r in results][:len(got)]
+
+
+@pytest.mark.parametrize("sabotage", ["reversed", "noise", "noise_but_the_winner", "one_nan",
+                                      "all_equal"])
+def test_a_sabotaged_draft_falls_back_to_the_same_results(params, monkeypatch, sabotage):
+    # a draft whose rows are the wrong candidates' (reversed), noise, noise
+    # but for the true byte's row (V then holds the winner and a runner-up
+    # the exact batch does not rank second), hold a NaN, or rank all 257
+    # alike (V over VERIFY_CAP) changes nothing but the path: every frame is
+    # scored by the full exact batch
+    plaintext = b"sabotage"
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 18, plaintext)
+    want, error, _ = _feed(params, CFG, KEY, 18, frames)
+    assert error is None
+    draft_taps = M.draft_taps
+    rng = np.random.default_rng(18)
+    tokens = iter(list(plaintext) + [C.EOS])
+
+    def sabotaged(*args):
+        taps = draft_taps(*args)
+        if sabotage == "reversed":
+            return taps[::-1]
+        if sabotage.startswith("noise"):
+            noise = rng.standard_normal(taps.shape).astype(np.float32)
+            if sabotage == "noise_but_the_winner":
+                winner = C.CANDIDATES.index(next(tokens))
+                noise[winner] = taps[winner]
+            return noise
+        if sabotage == "one_nan":
+            taps[3, 0] = np.nan
+            return taps
+        return np.repeat(taps[:1], len(taps), axis=0)
+
+    monkeypatch.setattr(M, "draft_taps", sabotaged)
+    got, error, scorer = _feed(params, CFG, KEY, 18, frames)
+    assert error is None and got == want
+    assert (scorer.verified_frames, scorer.fallback_frames) == (0, len(frames))
+    assert scorer.prefix == plaintext
+
+
+def test_draft_and_verify_give_the_full_batch_results_and_errors(params, monkeypatch):
+    # the right key, random payloads, a flipped payload bit, a wrong key and
+    # a delta no margin reaches: results and typed errors as the full batch's
+    rng = np.random.default_rng(19)
+    cases = []
+    for msg_seq, n in enumerate((1, 7, 20)):
+        plaintext = bytes(rng.integers(0, 256, size=n).tolist())
+        frames = C.encode_message_incremental(params, CFG, KEY, NONCE, msg_seq, plaintext)
+        noise = [C.TokenFrame(f.seq, rng.standard_normal(CFG.d_model).astype(np.float32),
+                              f.is_final) for f in frames]
+        cases += [(KEY, msg_seq, frames, CP), (KEY, msg_seq, noise, CP),
+                  (KEY, msg_seq, _flip_low_bit([dataclasses.replace(f) for f in frames]), CP),
+                  (WRONG_KEY, msg_seq, frames, CP),
+                  (KEY, msg_seq, frames, C.CodecParams(delta=0.5))]
+    fast = [_feed(params, CFG, key, seq, frames, cp)[:2] for key, seq, frames, cp in cases]
+    # NaN drafts: every frame takes the full exact batch of 257
+    monkeypatch.setattr(M, "draft_taps", lambda params, cfg, cache, suffixes, layer:
+                        np.full((len(suffixes), cfg.d_model), np.nan, dtype=np.float32))
+    full = [_feed(params, CFG, key, seq, frames, cp)[:2] for key, seq, frames, cp in cases]
+    assert fast == full
+    assert {error[0] for _, error in full if error} == {C.DecodeFailure, C.AmbiguousDecode}
 
 
 def test_decoder_rejects_out_of_order_frames(params):

@@ -452,6 +452,35 @@ def test_hypothesis_taps_empty_prefix():
         assert (taps[b] == hid_full[1, -1]).all()
 
 
+@pytest.mark.parametrize("prefix_len,s_len", [(0, 3), (9, 1), (15, 2), (20, 7)])
+def test_draft_taps_stay_near_the_exact_taps_and_call_no_pinned_math(prefix_len, s_len,
+                                                                      monkeypatch):
+    # the draft (rule 3) is not bit-pinned: it must stay within a few float32
+    # ulps of the exact taps, read the cache without writing it, and never
+    # reach detmath, whose calls the benchmark's tracer counts
+    rng = np.random.default_rng(prefix_len + s_len)
+    params = M.init_parameters(CFG_SMALL, seed=12)
+    cache = M.KVCache(CFG_SMALL)
+    if prefix_len:
+        M.extend_cache(params, CFG_SMALL, cache, _rand_tokens(rng, prefix_len))
+    suffixes = rng.integers(0, 260, size=(5, s_len)).astype(np.int64)
+    exact = [M.hypothesis_taps(params, CFG_SMALL, cache, suffixes, layer)[0]
+             for layer in range(1, CFG_SMALL.n_blocks + 1)]
+
+    def pinned(*args, **kwargs):
+        raise AssertionError("the draft called detmath")
+
+    for name in ("exp", "tanh", "gelu"):
+        monkeypatch.setattr(M.detmath, name, pinned)
+    rows = list(cache.rows)
+    for layer, want in enumerate(exact, 1):
+        got = M.draft_taps(params, CFG_SMALL, cache, suffixes, layer)
+        assert got.shape == want.shape and got.dtype == np.float32
+        scale = np.abs(want).max(axis=-1)
+        assert (np.abs(got - want).max(axis=-1) <= 64 * np.finfo(np.float32).eps * scale).all()
+    assert cache.rows == rows and cache.length == prefix_len
+
+
 def _assert_caches_equal(got, want, blocks):
     assert got.length == want.length
     for bi in blocks:

@@ -69,9 +69,11 @@ def test_every_ciphermind_name_the_workloads_use_resolves():
 
 
 def test_tracer_sees_one_batch_per_frame_with_the_catch_up_beside_it():
-    # the per-layer metrics read each score_frame's one hypothesis_taps child
-    # and its note; the catch-up that runs before the batch shows as exp
-    # spans directly under score_frame, one per block call
+    # the per-layer metrics read each score_frame's one hypothesis_taps child,
+    # the verify of at most VERIFY_CAP candidates, and its note; the draft
+    # calls nothing the tracer wraps, so the catch-up that runs before it
+    # shows as the only exp spans directly under score_frame, one per block
+    # call
     cfg = model.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64,
                             vocab_size=260, max_seq=256)
     params = model.init_parameters(cfg, 77)
@@ -102,7 +104,9 @@ def test_tracer_sees_one_batch_per_frame_with_the_catch_up_beside_it():
         kids = children.get(span.id, [])
         taps = [k for k in kids if k.name == "model.hypothesis_taps"]
         assert len(taps) == 1, t
-        assert taps[0].note == (len(codec.template_tokens()) + t, 257, 2, layer, cfg.n_heads)
+        verified = taps[0].note[1]
+        assert 2 <= verified <= codec.VERIFY_CAP, t
+        assert taps[0].note == (len(codec.template_tokens()) + t, verified, 2, layer, cfg.n_heads)
         calls = sum(k.name == "detmath.exp" for k in kids)
         assert calls == max(0, layer - shallowest), t
         catch_up_calls += calls

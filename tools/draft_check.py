@@ -1,0 +1,194 @@
+"""Draft-and-verify decoding against the full exact batch, frame by frame.
+
+    python3 tools/draft_check.py [--frames 1000] [--configs default,test]
+
+For each config (the shipped ``ModelConfig()`` with base seed 11, and the
+unit tests' 4 x 32 model with seed 77), feeds messages until at least
+``--frames`` frames were fed, to two decoders each: one as shipped, one
+whose draft is replaced by NaN rows, so that every frame takes the full
+exact batch of 257. The messages rotate through five cases: the right key,
+the key with bit 127 flipped, one flipped payload bit a frame, random
+payloads, and the right key under delta = 0.5. Every ``DecodeResult`` and
+every typed error of the two decoders must be equal. Reported per config:
+the frames fed, the fallback rate of the shipped decoder, the largest
+difference between a draft and an exact cosine on the right key's frames
+(with its quantiles), the sizes of the verify set V, and per case the
+frames, fallbacks and typed errors. Then, in fresh processes, the minor
+page faults of one (257, 2) draft_taps call and one exact hypothesis_taps
+call at layer 4, fresh and after a 12 MiB free. The last line is one JSON
+object.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # as perfbench/run.py: one BLAS thread
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ciphermind import codec as C  # noqa: E402
+from ciphermind import model as M  # noqa: E402
+
+KEY = bytes(range(1, 17))
+WRONG_KEY = KEY[:15] + bytes([KEY[15] ^ 0x80])
+NONCE = 0x5EED
+CP = C.CodecParams(delta=1e-6)
+CONFIGS = {
+    "default": (M.ModelConfig(), 11),
+    "test": (M.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64, vocab_size=260,
+                           max_seq=256), 77),
+}
+CASES = ("right_key", "wrong_key", "flipped_bit", "random_payloads", "delta_0.5")
+
+
+def feed(params, cfg, key, msg_seq, frames, cp):
+    """(results, (error type, text) or None, frames fed, scorer)."""
+    dec = C.IncrementalDecoder(params, cfg, key, NONCE, msg_seq, cp)
+    results = []
+    try:
+        for frame in frames:
+            results.append(dec.feed(frame))
+    except C.CodecError as e:
+        return results, (type(e).__name__, str(e)), len(results) + 1, dec.scorer
+    return results, None, len(results), dec.scorer
+
+
+def full_batch_feed(params, cfg, key, msg_seq, frames, cp, record):
+    """feed with NaN drafts, so every frame takes the full exact batch;
+    record gets each frame's real draft taps and exact 257-item taps."""
+    draft_taps, hypothesis_taps = M.draft_taps, M.hypothesis_taps
+
+    def nan_draft(*args):
+        record.append([draft_taps(*args)])
+        return np.full_like(record[-1][0], np.nan)
+
+    def exact(*args):
+        out = hypothesis_taps(*args)
+        record[-1].append(out[0])
+        return out
+
+    M.draft_taps, M.hypothesis_taps = nan_draft, exact
+    try:
+        return feed(params, cfg, key, msg_seq, frames, cp)
+    finally:
+        M.draft_taps, M.hypothesis_taps = draft_taps, hypothesis_taps
+
+
+def check(name: str, want_frames: int) -> dict:
+    cfg, seed = CONFIGS[name]
+    params = M.init_parameters(cfg, seed)
+    rng = np.random.default_rng(seed)
+    by_case = {case: {"messages": 0, "frames_fed": 0, "fallback_frames": 0,
+                      "results_or_errors_differing": 0, "typed_errors": {}} for case in CASES}
+    devs, v_sizes = [], []
+    msg_seq = 0
+    while sum(row["frames_fed"] for row in by_case.values()) < want_frames:
+        case = CASES[msg_seq % len(CASES)]
+        plaintext = bytes(rng.integers(0, 256, size=int(rng.integers(0, 33))).tolist())
+        frames = C.encode_message_incremental(params, cfg, KEY, NONCE, msg_seq, plaintext)
+        key, cp = (WRONG_KEY if case == "wrong_key" else KEY), CP
+        if case == "flipped_bit":
+            for f in frames:
+                f.payload = f.payload.copy()
+                f.payload.view(np.uint32)[int(rng.integers(0, cfg.d_model))] ^= 1
+        elif case == "random_payloads":
+            for f in frames:
+                f.payload = rng.standard_normal(cfg.d_model).astype(np.float32)
+        elif case == "delta_0.5":
+            cp = C.CodecParams(delta=0.5)
+        got = feed(params, cfg, key, msg_seq, frames, cp)
+        record: list = []
+        want = full_batch_feed(params, cfg, key, msg_seq, frames, cp, record)
+        row = by_case[case]
+        row["messages"] += 1
+        row["results_or_errors_differing"] += got[:3] != want[:3]
+        row["frames_fed"] += got[2]
+        row["fallback_frames"] += got[3].fallback_frames
+        if got[1]:
+            row["typed_errors"][got[1][0]] = row["typed_errors"].get(got[1][0], 0) + 1
+        for frame, (draft, exact) in zip(frames, record):
+            d = C.cosine(draft, frame.payload).astype(np.float64)
+            v_sizes.append(int(np.sum(d >= np.partition(d, -2)[-2] - 2 * C.DRAFT_ETA)))
+            if case == "right_key":
+                devs.append(float(np.abs(d - C.cosine(exact, frame.payload)).max()))
+        msg_seq += 1
+    sizes = np.asarray(v_sizes)
+    fed = sum(row["frames_fed"] for row in by_case.values())
+    return {
+        "config": name, "messages": msg_seq, "frames_fed": fed,
+        "results_or_errors_differing": sum(row["results_or_errors_differing"]
+                                           for row in by_case.values()),
+        "fallback_rate": round(sum(row["fallback_frames"] for row in by_case.values()) / fed, 4),
+        "by_case": by_case,
+        "draft_cosine_deviation": {
+            "max": max(devs), "p50": float(np.median(devs)), "p99": float(np.percentile(devs, 99)),
+            "zero_frames": sum(d == 0 for d in devs), "eta": C.DRAFT_ETA},
+        "verify_set_size_all_frames": {
+            "max": int(sizes.max()), "p50": float(np.median(sizes)),
+            "over_cap": int(np.sum(sizes > C.VERIFY_CAP)),
+            "histogram": {str(k): int(v) for k, v in zip(*np.unique(sizes, return_counts=True))}},
+    }
+
+
+def minflt_child(free_mib: int) -> dict:
+    """Minor faults of one (257, 2) draft_taps call and one exact call at
+    layer 4 over a 24-byte message, each the mean of 10 after one warm-up,
+    in this process, after allocating and freeing free_mib MiB first."""
+    if free_mib:
+        block = np.ones(free_mib << 18, dtype=np.float32)
+        del block
+    cfg = M.ModelConfig()
+    params = M.init_parameters(cfg, 11)
+    cache = M.KVCache(cfg)
+    M.append_tokens(params, cfg, cache, C.template_tokens() + list(range(65, 89)))
+    M.catch_up(params, cfg, cache, 4)
+    suffixes = np.array([C.frame_step(c) for c in C.CANDIDATES])
+    out = {}
+    for name, call in (("draft_taps", lambda: M.draft_taps(params, cfg, cache, suffixes, 4)),
+                       ("hypothesis_taps", lambda: M.hypothesis_taps(params, cfg, cache,
+                                                                    suffixes, 4))):
+        call()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            call()
+        out[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--frames", type=int, default=1000)
+    ap.add_argument("--configs", default="default,test")
+    ap.add_argument("--minflt-child", type=int, default=None, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.minflt_child is not None:
+        print(json.dumps(minflt_child(args.minflt_child)))
+        return 0
+    report = {"equivalence": [check(name, args.frames) for name in args.configs.split(",")]}
+    report["minflt_per_call"] = {
+        f"after_{mib}_mib_free" if mib else "fresh_process": json.loads(subprocess.run(
+            [sys.executable, __file__, "--minflt-child", str(mib)], check=True,
+            capture_output=True, text=True).stdout)
+        for mib in (0, 12)}
+    for row in report["equivalence"]:
+        print(f"{row['config']}: {row['frames_fed']} frames, "
+              f"{row['results_or_errors_differing']} messages differing, "
+              f"fallback rate {row['fallback_rate']}, "
+              f"max draft deviation {row['draft_cosine_deviation']['max']:.3g}")
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
