@@ -64,17 +64,21 @@ implementation rules:
    have the bits a catch_up would compute for the same token, so a decoder
    commits the accepted byte with them (``KVCache.commit``) and runs no
    block for it; the blocks above run only when a later frame taps them.
-   Of the attention, the training pass saves the unpadded arrays
-   ``_attention`` computes on every call; the backward pass pads them to the
-   shapes of its own GEMMs, which only :mod:`ciphermind.trainer` knows. Of
-   the MLP, it saves the GELU input u and the tanh ``detmath.gelu`` computed
-   for it, t, not the GELU output g: the backward pass takes t for the GELU
-   derivative and rebuilds g from u and t with gelu's own operations when
-   it needs g. ``forward_full``, ``extend_cache``, ``hypothesis_taps`` and
-   ``draft_taps`` never call one another, so a wrapper around one sees only
-   its own calls. Each runs on the calling thread alone: with the padding
-   gone from a hypothesis batch, splitting it over worker threads ran no
-   faster on 2 CPUs.
+   The training pass keeps only what its backward pass reads for the
+   gradients it builds (``need_aux``). Of the attention, it keeps the
+   unpadded arrays ``_attention`` computes on every call; the backward pass
+   pads them to the shapes of its own GEMMs, which only
+   :mod:`ciphermind.trainer` knows. Of the MLP, it keeps the GELU derivative
+   at the GELU input u, which ``detmath.gelu_grad`` forms in the forward
+   from the tanh that gelu computed for u, and neither u nor that tanh; it
+   keeps the GELU output g only when w2's gradient is wanted, and the
+   attention output only when wo's is. The layer norms' outputs are not
+   kept: the backward pass recomputes them from the normalized inputs with
+   the same two operations, so they have the same bits. ``forward_full``,
+   ``extend_cache``, ``hypothesis_taps`` and ``draft_taps`` never call one
+   another, so a wrapper around one sees only its own calls. Each runs on
+   the calling thread alone: with the padding gone from a hypothesis batch,
+   splitting it over worker threads ran no faster on 2 CPUs.
    The draft is the one path that is not bit-pinned. ``draft_taps`` runs
    the tap loop of ``hypothesis_taps`` (``_taps``) with ``_block``'s
    ``draft`` switch, which swaps in ``_draft_attention`` (numpy's exp, one
@@ -709,7 +713,7 @@ def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
 
 
 def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
-           last_only=False, need_aux=False, draft=False):
+           last_only=False, need_aux=(), draft=False):
     """One block on the residual stream x (B, S, d) at positions base .. :
     layer norm, Q/K/V, _attention against the shared prefix k_pref/v_pref
     (P, d) and the items' own keys, O, layer norm, MLP.
@@ -717,11 +721,13 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     Returns (x, k_new, v_new, saved). k_new/v_new (B, S, d) are the
     positions' keys and values, for the caller's cache. With last_only only
     the last position's query runs and x comes back (B, 1, d): the tapped
-    block of hypothesis_taps. With need_aux (training) saved holds what
-    trainer.loss_and_grads needs for the backward pass: the layer norms'
-    intermediates, _attention's unpadded arrays ("att") and output, and the
-    GELU input u with its tanh t; otherwise None. With draft the block runs
-    the draft's parts (rule 3), _draft_attention and _draft_gelu.
+    block of hypothesis_taps. need_aux (training) names the BlockParams
+    fields whose gradients trainer.loss_and_grads builds; saved then holds
+    what that backward pass reads: the layer norms' normalized inputs and
+    inverse stds, _attention's unpadded arrays ("att") and the GELU
+    derivative at u, and only for "wo" the attention output, only for "w2"
+    the GELU output. Empty need_aux saves nothing (None). With draft the
+    block runs the draft's parts (rule 3), _draft_attention and _draft_gelu.
     """
     B, S, d = x.shape
     a, xn1, inv1 = _layer_norm(x, bp.g1, bp.b1, cfg.ln_epsilon)
@@ -744,13 +750,18 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     u = _mm(f.reshape(n, d), bp.w1)
     if need_aux:
         g, t = detmath.gelu(u, return_tanh=True)
+        gelu_grad = detmath.gelu_grad(u, t)
     else:
         g = _draft_gelu(u) if draft else detmath.gelu(u)
     x = x + _mm(g, bp.w2).reshape(x.shape)
     saved = None
     if need_aux:
-        saved = {"xn1": xn1, "inv1": inv1, "a": a, "att": att, "attn_merged": attn,
-                 "xn2": xn2, "inv2": inv2, "u": u, "t": t}
+        saved = {"xn1": xn1, "inv1": inv1, "att": att, "xn2": xn2, "inv2": inv2,
+                 "gelu_grad": gelu_grad}
+        if "wo" in need_aux:
+            saved["attn_merged"] = attn
+        if "w2" in need_aux:
+            saved["g"] = g
     return x, k_new, v_new, saved
 
 
@@ -770,11 +781,12 @@ def _sequence(tokens) -> np.ndarray:
 
 
 def _forward(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
-             need_aux: bool = False):
+             need_aux=()):
     """Teacher-forced pass over a batch (B, T) from position 0. Returns
     (logits, per_block, head_ln): per_block[i] is block i's output (B, T, d),
-    or with need_aux its saved intermediates (see _block); head_ln is the
-    final layer norm's (out, normalized, inverse std)."""
+    or, when need_aux names the block weights a backward pass takes
+    gradients of, what that pass reads of block i (see _block); head_ln is
+    the final layer norm's (out, normalized, inverse std)."""
     x = _embed(params, cfg, tokens, 0)
     empty = np.zeros((0, cfg.d_model), dtype=params.dtype)
     per_block = []

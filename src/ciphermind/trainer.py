@@ -280,6 +280,9 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     gradient of those alone, as one {name: gradient} dict per block, bit for
     bit the full call's: the backward pass then builds no other gradient,
     and as the embedding takes none, it stops at block 1's projections.
+    The forward pass keeps per block only what those gradients read (see
+    model._block); the backward lets go of the logits once their gradient
+    is built and of each block's arrays once it has read them.
     """
     want = M.BlockParams.FIELD_ORDER if wrt is None else tuple(wrt)
     unknown = set(want) - set(M.BlockParams.FIELD_ORDER)
@@ -290,7 +293,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     if nmask == 0:
         raise TrainerError("loss mask is empty")
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, saved, (xf, xnf, invf) = M._forward(params, cfg, tokens, need_aux=True)
+        logits, saved, (xf, xnf, invf) = M._forward(params, cfg, tokens, need_aux=want)
     B, T, V = logits.shape
     d = cfg.d_model
 
@@ -299,6 +302,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     dlg *= (mask / dtype.type(nmask))[..., None]
     dlogits = np.zeros_like(logits)
     dlogits[:, :-1] = dlg
+    del logits, dlg
 
     dl2 = dlogits.reshape(-1, V)
     dxf = (dl2 @ params.emb).reshape(B, T, d)
@@ -307,7 +311,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     gblocks = []
     pads = _attention_pads(B, T, cfg, dtype)
     for bi in range(cfg.n_blocks - 1, -1, -1):
-        st = saved[bi]
+        st, saved[bi] = saved[bi], None
         bp = params.blocks[bi]
         # the residual stream's gradient below this block feeds a lower
         # block or the embedding
@@ -315,8 +319,9 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
         gb = {}
         dy2 = dx.reshape(-1, d)
         if "w2" in want:
-            gb["w2"] = detmath.gelu_from_tanh(st["u"], st["t"]).T @ dy2
-        du = (dy2 @ bp.w2.T) * detmath.gelu_grad(st["u"], st["t"])
+            gb["w2"] = st["g"].T @ dy2
+        du = dy2 @ bp.w2.T
+        du *= st["gelu_grad"]
         if "w1" in want:
             gb["w1"] = (st["xn2"] * bp.g2 + bp.b2).reshape(-1, d).T @ du
         df = (du @ bp.w1.T).reshape(B, T, d)
@@ -332,7 +337,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
         need_da = dx_below or ln1_wanted
         dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], pads, cfg,
                                                keys=need_da or "wk" in want)
-        a2 = st["a"].reshape(-1, d)
+        a2 = (st["xn1"] * bp.g1 + bp.b1).reshape(-1, d)
         for name, dm in (("wq", dq_m), ("wk", dk_m), ("wv", dv_m)):
             if name in want:
                 gb[name] = a2.T @ dm.reshape(-1, d)

@@ -242,9 +242,9 @@ def _same_bits(a, b) -> bool:
 
 
 def test_gelu_tanh_reuse_keeps_the_bits():
-    # the training pass keeps gelu's tanh for gelu_grad and rebuilds gelu's
-    # output from it: t must be the pinned tanh of the inner polynomial, and
-    # the rebuilt output gelu's own bits
+    # the training pass hands gelu's tanh to gelu_grad, and gelu builds its
+    # output from that tanh with gelu_from_tanh: t must be the pinned tanh
+    # of the inner polynomial, and the built output gelu's own bits
     with np.errstate(all="ignore"):
         for x in (_float32_sweep(), _float32_sweep().astype(np.float64)):
             c0, c1 = x.dtype.type(detmath._GELU_C0), x.dtype.type(detmath._GELU_C1)

@@ -8,6 +8,8 @@ import inspect
 import threading
 from pathlib import Path
 
+import numpy as np
+
 import perfbench
 from ciphermind import codec, detmath, model, provisioning, scheduler, trainer, transport
 from perfbench import tracing
@@ -68,50 +70,80 @@ def test_every_ciphermind_name_the_workloads_use_resolves():
     assert not broken
 
 
-def test_tracer_sees_one_batch_per_frame_with_the_catch_up_beside_it():
-    # the per-layer metrics read each score_frame's one hypothesis_taps child,
-    # the verify of at most VERIFY_CAP candidates, and its note; the draft
-    # calls nothing the tracer wraps, so the catch-up that runs before it
-    # shows as the only exp spans directly under score_frame, one per block
-    # call
-    cfg = model.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64,
-                            vocab_size=260, max_seq=256)
-    params = model.init_parameters(cfg, 77)
-    key, nonce, plaintext = bytes(range(16)), 0xC0FFEE, b"traced message"
-    frames = codec.encode_message_incremental(params, cfg, key, nonce, 0, plaintext)
+TRACE_CFG = model.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64,
+                              vocab_size=260, max_seq=256)
+
+
+def _traced_decode(params, frames, key, nonce):
+    """Decodes frames under the benchmark's tracer. Returns the decoder,
+    the spans and, per frame, whether its verify failed (a fallback)."""
     targets = tracing.targets(MODULES)
     originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _, _ in targets]
     tracer = tracing.Tracer()
     tracer.install(targets)
+    fell_back = []
     try:
-        dec = codec.IncrementalDecoder(params, cfg, key, nonce, 0, codec.CodecParams(delta=1e-6))
+        dec = codec.IncrementalDecoder(params, TRACE_CFG, key, nonce, 0,
+                                       codec.CodecParams(delta=1e-6))
         for frame in frames:
+            before = dec.scorer.fallback_frames
             dec.feed(frame)
+            fell_back.append(dec.scorer.fallback_frames > before)
     finally:
         tracer.restore()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
-    assert dec.plaintext == plaintext
+    return dec, tracer.spans, fell_back
 
-    by_id = {s.id: s for s in tracer.spans}
+
+def _check_frame_spans(spans, layers, fell_back):
+    """Each score_frame's exact hypothesis_taps children follow the path
+    its frame took: a verify of 2..VERIFY_CAP candidates, then, when the
+    frame fell back, the full batch of every candidate (alone when the
+    draft left more than VERIFY_CAP candidates). The draft calls nothing
+    the tracer wraps, so the catch-up that runs before it shows as the only
+    exp spans directly under score_frame, one per block call. Returns each
+    frame's verify size, or None where no verify ran."""
     children = {}
-    for s in tracer.spans:
+    for s in spans:
         children.setdefault(s.parent, []).append(s)
-    scores = [s for s in tracer.spans if s.name == "codec.score_frame"]
-    assert len(scores) == len(frames) == len(dec.layers_used)
-    shallowest = cfg.n_blocks - 1  # the template's depth
-    catch_up_calls = 0
-    for t, (span, layer) in enumerate(zip(scores, dec.layers_used)):
+    scores = [s for s in spans if s.name == "codec.score_frame"]
+    assert len(scores) == len(layers) == len(fell_back)
+    shallowest = TRACE_CFG.n_blocks - 1  # the template's depth
+    catch_up_calls, verified = 0, []
+    for t, (span, layer, fell) in enumerate(zip(scores, layers, fell_back)):
         kids = children.get(span.id, [])
-        taps = [k for k in kids if k.name == "model.hypothesis_taps"]
-        assert len(taps) == 1, t
-        verified = taps[0].note[1]
-        assert 2 <= verified <= codec.VERIFY_CAP, t
-        assert taps[0].note == (len(codec.template_tokens()) + t, verified, 2, layer, cfg.n_heads)
+        taps = [k.note for k in kids if k.name == "model.hypothesis_taps"]
+        sizes = [note[1] for note in taps]
+        if fell:  # the full batch comes last, after the verify if one ran
+            assert sizes[-1:] == [len(codec.CANDIDATES)], t
+            sizes.pop()
+            assert len(sizes) <= 1, t
+        else:
+            assert len(sizes) == 1, t
+        assert all(2 <= n <= codec.VERIFY_CAP for n in sizes), t
+        verified.append(sizes[0] if sizes else None)
+        prefix = len(codec.template_tokens()) + t
+        assert all(note == (prefix, note[1], 2, layer, TRACE_CFG.n_heads) for note in taps), t
         calls = sum(k.name == "detmath.exp" for k in kids)
         assert calls == max(0, layer - shallowest), t
         catch_up_calls += calls
         shallowest = layer - 1  # the byte this frame commits
     assert catch_up_calls > 0
+    return verified
+
+
+def test_tracer_sees_each_frames_exact_calls_with_the_catch_up_beside_them():
+    # the per-layer metrics read each score_frame's hypothesis_taps children
+    # and their notes
+    params = model.init_parameters(TRACE_CFG, 77)
+    key, nonce, plaintext = bytes(range(16)), 0xC0FFEE, b"traced message"
+    frames = codec.encode_message_incremental(params, TRACE_CFG, key, nonce, 0, plaintext)
+    dec, spans, fell_back = _traced_decode(params, frames, key, nonce)
+    assert dec.plaintext == plaintext
+    assert not any(fell_back)  # every clean payload verifies
+    verified = _check_frame_spans(spans, dec.layers_used, fell_back)
+
+    by_id = {s.id: s for s in spans}
 
     def ancestors(s):
         names = []
@@ -121,9 +153,22 @@ def test_tracer_sees_one_batch_per_frame_with_the_catch_up_beside_it():
         return names
 
     # push runs no block: every engine call of a feed is inside its scoring
-    fed = [ancestors(s) for s in tracer.spans
+    fed = [ancestors(s) for s in spans
            if s.name.startswith("detmath.") and "codec.feed" in ancestors(s)]
     assert fed and all("codec.score_frame" in names for names in fed)
+
+    # the same message with the lowest mantissa bit of one element of every
+    # payload flipped (tools/decode_ab.py --flip-bit): still decoded by the
+    # full batch, but no frame verifies, and the draft offers each frame the
+    # candidates it offered the clean payload
+    rng = np.random.default_rng(len(plaintext))
+    for frame, i in zip(frames, rng.integers(0, TRACE_CFG.d_model, size=len(frames))):
+        frame.payload = frame.payload.copy()
+        frame.payload.view(np.uint32)[i] ^= 1
+    flipped, spans, fell_back = _traced_decode(params, frames, key, nonce)
+    assert flipped.plaintext == plaintext
+    assert all(fell_back)
+    assert _check_frame_spans(spans, flipped.layers_used, fell_back) == verified
 
 
 class _RecordingStream:

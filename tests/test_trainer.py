@@ -286,6 +286,30 @@ def test_gradient_wrt_one_weight_equals_the_full_calls(name):
         assert gb[name].tobytes() == getattr(fb, name).tobytes()
 
 
+@pytest.mark.parametrize("wrt, kept", [
+    # an adapter step keeps neither the GELU input u and its tanh t, nor the
+    # first layer norm's output a, nor wo's and w2's inputs
+    (T.ADAPTED_FIELDS, {"xn1", "inv1", "att", "xn2", "inv2", "gelu_grad"}),
+    (None, {"xn1", "inv1", "att", "attn_merged", "xn2", "inv2", "gelu_grad", "g"}),
+])
+def test_a_training_pass_keeps_only_what_its_backward_reads(monkeypatch, wrt, kept):
+    params = M.init_parameters(CFG_TINY, 5)
+    tokens, mask = T._make_batch(T._prepare(T.make_pretrain_corpus(13, 6), 40), [0, 1, 2])
+    forward, passes = M._forward, []
+
+    def recorded(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        passes.append((out[1], [set(st) for st in out[1]]))
+        return out
+
+    monkeypatch.setattr(M, "_forward", recorded)
+    T.loss_and_grads(params, CFG_TINY, tokens, mask, wrt=wrt)
+    [(saved, names)] = passes
+    assert names == [kept] * CFG_TINY.n_blocks
+    # the backward lets go of each block once it has read it
+    assert saved == [None] * CFG_TINY.n_blocks
+
+
 def test_gradient_wrt_an_unknown_name_is_rejected():
     params = M.init_parameters(CFG_TINY, 5)
     tokens, mask = T._make_batch(T._prepare(T.make_pretrain_corpus(13, 6), 40), [0])
