@@ -129,11 +129,11 @@ def gelu(x: np.ndarray, *, return_tanh: bool = False):
     """tanh-form GELU, 0.5*x*(1 + tanh(0.7978845608*(x + 0.044715*x^3))).
 
     With return_tanh, returns (gelu(x), t) with t the tanh of the inner
-    polynomial, which gelu_from_tanh and gelu_grad take in place of a second
-    tanh. float32 runs in _EXP_BLOCK-element blocks, so that every temporary
-    of a block stays in cache from the cube through tanh to the product;
-    float64 runs as one block, so that its t has the bits of numpy's tanh
-    over the whole array, which may round a block's tail otherwise.
+    polynomial, which gelu_grad takes in place of a second tanh. float32
+    runs in _EXP_BLOCK-element blocks, so that every temporary of a block
+    stays in cache from the cube through tanh to the product; float64 runs
+    as one block, so that its t has the bits of numpy's tanh over the whole
+    array, which may round a block's tail otherwise.
     """
     x = _check_dtype(x)
     out = np.empty(x.shape, dtype=x.dtype)
@@ -141,6 +141,7 @@ def gelu(x: np.ndarray, *, return_tanh: bool = False):
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     block = _EXP_BLOCK if x.dtype == np.float32 else max(flat_x.size, 1)
     c0, c1 = x.dtype.type(_GELU_C0), x.dtype.type(_GELU_C1)
+    half, one = x.dtype.type(0.5), x.dtype.type(1.0)
     for lo in range(0, flat_x.size, block):
         xb = flat_x[lo:lo + block]
         p = xb * xb  # c0 * (x + c1 * x^3), built in place
@@ -149,17 +150,10 @@ def gelu(x: np.ndarray, *, return_tanh: bool = False):
         p += xb
         p *= c0
         tb = tanh(p)
-        gelu_from_tanh(xb, tb, out=flat_out[lo:lo + block])
+        np.multiply(half * xb, one + tb, out=flat_out[lo:lo + block])
         if return_tanh:
             t.reshape(-1)[lo:lo + block] = tb
     return (out, t) if return_tanh else out
-
-
-def gelu_from_tanh(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
-    """gelu(x) from t, the tanh gelu(x, return_tanh=True) returned: the
-    operations gelu itself runs after its tanh, so the bits are gelu's."""
-    half, one = x.dtype.type(0.5), x.dtype.type(1.0)
-    return np.multiply(half * x, one + t, out=out)
 
 
 def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -276,10 +276,11 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     """Masked cross-entropy and its analytic gradient.
 
     With wrt None, the gradient of every weight, as a ParameterSet in the
-    parameters' layout. With wrt a tuple of BlockParams field names, the
-    gradient of those alone, as one {name: gradient} dict per block, bit for
-    bit the full call's: the backward pass then builds no other gradient,
-    and as the embedding takes none, it stops at block 1's projections.
+    parameters' layout. With wrt a non-empty tuple of BlockParams field
+    names, the gradient of those alone, as one {name: gradient} dict per
+    block, bit for bit the full call's: the backward pass then builds no
+    other gradient, and as the embedding takes none, it stops at block 1's
+    projections.
     The forward pass keeps per block only what those gradients read (see
     model._block); the backward lets go of the logits once their gradient
     is built and of each block's arrays once it has read them.
@@ -288,6 +289,8 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     unknown = set(want) - set(M.BlockParams.FIELD_ORDER)
     if unknown:
         raise TrainerError(f"wrt names no block weight: {sorted(unknown)}")
+    if not want:
+        raise TrainerError("wrt names no weight")
     dtype = params.dtype
     nmask = float(mask.sum())
     if nmask == 0:

@@ -317,6 +317,13 @@ def test_gradient_wrt_an_unknown_name_is_rejected():
         T.loss_and_grads(params, CFG_TINY, tokens, mask, wrt=("wq", "emb"))
 
 
+def test_gradient_wrt_no_name_is_rejected():
+    params = M.init_parameters(CFG_TINY, 5)
+    tokens, mask = T._make_batch(T._prepare(T.make_pretrain_corpus(13, 6), 40), [0])
+    with pytest.raises(T.TrainerError, match="no weight"):
+        T.loss_and_grads(params, CFG_TINY, tokens, mask, wrt=())
+
+
 def test_divergence_reported_with_step():
     corpus = T.make_pretrain_corpus(14, 40)
     tc = T.TrainConfig(seed=1, steps=30, learning_rate=1e6, batch_size=4,

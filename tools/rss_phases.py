@@ -2,7 +2,7 @@
 party's set-up holds.
 
     python3 tools/rss_phases.py --workload long --seed 1 [--seconds 15] [--root DIR]
-    python3 tools/rss_phases.py --one-party [--messages 4] [--root DIR]
+    python3 tools/rss_phases.py --one-party [--root DIR]
 
 Both modes import the program from the checkout at ``--root`` (default: the
 one holding this script), with ``perfbench/run.py``'s one BLAS thread, and
@@ -20,10 +20,9 @@ With ``--one-party``, the process runs one ``provision`` at the benchmark's
 ``TrainConfig()`` and ``ModelConfig()`` (key 1..16, registry seed 5, base
 seed 2506) and reports its ``ru_maxrss`` increase, minor faults, system time
 and twin fingerprint, and the quartiles of its SGD steps' ``loss_and_grads``
-time. The same thread then encodes and decodes ``--messages`` 32-byte
-messages with the twin and reports each decode's minor faults
-(``RUSAGE_THREAD``): a decode that runs where the fine-tune ran reuses the
-heap it left. Last, for one ``loss_and_grads`` step over the fine-tune's
+time. The same thread then encodes and decodes four 32-byte messages with
+the twin and reports each decode's minor faults (``RUSAGE_THREAD``): a
+decode that runs where the fine-tune ran reuses the heap it left. Last, for one ``loss_and_grads`` step over the fine-tune's
 first batch (``wrt=ADAPTED_FIELDS``), it reports the step's tracemalloc peak
 and the bytes that the teacher-forced pass keeps for the backward, per array
 name summed over the blocks.
@@ -43,6 +42,7 @@ from pathlib import Path
 KEY = bytes(range(1, 17))
 REGISTRY_SEED = 5
 BASE_SEED = 2506
+MESSAGES = 4
 MESSAGE_LEN = 32
 
 
@@ -102,7 +102,7 @@ def _kept_bytes(saved) -> dict:
     return {"per_name": kept, "total": sum(kept.values())}
 
 
-def one_party(args) -> dict:
+def one_party() -> dict:
     from ciphermind import codec as C
     from ciphermind import model as M
     from ciphermind import provisioning as P
@@ -138,7 +138,7 @@ def one_party(args) -> dict:
                   round(q, 2) for q in statistics.quantiles(step_ms, n=4, method="inclusive"))))}
 
     faults = []
-    for seq in range(args.messages):
+    for seq in range(MESSAGES):
         plaintext = bytes((7 * seq + 3 * i) % 256 for i in range(MESSAGE_LEN))
         frames = C.encode_message_incremental(twin, cfg, KEY, 0xC0FFEE, seq, plaintext)
         flt = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
@@ -171,7 +171,6 @@ def main(argv=None) -> int:
     mode.add_argument("--one-party", action="store_true")
     ap.add_argument("--seed", type=int)
     ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--messages", type=int, default=4)
     ap.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
     args = ap.parse_args(argv)
     if args.workload and args.seed is None:
@@ -181,7 +180,7 @@ def main(argv=None) -> int:
     # perfbench.run pins one BLAS thread per party before numpy is imported
     from perfbench import run as R
     R.import_program()
-    print(json.dumps(workload_phases(args) if args.workload else one_party(args)))
+    print(json.dumps(workload_phases(args) if args.workload else one_party()))
     return 0
 
 
