@@ -65,16 +65,20 @@ implementation rules:
    commits the accepted byte with them (``KVCache.commit``) and runs no
    block for it; the blocks above run only when a later frame taps them.
    The training pass keeps only what its backward pass reads for the
-   gradients it builds (``need_aux``). Of the attention, it keeps the
-   unpadded arrays ``_attention`` computes on every call; the backward pass
-   pads them to the shapes of its own GEMMs, which only
-   :mod:`ciphermind.trainer` knows. Of the MLP, it keeps the GELU derivative
-   at the GELU input u, which ``detmath.gelu_grad`` forms in the forward
-   from the tanh that gelu computed for u, and neither u nor that tanh; it
-   keeps the GELU output g only when w2's gradient is wanted, and the
-   attention output only when wo's is. The layer norms' outputs are not
-   kept: the backward pass recomputes them from the normalized inputs with
-   the same two operations, so they have the same bits. ``forward_full``,
+   gradients it builds (``need_aux``) and cannot rebuild cheaply. Of the
+   attention, it keeps the softmax numerators on the causal triangle (key
+   <= query; the others are the exact zeros ``exp`` gives a masked score)
+   and their row sums, and no Q, K or V: the backward pass rebuilds those
+   from the first layer norm's output with the forward's own GEMMs and
+   scaling, so they have the same bits. It pads all of them to the shapes
+   of its own GEMMs, which only :mod:`ciphermind.trainer` knows. Of the
+   MLP, it keeps the GELU derivative at the GELU input u, which
+   ``detmath.gelu_grad`` forms in the forward from the tanh that gelu
+   computed for u, and neither u nor that tanh; it keeps the GELU output g
+   only when w2's gradient is wanted, and the attention output only when
+   wo's is. The layer norms' outputs are not kept: the backward pass
+   recomputes them from the normalized inputs with the same two operations,
+   so they have the same bits. ``forward_full``,
    ``extend_cache``, ``hypothesis_taps`` and ``draft_taps`` never call one
    another, so a wrapper around one sees only its own calls. Each runs on
    the calling thread alone: with the padding gone from a hypothesis batch,
@@ -589,11 +593,10 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     q: (B, S, d) queries; k_new, v_new: (B, Sk, d) each item's own keys and
     values; k_pref/v_pref: (P, d) prefix shared by the whole batch (may be
     empty). Query row i sits at absolute position base + i and attends keys
-    0 .. base + i. Returns (merged, (ex, den, qh, kh, vh)) with merged
-    (B, S, d) and the arrays it was computed from, unpadded: ex (B, H, S, T)
-    holds exp(score - rowmax), exactly zero on masked keys, den (B, H, S, 1)
-    its row sums, and qh, kh, vh the per-head Q (scaled by 1/sqrt(hd)), K
-    and V of the batch's own positions, (B, H, S or Sk, hd).
+    0 .. base + i. Returns (merged, (ex, den)) with merged (B, S, d) and
+    the softmax it was computed from, unpadded: ex (B, H, S, T) holds
+    exp(score - rowmax), exactly zero on masked keys, and den (B, H, S, 1)
+    its row sums.
     """
     dtype = q.dtype
     B, S, d = q.shape
@@ -645,7 +648,7 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     attn /= den
 
     merged = np.ascontiguousarray(attn.transpose(0, 2, 1, 3)).reshape(B, S, d)
-    return merged, (ex, den, qh, kh, vh)
+    return merged, (ex, den)
 
 
 def _draft_attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
@@ -721,13 +724,15 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     Returns (x, k_new, v_new, saved). k_new/v_new (B, S, d) are the
     positions' keys and values, for the caller's cache. With last_only only
     the last position's query runs and x comes back (B, 1, d): the tapped
-    block of hypothesis_taps. need_aux (training) names the BlockParams
-    fields whose gradients trainer.loss_and_grads builds; saved then holds
-    what that backward pass reads: the layer norms' normalized inputs and
-    inverse stds, _attention's unpadded arrays ("att") and the GELU
-    derivative at u, and only for "wo" the attention output, only for "w2"
-    the GELU output. Empty need_aux saves nothing (None). With draft the
-    block runs the draft's parts (rule 3), _draft_attention and _draft_gelu.
+    block of hypothesis_taps. need_aux (training, no prefix) names the
+    BlockParams fields whose gradients trainer.loss_and_grads builds; saved
+    then holds what that backward pass reads: the layer norms' normalized
+    inputs and inverse stds, the GELU derivative at u, "att" (the softmax
+    numerators on the causal triangle, key <= query, in np.tril_indices(S)
+    order as (B, H, S(S+1)/2), and their row sums (B, H, S, 1)), and only for
+    "wo" the attention output, only for "w2" the GELU output. Empty need_aux
+    saves nothing (None). With draft the block runs the draft's parts
+    (rule 3), _draft_attention and _draft_gelu.
     """
     B, S, d = x.shape
     a, xn1, inv1 = _layer_norm(x, bp.g1, bp.b1, cfg.ln_epsilon)
@@ -743,7 +748,11 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     n = B * q.shape[1]
     attention = _draft_attention if draft else _attention
     attn, att = attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
-    if not need_aux:
+    if need_aux:
+        # the numerators above the diagonal are exact zeros: keep the rest
+        rows, cols = np.tril_indices(S)
+        att = (att[0][..., rows, cols], att[1])
+    else:
         att = None  # freed now, not held through the MLP
     x = x + _mm(attn.reshape(n, d), bp.wo).reshape(x.shape)
     f, xn2, inv2 = _layer_norm(x, bp.g2, bp.b2, cfg.ln_epsilon)

@@ -38,11 +38,16 @@ class ProvisioningError(Exception):
 
 @dataclass(frozen=True)
 class SessionKey:
-    """Pre-shared 128-bit key; bit i (LSB of byte 0 = bit 0) selects shard i."""
+    """Pre-shared 128-bit key; bit i (LSB of byte 0 = bit 0) selects shard i.
+    Takes 16 bytes of bytes, bytearray or memoryview and holds them as bytes."""
 
     value: bytes
 
     def __post_init__(self):
+        if not isinstance(self.value, (bytes, bytearray, memoryview)):
+            raise ProvisioningError(
+                f"session key must be bytes-like, got {type(self.value).__name__}")
+        object.__setattr__(self, "value", bytes(self.value))
         if len(self.value) != KEY_BYTES:
             raise ProvisioningError("session key must be exactly 16 bytes")
         if self.popcount() == 0:

@@ -202,10 +202,11 @@ def _attention_pads(B, S, cfg, dtype):
     every twin's adapters, were taken at these shapes; numpy's batched
     matmul may pick another kernel, and round otherwise, at other shapes.
 
-    Each block writes only the live region, so the padding stays zero and
-    one set serves every block. Allocating them per block instead pages
-    them in afresh each time: measured at about twice the page faults and
-    system time of a provision at ModelConfig().
+    Each block writes only the live region, of p only the causal triangle,
+    so the padding and p's masked entries stay zero and one set serves
+    every block. Allocating them per block instead pages them in afresh
+    each time: measured at about twice the page faults and system time of a
+    provision at ModelConfig().
     """
     BH, hd = B * cfg.n_heads, cfg.head_dim
     s_pad, t_pad = max(S, M.M_MIN), M._round_up(S, M.KEY_SEG)
@@ -213,35 +214,47 @@ def _attention_pads(B, S, cfg, dtype):
             *(np.zeros((BH, n, hd), dtype) for n in (s_pad, s_pad, t_pad, t_pad)))
 
 
-def _attention_backward(dmerged, att, pads, cfg, keys=True):
+def _attention_backward(dmerged, att, a2, bp, pads, cfg, keys=True):
     """(dq, dk, dv) of the attention's projected inputs for dmerged (B, S, d),
-    from the unpadded arrays _attention returned for that training pass,
-    run on the _attention_pads buffers; dk is None unless keys. The padded
-    rows and keys are exact zeros, so they add nothing.
+    run on the _attention_pads buffers, from what the training pass kept
+    (model._block): the causal numerators and their row sums. Q, K and V are
+    rebuilt from the first layer norm's output a2 (B * S, d) and bp's
+    projections as the forward built them, so with its bits; dk is None
+    unless keys, and Q, which only dk reads, is then not rebuilt. The padded
+    rows and keys and the masked entries are exact zeros, so they add
+    nothing.
     """
-    ex, den, qh, kh, vh = att
+    ex, den = att
     p, dA, qf, kf, vf = pads
     B, S, d = dmerged.shape
     H, hd = cfg.n_heads, cfg.head_dim
     dtype = dmerged.dtype
     BH = B * H
-    np.divide(ex.reshape(BH, S, S), den.reshape(BH, S, 1), out=p[:, :S, :S])
-    dA[:, :S] = np.ascontiguousarray(
-        dmerged.reshape(B, S, H, hd).transpose(0, 2, 1, 3)).reshape(BH, S, hd)
-    qf[:, :S] = qh.reshape(BH, S, hd)
-    kf[:, :S] = kh.reshape(BH, S, hd)
-    vf[:, :S] = vh.reshape(BH, S, hd)
+    scale = dtype.type(1.0) / np.sqrt(dtype.type(hd))
+
+    def split(buf, x):  # x (B, S, d) into buf's first S rows, per head
+        buf.reshape(B, H, -1, hd)[:, :, :S] = x.reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+
+    rows, cols = np.tril_indices(S)  # model._block's order
+    p[:, rows, cols] = ex.reshape(BH, -1) / den.reshape(BH, S)[:, rows]
+    split(dA, dmerged)
+    split(kf, M._mm(a2, bp.wk))
+    split(vf, M._mm(a2, bp.wv))
+    if keys:
+        split(qf, M._mm(a2, bp.wq))
+        qf[:, :S] *= scale
 
     dp = np.matmul(dA, vf.transpose(0, 2, 1))
     dv = np.matmul(p.transpose(0, 2, 1), dA)
-    ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
-    dq = np.matmul(ds, kf) * (dtype.type(1.0) / np.sqrt(dtype.type(hd)))
+    dp -= np.sum(dp * p, axis=-1, keepdims=True)
+    dp *= p  # the scores' gradient
+    dq = np.matmul(dp, kf) * scale
 
     def unsplit(x, n):
         return np.ascontiguousarray(
             x[:, :n].reshape(B, H, n, hd).transpose(0, 2, 1, 3)).reshape(B, n, d)
 
-    dk = unsplit(np.matmul(ds.transpose(0, 2, 1), qf), S) if keys else None
+    dk = unsplit(np.matmul(dp.transpose(0, 2, 1), qf), S) if keys else None
     return unsplit(dq, S), dk, unsplit(dv, S)
 
 
@@ -281,9 +294,11 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     block, bit for bit the full call's: the backward pass then builds no
     other gradient, and as the embedding takes none, it stops at block 1's
     projections.
-    The forward pass keeps per block only what those gradients read (see
-    model._block); the backward lets go of the logits once their gradient
-    is built and of each block's arrays once it has read them.
+    The forward pass keeps per block only what those gradients read and
+    the backward cannot rebuild cheaply (see model._block); the backward
+    lets go of the logits once their gradient is built, of that gradient
+    once the final layer norm's is unless the embedding's needs it, and of
+    each block's arrays once it has read them.
     """
     want = M.BlockParams.FIELD_ORDER if wrt is None else tuple(wrt)
     unknown = set(want) - set(M.BlockParams.FIELD_ORDER)
@@ -308,7 +323,10 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     del logits, dlg
 
     dl2 = dlogits.reshape(-1, V)
+    del dlogits
     dxf = (dl2 @ params.emb).reshape(B, T, d)
+    if wrt is not None:
+        dl2 = xf = None  # only the embedding's gradient reads them again
     dx = _ln_backward(dxf, xnf, invf, params.gf)
 
     gblocks = []
@@ -338,9 +356,9 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
         dmerged = (dxm2 @ bp.wo.T).reshape(B, T, d)
         ln1_wanted = "g1" in want or "b1" in want
         need_da = dx_below or ln1_wanted
-        dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], pads, cfg,
-                                               keys=need_da or "wk" in want)
         a2 = (st["xn1"] * bp.g1 + bp.b1).reshape(-1, d)
+        dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], a2, bp, pads, cfg,
+                                               keys=need_da or "wk" in want)
         for name, dm in (("wq", dq_m), ("wk", dk_m), ("wv", dv_m)):
             if name in want:
                 gb[name] = a2.T @ dm.reshape(-1, d)

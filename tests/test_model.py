@@ -356,9 +356,10 @@ def test_stacked_av_equals_per_item_gemms(head_dim, s_rows, B):
     k_new, v_new = rng.standard_normal((2, B, Sk, d)).astype(np.float32)
     for P in (0, 9, 41, 73, 126, 127, 130):
         k_pref, v_pref = rng.standard_normal((2, P, d)).astype(np.float32)
-        merged, (ex, den, _, _, vh) = M._attention(q, k_pref, v_pref, k_new, v_new,
-                                                  P + Sk - s_rows, cfg)
-        attn, want_den = _per_item_av(ex, v_pref.reshape(P, H, head_dim).transpose(1, 0, 2), vh)
+        merged, (ex, den) = M._attention(q, k_pref, v_pref, k_new, v_new,
+                                         P + Sk - s_rows, cfg)
+        attn, want_den = _per_item_av(ex, v_pref.reshape(P, H, head_dim).transpose(1, 0, 2),
+                                      M._split_heads(v_new, H))
         want = attn.transpose(0, 2, 1, 3).reshape(B, s_rows, d)
         assert (_bits(den) == _bits(want_den)).all(), P
         assert (_bits(merged) == _bits(want)).all(), P

@@ -46,6 +46,21 @@ def test_key_hex_rejects_all_but_32_hex_digits(text):
         P.SessionKey.from_hex(text)
 
 
+@pytest.mark.parametrize("value", ["a" * 16, list(range(1, 17)), 1 << 100, None,
+                                   bytes(range(1, 16)), bytes(range(1, 18))],
+                         ids=["str", "list", "int", "None", "15 bytes", "17 bytes"])
+def test_key_rejects_all_but_16_bytes_of_a_bytes_like_value(value):
+    with pytest.raises(P.ProvisioningError):
+        P.SessionKey(value)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_key_holds_a_bytes_like_value_as_bytes(kind):
+    key = P.SessionKey(kind(bytes(range(1, 17))))
+    assert type(key.value) is bytes
+    assert key == P.SessionKey(bytes(range(1, 17)))
+
+
 def test_zero_key_rejected():
     with pytest.raises(P.ProvisioningError):
         _key(0)

@@ -299,13 +299,21 @@ def test_a_training_pass_keeps_only_what_its_backward_reads(monkeypatch, wrt, ke
 
     def recorded(*args, **kwargs):
         out = forward(*args, **kwargs)
-        passes.append((out[1], [set(st) for st in out[1]]))
+        passes.append((out[1], [{name: [a.shape for a in (v if isinstance(v, tuple) else (v,))]
+                                 for name, v in st.items()} for st in out[1]]))
         return out
 
     monkeypatch.setattr(M, "_forward", recorded)
     T.loss_and_grads(params, CFG_TINY, tokens, mask, wrt=wrt)
-    [(saved, names)] = passes
-    assert names == [kept] * CFG_TINY.n_blocks
+    [(saved, shapes)] = passes
+    assert [set(st) for st in shapes] == [kept] * CFG_TINY.n_blocks
+    B, S = tokens.shape
+    for st in shapes:
+        # the softmax numerators on the causal triangle (key <= query) and
+        # their row sums; the backward rebuilds Q, K and V, so no kept array
+        # is per head
+        assert st["att"] == [(B, CFG_TINY.n_heads, S * (S + 1) // 2), (B, CFG_TINY.n_heads, S, 1)]
+        assert all(shape[-1] != CFG_TINY.head_dim for arrays in st.values() for shape in arrays)
     # the backward lets go of each block once it has read it
     assert saved == [None] * CFG_TINY.n_blocks
 

@@ -21,11 +21,13 @@ With ``--one-party``, the process runs one ``provision`` at the benchmark's
 seed 2506) and reports its ``ru_maxrss`` increase, minor faults, system time
 and twin fingerprint, and the quartiles of its SGD steps' ``loss_and_grads``
 time. The same thread then encodes and decodes four 32-byte messages with
-the twin and reports each decode's minor faults (``RUSAGE_THREAD``): a
-decode that runs where the fine-tune ran reuses the heap it left. Last, for one ``loss_and_grads`` step over the fine-tune's
-first batch (``wrt=ADAPTED_FIELDS``), it reports the step's tracemalloc peak
-and the bytes that the teacher-forced pass keeps for the backward, per array
-name summed over the blocks.
+the twin and reports each decode's minor faults (``RUSAGE_THREAD``) and its
+wall time over the blocks its frames tap (ms per tapped block): a decode
+that runs where the fine-tune ran reuses the heap it left, so a heap state
+that slows it shows in both. Last, for one ``loss_and_grads`` step over the
+fine-tune's first batch (``wrt=ADAPTED_FIELDS``), it reports the step's
+tracemalloc peak and the bytes that the teacher-forced pass keeps for the
+backward, per array name summed over the blocks.
 """
 
 from __future__ import annotations
@@ -137,17 +139,22 @@ def one_party() -> dict:
               "loss_and_grads_ms": dict(zip(("q1", "median", "q3"), (
                   round(q, 2) for q in statistics.quantiles(step_ms, n=4, method="inclusive"))))}
 
-    faults = []
+    faults, ms_per_block = [], []
     for seq in range(MESSAGES):
         plaintext = bytes((7 * seq + 3 * i) % 256 for i in range(MESSAGE_LEN))
         frames = C.encode_message_incremental(twin, cfg, KEY, 0xC0FFEE, seq, plaintext)
         flt = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
-        got = C.decode_message_incremental(twin, cfg, KEY, 0xC0FFEE, seq, frames,
-                                           C.CodecParams(delta=1e-6))
+        start = time.perf_counter()
+        dec = C.IncrementalDecoder(twin, cfg, KEY, 0xC0FFEE, seq, C.CodecParams(delta=1e-6))
+        for frame in frames:
+            dec.feed(frame)
+        ms = (time.perf_counter() - start) * 1e3
         faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - flt)
-        if got != plaintext:
+        ms_per_block.append(round(ms / sum(dec.layers_used), 3))
+        if dec.plaintext != plaintext:
             raise SystemExit(f"message {seq} decoded wrong")
     report["decode_minflt_per_message"] = faults
+    report["decode_ms_per_tapped_block"] = ms_per_block
 
     tokens, mask, wrt = batches[0]
     tracemalloc.start()
