@@ -83,11 +83,13 @@ DEFAULT_DELTA = 1e-6
 # than DRAFT_ETA, the candidates the exact batch ranks first and second lie
 # within 2 * DRAFT_ETA of the draft's runner-up.
 DRAFT_ETA = 1e-6
-# Up to 16 two-token items fill the M_MIN = 32 rows that an exact GEMM pads
-# to, so a verify of 16 costs about what one costs: at layer 4 at
-# ModelConfig() on a 2-core Xeon, 2.2 ms for 1 item, 3.1 ms for 16, 26 ms
-# for 257. At DRAFT_ETA the verify set held 2 to 5 candidates on 1000 frames
-# at ModelConfig() and 2 to 9 on the 4 x 32 model, whose thin tap-layer-1
+# A verify runs attention's GEMMs once per item and head, so its cost grows
+# with its items, slowly while they are few: at layer 4 behind a 32-token
+# prefix at ModelConfig() on a 2-core Xeon, one BLAS thread, the medians of
+# two runs of 60 calls were 1.8-3.2 ms for 1 item, 1.9-3.5 for 2, 3.8 for 4
+# and 3.9-5.5 for 16, against 41-48 ms for the 257 of the full batch. At
+# DRAFT_ETA the verify set held 2 to 5 candidates on 1000 frames at
+# ModelConfig() and 2 to 9 on the 4 x 32 model, whose thin tap-layer-1
 # margins in 64-byte messages crowd more than 16 within reach on a few frames.
 VERIFY_CAP = 16
 
@@ -260,8 +262,8 @@ class HypothesisScorer:
     not finite, or the check failed: a wrong key, a damaged payload, a BLAS
     kernel off model rules 1-2) the frame is scored by the full exact batch
     of 257. So only a frame whose payload verifies is fast; any other frame
-    pays the draft, the verify and the full batch, about 1.65 times the
-    full batch alone (tools/decode_ab.py --flip-bit). Candidates are scored
+    pays the draft, the verify and the full batch, about 1.4 times the
+    full batch alone (at layer 4 at ModelConfig(), one BLAS thread). Candidates are scored
     in CANDIDATES order; ties resolve to the lowest index.
     ``verified_frames`` and ``fallback_frames`` count the frames each way
     decided.

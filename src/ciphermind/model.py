@@ -17,36 +17,30 @@ implementation rules:
    multiple of 16 loses row-independent bits, and an N of 1 turns a GEMM
    into a GEMV. Within these limits a score's bits depend neither on N nor
    on its column. One exception to the row floor: the AV GEMMs (K = KEY_SEG,
-   N = den_col + M_MIN) run at max(c * S, 2) rows for a stack of c items
+   N = den_col + M_MIN) run at max(S, 2) rows for an item of S query rows
    (rule 2), since at that shape every row count from 2 to M_MIN gives the
    M_MIN-row bits. One row does not (a 1-row GEMM is a GEMV), nor do other
    projections at few rows (w2 below 16 rows, the head below 31), so ``_mm``
    keeps the floor.
 
-2. Attention stacks items by one rule, in both of its GEMMs. Per head, a
-   stack of c items of S query rows and Sk own keys runs against one key
-   axis that holds the P prefix keys (or values) the batch shares, then the
-   c items' own; each item keeps its rows' first P columns and its own
-   diagonal block, every other entry of e is an exact zero, and the prefix
-   is never copied into every item. The AV reduction runs over keys in fixed
-   ``KEY_SEG``-wide segments combined in ascending order, one GEMM with
-   K = KEY_SEG per segment, the key axis zero-padded to a segment multiple
-   and masked; the scores need none, since a score reduces over the head
-   dim. ``_stack_size`` gives c = min(B, (t_pad - P) // Sk) when the prefix
-   ends in the last segment (P >= t_pad - KEY_SEG), so that every item's own
-   columns fall in the segment that holds its last key: a row then meets the
-   products it would meet alone, in the same order, and the zeros between
-   them add nothing. Otherwise c = 1, one GEMM per item: a cache catch-up,
-   an encoder tap, a training pass over more than KEY_SEG / 2 positions and
-   a batch whose own keys straddle a segment boundary run that. ``M_MIN``
-   ones-columns appended to V make the same GEMM yield the softmax
-   denominators. A position's attention output therefore has identical bits
-   whether it is computed inside a long teacher-forced pass, an incremental
-   step against a KV cache, or a batched hypothesis evaluation. The softmax
-   numerator ``exp`` runs only on live entries (real query rows, keys below
-   the sequence end); masked, padded-row and padded-column entries enter the
-   fixed-shape GEMMs as exact zeros, which is what ``exp`` of a masked score
-   yields anyway, so only the work shrinks, never the shapes.
+2. Attention runs both of its GEMMs once per item and head. An item of S
+   query rows and Sk own keys runs against one key axis that holds the P
+   prefix keys (or values) the batch shares, then its own; the prefix is
+   written into the GEMM buffers once a call, not once an item. The AV
+   reduction runs over keys in fixed ``KEY_SEG``-wide segments combined in
+   ascending order, one GEMM with K = KEY_SEG per segment, the key axis
+   zero-padded to a segment multiple and masked; the scores need none,
+   since a score reduces over the head dim. A key thus meets a query row in
+   the same segment and column, and its product is added in the same order,
+   however the keys split between prefix and own. ``M_MIN`` ones-columns
+   appended to V make the same GEMM yield the softmax denominators. A
+   position's attention output therefore has identical bits whether it is
+   computed inside a long teacher-forced pass, an incremental step against
+   a KV cache, or a batched hypothesis evaluation. The softmax numerator
+   ``exp`` runs only on live entries (real query rows, keys below the
+   sequence end); masked, padded-row and padded-column entries enter the
+   fixed-shape GEMMs as exact zeros, which is what ``exp`` of a masked
+   score yields anyway, so only the work shrinks, never the shapes.
 
 3. Every path is a short loop over one per-block function, ``_block``,
    between ``_embed`` and ``_head``: ``_forward``, the teacher-forced pass
@@ -86,7 +80,7 @@ implementation rules:
    The draft is the one path that is not bit-pinned. ``draft_taps`` runs
    the tap loop of ``hypothesis_taps`` (``_taps``) with ``_block``'s
    ``draft`` switch, which swaps in ``_draft_attention`` (numpy's exp, one
-   masked product per head, no stacks or segments) and ``_draft_gelu``
+   masked product per head, no row floor or segments) and ``_draft_gelu``
    (numpy's tanh); it calls nothing in :mod:`ciphermind.detmath`. Its taps stay within a few float32 ulps of
    the exact ones and only rank a decoder's candidates, which an exact
    ``hypothesis_taps`` call then verifies: a draft value never reaches a
@@ -110,7 +104,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import detmath
 from .scheduler import Stream
@@ -121,16 +114,20 @@ M_MIN = 32
 KEY_SEG = 128
 MASK_FILL = -1e30
 
-# Bytes of padded arrays that one chunk of stacks may span in each of
+# Bytes of padded arrays that one chunk of items may span in each of
 # attention's two GEMM loops, so that they stay in cache from the copy to the
 # GEMM: Q rows, keys and their product in the score GEMMs (_scores), e and V
 # in the AV GEMMs. The buffers of one chunk are filled in place for the next,
 # so a call faults in at most one chunk's pages: arrays of a few MiB, or a
 # fresh product per chunk, would be fresh mmap pages on every call whenever
-# glibc's dynamic mmap threshold sits below their size.
-# On a 2-core Xeon (2 MiB L2), a (257, 2) hypothesis batch at layer 4 ran
-# alike at 512 KiB and 1 MiB, and 2-7 % slower at 2 MiB or without chunks,
-# which also took 23-33 % more page faults in a fresh process.
+# glibc's dynamic mmap threshold sits below their size. At ModelConfig() a
+# chunk holds at least 7 two-token hypotheses while the prefix is under 100
+# positions, so a verify of up to 7 items runs as one chunk; the bound acts
+# on the decoder's 257-item fallback and on the fine-tune's batches of 16
+# items of 74 to 82 positions, 3 to 5 items a chunk. On a 2-core Xeon (2 MiB
+# L2), one BLAS thread, a (257, 2) hypothesis batch at layer 4 ran alike at
+# 512 KiB, 1 MiB and 2 MiB chunks (medians 42-45 ms) and took 125 ms
+# without chunks.
 _CHUNK_BYTES = 1 << 20
 
 PARAM_MAGIC = b"CMWT"
@@ -337,10 +334,14 @@ def read_weight_file(path, magic: bytes, version: int, header_len: int, parse_he
     """(parsed header, arrays) of a write_weight_file file, where
     ``parse_header(header bytes)`` returns (parsed header, layout). A bad
     magic, a cut header, another version, a payload of another size (checked
-    before any per-array work) or a non-finite weight raises ``error``."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    before any per-array work), a non-finite weight or a file that cannot be
+    read raises ``error``."""
     kind, start = magic.decode(), 5 + header_len
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise error(f"{kind} file {path} cannot be read: {e.strerror}") from None
     if blob[:4] != magic:
         raise error(f"not a {kind} file (bad magic)")
     if len(blob) < start:
@@ -508,87 +509,42 @@ def _split_heads(x, n_heads):
     return np.ascontiguousarray(x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3))
 
 
-def _to_stacks(stacked, items) -> None:
-    """Writes items (m, ...) into stacked (n, c, ...), a (stack, item) view
-    with m <= n * c; the item slots past m are zeroed."""
-    c = stacked.shape[1]
-    full, rest = divmod(items.shape[0], c)
-    stacked[:full] = items[:full * c].reshape(full, c, *items.shape[1:])
-    if rest:
-        stacked[full, :rest] = items[full * c:]
-        stacked[full, rest:] = 0
+def _chunks(B: int, item_bytes: int):
+    """(g, chunks) for a batch of B items: g items a chunk, so that a
+    chunk's buffers span at most _CHUNK_BYTES at item_bytes an item, and the
+    item slice of each chunk in order."""
+    g = min(B, max(1, _CHUNK_BYTES // item_bytes))
+    return g, [slice(lo, min(B, lo + g)) for lo in range(0, B, g)]
 
 
-def _from_stacks(items, stacked) -> None:
-    """The inverse of _to_stacks: items (m, ...), a view whose first axis
-    splits in two without a copy, takes the first m item slots of stacked
-    (n, c, ...)."""
-    c = stacked.shape[1]
-    full, rest = divmod(items.shape[0], c)
-    items[:full * c].reshape(full, c, *items.shape[1:])[...] = stacked[:full]
-    if rest:
-        items[full * c:] = stacked[full, :rest]
-
-
-def _stack_size(B: int, P: int, Sk: int) -> int:
-    """c, the items a stack holds in both of attention's GEMMs (rule 2)."""
-    t_pad = _round_up(P + Sk, KEY_SEG)
-    return min(B, (t_pad - P) // Sk) if P >= t_pad - KEY_SEG else 1
-
-
-def _chunks(B: int, c: int, stack_bytes: int):
-    """(g, chunks) for a batch of B items in stacks of c: g stacks a chunk,
-    so that a chunk's buffers span at most _CHUNK_BYTES at stack_bytes a
-    stack, and (n stacks, item slice) of each chunk in order."""
-    n_stacks = -(-B // c)
-    g = min(n_stacks, max(1, _CHUNK_BYTES // stack_bytes))
-    return g, [(min(g, n_stacks - s0), slice(s0 * c, min(B, (s0 + g) * c)))
-               for s0 in range(0, n_stacks, g)]
-
-
-def _items(buf, c: int, n: int, shift: int = 0):
-    """(stack, item, head, row, column) view of buf (stack, head, row,
-    column) in stacks of c items: item i's n rows from row i * n, its columns
-    moved right by i * shift. Shift 0 gives a stack's Q, own K or V and
-    accumulator rows, and its scores' or e's prefix columns; shift Sk on the
-    Sk columns from P gives each item's own diagonal block, which for i > 0
-    lies past that slice but inside the buffer."""
-    g, H, _, width = buf.shape
-    st = buf.strides
-    return as_strided(buf, (g, c, H, n, width),
-                      (st[0], n * st[2] + shift * st[3], st[1], st[2], st[3]))
-
-
-def _scores(qh, kp, kh, out, c: int) -> None:
+def _scores(qh, kp, kh, out) -> None:
     """Every attention score (rule 1): each item's query rows qh (B, H, S, hd)
     against the prefix keys kp (H, P, hd) the batch shares and against its
     own keys kh (B, H, Sk, hd), written into out (B, H, S, P + Sk). One GEMM
-    per head and stack of c items (rule 2), at max(c * S, M_MIN) rows, the
-    stacks in chunks of _CHUNK_BYTES.
+    per item and head (rule 2), at max(S, M_MIN) rows, the items in chunks
+    of _CHUNK_BYTES.
     """
     B, H, S, hd = qh.shape
     P, Sk = kp.shape[1], kh.shape[2]
     dtype = qh.dtype
-    rows, cols = max(c * S, M_MIN), max(_round_up(P + c * Sk, M_MIN), 2 * M_MIN)
-    g, chunks = _chunks(B, c, dtype.itemsize * H * ((rows + cols) * hd + rows * cols))
+    rows, cols = max(S, M_MIN), max(_round_up(P + Sk, M_MIN), 2 * M_MIN)
+    g, chunks = _chunks(B, dtype.itemsize * H * ((rows + cols) * hd + rows * cols))
     q_c = np.zeros((g, H, rows, hd), dtype=dtype)
     k_c = np.zeros((g, H, cols, hd), dtype=dtype)
     sc_c = np.empty((g, H, rows, cols), dtype=dtype)
     k_c[:, :, :P] = kp
-    q_items, k_items = _items(q_c, c, S), _items(k_c[:, :, P:], c, Sk)
-    sc_pref, sc_own = _items(sc_c[..., :P], c, S), _items(sc_c[..., P:P + Sk], c, S, Sk)
-    for n, items in chunks:
-        _to_stacks(q_items[:n], qh[items])
-        _to_stacks(k_items[:n], kh[items])
+    for items in chunks:
+        n = items.stop - items.start
+        q_c[:n, :, :S] = qh[items]
+        k_c[:n, :, P:P + Sk] = kh[items]
         np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2), out=sc_c[:n])
-        _from_stacks(out[items, ..., :P], sc_pref[:n])
-        _from_stacks(out[items, ..., P:], sc_own[:n])
+        out[items] = sc_c[:n, :, :S, :P + Sk]
 
 
 def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     """Causal attention (rules 1 and 2 of the module docstring): every score
     from one _scores call, the AV reduction in KEY_SEG segments, both GEMMs
-    in the stacks of one _stack_size.
+    one per item and head.
 
     q: (B, S, d) queries; k_new, v_new: (B, Sk, d) each item's own keys and
     values; k_pref/v_pref: (P, d) prefix shared by the whole batch (may be
@@ -605,11 +561,10 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     P = k_pref.shape[0]
     T = P + Sk
     t_pad = _round_up(T, KEY_SEG)
-    c = _stack_size(B, P, Sk)
     qh = _split_heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd))), H)
     kh = _split_heads(k_new, H)
     live = np.empty((B, H, S, T), dtype=dtype)
-    _scores(qh, k_pref.reshape(P, H, hd).transpose(1, 0, 2), kh, live, c)
+    _scores(qh, k_pref.reshape(P, H, hd).transpose(1, 0, 2), kh, live)
 
     # Mask, row max and exp over the live region only: real query rows and
     # keys below T. Padded rows and keys from T on enter the AV GEMMs as
@@ -619,32 +574,30 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     live[:, blocked] = dtype.type(MASK_FILL)
     ex = detmath.exp(live - np.max(live, axis=-1, keepdims=True)).reshape(B, H, S, T)
 
-    # AV (rule 2): one GEMM per head, KEY_SEG segment and stack, added in
-    # ascending segment order, at max(c * S, 2) rows (rule 1); V's ones-columns
+    # AV (rule 2): one GEMM per item, head and KEY_SEG segment, added in
+    # ascending segment order, at max(S, 2) rows (rule 1); V's ones-columns
     # from den_col on yield the softmax denominators.
     den_col = _round_up(hd, M_MIN)
     cols = den_col + M_MIN
-    rows = max(c * S, 2)
-    g, chunks = _chunks(B, c, dtype.itemsize * H * t_pad * (rows + cols))
+    rows = max(S, 2)
+    g, chunks = _chunks(B, dtype.itemsize * H * t_pad * (rows + cols))
     e_c = np.zeros((g, H, rows, t_pad), dtype=dtype)
     v_c = np.zeros((g, H, t_pad, cols), dtype=dtype)
     v_c[:, :, :P, :hd] = v_pref.reshape(P, H, hd).transpose(1, 0, 2)
     v_c[..., den_col:] = dtype.type(1.0)
     acc = np.empty((g, H, rows, cols), dtype=dtype)
-    e_pref, e_own = _items(e_c[..., :P], c, S), _items(e_c[..., P:P + Sk], c, S, Sk)
-    v_own, acc_items = _items(v_c[:, :, P:, :hd], c, Sk), _items(acc, c, S)
     vh = _split_heads(v_new, H)
     den = np.empty((B, H, S, 1), dtype=dtype)
     attn = np.empty((B, H, S, hd), dtype=dtype)
-    for n, items in chunks:
-        _to_stacks(e_pref[:n], ex[items, ..., :P])
-        _to_stacks(e_own[:n], ex[items, ..., P:])
-        _to_stacks(v_own[:n], vh[items])
+    for items in chunks:
+        n = items.stop - items.start
+        e_c[:n, :, :S, :T] = ex[items]
+        v_c[:n, :, P:T, :hd] = vh[items]
         acc[:n] = dtype.type(0.0)
         for lo in range(0, t_pad, KEY_SEG):
             acc[:n] += np.matmul(e_c[:n, :, :, lo:lo + KEY_SEG], v_c[:n, :, lo:lo + KEY_SEG])
-        _from_stacks(attn[items], acc_items[:n, ..., :hd])
-        _from_stacks(den[items], acc_items[:n, ..., den_col:den_col + 1])
+        attn[items] = acc[:n, :, :S, :hd]
+        den[items] = acc[:n, :, :S, den_col:den_col + 1]
     attn /= den
 
     merged = np.ascontiguousarray(attn.transpose(0, 2, 1, 3)).reshape(B, S, d)
@@ -656,7 +609,7 @@ def _draft_attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     with a prefix the rows never mask (base >= P): numpy's exp, and per
     head one product of every item's query rows against the prefix keys,
     then one masked batched product against the item's own keys, with no
-    row floor, stacks or segments. Returns (merged (B, S, d), None): the
+    row floor or segments. Returns (merged (B, S, d), None): the
     draft keeps nothing for a backward pass."""
     dtype = q.dtype
     B, S, d = q.shape
@@ -859,8 +812,8 @@ def _taps(params: ParameterSet, config: ModelConfig, cache: KVCache, suffixes,
           layer: int, draft: bool):
     """The one tap loop of hypothesis_taps and draft_taps: (taps, first)."""
     suffixes = np.asarray(suffixes, dtype=np.int64)
-    if suffixes.ndim != 2 or suffixes.shape[1] == 0:
-        raise ModelError("suffixes must be (B, S) with S >= 1")
+    if suffixes.ndim != 2 or 0 in suffixes.shape:
+        raise ModelError("suffixes must be (B, S) with B >= 1 and S >= 1")
     if not 1 <= layer <= config.n_blocks:
         raise ModelError("tap layer out of range")
     if cache.depth < layer:

@@ -327,10 +327,13 @@ def read_transcript(path):
     """Returns the (direction, WireMessage) records of a transcript file.
 
     A record cut short, in its 5-byte header or in its message, raises
-    MalformedMessage.
+    MalformedMessage; a file that cannot be read raises TransportError.
     """
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise TransportError(f"transcript file {path} cannot be read: {e.strerror}") from None
     pos = 0
     out = []
     while pos < len(blob):

@@ -248,7 +248,8 @@ CFG_HEAD_DIM_32 = M.ModelConfig(n_blocks=2, d_model=128, n_heads=4, d_ff=256,
     (120, (33,)),  # positions 120..152 cross KEY_SEG
 ])
 def test_hypothesis_taps_match_full_pass_bitwise_head_dim_32(prefix_len, s_lens):
-    # a batch of 2 * M_MIN fills the score GEMMs with several stacks of items
+    # a batch of 2 * M_MIN items runs attention's GEMMs in several chunks of
+    # items, the last one short
     _assert_taps_match_full_pass(CFG_HEAD_DIM_32, 8, prefix_len, s_lens,
                                  batch=2 * M.M_MIN)
 
@@ -293,14 +294,14 @@ def _per_segment_prefix_scores(qh, kp):
 
 @pytest.mark.parametrize("head_dim", [16, 32])
 @pytest.mark.parametrize("s_rows", [1, 2])  # the tapped block's query row; a frame step's two
-# an encoder tap; one stack short of M_MIN rows; a frame's hypotheses
+# an encoder tap; a verify of a few items; a frame's hypotheses, in chunks
 @pytest.mark.parametrize("B", [1, 3, 257])
 def test_stacked_own_key_scores_equal_per_item_gemms(head_dim, s_rows, B):
-    # _scores puts the shared prefix keys in front of each stack's own keys,
-    # in the stacks _attention's _stack_size gives; its bits must equal the
-    # two GEMM forms it replaced, at no prefix, below M_MIN, below KEY_SEG,
-    # at its end (P = 126: one item fills the segment), straddling it (P =
-    # 127: one item a stack) and past it
+    # _scores stacks the shared prefix keys and each item's own keys on one
+    # key axis, one GEMM per item and head; its bits must equal both GEMM
+    # forms the prefix and own scores take apart, at no prefix, below M_MIN,
+    # below KEY_SEG, at its end (P = 126: the own keys fill the segment),
+    # straddling it (P = 127) and past it
     rng = np.random.default_rng(head_dim + s_rows + B)
     H, Sk = 4, 2
     qh = rng.standard_normal((B, H, s_rows, head_dim)).astype(np.float32)
@@ -308,7 +309,7 @@ def test_stacked_own_key_scores_equal_per_item_gemms(head_dim, s_rows, B):
     for P in (0, 9, 41, 73, 126, 127, 130):
         kp = rng.standard_normal((H, P, head_dim)).astype(np.float32)
         out = np.empty((B, H, s_rows, P + Sk), dtype=np.float32)
-        M._scores(qh, kp, kh, out, M._stack_size(B, P, Sk))
+        M._scores(qh, kp, kh, out)
         want = np.concatenate([_per_segment_prefix_scores(qh, kp),
                                _per_item_own_key_scores(qh, kh)], axis=-1)
         assert (_bits(out) == _bits(want)).all(), P
@@ -343,11 +344,11 @@ def _per_item_av(ex, vp, vh):
 @pytest.mark.parametrize("s_rows", [1, 2])
 @pytest.mark.parametrize("B", [1, 3, 257])
 def test_stacked_av_equals_per_item_gemms(head_dim, s_rows, B):
-    # _attention stacks items whose own keys share the prefix's last
-    # segment; its bits must equal one AV GEMM per item: at no prefix (a
-    # stack of 64 fills the segment), below M_MIN, below and at the end of
-    # KEY_SEG (P = 126: one item fills it), straddling it (P = 127: no
-    # stack) and past it
+    # _attention stacks the prefix values and each item's own on one key
+    # axis, reduced in KEY_SEG segments; its bits must equal one AV GEMM per
+    # item, head and segment: at no prefix, below M_MIN, below and at the end
+    # of KEY_SEG (P = 126: the own keys fill it), straddling it (P = 127: the
+    # own keys span two segments) and past it
     rng = np.random.default_rng(head_dim + s_rows + B)
     H, Sk = 4, 2
     cfg = M.ModelConfig(d_model=H * head_dim, n_heads=H)
@@ -383,7 +384,7 @@ def test_av_gemm_bits_at_2_to_m_min_rows_equal_m_min_rows(head_dim):
 
 def test_one_row_av_input_is_padded_to_two_rows(monkeypatch):
     # layer 1 runs only the tapped block, whose one query row would make
-    # each AV GEMM a GEMV; three items stack into one GEMM of three rows
+    # each AV GEMM a GEMV; of one item or three, each runs its own at two rows
     params = M.init_parameters(CFG_SMALL, seed=15)
     cache = M.KVCache(CFG_SMALL)
     M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
@@ -397,11 +398,8 @@ def test_one_row_av_input_is_padded_to_two_rows(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", recording)
     M.hypothesis_taps(params, CFG_SMALL, cache, np.array([[4, 5], [6, 7], [8, 9]]), 1)
-    stacked = av_rows.copy()
-    av_rows.clear()
     M.hypothesis_taps(params, CFG_SMALL, cache, np.array([[4, 5]]), 1)
     monkeypatch.undo()
-    assert stacked and min(stacked) >= 2
     assert av_rows and set(av_rows) == {2}
 
 
@@ -451,6 +449,15 @@ def test_hypothesis_taps_empty_prefix():
     for b in range(4):
         hid_full, _ = M.forward_full(params, CFG_SMALL, suffixes[b])
         assert (taps[b] == hid_full[1, -1]).all()
+
+
+def test_an_empty_batch_fails_typed():
+    params = M.init_parameters(CFG_SMALL, seed=9)
+    cache = M.KVCache(CFG_SMALL)
+    M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
+    for taps in (M.hypothesis_taps, M.draft_taps):
+        with pytest.raises(M.ModelError, match="B >= 1"):
+            taps(params, CFG_SMALL, cache, np.zeros((0, 2), dtype=np.int64), 2)
 
 
 @pytest.mark.parametrize("prefix_len,s_len", [(0, 3), (9, 1), (15, 2), (20, 7)])

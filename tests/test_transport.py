@@ -503,6 +503,15 @@ def test_transcript_record_with_an_unknown_direction(tmp_path):
         W.read_transcript(path)
 
 
+def test_unreadable_transcript_fails_typed_naming_it(tmp_path):
+    path = tmp_path / "cap.bin"
+    with pytest.raises(W.TransportError, match="cap.bin"):
+        W.read_transcript(path)  # missing
+    path.mkdir()
+    with pytest.raises(W.TransportError, match="cap.bin"):
+        W.read_transcript(path)  # a directory
+
+
 def test_session_rejects_a_one_block_config(open_pair, profile):
     # the same typed error the codec raises for this config
     one = dataclasses.replace(CFG, n_blocks=1)

@@ -64,6 +64,17 @@ def test_damaged_weight_file_fails_typed(tmp_path, kind, damage):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_unreadable_weight_file_fails_typed_naming_it(tmp_path, kind):
+    _, load, error, _, _ = KINDS[kind]
+    path = tmp_path / "weights.bin"
+    with pytest.raises(error, match="weights.bin"):
+        load(path)  # missing
+    path.mkdir()
+    with pytest.raises(error, match="weights.bin"):
+        load(path)  # a directory
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_header_claiming_a_huge_layout_fails_fast(tmp_path, kind):
     # 2**32 - 1 blocks of parameters, or adapters of rank 2**32 - 1: the
     # payload size is checked in closed form, before any per-array work
