@@ -14,19 +14,18 @@ schedule draws for the frame, tapped at that ``<sep>``. ``frame_step`` and
 grows one byte per frame. Each frame's 257 steps against it, ``[c, <sep>]``
 for c in 0..255 and then ``[<eos>, <sep>]``, run first as a draft, a pass
 that is close to the exact model but not bit-pinned and ranks them by
-cosine; one exact batch then verifies the draft's winner and its near
-rivals, and the full exact batch of 257 scores the frame when that verify
-cannot decide it (see ``HypothesisScorer``). The result is the full exact
-batch's as long as every draft cosine lies within DRAFT_ETA of its exact
-one, which the verify checks inside its set and which is measured, not
-checked, outside it. An accepted byte joins the cache at the depth its
-frame's exact batch reached, with the rows the winning hypothesis
-computed, and gains the blocks above only when a later frame taps them; no
-cache runs block n_blocks or the head, which no frame reads. A position has
-the same bits in a full pass, a cache extension and a hypothesis batch of
-any size (rules 1-3 of :mod:`ciphermind.model`), so the true candidate
-re-creates the payload bit for bit and scores cosine 1.0 whatever the
-model's quality; the theta and delta gates reject anything else.
+cosine; one exact call then re-creates every candidate the draft cannot
+rule out, and the frame is accepted only if the best of them equals the
+payload bit for bit (see ``HypothesisScorer``). A draft error can so make a
+frame fail typed, but never make a wrong byte pass. An accepted byte joins
+the cache at the depth its frame's exact call reached, with the rows the
+winning hypothesis computed, and gains the blocks above only when a later
+frame taps them; no cache runs block n_blocks or the head, which no frame
+reads. A position has the same bits in a full pass, a cache extension and
+a hypothesis batch of any size (rules 1-3 of :mod:`ciphermind.model`), so
+the true candidate re-creates the payload bit for bit and scores cosine 1.0
+whatever the model's quality; the delta gate rejects a frame whose
+runner-up comes too close.
 
 No <sep> is kept between bytes. Interleaving them would let one forward
 pass encode a message, but it doubles the context, and a wrong byte's tap
@@ -80,18 +79,9 @@ DEFAULT_DELTA = 1e-6
 # most 6e-8, one float32 ulp below 1, on every candidate of 420 right-key
 # frames at ModelConfig() and 469 on the 4 x 32 test model
 # (tools/draft_check.py, BENCH_22.json). While no draft score is off by more
-# than DRAFT_ETA, the candidates the exact batch ranks first and second lie
-# within 2 * DRAFT_ETA of the draft's runner-up.
+# than DRAFT_ETA, the candidates the exact batch of all 257 would rank first
+# and second lie within 2 * DRAFT_ETA of the draft's runner-up.
 DRAFT_ETA = 1e-6
-# A verify runs attention's GEMMs once per item and head, so its cost grows
-# with its items, slowly while they are few: at layer 4 behind a 32-token
-# prefix at ModelConfig() on a 2-core Xeon, one BLAS thread, the medians of
-# two runs of 60 calls were 1.8-3.2 ms for 1 item, 1.9-3.5 for 2, 3.8 for 4
-# and 3.9-5.5 for 16, against 41-48 ms for the 257 of the full batch. At
-# DRAFT_ETA the verify set held 2 to 5 candidates on 1000 frames at
-# ModelConfig() and 2 to 9 on the 4 x 32 model, whose thin tap-layer-1
-# margins in 64-byte messages crowd more than 16 within reach on a few frames.
-VERIFY_CAP = 16
 
 
 class CodecError(Exception):
@@ -245,28 +235,24 @@ class HypothesisScorer:
     Keeps a KV cache over the committed prefix, template ++ accepted
     bytes, each position at its committed depth (see model.KVCache): the
     template at n_blocks - 1, an accepted byte at the depth its frame's
-    verify reached. A frame tapped at layer L first catches the cache up
-    through block L, one block call per block that some position lacks.
+    exact call reached. A frame tapped at layer L first catches the cache
+    up through block L, one block call per block that some position lacks.
     Its 257 two-token suffixes, each candidate's frame_step ([c, <sep>] for
     bytes c = 0..255, then [<eos>, <sep>] for END), then run as a draft
     (model.draft_taps), ranked by cosine against the payload. One exact
-    hypothesis_taps call verifies V: the draft's winner and every candidate
-    whose draft score lies within 2 * DRAFT_ETA of the draft's runner-up.
-    When the best exact tap in V equals the payload bit for bit and every
-    exact score in V lies within DRAFT_ETA of its draft score, V's exact
-    cosines give the token, score and margin. They are the full exact
-    batch's if no candidate outside V has a draft score more than DRAFT_ETA
-    from its exact one, for then V holds every candidate that batch could
-    rank first or second; that bound is measured (DRAFT_ETA's comment), not
-    checked, outside V. Otherwise (V larger than VERIFY_CAP, a draft score
-    not finite, or the check failed: a wrong key, a damaged payload, a BLAS
-    kernel off model rules 1-2) the frame is scored by the full exact batch
-    of 257. So only a frame whose payload verifies is fast; any other frame
-    pays the draft, the verify and the full batch, about 1.4 times the
-    full batch alone (at layer 4 at ModelConfig(), one BLAS thread). Candidates are scored
+    hypothesis_taps call, whatever its size, re-creates V: every candidate
+    the draft cannot rule out, that is its winner, every candidate whose
+    draft score lies within 2 * DRAFT_ETA of its runner-up, and every
+    candidate whose draft score is not finite. The frame is accepted only
+    if V's best exact tap equals the payload bit for bit; V's exact cosines
+    then give the token, score and margin. They are the exact batch of
+    257's while no draft score is more than DRAFT_ETA from its exact one,
+    for then V holds every candidate that batch could rank first or
+    second; that bound is measured (DRAFT_ETA's comment), not checked. Any
+    other frame (a wrong key, a damaged payload, a BLAS kernel off model
+    rules 1-2, or a draft that ranks the true candidate out of V) raises
+    DecodeFailure after the draft and that one call. Candidates are scored
     in CANDIDATES order; ties resolve to the lowest index.
-    ``verified_frames`` and ``fallback_frames`` count the frames each way
-    decided.
     """
 
     def __init__(self, params: M.ParameterSet, cfg: M.ModelConfig):
@@ -275,44 +261,34 @@ class HypothesisScorer:
         self.cache = _template_cache(params, cfg)
         self.suffixes = np.array([frame_step(c) for c in CANDIDATES], dtype=np.int64)
         self.decoded = bytearray()
-        self.verified_frames = 0
-        self.fallback_frames = 0
-        # the last exact call's candidate indices and first-position rows, until push
+        # the last accepted frame's candidate indices and first-position rows, until push
         self._first = None
 
     @property
     def prefix(self) -> bytes:
         return bytes(self.decoded)
 
-    def _exact(self, payload: np.ndarray, layer: int, rows):
-        """One exact hypothesis_taps call over the candidates rows: keeps
-        its first-position rows for push and returns (taps, their exact
-        cosines, the position of the best, its margin over the rest)."""
-        taps, first = M.hypothesis_taps(self.params, self.cfg, self.cache,
-                                        self.suffixes[rows], layer)
-        self._first = (rows, first)
-        scores = cosine(taps, payload).astype(np.float64)
-        best = int(np.argmax(scores))
-        margin = scores[best] - np.delete(scores, best).max()
-        return taps, scores, best, float(margin)
-
     def score_frame(self, payload: np.ndarray, layer: int):
-        """Returns (token, score, margin) for one frame."""
+        """Returns (token, score, margin) for one frame, or raises
+        DecodeFailure when no candidate in V re-creates the payload."""
         payload = np.asarray(payload, dtype=np.float32)
+        self._first = None
         M.catch_up(self.params, self.cfg, self.cache, layer)
         draft = cosine(M.draft_taps(self.params, self.cfg, self.cache, self.suffixes, layer),
                        payload).astype(np.float64)
-        if np.all(np.isfinite(draft)):
-            rows = np.flatnonzero(draft >= np.partition(draft, -2)[-2] - 2 * DRAFT_ETA)
-            if rows.size <= VERIFY_CAP:
-                taps, scores, best, margin = self._exact(payload, layer, rows)
-                if (np.array_equal(taps[best].view(np.uint32), payload.view(np.uint32))
-                        and np.all(np.abs(scores - draft[rows]) <= DRAFT_ETA)):
-                    self.verified_frames += 1
-                    return CANDIDATES[rows[best]], float(scores[best]), margin
-        self.fallback_frames += 1
-        _, scores, best, margin = self._exact(payload, layer, np.arange(len(CANDIDATES)))
-        return CANDIDATES[best], float(scores[best]), margin
+        finite = np.isfinite(draft)
+        runner_up = np.partition(np.where(finite, draft, -np.inf), -2)[-2]
+        rows = np.flatnonzero(~finite | (draft >= runner_up - 2 * DRAFT_ETA))
+        taps, first = M.hypothesis_taps(self.params, self.cfg, self.cache,
+                                        self.suffixes[rows], layer)
+        scores = cosine(taps, payload).astype(np.float64)
+        best = int(np.argmax(scores))
+        if not np.array_equal(taps[best].view(np.uint32), payload.view(np.uint32)):
+            raise DecodeFailure(f"no candidate re-creates the payload: best {scores[best]:.6f}",
+                                score=float(scores[best]))
+        self._first = (rows, first)
+        margin = scores[best] - np.delete(scores, best).max()
+        return CANDIDATES[rows[best]], float(scores[best]), float(margin)
 
     def push(self, byte_val: int) -> None:
         """Commit one accepted byte of the last scored frame into the shared
@@ -350,9 +326,10 @@ def _checked_payload(frame: TokenFrame) -> np.ndarray:
 
 
 class IncrementalDecoder:
-    """Exact, theta/delta-gated decoder fed one frame at a time. Each frame
-    passes the order, length-cap and payload checks, is scored at the layer
-    the chain draws for it, and must yield a byte on a non-final frame and
+    """Exact decoder fed one frame at a time. Each frame passes the order,
+    length-cap and payload checks, is scored at the layer the chain draws
+    for it, must be re-created bit for bit by one candidate and clear the
+    theta and delta gates, and must yield a byte on a non-final frame and
     END on the final one."""
 
     def __init__(self, params, cfg, key: bytes, nonce: int, msg_seq: int,

@@ -100,6 +100,7 @@ import hashlib
 import itertools
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -123,8 +124,9 @@ MASK_FILL = -1e30
 # glibc's dynamic mmap threshold sits below their size. At ModelConfig() a
 # chunk holds at least 7 two-token hypotheses while the prefix is under 100
 # positions, so a verify of up to 7 items runs as one chunk; the bound acts
-# on the decoder's 257-item fallback and on the fine-tune's batches of 16
-# items of 74 to 82 positions, 3 to 5 items a chunk. On a 2-core Xeon (2 MiB
+# on the larger verifies of crowded frames (all 257 items where no draft
+# score is finite) and on the fine-tune's batches of 16 items of 74 to 82
+# positions, 3 to 5 items a chunk. On a 2-core Xeon (2 MiB
 # L2), one BLAS thread, a (257, 2) hypothesis batch at layer 4 ran alike at
 # 512 KiB, 1 MiB and 2 MiB chunks (medians 42-45 ms) and took 125 ms
 # without chunks.
@@ -333,26 +335,30 @@ def write_weight_file(path, magic: bytes, version: int, header: bytes, arrays) -
 def read_weight_file(path, magic: bytes, version: int, header_len: int, parse_header, error):
     """(parsed header, arrays) of a write_weight_file file, where
     ``parse_header(header bytes)`` returns (parsed header, layout). A bad
-    magic, a cut header, another version, a payload of another size (checked
-    before any per-array work), a non-finite weight or a file that cannot be
-    read raises ``error``."""
+    magic, a cut header, another version, a payload of another size, a
+    non-finite weight or a file that cannot be read raises ``error``. Only
+    the header is read before the file's size is checked against its
+    layout, so a foreign or oversized file is refused without buffering it."""
     kind, start = magic.decode(), 5 + header_len
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            head = f.read(start)
+            if head[:4] != magic:
+                raise error(f"not a {kind} file (bad magic)")
+            if len(head) < start:
+                raise error(f"{kind} file cut inside its {start}-byte header")
+            if head[4] != version:
+                raise error(f"unsupported {kind} file version {head[4]}")
+            header, layout = parse_header(head[5:])
+            want, size = 4 * layout_size(layout), os.fstat(f.fileno()).st_size - start
+            if size == want:
+                blob = f.read(want)
+                size = len(blob)
     except OSError as e:
         raise error(f"{kind} file {path} cannot be read: {e.strerror}") from None
-    if blob[:4] != magic:
-        raise error(f"not a {kind} file (bad magic)")
-    if len(blob) < start:
-        raise error(f"{kind} file cut inside its {start}-byte header")
-    if blob[4] != version:
-        raise error(f"unsupported {kind} file version {blob[4]}")
-    header, layout = parse_header(blob[5:start])
-    want = 4 * layout_size(layout)
-    if len(blob) - start != want:
-        raise error(f"{kind} payload is {len(blob) - start} bytes, expected {want}")
-    flat = np.frombuffer(blob, dtype="<f4", offset=start).astype(np.float32)
+    if size != want:
+        raise error(f"{kind} payload is {size} bytes, expected {want}")
+    flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)
     if not np.all(np.isfinite(flat)):
         raise error(f"{kind} file contains non-finite weights")
     shapes = [shape for _, shape in layout_entries(layout)]

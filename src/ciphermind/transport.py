@@ -324,30 +324,35 @@ class TranscriptWriter:
 
 
 def read_transcript(path):
-    """Returns the (direction, WireMessage) records of a transcript file.
+    """Returns the (direction, WireMessage) records of a transcript file,
+    read one record at a time.
 
-    A record cut short, in its 5-byte header or in its message, raises
-    MalformedMessage; a file that cannot be read raises TransportError.
+    A record cut short, in its 5-byte header or in its message, or whose
+    length exceeds the largest wire message raises MalformedMessage, the
+    last before its message is read; a file that cannot be read raises
+    TransportError.
     """
+    out, pos = [], 0
     try:
         with open(path, "rb") as f:
-            blob = f.read()
+            while head := f.read(5):
+                if len(head) < 5:
+                    raise MalformedMessage(f"transcript record at byte {pos}: truncated header")
+                direction = head[0]
+                if direction not in (TranscriptWriter.DIR_SENT, TranscriptWriter.DIR_RECEIVED):
+                    raise MalformedMessage(
+                        f"transcript record at byte {pos}: bad direction {direction}")
+                (length,) = struct.unpack_from("<I", head, 1)
+                if length > HEADER_LEN + MAX_BODY + 4:
+                    raise MalformedMessage(
+                        f"transcript record at byte {pos}: {length}-byte message exceeds the cap")
+                data = f.read(length)
+                if len(data) < length:
+                    raise MalformedMessage(f"transcript record at byte {pos}: truncated message")
+                out.append((direction, parse(data)))
+                pos += 5 + length
     except OSError as e:
         raise TransportError(f"transcript file {path} cannot be read: {e.strerror}") from None
-    pos = 0
-    out = []
-    while pos < len(blob):
-        if pos + 5 > len(blob):
-            raise MalformedMessage(f"transcript record at byte {pos}: truncated header")
-        direction = blob[pos]
-        if direction not in (TranscriptWriter.DIR_SENT, TranscriptWriter.DIR_RECEIVED):
-            raise MalformedMessage(f"transcript record at byte {pos}: bad direction {direction}")
-        (length,) = struct.unpack_from("<I", blob, pos + 1)
-        end = pos + 5 + length
-        if end > len(blob):
-            raise MalformedMessage(f"transcript record at byte {pos}: truncated message")
-        out.append((direction, parse(blob[pos + 5:end])))
-        pos = end
     return out
 
 

@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,32 +30,37 @@ def params():
     return M.init_parameters(CFG, seed=77)
 
 
+def oracle_frame(params, cfg, decoded, payload, layer):
+    """(token, score, margin) of one frame after the bytes decoded: bytes
+    0..255 and then END, one forward_full over frame_context per hypothesis
+    with no cache (257 full passes)."""
+    hypotheses = [*range(256), C.EOS]
+    contexts = [C.frame_context(list(decoded) + [h]) for h in hypotheses]
+    taps = np.stack([M.forward_full(params, cfg, ctx)[0][layer - 1, -1] for ctx in contexts])
+    scores = C.cosine(taps, payload).astype(np.float64)
+    best = int(np.argmax(scores))
+    return hypotheses[best], scores[best], scores[best] - np.delete(scores, best).max()
+
+
 def decode_oracle(params, cfg, key, nonce, msg_seq, frames, cp=CP) -> bytes:
-    """Reference decoder for the frame layout: each frame scores bytes 0..255
-    and then END, one forward_full over frame_context per hypothesis with no
-    cache (257 full passes a frame), behind the same gates as
-    IncrementalDecoder."""
+    """Reference decoder for the frame layout: oracle_frame on every frame,
+    behind the same gates as IncrementalDecoder."""
     state = scheduler.init_chain(key, nonce, msg_seq)
     decoded = []
     for frame in frames:
         payload = C._checked_payload(frame)
         layer = scheduler.layer_of(state, cfg.n_blocks)
-        hypotheses = [*range(256), C.EOS]
-        contexts = [C.frame_context(decoded + [h]) for h in hypotheses]
-        taps = np.stack([M.forward_full(params, cfg, ctx)[0][layer - 1, -1] for ctx in contexts])
-        scores = C.cosine(taps, payload).astype(np.float64)
-        best = int(np.argmax(scores))
-        margin = scores[best] - np.delete(scores, best).max()
-        if not scores[best] >= cp.theta:
-            raise C.DecodeFailure("below theta", score=scores[best])
+        token, score, margin = oracle_frame(params, cfg, decoded, payload, layer)
+        if not score >= cp.theta:
+            raise C.DecodeFailure("below theta", score=score)
         if not margin >= cp.delta:
             raise C.AmbiguousDecode(margin)
-        if (hypotheses[best] == C.EOS) != frame.is_final:
+        if (token == C.EOS) != frame.is_final:
             raise C.DecodeFailure("END and the final frame disagree")
         if frame.is_final:
             return bytes(decoded)
-        decoded.append(hypotheses[best])
-        state = scheduler.advance(state, hypotheses[best], cfg.vocab_size)
+        decoded.append(token)
+        state = scheduler.advance(state, token, cfg.vocab_size)
     raise C.DecodeFailure("frames ended without a final frame")
 
 
@@ -412,14 +422,8 @@ def test_push_needs_a_scored_frame(params):
     scorer = C.HypothesisScorer(params, CFG)
     with pytest.raises(C.CodecError, match="no scored frame"):
         scorer.push(7)
-    scorer.score_frame(np.ones(CFG.d_model, dtype=np.float32), 2)
-    scorer.push(ord("a"))
-    with pytest.raises(C.CodecError, match="no scored frame"):
-        scorer.push(ord("a"))
-    assert scorer.prefix == b"a" and scorer.cache.length == len(C.template_tokens()) + 1
-    # a verified frame keeps the rows of its verify set alone
+    # an accepted frame keeps the rows of its verify set alone, for one push
     frame = C.encode_message_incremental(params, CFG, KEY, NONCE, 0, b"b")[0]
-    scorer = C.HypothesisScorer(params, CFG)
     layer = scheduler.layer_of(scheduler.init_chain(KEY, NONCE, 0), CFG.n_blocks)
     assert scorer.score_frame(frame.payload, layer)[0] == ord("b")
     rows = scorer._first[0]
@@ -427,7 +431,9 @@ def test_push_needs_a_scored_frame(params):
     with pytest.raises(C.CodecError, match=f"byte {outside} was not verified"):
         scorer.push(outside)
     scorer.push(ord("b"))
-    assert scorer.prefix == b"b"
+    with pytest.raises(C.CodecError, match="no scored frame"):
+        scorer.push(ord("b"))
+    assert scorer.prefix == b"b" and scorer.cache.length == len(C.template_tokens()) + 1
 
 
 def test_score_frame_runs_one_hypothesis_batch_per_frame(params, monkeypatch):
@@ -438,13 +444,60 @@ def test_score_frame_runs_one_hypothesis_batch_per_frame(params, monkeypatch):
         shapes.append(np.shape(suffixes))
         return taps(params, cfg, cache, suffixes, layer)
 
-    # the draft ranks the 257 candidates; one exact call verifies at most
-    # VERIFY_CAP of them, the draft's winner and runner-up among them
+    # the draft ranks the 257 candidates; one exact call verifies some of
+    # them, the draft's winner and runner-up among them
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 16, b"one")
     monkeypatch.setattr(M, "hypothesis_taps", counting)
     assert C.decode_message_incremental(params, CFG, KEY, NONCE, 16, frames, CP) == b"one"
     assert len(shapes) == len(frames)
-    assert all(2 <= b <= C.VERIFY_CAP and s == 2 for b, s in shapes)
+    assert all(2 <= b <= len(C.CANDIDATES) and s == 2 for b, s in shapes)
+
+
+def test_a_crowded_frame_runs_one_call_of_its_verify_set(params, monkeypatch):
+    # thin tap-layer-1 margins late in a 64-byte message put more than 16
+    # candidates within 2 * DRAFT_ETA of the draft's runner-up on some
+    # frames: each still takes one exact call of its V, and gives the
+    # result of the 257 full passes of the oracle
+    plaintext = bytes(np.random.default_rng(3).integers(0, 256, size=C.MAX_MESSAGE_LEN).tolist())
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 3, plaintext)
+    sizes = []
+    taps = M.hypothesis_taps
+
+    def counting(params, cfg, cache, suffixes, layer):
+        sizes.append(len(suffixes))
+        return taps(params, cfg, cache, suffixes, layer)
+
+    monkeypatch.setattr(M, "hypothesis_taps", counting)
+    results, error, _ = _feed(params, CFG, KEY, 3, frames)
+    assert error is None and len(sizes) == len(frames)
+    crowded = [t for t, n in enumerate(sizes) if n > 16]
+    assert crowded and max(sizes) < len(C.CANDIDATES)
+    state = scheduler.init_chain(KEY, NONCE, 3)
+    for t, tok in enumerate(plaintext[:max(crowded) + 1]):
+        if t in crowded:
+            layer = scheduler.layer_of(state, CFG.n_blocks)
+            want = oracle_frame(params, CFG, plaintext[:t], frames[t].payload, layer)
+            assert (results[t].token, results[t].score, results[t].margin) == want, t
+        state = scheduler.advance(state, tok, CFG.vocab_size)
+
+
+def test_a_flipped_bit_fails_its_frame_after_one_draft_and_one_exact_call(params, monkeypatch):
+    frame = C.encode_message_incremental(params, CFG, KEY, NONCE, 20, b"f")[0]
+    layer = scheduler.layer_of(scheduler.init_chain(KEY, NONCE, 20), CFG.n_blocks)
+    scorer = C.HypothesisScorer(params, CFG)
+    assert scorer.score_frame(frame.payload, layer)[0] == ord("f")
+    calls = []
+    for name in ("draft_taps", "hypothesis_taps"):
+        monkeypatch.setattr(M, name, lambda *args, name=name, call=getattr(M, name):
+                            calls.append(name) or call(*args))
+    [flipped] = _flip_low_bit([frame])
+    with pytest.raises(C.DecodeFailure, match="no candidate re-creates the payload"):
+        scorer.score_frame(flipped.payload, layer)
+    assert calls == ["draft_taps", "hypothesis_taps"]
+    # the accepted frame before it gave up its rows to the failed one
+    with pytest.raises(C.CodecError, match="no scored frame"):
+        scorer.push(ord("f"))
+    assert scorer.prefix == b""
 
 
 def _feed(params, cfg, key, msg_seq, frames, cp=CP):
@@ -480,9 +533,7 @@ def test_draft_ranks_the_true_byte_first_within_a_tenth_of_eta(cfg, seed, length
     # on every frame the draft's winner is the true byte, and no draft cosine
     # is further than DRAFT_ETA / 10 from the exact one; so V, all within
     # 2 * DRAFT_ETA of the draft's runner-up, holds the exact winner and
-    # runner-up, and a frame falls back only when V holds more than
-    # VERIFY_CAP candidates (on the 4 x 32 model, runners-up crowd within
-    # 2 * DRAFT_ETA on some tap-layer-1 frames of the longest messages)
+    # runner-up
     params = M.init_parameters(cfg, seed)
     rng = np.random.default_rng(seed)
     for msg_seq, n in enumerate(lengths):
@@ -499,52 +550,47 @@ def test_draft_ranks_the_true_byte_first_within_a_tenth_of_eta(cfg, seed, length
             e = C.cosine(exact, frame.payload).astype(np.float64)
             assert int(np.argmax(d)) == C.CANDIDATES.index(tok), (n, t)
             assert np.abs(d - e).max() <= C.DRAFT_ETA / 10, (n, t)
-            crowded = np.sum(d >= np.partition(d, -2)[-2] - 2 * C.DRAFT_ETA) > C.VERIFY_CAP
-            fallbacks = scorer.fallback_frames
             assert scorer.score_frame(frame.payload, layer)[0] == tok
-            assert scorer.fallback_frames - fallbacks == crowded, (n, t)
             if tok != C.EOS:
                 scorer.push(tok)
                 state = scheduler.advance(state, tok, cfg.vocab_size)
 
 
-def test_every_frame_the_verify_cannot_decide_falls_back(params):
-    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 17, b"fall back")
-    results, error, scorer = _feed(params, CFG, KEY, 17, frames)
-    assert error is None and (scorer.verified_frames, scorer.fallback_frames) == (len(frames), 0)
-    # a wrong key draws its own layers: where one differs from the sender's,
-    # no candidate re-creates the payload
+def test_every_frame_the_verify_cannot_decide_fails_typed(params):
+    plaintext = b"fail typed"
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 17, plaintext)
+    results, error, _ = _feed(params, CFG, KEY, 17, frames)
+    assert error is None and len(results) == len(frames)
+    # a wrong key draws its own layers: at the first that differs from the
+    # sender's, no candidate re-creates the payload
     scorer = C.HypothesisScorer(params, CFG)
     wrong, right = (scheduler.init_chain(k, NONCE, 17) for k in (WRONG_KEY, KEY))
-    other_layer = 0
-    for frame, tok in zip(frames, list(b"fall back") + [C.EOS]):
+    for t, (frame, tok) in enumerate(zip(frames, plaintext)):
         layer = scheduler.layer_of(wrong, CFG.n_blocks)
-        fallbacks = scorer.fallback_frames
-        token, _, _ = scorer.score_frame(frame.payload, layer)
         if layer != scheduler.layer_of(right, CFG.n_blocks):
-            assert scorer.fallback_frames == fallbacks + 1
-            other_layer += 1
-        if token != C.END_HYPOTHESIS:
-            scorer.push(token)
-            wrong = scheduler.advance(wrong, token, CFG.vocab_size)
-        right = scheduler.advance(right, tok, CFG.vocab_size)
-    assert other_layer > 0
-    # a flipped payload bit: the true byte still wins, through the full batch
-    flipped = _flip_low_bit(C.encode_message_incremental(params, CFG, KEY, NONCE, 17,
-                                                          b"fall back"))
-    got, error, scorer = _feed(params, CFG, KEY, 17, flipped)
-    assert scorer.fallback_frames == len(got) + (error is not None) and scorer.verified_frames == 0
-    assert [r.token for r in got] == [r.token for r in results][:len(got)]
+            with pytest.raises(C.DecodeFailure, match="no candidate re-creates the payload"):
+                scorer.score_frame(frame.payload, layer)
+            break
+        assert scorer.score_frame(frame.payload, layer)[0] == tok
+        scorer.push(tok)
+        wrong, right = (scheduler.advance(s, tok, CFG.vocab_size) for s in (wrong, right))
+    else:
+        pytest.fail("the wrong key drew the sender's layer for every byte frame")
+    # a flipped payload bit fails its first frame
+    got, error, _ = _feed(params, CFG, KEY, 17, _flip_low_bit(frames))
+    assert got == [] and error[0] is C.DecodeFailure
 
 
 @pytest.mark.parametrize("sabotage", ["reversed", "noise", "noise_but_the_winner", "one_nan",
                                       "all_equal"])
 def test_a_sabotaged_draft_falls_back_to_the_same_results(params, monkeypatch, sabotage):
-    # a draft whose rows are the wrong candidates' (reversed), noise, noise
-    # but for the true byte's row (V then holds the winner and a runner-up
-    # the exact batch does not rank second), hold a NaN, or rank all 257
-    # alike (V over VERIFY_CAP) changes nothing but the path: every frame is
-    # scored by the full exact batch
+    # a draft error can make a frame fail typed, never decode another byte:
+    # a draft that holds a NaN or ranks all 257 alike (V then holds every
+    # candidate) gives the same results; noise but for the true byte's row
+    # (V then holds the winner and a runner-up the exact batch does not
+    # rank second) the same tokens with wider margins; and a draft whose
+    # rows are the wrong candidates' (reversed), or noise, leaves the true
+    # byte out of V, and the first frame fails
     plaintext = b"sabotage"
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 18, plaintext)
     want, error, _ = _feed(params, CFG, KEY, 18, frames)
@@ -570,9 +616,13 @@ def test_a_sabotaged_draft_falls_back_to_the_same_results(params, monkeypatch, s
 
     monkeypatch.setattr(M, "draft_taps", sabotaged)
     got, error, scorer = _feed(params, CFG, KEY, 18, frames)
-    assert error is None and got == want
-    assert (scorer.verified_frames, scorer.fallback_frames) == (0, len(frames))
-    assert scorer.prefix == plaintext
+    assert [r.token for r in got] == [r.token for r in want][:len(got)]
+    if sabotage in ("one_nan", "all_equal"):
+        assert error is None and got == want
+    elif sabotage == "noise_but_the_winner":
+        assert error is None and scorer.prefix == plaintext
+    else:
+        assert got == [] and error[0] is C.DecodeFailure
 
 
 def test_draft_and_verify_give_the_full_batch_results_and_errors(params, monkeypatch):
@@ -590,12 +640,59 @@ def test_draft_and_verify_give_the_full_batch_results_and_errors(params, monkeyp
                   (WRONG_KEY, msg_seq, frames, CP),
                   (KEY, msg_seq, frames, C.CodecParams(delta=0.5))]
     fast = [_feed(params, CFG, key, seq, frames, cp)[:2] for key, seq, frames, cp in cases]
-    # NaN drafts: every frame takes the full exact batch of 257
+    # NaN drafts: every frame's V holds all 257 candidates
     monkeypatch.setattr(M, "draft_taps", lambda params, cfg, cache, suffixes, layer:
                         np.full((len(suffixes), cfg.d_model), np.nan, dtype=np.float32))
     full = [_feed(params, CFG, key, seq, frames, cp)[:2] for key, seq, frames, cp in cases]
     assert fast == full
     assert {error[0] for _, error in full if error} == {C.DecodeFailure, C.AmbiguousDecode}
+
+
+def _blas_picks_its_kernel_at_load() -> bool:
+    try:  # numpy < 1.26 has no mode="dicts"
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return (blas.get("name") == "scipy-openblas"
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+_DECODE_IN_CHILD = """
+import json, sys
+import numpy as np
+from ciphermind import codec as C, model as M
+params = M.load_parameters(sys.argv[1])
+payloads = np.load(sys.argv[2])
+frames = [C.TokenFrame(t, p, t == len(payloads) - 1) for t, p in enumerate(payloads)]
+try:
+    out = C.decode_message_incremental(params, params.config, bytes(range(16)), 0xDEADBEEF,
+                                       22, frames, C.CodecParams(delta=1e-6))
+    print(json.dumps({"plaintext": out.hex()}))
+except C.CodecError as e:
+    print(json.dumps({"error": type(e).__name__}))
+"""
+
+
+@pytest.mark.skipif(not _blas_picks_its_kernel_at_load(),
+                    reason="OPENBLAS_CORETYPE needs a DYNAMIC_ARCH scipy-openblas")
+def test_a_decode_on_another_blas_kernel_gives_the_plaintext_or_fails_typed(params, tmp_path):
+    # Haswell's kernels break model rules 1-2 (ROADMAP item 12), so no
+    # candidate need re-create a payload encoded on this process's kernel:
+    # the decode may fail, but only with a CodecError, and never give
+    # another plaintext
+    plaintext = b"portable"
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 22, plaintext)
+    M.save_parameters(tmp_path / "params.cmwt", params)
+    np.save(tmp_path / "payloads.npy", np.stack([f.payload for f in frames]))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-c", _DECODE_IN_CHILD, str(tmp_path / "params.cmwt"),
+                          str(tmp_path / "payloads.npy")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out.get("plaintext", plaintext.hex()) == plaintext.hex(), out
 
 
 def test_decoder_rejects_out_of_order_frames(params):

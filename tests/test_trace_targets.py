@@ -76,60 +76,49 @@ TRACE_CFG = model.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64,
 
 def _traced_decode(params, frames, key, nonce):
     """Decodes frames under the benchmark's tracer. Returns the decoder,
-    the spans and, per frame, whether its verify failed (a fallback)."""
+    the spans and the typed error that stopped the decode, or None."""
     targets = tracing.targets(MODULES)
     originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _, _ in targets]
     tracer = tracing.Tracer()
     tracer.install(targets)
-    fell_back = []
+    error = None
     try:
         dec = codec.IncrementalDecoder(params, TRACE_CFG, key, nonce, 0,
                                        codec.CodecParams(delta=1e-6))
         for frame in frames:
-            before = dec.scorer.fallback_frames
             dec.feed(frame)
-            fell_back.append(dec.scorer.fallback_frames > before)
+    except codec.CodecError as e:
+        error = e
     finally:
         tracer.restore()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
-    return dec, tracer.spans, fell_back
+    return dec, tracer.spans, error
 
 
-def _check_frame_spans(spans, layers, fell_back):
-    """Each score_frame's exact hypothesis_taps children follow the path
-    its frame took: a verify of 2..VERIFY_CAP candidates, then, when the
-    frame fell back, the full batch of every candidate (alone when the
-    draft left more than VERIFY_CAP candidates). The draft calls nothing
-    the tracer wraps, so the catch-up that runs before it shows as the only
-    exp spans directly under score_frame, one per block call. Returns each
-    frame's verify size, or None where no verify ran."""
+def _check_frame_spans(spans, layers):
+    """Each score_frame has one exact hypothesis_taps child, the verify of
+    2..257 candidates. The draft calls nothing the tracer wraps, so the
+    catch-up that runs before it shows as the only exp spans directly under
+    score_frame, one per block call. Returns each frame's verify size."""
     children = {}
     for s in spans:
         children.setdefault(s.parent, []).append(s)
     scores = [s for s in spans if s.name == "codec.score_frame"]
-    assert len(scores) == len(layers) == len(fell_back)
+    assert len(scores) == len(layers)
     shallowest = TRACE_CFG.n_blocks - 1  # the template's depth
     catch_up_calls, verified = 0, []
-    for t, (span, layer, fell) in enumerate(zip(scores, layers, fell_back)):
+    for t, (span, layer) in enumerate(zip(scores, layers)):
         kids = children.get(span.id, [])
-        taps = [k.note for k in kids if k.name == "model.hypothesis_taps"]
-        sizes = [note[1] for note in taps]
-        if fell:  # the full batch comes last, after the verify if one ran
-            assert sizes[-1:] == [len(codec.CANDIDATES)], t
-            sizes.pop()
-            assert len(sizes) <= 1, t
-        else:
-            assert len(sizes) == 1, t
-        assert all(2 <= n <= codec.VERIFY_CAP for n in sizes), t
-        verified.append(sizes[0] if sizes else None)
+        [note] = [k.note for k in kids if k.name == "model.hypothesis_taps"]
+        assert 2 <= note[1] <= len(codec.CANDIDATES), t
+        verified.append(note[1])
         prefix = len(codec.template_tokens()) + t
-        assert all(note == (prefix, note[1], 2, layer, TRACE_CFG.n_heads) for note in taps), t
+        assert note == (prefix, note[1], 2, layer, TRACE_CFG.n_heads), t
         calls = sum(k.name == "detmath.exp" for k in kids)
         assert calls == max(0, layer - shallowest), t
         catch_up_calls += calls
         shallowest = layer - 1  # the byte this frame commits
-    assert catch_up_calls > 0
-    return verified
+    return verified, catch_up_calls
 
 
 def test_tracer_sees_each_frames_exact_calls_with_the_catch_up_beside_them():
@@ -138,10 +127,10 @@ def test_tracer_sees_each_frames_exact_calls_with_the_catch_up_beside_them():
     params = model.init_parameters(TRACE_CFG, 77)
     key, nonce, plaintext = bytes(range(16)), 0xC0FFEE, b"traced message"
     frames = codec.encode_message_incremental(params, TRACE_CFG, key, nonce, 0, plaintext)
-    dec, spans, fell_back = _traced_decode(params, frames, key, nonce)
-    assert dec.plaintext == plaintext
-    assert not any(fell_back)  # every clean payload verifies
-    verified = _check_frame_spans(spans, dec.layers_used, fell_back)
+    dec, spans, error = _traced_decode(params, frames, key, nonce)
+    assert error is None and dec.plaintext == plaintext
+    verified, catch_up_calls = _check_frame_spans(spans, dec.layers_used)
+    assert catch_up_calls > 0
 
     by_id = {s.id: s for s in spans}
 
@@ -158,17 +147,15 @@ def test_tracer_sees_each_frames_exact_calls_with_the_catch_up_beside_them():
     assert fed and all("codec.score_frame" in names for names in fed)
 
     # the same message with the lowest mantissa bit of one element of every
-    # payload flipped (tools/decode_ab.py --flip-bit): still decoded by the
-    # full batch, but no frame verifies, and the draft offers each frame the
-    # candidates it offered the clean payload
+    # payload flipped: the first frame fails after the one exact call, over
+    # the candidates the draft offered the clean payload
     rng = np.random.default_rng(len(plaintext))
     for frame, i in zip(frames, rng.integers(0, TRACE_CFG.d_model, size=len(frames))):
         frame.payload = frame.payload.copy()
         frame.payload.view(np.uint32)[i] ^= 1
-    flipped, spans, fell_back = _traced_decode(params, frames, key, nonce)
-    assert flipped.plaintext == plaintext
-    assert all(fell_back)
-    assert _check_frame_spans(spans, flipped.layers_used, fell_back) == verified
+    flipped, spans, error = _traced_decode(params, frames, key, nonce)
+    assert isinstance(error, codec.DecodeFailure) and flipped.scorer.prefix == b""
+    assert _check_frame_spans(spans, flipped.layers_used)[0] == verified[:1]
 
 
 class _RecordingStream:

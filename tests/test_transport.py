@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import os
 import socket
 import struct
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +503,25 @@ def test_transcript_record_with_an_unknown_direction(tmp_path):
     path.write_bytes(bytes([2]) + struct.pack("<I", len(fin)) + fin)
     with pytest.raises(W.MalformedMessage, match="direction"):
         W.read_transcript(path)
+
+
+@pytest.mark.parametrize("head", ["zeros", "a record the size of the file"])
+def test_a_64_mib_transcript_fails_typed_without_being_buffered(tmp_path, head):
+    # zeros: a first record of an empty message, which no wire message is;
+    # then a record whose length covers the rest of the file but exceeds
+    # the largest wire message, refused before its message is read
+    path = tmp_path / "cap.bin"
+    size = 64 << 20
+    path.write_bytes(b"" if head == "zeros" else bytes([0]) + struct.pack("<I", size - 5))
+    os.truncate(path, size)
+    tracemalloc.start()
+    try:
+        with pytest.raises(W.MalformedMessage):
+            W.read_transcript(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unreadable_transcript_fails_typed_naming_it(tmp_path):

@@ -4,8 +4,10 @@ layout order. A damaged file of either kind fails with its own module's
 error: ModelError for parameters, TrainerError for adapters."""
 
 import dataclasses
+import os
 import struct
 import time
+import tracemalloc
 
 import pytest
 
@@ -87,3 +89,23 @@ def test_header_claiming_a_huge_layout_fails_fast(tmp_path, kind):
     with pytest.raises(error, match="payload"):
         load(path)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("head", ["zeros", "a good header"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_64_mib_file_fails_typed_without_being_buffered(tmp_path, kind, head):
+    # a sparse file of zeros has a bad magic; after a good header its size
+    # disagrees with the layout: either is refused after reading the header
+    write, load, error, header_len, _ = KINDS[kind]
+    path = tmp_path / "weights.bin"
+    write(path)
+    path.write_bytes(path.read_bytes()[:header_len] if head == "a good header" else b"")
+    os.truncate(path, 64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

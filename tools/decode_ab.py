@@ -1,25 +1,22 @@
 """Frame-by-frame decode time of two checkouts, in one process, in alternation.
 
-    python3 tools/decode_ab.py --old DIR [--new DIR] [--rounds 10] [--length 32] [--flip-bit]
+    python3 tools/decode_ab.py --old DIR [--new DIR] [--rounds 10] [--length 32]
 
 Loads the ``ciphermind`` package of each checkout's ``src/`` under its own
 name, encodes one message of ``--length`` seeded bytes with the new tree at
 the shipped ``ModelConfig()`` (untrained base, seed 11) and decodes it once a
 round with a decoder of each tree. Frame t of the old decoder and frame t of
 the new one are fed one after the other, the order alternating by frame and
-round, so both trees see the same machine state. With ``--flip-bit`` the
-lowest mantissa bit of one seeded element of every payload is flipped: the
-message still decodes under the cosine gate, but no frame's verify
-matches, so a draft-and-verify tree times its fallback path on every
-frame. Each decoder gates with
+round, so both trees see the same machine state. Each decoder gates with
 its tree's shipped ``CodecParams()``, so both trees must ship δ = 1e-6: the
 earlier δ = 0.01 rejects every frame. A frame's time is its
 ``IncrementalDecoder.feed``; per block is that time over its tap layer. A
 separate untimed pass counts the ``_block`` and ``_head`` calls of each feed
 by the entry point that made them: the draft's 257-item batch, the exact
-verify of a few candidates, the full exact batch of 257, and the cache
-catch-up over the committed prefix, with its rows. The frames of both
-trees must be bitwise equal. The last line is one JSON object.
+verify (every ``hypothesis_taps`` call of a decode), and the cache catch-up
+over the committed prefix, with its rows; and the verify calls a frame and
+their items. The frames of both trees must be bitwise equal. The last line
+is one JSON object.
 """
 
 from __future__ import annotations
@@ -61,11 +58,10 @@ def quartiles(values) -> dict:
 
 def count_calls(tree, params, cfg, frames) -> dict:
     """Per-frame means of one decode's engine calls: the _block calls of
-    each entry point that makes them (the draft, draft_taps; the verify, a
-    hypothesis_taps call of fewer than the 257 candidates; the full exact
-    batch of 257; the cache's catch_up, with its rows a call), the items a
-    verify holds, and the _head calls. A tree without draft_taps makes no
-    draft or verify calls."""
+    each entry point that makes them (the draft, draft_taps; the verify,
+    hypothesis_taps; the cache's catch_up, with its rows a call), the
+    verify calls and the items each holds, and the _head calls. A tree
+    without draft_taps makes no draft calls."""
     M, C = tree["model"], tree["codec"]
     calls = []  # (kind, items, rows) of every _block and _head call of the current feed
     open_entries = []
@@ -74,12 +70,9 @@ def count_calls(tree, params, cfg, frames) -> dict:
 
     def entry(name):
         def wrapper(*args, **kwargs):
-            if name == "hypothesis_taps":
-                items = len(args[3])
-                kind = "full" if items == len(C.CANDIDATES) else "verify"
-                calls.append((f"{kind}_call", items, 0))
-            else:
-                kind = {"catch_up": "cache", "draft_taps": "draft"}[name]
+            kind = {"catch_up": "cache", "draft_taps": "draft", "hypothesis_taps": "verify"}[name]
+            if kind == "verify":
+                calls.append(("verify_call", len(args[3]), 0))
             open_entries.append(kind)
             try:
                 return originals[name](*args, **kwargs)
@@ -114,8 +107,9 @@ def count_calls(tree, params, cfg, frames) -> dict:
 
     cache, verify = per("cache"), per("verify_call")
     return {**{f"{kind}_block_calls": round(len(per(kind)) / n, 3)
-               for kind in ("draft", "verify", "full", "cache")},
+               for kind in ("draft", "verify", "cache")},
             "rows_per_cache_block_call": round(statistics.mean(r for _, r in cache), 3) if cache else 0,
+            "verify_calls": round(len(verify) / n, 3),
             "items_per_verify": round(statistics.mean(b for b, _ in verify), 3) if verify else 0,
             "head_calls": round(len(per("head")) / n, 3)}
 
@@ -127,7 +121,6 @@ def main(argv=None) -> int:
     ap.add_argument("--new", default=str(here))
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--length", type=int, default=32)
-    ap.add_argument("--flip-bit", action="store_true")
     args = ap.parse_args(argv)
 
     trees = {"old": load(Path(args.old).resolve(), "ciphermind_old"),
@@ -140,12 +133,6 @@ def main(argv=None) -> int:
         cfg = M.ModelConfig()
         params[side] = M.init_parameters(cfg, 11)
         frames[side] = C.encode_message_incremental(params[side], cfg, KEY, NONCE, 0, plaintext)
-    if args.flip_bit:
-        flips = rng.integers(0, cfg.d_model, size=len(frames["new"]))
-        for side_frames in frames.values():
-            for f, i in zip(side_frames, flips):
-                f.payload = f.payload.copy()
-                f.payload.view(np.uint32)[i] ^= 1
     assert all((a.payload == b.payload).all() for a, b in zip(frames["old"], frames["new"]))
 
     per_block = {side: [] for side in trees}
@@ -163,18 +150,13 @@ def main(argv=None) -> int:
 
     calls = {side: count_calls(tree, params[side], cfg, frames[side])
              for side, tree in trees.items()}
-    # frames each scorer decided by draft and verify, and by the full batch
-    paths = {side: [getattr(decs[side].scorer, name, None)
-                    for name in ("verified_frames", "fallback_frames")] for side in trees}
     report = {
         "message_bytes": args.length, "frames": len(frames["new"]), "rounds": args.rounds,
-        "flip_bit": args.flip_bit,
         "decode_ms_per_block": {side: quartiles(v) for side, v in per_block.items()},
         "median_change_pct": round(100 * (statistics.median(per_block["new"])
                                           / statistics.median(per_block["old"]) - 1), 2),
         "mean_tap_layer": round(statistics.mean(decs["new"].layers_used), 3),
         "calls_per_frame": calls,
-        "verified_and_fallback_frames_last_round": paths,
     }
     for side in trees:
         print(f"{side}: decode ms/block {report['decode_ms_per_block'][side]}, "
