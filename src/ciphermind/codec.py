@@ -75,12 +75,15 @@ DEFAULT_THETA = 0.9999
 # 4 x 32 test model, 2 of 780 frames fall below 1e-6 (least 6.0e-7).
 DEFAULT_DELTA = 1e-6
 
-# The draft's cosines (model.draft_taps) differed from the exact ones by at
-# most 6e-8, one float32 ulp below 1, on every candidate of 420 right-key
-# frames at ModelConfig() and 469 on the 4 x 32 test model
-# (tools/draft_check.py, BENCH_22.json). While no draft score is off by more
-# than DRAFT_ETA, the candidates the exact batch of all 257 would rank first
-# and second lie within 2 * DRAFT_ETA of the draft's runner-up.
+# The draft's cosines (model.draft_taps: its own block, its candidates in
+# slices across the CPUs) differed from the exact ones by at most 5.96e-8,
+# one float32 ulp below 1, on every candidate of 796 right-key frames at
+# ModelConfig() and 796 on the 4 x 32 test model; on 1015 and 1000 frames of
+# five cases, no result or typed error differed from a verify of all 257
+# (tools/draft_check.py --frames 1000, BENCH_29.json). While no draft score
+# is off by more than DRAFT_ETA, the candidates the exact batch of all 257
+# would rank first and second lie within 2 * DRAFT_ETA of the draft's
+# runner-up.
 DRAFT_ETA = 1e-6
 
 

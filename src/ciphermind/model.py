@@ -42,7 +42,7 @@ implementation rules:
    fixed-shape GEMMs as exact zeros, which is what ``exp`` of a masked
    score yields anyway, so only the work shrinks, never the shapes.
 
-3. Every path is a short loop over one per-block function, ``_block``,
+3. Every exact path is a short loop over one per-block function, ``_block``,
    between ``_embed`` and ``_head``: ``_forward``, the teacher-forced pass
    with no prefix that ``forward_full`` and, with ``need_aux``, the
    training pass in :mod:`ciphermind.trainer` run; ``catch_up`` against the
@@ -74,15 +74,26 @@ implementation rules:
    recomputes them from the normalized inputs with the same two operations,
    so they have the same bits. ``forward_full``,
    ``extend_cache``, ``hypothesis_taps`` and ``draft_taps`` never call one
-   another, so a wrapper around one sees only its own calls. Each runs on
-   the calling thread alone: with the padding gone from a hypothesis batch,
-   splitting it over worker threads ran no faster on 2 CPUs.
-   The draft is the one path that is not bit-pinned. ``draft_taps`` runs
-   the tap loop of ``hypothesis_taps`` (``_taps``) with ``_block``'s
-   ``draft`` switch, which swaps in ``_draft_attention`` (numpy's exp, one
-   masked product per head, no row floor or segments) and ``_draft_gelu``
-   (numpy's tanh); it calls nothing in :mod:`ciphermind.detmath`. Its taps stay within a few float32 ulps of
-   the exact ones and only rank a decoder's candidates, which an exact
+   another, so a wrapper around one sees only its own calls. The exact
+   paths run on the calling thread alone: their per-item GEMM loops hold
+   the interpreter lock between many small calls, and splitting a
+   hypothesis batch over worker threads ran no faster on 2 CPUs.
+   The draft is the one path that is not bit-pinned, and it has its own
+   block function, ``_draft_block``. Each block runs one QKV GEMM, on
+   weights derived once per ParameterSet (``_draft_weights``): the layer
+   norms' gains and biases and the scores' 1/sqrt(head_dim) are folded into
+   wq|wk|wv and w1. Layer-norm statistics are matrix-vector products, the
+   softmax and GELU use numpy's exp and tanh, attention is one masked
+   product per head with no row floor or segments, and nothing in
+   :mod:`ciphermind.detmath` is called. A draft block is a few large numpy
+   calls, which release the interpreter lock, so ``draft_taps`` cuts its
+   items into contiguous slices of at least M_MIN, one per CPU the process
+   may run on, and runs every slice but the first on a thread that lives
+   for the call; the slices read the cache at once and never write it. On
+   2 CPUs whose second added to GEMM throughput, decode per tapped block
+   fell 27-35 % (BENCH_29.json); where the second adds nothing, two slices
+   ran about 10 % slower than one. Its taps stay within a few float32 ulps
+   of the exact ones and only rank a decoder's candidates, which an exact
    ``hypothesis_taps`` call then verifies: a draft value never reaches a
    frame, a cache or a twin.
 
@@ -102,6 +113,7 @@ import math
 import numbers
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,10 +138,12 @@ MASK_FILL = -1e30
 # positions, so a verify of up to 7 items runs as one chunk; the bound acts
 # on the larger verifies of crowded frames (all 257 items where no draft
 # score is finite) and on the fine-tune's batches of 16 items of 74 to 82
-# positions, 3 to 5 items a chunk. On a 2-core Xeon (2 MiB
-# L2), one BLAS thread, a (257, 2) hypothesis batch at layer 4 ran alike at
-# 512 KiB, 1 MiB and 2 MiB chunks (medians 42-45 ms) and took 125 ms
-# without chunks.
+# positions, 3 to 5 items a chunk. On a 2-core Xeon (2 MiB L2), one BLAS
+# thread, a (257, 2) hypothesis batch at layer 4 ran alike at 512 KiB, 1 MiB
+# and 2 MiB chunks (medians 42-45 ms) and took 125 ms without chunks. The
+# draft takes no chunks: its largest arrays, the MLP's hidden rows of a
+# slice, span 1 MiB at ModelConfig() for all 257 two-token items on one CPU
+# and half that a slice on two.
 _CHUNK_BYTES = 1 << 20
 
 PARAM_MAGIC = b"CMWT"
@@ -252,6 +266,8 @@ class ParameterSet:
     gf: np.ndarray
     bf: np.ndarray
     head_w: np.ndarray = field(default=None, repr=False)  # derived: emb.T contiguous
+    # derived on the first draft_taps call: each block's _draft_weights
+    draft_w: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.head_w is None:
@@ -436,7 +452,8 @@ class KVCache:
     change once written, so ``prefix(n)`` can share the arrays. A block's
     arrays are allocated when the block is first written: a codec cache never
     runs the last block. A cache is single-owner: one cache must not serve
-    two concurrent decode streams.
+    two concurrent decode streams. A draft's slices read one cache from
+    several threads at once, read-only, while its owner waits for them.
     """
 
     def __init__(self, config: ModelConfig):
@@ -610,53 +627,90 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     return merged, (ex, den)
 
 
-def _draft_attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
-    """The draft's causal attention (rule 3), on _attention's arguments
-    with a prefix the rows never mask (base >= P): numpy's exp, and per
-    head one product of every item's query rows against the prefix keys,
-    then one masked batched product against the item's own keys, with no
-    row floor or segments. Returns (merged (B, S, d), None): the
-    draft keeps nothing for a backward pass."""
-    dtype = q.dtype
-    B, S, d = q.shape
-    Sk = k_new.shape[1]
+def _draft_weights(bp: BlockParams, cfg: ModelConfig) -> tuple:
+    """(wqkv, qkv_bias, wo, w1, w1_bias, w2) of one block as _draft_block
+    takes them (rule 3): wq|wk|wv with 1/sqrt(head_dim) folded into the Q
+    columns, and it and w1 with the gain of the layer norm before them
+    folded into their rows and that norm's bias turned into a row added to
+    their product."""
+    dtype = bp.wq.dtype
+    scale = dtype.type(1.0) / np.sqrt(dtype.type(cfg.head_dim))
+    wqkv = np.hstack([bp.wq * scale, bp.wk, bp.wv])
+    weights = (bp.g1[:, None] * wqkv, bp.b1 @ wqkv, bp.wo,
+               bp.g2[:, None] * bp.w1, bp.b2 @ bp.w1, bp.w2)
+    for w in weights:
+        w.flags.writeable = False
+    return weights
+
+
+def _draft_norm(x, eps):
+    """The draft's layer norm of rows x (n, d) without gain or bias, which
+    the weights after it hold. The row means and variances are products
+    with a column of 1/d."""
+    mean = np.full(x.shape[1], 1.0 / x.shape[1], dtype=x.dtype)
+    xc = x - (x @ mean)[:, None]
+    var = np.square(xc) @ mean
+    var += x.dtype.type(eps)
+    xc /= np.sqrt(var)[:, None]
+    return xc
+
+
+def _draft_block(w: tuple, cfg: ModelConfig, x, k_pref, v_pref, last_only: bool):
+    """One block of the draft (rule 3) on the residual stream x (B, S, d) of
+    items that follow the prefix k_pref/v_pref (P, d): one QKV GEMM, numpy's
+    exp and tanh, attention with one product per head against the prefix
+    and one masked batched product against each item's own keys, and no row
+    floor, segments or pinned math. w is the block's _draft_weights. Returns
+    the block's output, (B, 1, d) for the last position alone with
+    last_only: the tapped block."""
+    wqkv, qkv_bias, wo, w1, w1_bias, w2 = w
+    dtype = x.dtype
+    B, S, d = x.shape
     H, hd = cfg.n_heads, cfg.head_dim
     P = k_pref.shape[0]
+    qkv = _draft_norm(x.reshape(B * S, d), cfg.ln_epsilon) @ wqkv
+    qkv += qkv_bias
+    qkv = qkv.reshape(B, S, 3, H, hd)
+    if last_only:
+        x = x[:, -1:]
+    Sq = x.shape[1]
+    q, k, v = (a.transpose(2, 0, 1, 3) for a in (qkv[:, S - Sq:, 0], qkv[:, :, 1], qkv[:, :, 2]))
 
-    def heads(x):  # (B, n, d) -> (H, B, n, hd)
-        return x.reshape(B, -1, H, hd).transpose(2, 0, 1, 3)
-
-    qh = np.ascontiguousarray(heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd)))))
-    kh, vh = heads(k_new), heads(v_new)
-    sc = np.empty((H, B, S, P + Sk), dtype=dtype)
-    sc[..., :P] = np.matmul(qh.reshape(H, B * S, hd),
-                            k_pref.reshape(P, H, hd).transpose(1, 2, 0)).reshape(H, B, S, P)
-    own = sc[..., P:]
-    own[...] = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    own[..., P + np.arange(Sk)[None, :] > base + np.arange(S)[:, None]] = -np.inf
-    sc -= sc.max(axis=-1, keepdims=True)
+    # scores with the keys before the query rows, (H, P + S, B, Sq), so
+    # that the softmax reduces across rows: the prefix keys, then each
+    # item's own, key j masked for its query rows before j
+    sc = np.empty((H, P + S, B, Sq), dtype=dtype)
+    np.matmul(k_pref.reshape(P, H, hd).transpose(1, 0, 2),
+              q.reshape(H, B * Sq, hd).transpose(0, 2, 1), out=sc[:, :P].reshape(H, P, B * Sq))
+    own = sc[:, P:].transpose(0, 2, 3, 1)  # (H, B, Sq, S)
+    np.matmul(q, k.transpose(0, 1, 3, 2), out=own)
+    own[..., np.arange(S)[None, :] > np.arange(S - Sq, S)[:, None]] = -np.inf
+    sc -= sc.max(axis=1, keepdims=True)
     np.exp(sc, out=sc)
-    sc /= sc.sum(axis=-1, keepdims=True)
-    out = np.matmul(sc[..., :P].reshape(H, B * S, P),
-                    v_pref.reshape(P, H, hd).transpose(1, 0, 2)).reshape(H, B, S, hd)
-    out += np.matmul(sc[..., P:], vh)
-    return np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(B, S, d), None
+    attn = np.empty((B, Sq, H, hd), dtype=dtype)
+    heads = attn.transpose(2, 0, 1, 3)  # (H, B, Sq, hd)
+    np.matmul(sc[:, :P].reshape(H, P, B * Sq).transpose(0, 2, 1),
+              v_pref.reshape(P, H, hd).transpose(1, 0, 2),
+              out=attn.reshape(B * Sq, H, hd).transpose(1, 0, 2))
+    heads += np.matmul(own, v)
+    heads /= sc.sum(axis=1)[..., None]
 
-
-def _draft_gelu(u):
-    """tanh-form GELU with numpy's tanh, for the draft (rule 3), built in
-    one buffer."""
-    c0, c1 = u.dtype.type(detmath._GELU_C0), u.dtype.type(detmath._GELU_C1)
-    g = u * u
+    h = attn.reshape(B * Sq, d) @ wo
+    h += x.reshape(B * Sq, d)
+    # tanh-form GELU, its factor 1/2 applied after w2
+    u = _draft_norm(h, cfg.ln_epsilon) @ w1
+    u += w1_bias
+    g = np.square(u)
+    g *= dtype.type(detmath._GELU_C0 * detmath._GELU_C1)
+    g += dtype.type(detmath._GELU_C0)
     g *= u
-    g *= c1
-    g += u
-    g *= c0
     np.tanh(g, out=g)
-    g += u.dtype.type(1.0)
+    g += dtype.type(1.0)
     g *= u
-    g *= u.dtype.type(0.5)
-    return g
+    out = g @ w2
+    out *= dtype.type(0.5)
+    out += h
+    return out.reshape(B, Sq, d)
 
 
 def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
@@ -675,7 +729,7 @@ def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
 
 
 def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
-           last_only=False, need_aux=(), draft=False):
+           last_only=False, need_aux=()):
     """One block on the residual stream x (B, S, d) at positions base .. :
     layer norm, Q/K/V, _attention against the shared prefix k_pref/v_pref
     (P, d) and the items' own keys, O, layer norm, MLP.
@@ -690,8 +744,7 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     numerators on the causal triangle, key <= query, in np.tril_indices(S)
     order as (B, H, S(S+1)/2), and their row sums (B, H, S, 1)), and only for
     "wo" the attention output, only for "w2" the GELU output. Empty need_aux
-    saves nothing (None). With draft the block runs the draft's parts
-    (rule 3), _draft_attention and _draft_gelu.
+    saves nothing (None).
     """
     B, S, d = x.shape
     a, xn1, inv1 = _layer_norm(x, bp.g1, bp.b1, cfg.ln_epsilon)
@@ -705,8 +758,7 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     else:
         q = _mm(a2, bp.wq).reshape(B, S, d)
     n = B * q.shape[1]
-    attention = _draft_attention if draft else _attention
-    attn, att = attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
+    attn, att = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
     if need_aux:
         # the numerators above the diagonal are exact zeros: keep the rest
         rows, cols = np.tril_indices(S)
@@ -720,7 +772,7 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
         g, t = detmath.gelu(u, return_tanh=True)
         gelu_grad = detmath.gelu_grad(u, t)
     else:
-        g = _draft_gelu(u) if draft else detmath.gelu(u)
+        g = detmath.gelu(u)
     x = x + _mm(g, bp.w2).reshape(x.shape)
     saved = None
     if need_aux:
@@ -814,9 +866,11 @@ def extend_cache(params: ParameterSet, config: ModelConfig, cache: KVCache,
     return hidden, logits[0]
 
 
-def _taps(params: ParameterSet, config: ModelConfig, cache: KVCache, suffixes,
-          layer: int, draft: bool):
-    """The one tap loop of hypothesis_taps and draft_taps: (taps, first)."""
+def _checked_embed(params: ParameterSet, config: ModelConfig, cache: KVCache, suffixes,
+                   layer: int) -> np.ndarray:
+    """The residual stream entering block 1 of a hypothesis batch of
+    suffixes (B, S) after the cache, once the batch and the tap layer pass
+    their checks."""
     suffixes = np.asarray(suffixes, dtype=np.int64)
     if suffixes.ndim != 2 or 0 in suffixes.shape:
         raise ModelError("suffixes must be (B, S) with B >= 1 and S >= 1")
@@ -824,17 +878,7 @@ def _taps(params: ParameterSet, config: ModelConfig, cache: KVCache, suffixes,
         raise ModelError("tap layer out of range")
     if cache.depth < layer:
         raise ModelError(f"tap layer {layer} is above the cache's depth {cache.depth}")
-    x = _embed(params, config, suffixes, cache.length)
-    keys, values = [], []
-    for bi in range(layer - 1):
-        x, k_new, v_new, _ = _block(params.blocks[bi], config, x, cache.keys(bi),
-                                    cache.values(bi), cache.length, draft=draft)
-        keys.append(k_new[:, 0].copy())
-        values.append(v_new[:, 0].copy())
-    first = (keys, values, x[:, 0].copy())
-    x, _, _, _ = _block(params.blocks[layer - 1], config, x, cache.keys(layer - 1),
-                        cache.values(layer - 1), cache.length, last_only=True, draft=draft)
-    return x[:, 0, :], first
+    return _embed(params, config, suffixes, cache.length)
 
 
 def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
@@ -849,11 +893,44 @@ def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
     in each block below the tapped one (layer - 1 arrays of (B, d)) and its
     residual entering the tapped block (B, d).
     """
-    return _taps(params, config, cache, suffixes, layer, draft=False)
+    x = _checked_embed(params, config, cache, suffixes, layer)
+    keys, values = [], []
+    for bi in range(layer - 1):
+        x, k_new, v_new, _ = _block(params.blocks[bi], config, x, cache.keys(bi),
+                                    cache.values(bi), cache.length)
+        keys.append(k_new[:, 0].copy())
+        values.append(v_new[:, 0].copy())
+    first = (keys, values, x[:, 0].copy())
+    x, _, _, _ = _block(params.blocks[layer - 1], config, x, cache.keys(layer - 1),
+                        cache.values(layer - 1), cache.length, last_only=True)
+    return x[:, 0, :], first
 
 
 def draft_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
                suffixes, layer: int) -> np.ndarray:
     """hypothesis_taps' taps (B, d) as the draft computes them (rule 3):
-    close to the exact taps, not bit-pinned, for ranking candidates only."""
-    return _taps(params, config, cache, suffixes, layer, draft=True)[0]
+    close to the exact taps, not bit-pinned, for ranking candidates only.
+    The items run in contiguous slices of at least M_MIN, one per CPU that
+    the process may run on; the calling thread runs the first, and a thread
+    that lives for this call runs each other one."""
+    x = _checked_embed(params, config, cache, suffixes, layer)
+    if params.draft_w is None:
+        params.draft_w = [_draft_weights(bp, config) for bp in params.blocks]
+    weights = params.draft_w
+
+    def run(x):
+        for bi in range(layer):
+            x = _draft_block(weights[bi], config, x, cache.keys(bi), cache.values(bi),
+                             last_only=bi == layer - 1)
+        return x[:, 0]
+
+    B = x.shape[0]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(cpus, B // M_MIN))
+    if n == 1:
+        return run(x)
+    bounds = [B * i // n for i in range(n + 1)]
+    with ThreadPoolExecutor(n - 1) as pool:
+        rest = [pool.submit(run, x[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        first = run(x[:bounds[1]])
+        return np.concatenate([first] + [f.result() for f in rest])

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -646,6 +647,37 @@ def test_draft_and_verify_give_the_full_batch_results_and_errors(params, monkeyp
     full = [_feed(params, CFG, key, seq, frames, cp)[:2] for key, seq, frames, cp in cases]
     assert fast == full
     assert {error[0] for _, error in full if error} == {C.DecodeFailure, C.AmbiguousDecode}
+
+
+def test_a_decode_gives_the_same_results_on_one_cpu_and_on_four(params, monkeypatch):
+    # draft_taps slices its 257 candidates across the CPUs model sees: on 4
+    # each frame's draft runs on 4 threads, switching often, with the same
+    # results as on 1, and no worker outlives its call
+    plaintext = b"sliced drafts"
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 23, plaintext)
+    block, threads = M._draft_block, set()
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(M, "_draft_block", recorded)
+    runs = {}
+    interval = sys.getswitchinterval()
+    for cpus in (1, 4):
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        threads.clear()
+        before = threading.active_count()
+        sys.setswitchinterval(1e-5)
+        try:
+            got, error, scorer = _feed(params, CFG, KEY, 23, frames)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert error is None and scorer.prefix == plaintext
+        assert len(threads) >= cpus and (cpus > 1 or threads == {threading.get_ident()})
+        runs[cpus] = got
+    assert runs[1] == runs[4]
 
 
 def _blas_picks_its_kernel_at_load() -> bool:

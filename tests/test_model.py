@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -460,18 +462,21 @@ def test_an_empty_batch_fails_typed():
             taps(params, CFG_SMALL, cache, np.zeros((0, 2), dtype=np.int64), 2)
 
 
-@pytest.mark.parametrize("prefix_len,s_len", [(0, 3), (9, 1), (15, 2), (20, 7)])
-def test_draft_taps_stay_near_the_exact_taps_and_call_no_pinned_math(prefix_len, s_len,
+@pytest.mark.parametrize("prefix_len,s_len,batch", [
+    (0, 3, 5), (9, 1, 5), (15, 2, 5), (20, 7, 5), (12, 2, 2 * M.M_MIN + 1),
+], ids=["0-3", "9-1", "15-2", "20-7", "12-2-sliced"])
+def test_draft_taps_stay_near_the_exact_taps_and_call_no_pinned_math(prefix_len, s_len, batch,
                                                                       monkeypatch):
     # the draft (rule 3) is not bit-pinned: it must stay within a few float32
     # ulps of the exact taps, read the cache without writing it, and never
-    # reach detmath, whose calls the benchmark's tracer counts
+    # reach detmath, whose calls the benchmark's tracer counts; with 3 CPUs
+    # a batch of 2 * M_MIN + 1 runs as two slices, the second on a worker
     rng = np.random.default_rng(prefix_len + s_len)
     params = M.init_parameters(CFG_SMALL, seed=12)
     cache = M.KVCache(CFG_SMALL)
     if prefix_len:
         M.extend_cache(params, CFG_SMALL, cache, _rand_tokens(rng, prefix_len))
-    suffixes = rng.integers(0, 260, size=(5, s_len)).astype(np.int64)
+    suffixes = rng.integers(0, 260, size=(batch, s_len)).astype(np.int64)
     exact = [M.hypothesis_taps(params, CFG_SMALL, cache, suffixes, layer)[0]
              for layer in range(1, CFG_SMALL.n_blocks + 1)]
 
@@ -480,13 +485,39 @@ def test_draft_taps_stay_near_the_exact_taps_and_call_no_pinned_math(prefix_len,
 
     for name in ("exp", "tanh", "gelu"):
         monkeypatch.setattr(M.detmath, name, pinned)
+    block, threads = M._draft_block, set()
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(M, "_draft_block", recorded)
+    monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     rows = list(cache.rows)
     for layer, want in enumerate(exact, 1):
+        threads.clear()
         got = M.draft_taps(params, CFG_SMALL, cache, suffixes, layer)
+        assert len(threads) == (2 if batch > 2 * M.M_MIN else 1)
         assert got.shape == want.shape and got.dtype == np.float32
         scale = np.abs(want).max(axis=-1)
         assert (np.abs(got - want).max(axis=-1) <= 64 * np.finfo(np.float32).eps * scale).all()
     assert cache.rows == rows and cache.length == prefix_len
+
+
+def test_a_replaced_parameter_set_derives_its_own_draft_weights():
+    # the draft's weights are derived from the blocks on first use; a copy
+    # with other blocks (as trainer.merge makes) must not inherit them
+    params = M.init_parameters(CFG_SMALL, seed=12)
+    cache = M.KVCache(CFG_SMALL)
+    M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
+    suffixes = np.array([[4, 5], [6, 7]])
+    M.draft_taps(params, CFG_SMALL, cache, suffixes, 2)
+    blocks = [dataclasses.replace(bp, w1=bp.w1 * np.float32(2)) for bp in params.blocks]
+    other = dataclasses.replace(params, blocks=blocks)
+    fresh = M.ParameterSet.from_arrays(CFG_SMALL, other.iter_arrays())
+    assert other.draft_w is None
+    assert (M.draft_taps(other, CFG_SMALL, cache, suffixes, 2)
+            == M.draft_taps(fresh, CFG_SMALL, cache, suffixes, 2)).all()
 
 
 def _assert_caches_equal(got, want, blocks):

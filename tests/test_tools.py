@@ -17,5 +17,17 @@ def test_decode_ab_runs_one_verify_call_a_frame():
         capture_output=True, text=True, check=True, timeout=300)
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["frames"] == 3
-    assert {side: calls["verify_calls"] for side, calls in report["calls_per_frame"].items()} \
-        == {"old": 1, "new": 1}
+    calls = report["calls_per_frame"]
+    assert {side: c["verify_calls"] for side, c in calls.items()} == {"old": 1, "new": 1}
+    assert all(c["draft_block_calls"] > 0 for c in calls.values())
+
+
+def test_gemm_scaling_reports_one_speedup_a_repeat():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "gemm_scaling.py"), "--repeats", "2",
+         "--gemms", "3"],
+        capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(run.stdout.splitlines()[-1])
+    assert report["cpus"] >= 1
+    assert len(report["two_thread_gemm_speedup"]) == 2
+    assert all(s > 0 for s in report["two_thread_gemm_speedup"])
