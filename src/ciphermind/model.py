@@ -72,7 +72,16 @@ implementation rules:
    only when w2's gradient is wanted, and the attention output only when
    wo's is. The layer norms' outputs are not kept: the backward pass
    recomputes them from the normalized inputs with the same two operations,
-   so they have the same bits. ``forward_full``,
+   so they have the same bits. What is not kept runs in chunks of
+   ``_CHUNK_BYTES``, so that a step peaks close to what it keeps: the MLP
+   in row chunks (``_training_mlp``), each running w1, GELU, the derivative
+   and w2 at M_MIN rows or more, so that no whole u, GELU output or tanh is
+   built, and the trainer's attention backward in item chunks. Every GEMM
+   keeps its rule-1 rows and every reduction stays within its row, so the
+   chunks move no bit. One adapter step at ModelConfig() on the
+   fine-tune's (16, 80) batch keeps 36.6 MiB for its backward and peaks at
+   45.2 MiB under tracemalloc, where whole-batch temporaries peaked at
+   55.3 MiB. ``forward_full``,
    ``extend_cache``, ``hypothesis_taps`` and ``draft_taps`` never call one
    another, so a wrapper around one sees only its own calls. The exact
    paths run on the calling thread alone: their per-item GEMM loops hold
@@ -80,7 +89,8 @@ implementation rules:
    hypothesis batch over worker threads ran no faster on 2 CPUs.
    The draft is the one path that is not bit-pinned, and it has its own
    block function, ``_draft_block``. Each block runs one QKV GEMM, on
-   weights derived once per ParameterSet (``_draft_weights``): the layer
+   weights derived once per ParameterSet and block, on the first draft that
+   runs the block (``_draft_weights``; no frame taps the last one): the layer
    norms' gains and biases and the scores' 1/sqrt(head_dim) are folded into
    wq|wk|wv and w1. Layer-norm statistics are matrix-vector products, the
    softmax and GELU use numpy's exp and tanh, attention is one masked
@@ -141,9 +151,15 @@ MASK_FILL = -1e30
 # positions, 3 to 5 items a chunk. On a 2-core Xeon (2 MiB L2), one BLAS
 # thread, a (257, 2) hypothesis batch at layer 4 ran alike at 512 KiB, 1 MiB
 # and 2 MiB chunks (medians 42-45 ms) and took 125 ms without chunks. The
-# draft takes no chunks: its largest arrays, the MLP's hidden rows of a
-# slice, span 1 MiB at ModelConfig() for all 257 two-token items on one CPU
-# and half that a slice on two.
+# training pass takes the same bound for its batch-sized temporaries (rule
+# 3): its MLP runs in chunks of rows whose u and GELU output span it, 256 of
+# the fine-tune's 1280 rows at ModelConfig(), and the trainer's attention
+# backward in chunks of items whose probabilities and scores' gradient span
+# it, 3 of 16. One block's MLP took 11.5 ms at 256 rows a chunk, 12.3-12.6
+# ms at 64 or 128, 14.2 at 512 and 15.3 unchunked (same machine, one
+# thread). The draft takes no chunks: its largest arrays, the MLP's hidden
+# rows of a slice, span 1 MiB at ModelConfig() for all 257 two-token items
+# on one CPU and half that a slice on two.
 _CHUNK_BYTES = 1 << 20
 
 PARAM_MAGIC = b"CMWT"
@@ -266,8 +282,9 @@ class ParameterSet:
     gf: np.ndarray
     bf: np.ndarray
     head_w: np.ndarray = field(default=None, repr=False)  # derived: emb.T contiguous
-    # derived on the first draft_taps call: each block's _draft_weights
-    draft_w: list = field(default=None, init=False, repr=False, compare=False)
+    # block index -> its _draft_weights, derived by the first draft_taps call
+    # that runs the block
+    draft_w: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.head_w is None:
@@ -595,7 +612,8 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     live = live.reshape(B * H, S, T)
     blocked = np.arange(T)[None, :] > (base + np.arange(S))[:, None]
     live[:, blocked] = dtype.type(MASK_FILL)
-    ex = detmath.exp(live - np.max(live, axis=-1, keepdims=True)).reshape(B, H, S, T)
+    live -= np.max(live, axis=-1, keepdims=True)
+    ex = detmath.exp(live).reshape(B, H, S, T)
 
     # AV (rule 2): one GEMM per item, head and KEY_SEG segment, added in
     # ascending segment order, at max(S, 2) rows (rule 1); V's ones-columns
@@ -728,6 +746,28 @@ def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
     return np.ascontiguousarray(params.emb[tokens] * emb_scale + pe[base:base + S][None])
 
 
+def _training_mlp(f, bp: BlockParams, keep_g: bool):
+    """The MLP of a training pass on the second layer norm's output f (n, d),
+    in row chunks of _CHUNK_BYTES (rule 3): each chunk runs its w1 GEMM,
+    GELU, GELU derivative and w2 GEMM, each GEMM at M_MIN rows or more, so
+    a row has the bits of an unchunked pass wherever rule 1 holds. Returns (the MLP's output
+    (n, d), the GELU derivative at u (n, d_ff), the GELU output (n, d_ff) if
+    keep_g else None)."""
+    n, dff = f.shape[0], bp.w1.shape[1]
+    _, chunks = _chunks(n, 2 * dff * f.dtype.itemsize)  # u and g
+    out = np.empty((n, bp.w2.shape[1]), dtype=f.dtype)
+    gelu_grad = np.empty((n, dff), dtype=f.dtype)
+    g_all = np.empty_like(gelu_grad) if keep_g else None
+    for rows in chunks:
+        u = _mm(f[rows], bp.w1)
+        g, t = detmath.gelu(u, return_tanh=True)
+        gelu_grad[rows] = detmath.gelu_grad(u, t)
+        out[rows] = _mm(g, bp.w2)
+        if keep_g:
+            g_all[rows] = g
+    return out, gelu_grad, g_all
+
+
 def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
            last_only=False, need_aux=()):
     """One block on the residual stream x (B, S, d) at positions base .. :
@@ -759,6 +799,7 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
         q = _mm(a2, bp.wq).reshape(B, S, d)
     n = B * q.shape[1]
     attn, att = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
+    del a, a2, q  # not held through the MLP, where a training pass peaks
     if need_aux:
         # the numerators above the diagonal are exact zeros: keep the rest
         rows, cols = np.tril_indices(S)
@@ -767,13 +808,11 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
         att = None  # freed now, not held through the MLP
     x = x + _mm(attn.reshape(n, d), bp.wo).reshape(x.shape)
     f, xn2, inv2 = _layer_norm(x, bp.g2, bp.b2, cfg.ln_epsilon)
-    u = _mm(f.reshape(n, d), bp.w1)
     if need_aux:
-        g, t = detmath.gelu(u, return_tanh=True)
-        gelu_grad = detmath.gelu_grad(u, t)
+        mlp, gelu_grad, g = _training_mlp(f.reshape(n, d), bp, "w2" in need_aux)
     else:
-        g = detmath.gelu(u)
-    x = x + _mm(g, bp.w2).reshape(x.shape)
+        mlp = _mm(detmath.gelu(_mm(f.reshape(n, d), bp.w1)), bp.w2)
+    x = x + mlp.reshape(x.shape)
     saved = None
     if need_aux:
         saved = {"xn1": xn1, "inv1": inv1, "att": att, "xn2": xn2, "inv2": inv2,
@@ -914,9 +953,10 @@ def draft_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
     the process may run on; the calling thread runs the first, and a thread
     that lives for this call runs each other one."""
     x = _checked_embed(params, config, cache, suffixes, layer)
-    if params.draft_w is None:
-        params.draft_w = [_draft_weights(bp, config) for bp in params.blocks]
     weights = params.draft_w
+    for bi in range(layer):
+        if bi not in weights:
+            weights[bi] = _draft_weights(params.blocks[bi], config)
 
     def run(x):
         for bi in range(layer):

@@ -195,67 +195,80 @@ def _ln_param_grads(dy, xn):
 
 
 def _attention_pads(B, S, cfg, dtype):
-    """Zeroed buffers (p, dA, qf, kf, vf) for _attention_backward over B
-    items of S positions, padded to s_pad = max(S, M_MIN) query rows and
-    t_pad = S rounded up to a KEY_SEG multiple keys: the shapes of the
-    forward's per-segment attention. The pinned gradient bits, and with them
-    every twin's adapters, were taken at these shapes; numpy's batched
+    """(chunks, pads) for _attention_backward over B items of S positions:
+    the item slice of each chunk (model._chunks), and zeroed buffers
+    (p, dA, qf, kf, vf) for one chunk, padded to s_pad = max(S, M_MIN) query
+    rows and t_pad = S rounded up to a KEY_SEG multiple keys: the shapes of
+    the forward's per-segment attention. The pinned gradient bits, and with
+    them every twin's adapters, were taken at these shapes; numpy's batched
     matmul may pick another kernel, and round otherwise, at other shapes.
+    A chunk runs the GEMMs of its items alone, so the chunks move no bit.
 
-    Each block writes only the live region, of p only the causal triangle,
+    Each chunk writes only the live region, of p only the causal triangle,
     so the padding and p's masked entries stay zero and one set serves
-    every block. Allocating them per block instead pages them in afresh
-    each time: measured at about twice the page faults and system time of a
-    provision at ModelConfig().
+    every chunk of every block. Allocating them per block instead pages them
+    in afresh each time: measured at about twice the page faults and system
+    time of a provision at ModelConfig(). A chunk holds as many items as
+    keep p and the scores' gradient within _CHUNK_BYTES: at ModelConfig()
+    and the fine-tune's 80 positions, 3 of a batch's 16, whose pads span
+    1.1 MiB where the whole batch's spanned 5.7 MiB. On a 2-core Xeon with
+    two threads each running it, one block's backward took 8.2 ms at 3
+    items a chunk, 11.9 ms at one and 9.7 ms unchunked.
     """
-    BH, hd = B * cfg.n_heads, cfg.head_dim
+    H, hd = cfg.n_heads, cfg.head_dim
     s_pad, t_pad = max(S, M.M_MIN), M._round_up(S, M.KEY_SEG)
-    return (np.zeros((BH, s_pad, t_pad), dtype),
-            *(np.zeros((BH, n, hd), dtype) for n in (s_pad, s_pad, t_pad, t_pad)))
+    g, chunks = M._chunks(B, 2 * dtype.itemsize * H * s_pad * t_pad)
+    return chunks, (np.zeros((g * H, s_pad, t_pad), dtype),
+                    *(np.zeros((g * H, n, hd), dtype) for n in (s_pad, s_pad, t_pad, t_pad)))
 
 
 def _attention_backward(dmerged, att, a2, bp, pads, cfg, keys=True):
     """(dq, dk, dv) of the attention's projected inputs for dmerged (B, S, d),
-    run on the _attention_pads buffers, from what the training pass kept
-    (model._block): the causal numerators and their row sums. Q, K and V are
-    rebuilt from the first layer norm's output a2 (B * S, d) and bp's
-    projections as the forward built them, so with its bits; dk is None
-    unless keys, and Q, which only dk reads, is then not rebuilt. The padded
-    rows and keys and the masked entries are exact zeros, so they add
-    nothing.
+    from what the training pass kept (model._block): the causal numerators
+    and their row sums. The items run in the chunks of _attention_pads, on
+    its buffers, and Q, K and V are rebuilt a chunk at a time from the first
+    layer norm's output a2 (B * S, d) and bp's projections as the forward
+    built them, so with its bits; dk is None unless keys, and Q, which only
+    dk reads, is then not rebuilt. The padded rows and keys and the masked
+    entries are exact zeros, so they add nothing.
     """
     ex, den = att
-    p, dA, qf, kf, vf = pads
+    chunks, (p_c, dA_c, qf_c, kf_c, vf_c) = pads
     B, S, d = dmerged.shape
     H, hd = cfg.n_heads, cfg.head_dim
     dtype = dmerged.dtype
-    BH = B * H
     scale = dtype.type(1.0) / np.sqrt(dtype.type(hd))
-
-    def split(buf, x):  # x (B, S, d) into buf's first S rows, per head
-        buf.reshape(B, H, -1, hd)[:, :, :S] = x.reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-
     rows, cols = np.tril_indices(S)  # model._block's order
-    p[:, rows, cols] = ex.reshape(BH, -1) / den.reshape(BH, S)[:, rows]
-    split(dA, dmerged)
-    split(kf, M._mm(a2, bp.wk))
-    split(vf, M._mm(a2, bp.wv))
-    if keys:
-        split(qf, M._mm(a2, bp.wq))
-        qf[:, :S] *= scale
+    dq, dv = np.empty_like(dmerged), np.empty_like(dmerged)
+    dk = np.empty_like(dmerged) if keys else None
 
-    dp = np.matmul(dA, vf.transpose(0, 2, 1))
-    dv = np.matmul(p.transpose(0, 2, 1), dA)
-    dp -= np.sum(dp * p, axis=-1, keepdims=True)
-    dp *= p  # the scores' gradient
-    dq = np.matmul(dp, kf) * scale
+    def split(buf, x):  # x, S rows of d an item, into buf's first S rows, per head
+        heads = x.reshape(-1, S, H, hd).transpose(0, 2, 1, 3)
+        buf.reshape(-1, H, buf.shape[1], hd)[:, :, :S] = heads
 
-    def unsplit(x, n):
-        return np.ascontiguousarray(
-            x[:, :n].reshape(B, H, n, hd).transpose(0, 2, 1, 3)).reshape(B, n, d)
+    def unsplit(x, out):  # the first S rows of x, per head, into out (n, S, d)
+        out.reshape(-1, S, H, hd)[...] = x[:, :S].reshape(-1, H, S, hd).transpose(0, 2, 1, 3)
 
-    dk = unsplit(np.matmul(dp.transpose(0, 2, 1), qf), S) if keys else None
-    return unsplit(dq, S), dk, unsplit(dv, S)
+    for items in chunks:
+        n = items.stop - items.start
+        p, dA, qf, kf, vf = (buf[:n * H] for buf in (p_c, dA_c, qf_c, kf_c, vf_c))
+        a = a2[items.start * S:items.stop * S]
+        p[:, rows, cols] = ex[items].reshape(n * H, -1) / den[items].reshape(n * H, S)[:, rows]
+        split(dA, dmerged[items])
+        split(kf, M._mm(a, bp.wk))
+        split(vf, M._mm(a, bp.wv))
+        if keys:
+            split(qf, M._mm(a, bp.wq))
+            qf[:, :S] *= scale
+
+        dp = np.matmul(dA, vf.transpose(0, 2, 1))
+        unsplit(np.matmul(p.transpose(0, 2, 1), dA), dv[items])
+        dp -= np.sum(dp * p, axis=-1, keepdims=True)
+        dp *= p  # the scores' gradient
+        unsplit(np.matmul(dp, kf) * scale, dq[items])
+        if keys:
+            unsplit(np.matmul(dp.transpose(0, 2, 1), qf), dk[items])
+    return dq, dk, dv
 
 
 def _cross_entropy(logits: np.ndarray, tokens: np.ndarray, mask: np.ndarray):
@@ -342,13 +355,15 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
         if "w2" in want:
             gb["w2"] = st["g"].T @ dy2
         du = dy2 @ bp.w2.T
-        du *= st["gelu_grad"]
+        du *= st.pop("gelu_grad")
         if "w1" in want:
             gb["w1"] = (st["xn2"] * bp.g2 + bp.b2).reshape(-1, d).T @ du
         df = (du @ bp.w1.T).reshape(B, T, d)
+        del du
         if "g2" in want or "b2" in want:
             gb["g2"], gb["b2"] = _ln_param_grads(df, st["xn2"])
         dx_mid = dx + _ln_backward(df, st["xn2"], st["inv2"], bp.g2)
+        del df
 
         dxm2 = dx_mid.reshape(-1, d)
         if "wo" in want:

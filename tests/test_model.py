@@ -505,17 +505,22 @@ def test_draft_taps_stay_near_the_exact_taps_and_call_no_pinned_math(prefix_len,
 
 
 def test_a_replaced_parameter_set_derives_its_own_draft_weights():
-    # the draft's weights are derived from the blocks on first use; a copy
-    # with other blocks (as trainer.merge makes) must not inherit them
+    # a block's draft weights are derived on the first draft that runs it,
+    # so the last block, which no frame taps, gets none there; a copy with
+    # other blocks (as trainer.merge makes) must not inherit them
     params = M.init_parameters(CFG_SMALL, seed=12)
     cache = M.KVCache(CFG_SMALL)
     M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
     suffixes = np.array([[4, 5], [6, 7]])
+    assert params.draft_w == {}
+    M.draft_taps(params, CFG_SMALL, cache, suffixes, 1)
+    first = params.draft_w[0]
     M.draft_taps(params, CFG_SMALL, cache, suffixes, 2)
+    assert sorted(params.draft_w) == [0, 1] and params.draft_w[0] is first
     blocks = [dataclasses.replace(bp, w1=bp.w1 * np.float32(2)) for bp in params.blocks]
     other = dataclasses.replace(params, blocks=blocks)
     fresh = M.ParameterSet.from_arrays(CFG_SMALL, other.iter_arrays())
-    assert other.draft_w is None
+    assert other.draft_w == {}
     assert (M.draft_taps(other, CFG_SMALL, cache, suffixes, 2)
             == M.draft_taps(fresh, CFG_SMALL, cache, suffixes, 2)).all()
 

@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ciphermind import codec
+from ciphermind import codec, detmath
 from ciphermind import model as M
+from ciphermind import provisioning as P
 from ciphermind import trainer as T
 from ciphermind.scheduler import Stream
 
@@ -316,6 +318,108 @@ def test_a_training_pass_keeps_only_what_its_backward_reads(monkeypatch, wrt, ke
         assert all(shape[-1] != CFG_TINY.head_dim for arrays in st.values() for shape in arrays)
     # the backward lets go of each block once it has read it
     assert saved == [None] * CFG_TINY.n_blocks
+
+
+def _array_bits(value) -> list:
+    """The bytes of every array in a nest of lists, tuples, dicts and
+    ParameterSets, in order."""
+    if isinstance(value, np.ndarray):
+        return [value.tobytes()]
+    if isinstance(value, M.ParameterSet):
+        value = list(value.iter_arrays())
+    if isinstance(value, dict):
+        value = [value[name] for name in sorted(value)]
+    return [bits for item in value for bits in _array_bits(item)]
+
+
+def test_chunking_the_training_pass_moves_no_bit(monkeypatch):
+    # 8 items of 80 positions at ModelConfig()'s widths, where every
+    # projection at M_MIN rows or more has row-independent bits (model rule
+    # 1): at the default _CHUNK_BYTES the training MLP runs in 3 row chunks
+    # a block and the attention backward in 3 item chunks; at one byte every
+    # chunk is one row or one item
+    cfg = M.ModelConfig(n_blocks=2, max_seq=96)
+    params = M.init_parameters(cfg, 5)
+    rng = np.random.default_rng(3)
+    tokens = rng.integers(0, 256, size=(8, 80))
+    mask = (rng.random((8, 79)) < 0.7).astype(np.float32)
+    gelu_grad, pads = detmath.gelu_grad, T._attention_pads
+    mlp_chunks, backward_chunks = [], []
+
+    def counted_gelu_grad(*args):
+        mlp_chunks[-1] += 1
+        return gelu_grad(*args)
+
+    def counted_pads(*args):
+        out = pads(*args)
+        backward_chunks.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(detmath, "gelu_grad", counted_gelu_grad)
+    monkeypatch.setattr(T, "_attention_pads", counted_pads)
+
+    def run():
+        mlp_chunks.clear()
+        backward_chunks.clear()
+        bits = []
+        for wrt in (T.ADAPTED_FIELDS, None):
+            mlp_chunks.append(0)
+            bits += _array_bits(M._forward(params, cfg, tokens,
+                                           need_aux=wrt or M.BlockParams.FIELD_ORDER))
+            bits += _array_bits(T.loss_and_grads(params, cfg, tokens, mask, wrt=wrt)[1])
+        # MLP chunks a block: the first counter saw two adapter passes
+        return bits, mlp_chunks[0] // (2 * cfg.n_blocks), backward_chunks[0]
+
+    default, mlp, backward = run()
+    assert mlp >= 3 and backward >= 3
+    monkeypatch.setattr(M, "_CHUNK_BYTES", 1)
+    smallest, mlp, backward = run()
+    assert (mlp, backward) == (tokens.size, tokens.shape[0])
+    assert smallest == default
+
+
+class _FirstBatch(Exception):
+    pass
+
+
+def test_an_adapter_step_peaks_within_10_mib_of_what_it_keeps(monkeypatch):
+    # the batch-sized temporaries of a step (the MLP's hidden rows, the
+    # attention backward's padded buffers) span one chunk, so a step's
+    # tracemalloc peak stays close to the arrays its forward keeps for the
+    # backward: 36.6 MiB here, where whole-batch temporaries peaked 18.7 MiB
+    # above them
+    cfg = M.ModelConfig()
+    base = M.init_parameters(cfg, 2506)
+    batches = []
+
+    def first_batch(params, cfg, tokens, mask, wrt=None):
+        batches.append((tokens, mask, wrt))
+        raise _FirstBatch
+
+    monkeypatch.setattr(T, "loss_and_grads", first_batch)
+    with pytest.raises(_FirstBatch):
+        P.provision(base, P.SessionKey(bytes(range(1, 17))), P.generate_registry(5),
+                    T.TrainConfig())
+    monkeypatch.undo()
+    [(tokens, mask, wrt)] = batches
+    assert wrt == T.ADAPTED_FIELDS
+
+    roots = {}
+    for block in M._forward(base, cfg, tokens, need_aux=wrt)[1]:
+        for value in block.values():
+            for a in value if isinstance(value, tuple) else (value,):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                roots[id(a)] = a
+    kept = sum(a.nbytes for a in roots.values())
+    del roots
+    tracemalloc.start()
+    try:
+        T.loss_and_grads(base, cfg, tokens, mask, wrt=wrt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - kept <= 10 * 2**20, (peak / 2**20, kept / 2**20)
 
 
 def test_gradient_wrt_an_unknown_name_is_rejected():

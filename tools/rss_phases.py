@@ -21,13 +21,15 @@ With ``--one-party``, the process runs one ``provision`` at the benchmark's
 seed 2506) and reports its ``ru_maxrss`` increase, minor faults, system time
 and twin fingerprint, and the quartiles of its SGD steps' ``loss_and_grads``
 time. The same thread then encodes and decodes four 32-byte messages with
-the twin and reports each decode's minor faults (``RUSAGE_THREAD``) and its
-wall time over the blocks its frames tap (ms per tapped block): a decode
-that runs where the fine-tune ran reuses the heap it left, so a heap state
-that slows it shows in both. Last, for one ``loss_and_grads`` step over the
-fine-tune's first batch (``wrt=ADAPTED_FIELDS``), it reports the step's
-tracemalloc peak and the bytes that the teacher-forced pass keeps for the
-backward, per array name summed over the blocks.
+the twin and reports each decode's minor faults, counted process-wide
+(``RUSAGE_SELF``: the draft's slices fault on threads of their own, and
+nothing else runs then), and its wall time over the blocks its frames tap
+(ms per tapped block): a decode that runs where the fine-tune ran reuses
+the heap it left, so a heap state that slows it shows in both. Last, for
+one ``loss_and_grads`` step over the fine-tune's first batch
+(``wrt=ADAPTED_FIELDS``), it reports the step's tracemalloc peak and the
+bytes that the teacher-forced pass keeps for the backward, per array name
+summed over the blocks.
 """
 
 from __future__ import annotations
@@ -143,13 +145,13 @@ def one_party() -> dict:
     for seq in range(MESSAGES):
         plaintext = bytes((7 * seq + 3 * i) % 256 for i in range(MESSAGE_LEN))
         frames = C.encode_message_incremental(twin, cfg, KEY, 0xC0FFEE, seq, plaintext)
-        flt = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         dec = C.IncrementalDecoder(twin, cfg, KEY, 0xC0FFEE, seq, C.CodecParams(delta=1e-6))
         for frame in frames:
             dec.feed(frame)
         ms = (time.perf_counter() - start) * 1e3
-        faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - flt)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
         ms_per_block.append(round(ms / sum(dec.layers_used), 3))
         if dec.plaintext != plaintext:
             raise SystemExit(f"message {seq} decoded wrong")
