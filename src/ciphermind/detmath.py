@@ -36,11 +36,16 @@ _EXP_LO = F32(-87.336544)
 _EXP_HORNER = tuple(F32(1.0) / F32(n) for n in (720.0, 120.0, 24.0, 6.0)) + (
     F32(0.5), F32(1.0))
 
-# exp runs its ~20 passes block by block, so that the five arrays of one
-# block (640 KiB) stay in cache between passes; 32768 elements was the
-# fastest of 8192..65536 on a 2-core Xeon. float32 gelu and gelu_grad run
-# in the same blocks.
-_EXP_BLOCK = 32768
+# exp runs its ~20 passes block by block, on scratch arrays of one block;
+# float32 gelu and gelu_grad run in the same blocks. Blocks of 32768 were
+# the fastest of 8192..65536 when decode ran exp on 257-item batches. Now
+# the fine-tune makes the calls that span many blocks. On a 2-core Xeon, in
+# 10 alternating runs of the benchmark's two-party set-up (two provisions
+# on two threads), 131072 elements took 8.79 s (median) against 10.13 s at
+# 32768 and won all 10, with 1.00 s of system time against 1.36 s but 341k
+# minor faults against 257k; one adapter step's tracemalloc peak rose from
+# 37.6 to 38.9 MiB.
+_EXP_BLOCK = 131072
 
 # |tanh(x)| rounds to 1.0f beyond this.
 _TANH_SAT = F32(9.010913)

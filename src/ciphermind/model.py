@@ -40,7 +40,14 @@ implementation rules:
    ``exp`` runs only on live entries (real query rows, keys below the
    sequence end); masked, padded-row and padded-column entries enter the
    fixed-shape GEMMs as exact zeros, which is what ``exp`` of a masked
-   score yields anyway, so only the work shrinks, never the shapes.
+   score yields anyway, so only the work shrinks, never the shapes. A
+   causal square (no prefix, base 0, as many query rows as keys: a training
+   pass, ``forward_full``, a catch-up from an empty cache) takes the row max
+   and runs ``exp`` on its causal triangle (key <= query) alone and writes
+   the result into its zeroed scores. Every other call, hypothesis batches
+   among them, sets its masked scores to MASK_FILL and runs ``exp`` on the
+   whole live rectangle. A max is exact and the fill never wins it, so both
+   give the same bits.
 
 3. Every exact path is a short loop over one per-block function, ``_block``,
    between ``_embed`` and ``_head``: ``_forward``, the teacher-forced pass
@@ -60,28 +67,33 @@ implementation rules:
    block for it; the blocks above run only when a later frame taps them.
    The training pass keeps only what its backward pass reads for the
    gradients it builds (``need_aux``) and cannot rebuild cheaply. Of the
-   attention, it keeps the softmax numerators on the causal triangle (key
-   <= query; the others are the exact zeros ``exp`` gives a masked score)
-   and their row sums, and no Q, K or V: the backward pass rebuilds those
-   from the first layer norm's output with the forward's own GEMMs and
-   scaling, so they have the same bits. It pads all of them to the shapes
-   of its own GEMMs, which only :mod:`ciphermind.trainer` knows. Of the
-   MLP, it keeps the GELU derivative at the GELU input u, which
-   ``detmath.gelu_grad`` forms in the forward from the tanh that gelu
-   computed for u, and neither u nor that tanh; it keeps the GELU output g
-   only when w2's gradient is wanted, and the attention output only when
-   wo's is. The layer norms' outputs are not kept: the backward pass
-   recomputes them from the normalized inputs with the same two operations,
-   so they have the same bits. What is not kept runs in chunks of
-   ``_CHUNK_BYTES``, so that a step peaks close to what it keeps: the MLP
-   in row chunks (``_training_mlp``), each running w1, GELU, the derivative
-   and w2 at M_MIN rows or more, so that no whole u, GELU output or tanh is
-   built, and the trainer's attention backward in item chunks. Every GEMM
-   keeps its rule-1 rows and every reduction stays within its row, so the
-   chunks move no bit. One adapter step at ModelConfig() on the
-   fine-tune's (16, 80) batch keeps 36.6 MiB for its backward and peaks at
-   45.2 MiB under tracemalloc, where whole-batch temporaries peaked at
-   55.3 MiB. ``forward_full``,
+   attention, it keeps the softmax row sums alone. The backward pass
+   rebuilds Q, K and V from the first layer norm's output with the
+   forward's own GEMMs and scaling, so they have the same bits, and from Q
+   and K the causal probabilities: one score GEMM, the triangle's row max
+   and ``exp`` as the forward's causal square runs them (rule 2), and a
+   division by the kept row sums. A score's bits depend neither on N nor on
+   its column (rule 1), so that GEMM, padded to the KEY_SEG multiple of the
+   backward's own shapes, which only :mod:`ciphermind.trainer` knows, gives
+   the forward's scores. Of the MLP, it keeps the GELU derivative at the
+   GELU input u, which ``detmath.gelu_grad`` forms in the forward from the
+   tanh that gelu computed for u, and neither u nor that tanh; it keeps the
+   GELU output g only when w2's gradient is wanted, and the attention
+   output only when wo's is. It lets go of the keys, values and attention
+   output before the MLP, which reads none of them. The layer norms' outputs
+   are not kept: the backward pass recomputes them from the normalized
+   inputs with the same two operations, so they have the same bits. What is
+   not kept runs in chunks of ``_CHUNK_BYTES``, so that a step peaks close
+   to what it keeps: the MLP in row chunks (``_training_mlp``), each running
+   w1, GELU, the derivative and w2 at M_MIN rows or more, so that no whole
+   u, GELU output or tanh is built, and the trainer's attention backward in
+   item chunks. Every GEMM keeps its rule-1 rows and every reduction stays
+   within its row, so the chunks move no bit. One adapter step at
+   ModelConfig() on the fine-tune's (16, 80) batch keeps 30.2 MiB for its
+   backward and peaks at 38.9 MiB under tracemalloc, in the top block's
+   MLP. Keeping the numerators as well, it kept 36.6 MiB and peaked at
+   45.2 MiB; with whole-batch temporaries it peaked at 55.3 MiB.
+   ``forward_full``,
    ``extend_cache``, ``hypothesis_taps`` and ``draft_taps`` never call one
    another, so a wrapper around one sees only its own calls. The exact
    paths run on the calling thread alone: their per-item GEMM loops hold
@@ -117,6 +129,7 @@ residual addition (1-indexed), before the next block's first layer norm.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import itertools
 import math
@@ -154,8 +167,9 @@ MASK_FILL = -1e30
 # training pass takes the same bound for its batch-sized temporaries (rule
 # 3): its MLP runs in chunks of rows whose u and GELU output span it, 256 of
 # the fine-tune's 1280 rows at ModelConfig(), and the trainer's attention
-# backward in chunks of items whose probabilities and scores' gradient span
-# it, 3 of 16. One block's MLP took 11.5 ms at 256 rows a chunk, 12.3-12.6
+# backward in chunks of items whose probabilities and rebuilt scores (then
+# the scores' gradient, in the same buffer) span it, 3 of 16. One block's
+# MLP took 11.5 ms at 256 rows a chunk, 12.3-12.6
 # ms at 64 or 128, 14.2 at 512 and 15.3 unchunked (same machine, one
 # thread). The draft takes no chunks: its largest arrays, the MLP's hidden
 # rows of a slice, span 1 MiB at ModelConfig() for all 257 two-token items
@@ -581,6 +595,40 @@ def _scores(qh, kp, kh, out) -> None:
         out[items] = sc_c[:n, :, :S, :P + Sk]
 
 
+@functools.lru_cache
+def _tril_rows(S: int) -> tuple:
+    """(i, slice) of each query row i of a causal triangle, its keys 0 .. i,
+    in np.tril_indices(S) order."""
+    return tuple((i, slice(i * (i + 1) // 2, (i + 1) * (i + 2) // 2)) for i in range(S))
+
+
+def _per_key(x: np.ndarray) -> np.ndarray:
+    """Each row's value of x (n, S) once for each of its keys 0 .. i, in
+    np.tril_indices(S) order."""
+    return np.repeat(x, np.arange(1, x.shape[1] + 1), axis=1)
+
+
+def _causal_exp(sc, S: int) -> np.ndarray:
+    """exp(score - row max) on the causal triangle (key <= query) of square
+    scores sc (n, >= S, >= S), gathered row by row in np.tril_indices(S)
+    order: (n, S(S+1)/2). These are the bits the masked rectangle gives
+    there (rule 2), since a max is exact and the mask fill never wins it."""
+    rows = _tril_rows(S)
+    tri = np.empty((sc.shape[0], S * (S + 1) // 2), dtype=sc.dtype)
+    for i, keys in rows:
+        tri[:, keys] = sc[:, i, :i + 1]
+    tri -= _per_key(np.maximum.reduceat(tri, [keys.start for _, keys in rows], axis=1))
+    return detmath.exp(tri)
+
+
+def _put_tril(out, tri, S: int) -> None:
+    """Writes tri (n, S(S+1)/2), in np.tril_indices(S) order, into the
+    causal triangle of out (n, >= S, >= S); out's other entries keep their
+    values."""
+    for i, keys in _tril_rows(S):
+        out[:, i, :i + 1] = tri[:, keys]
+
+
 def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     """Causal attention (rules 1 and 2 of the module docstring): every score
     from one _scores call, the AV reduction in KEY_SEG segments, both GEMMs
@@ -610,10 +658,18 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     # keys below T. Padded rows and keys from T on enter the AV GEMMs as
     # exact zeros.
     live = live.reshape(B * H, S, T)
-    blocked = np.arange(T)[None, :] > (base + np.arange(S))[:, None]
-    live[:, blocked] = dtype.type(MASK_FILL)
-    live -= np.max(live, axis=-1, keepdims=True)
-    ex = detmath.exp(live).reshape(B, H, S, T)
+    if P == 0 and base == 0 and S == T:
+        # a causal square: the row max and exp on the triangle alone,
+        # scattered into the zeroed scores
+        tri = _causal_exp(live, S)
+        live.fill(0.0)
+        _put_tril(live, tri, S)
+        ex = live.reshape(B, H, S, T)
+    else:
+        blocked = np.arange(T)[None, :] > (base + np.arange(S))[:, None]
+        live[:, blocked] = dtype.type(MASK_FILL)
+        live -= np.max(live, axis=-1, keepdims=True)
+        ex = detmath.exp(live).reshape(B, H, S, T)
 
     # AV (rule 2): one GEMM per item, head and KEY_SEG segment, added in
     # ascending segment order, at max(S, 2) rows (rule 1); V's ones-columns
@@ -781,10 +837,10 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     BlockParams fields whose gradients trainer.loss_and_grads builds; saved
     then holds what that backward pass reads: the layer norms' normalized
     inputs and inverse stds, the GELU derivative at u, "att" (the softmax
-    numerators on the causal triangle, key <= query, in np.tril_indices(S)
-    order as (B, H, S(S+1)/2), and their row sums (B, H, S, 1)), and only for
-    "wo" the attention output, only for "w2" the GELU output. Empty need_aux
-    saves nothing (None).
+    row sums, (B, H, S, 1), from which and the rebuilt Q and K the backward
+    rebuilds the probabilities), and only for "wo" the attention output,
+    only for "w2" the GELU output; k_new and v_new are then None, let go
+    before the MLP. Empty need_aux saves nothing (None).
     """
     B, S, d = x.shape
     a, xn1, inv1 = _layer_norm(x, bp.g1, bp.b1, cfg.ln_epsilon)
@@ -798,29 +854,23 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     else:
         q = _mm(a2, bp.wq).reshape(B, S, d)
     n = B * q.shape[1]
-    attn, att = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
-    del a, a2, q  # not held through the MLP, where a training pass peaks
-    if need_aux:
-        # the numerators above the diagonal are exact zeros: keep the rest
-        rows, cols = np.tril_indices(S)
-        att = (att[0][..., rows, cols], att[1])
-    else:
-        att = None  # freed now, not held through the MLP
+    attn, softmax = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
+    den = softmax[1]
+    del a, a2, q, softmax  # not held through the MLP, where a training pass peaks
     x = x + _mm(attn.reshape(n, d), bp.wo).reshape(x.shape)
     f, xn2, inv2 = _layer_norm(x, bp.g2, bp.b2, cfg.ln_epsilon)
+    saved = None
     if need_aux:
-        mlp, gelu_grad, g = _training_mlp(f.reshape(n, d), bp, "w2" in need_aux)
+        saved = {"xn1": xn1, "inv1": inv1, "att": den, "xn2": xn2, "inv2": inv2}
+        if "wo" in need_aux:
+            saved["attn_merged"] = attn
+        attn = k_new = v_new = None  # the MLP reads none of them
+        mlp, saved["gelu_grad"], g = _training_mlp(f.reshape(n, d), bp, "w2" in need_aux)
+        if "w2" in need_aux:
+            saved["g"] = g
     else:
         mlp = _mm(detmath.gelu(_mm(f.reshape(n, d), bp.w1)), bp.w2)
     x = x + mlp.reshape(x.shape)
-    saved = None
-    if need_aux:
-        saved = {"xn1": xn1, "inv1": inv1, "att": att, "xn2": xn2, "inv2": inv2,
-                 "gelu_grad": gelu_grad}
-        if "wo" in need_aux:
-            saved["attn_merged"] = attn
-        if "w2" in need_aux:
-            saved["g"] = g
     return x, k_new, v_new, saved
 
 

@@ -197,48 +197,49 @@ def _ln_param_grads(dy, xn):
 def _attention_pads(B, S, cfg, dtype):
     """(chunks, pads) for _attention_backward over B items of S positions:
     the item slice of each chunk (model._chunks), and zeroed buffers
-    (p, dA, qf, kf, vf) for one chunk, padded to s_pad = max(S, M_MIN) query
-    rows and t_pad = S rounded up to a KEY_SEG multiple keys: the shapes of
-    the forward's per-segment attention. The pinned gradient bits, and with
-    them every twin's adapters, were taken at these shapes; numpy's batched
-    matmul may pick another kernel, and round otherwise, at other shapes.
-    A chunk runs the GEMMs of its items alone, so the chunks move no bit.
+    (p, s, dA, qf, kf, vf) for one chunk, padded to s_pad = max(S, M_MIN)
+    query rows and t_pad = S rounded up to a KEY_SEG multiple keys: the
+    shapes of the forward's per-segment attention. The pinned gradient bits,
+    and with them every twin's adapters, were taken at these shapes; numpy's
+    batched matmul may pick another kernel, and round otherwise, at other
+    shapes. A chunk runs the GEMMs of its items alone, so the chunks move no
+    bit. s takes the rebuilt scores, then the scores' gradient.
 
     Each chunk writes only the live region, of p only the causal triangle,
     so the padding and p's masked entries stay zero and one set serves
     every chunk of every block. Allocating them per block instead pages them
     in afresh each time: measured at about twice the page faults and system
     time of a provision at ModelConfig(). A chunk holds as many items as
-    keep p and the scores' gradient within _CHUNK_BYTES: at ModelConfig()
-    and the fine-tune's 80 positions, 3 of a batch's 16, whose pads span
-    1.1 MiB where the whole batch's spanned 5.7 MiB. On a 2-core Xeon with
-    two threads each running it, one block's backward took 8.2 ms at 3
-    items a chunk, 11.9 ms at one and 9.7 ms unchunked.
+    keep p and s within _CHUNK_BYTES: at ModelConfig() and the fine-tune's
+    80 positions, 3 of a batch's 16, whose pads span 1.5 MiB. On a 2-core
+    Xeon with two threads each running it, one block's backward took 8.2 ms
+    at 3 items a chunk, 11.9 ms at one and 9.7 ms unchunked, when it still
+    read kept numerators instead of rebuilding them.
     """
     H, hd = cfg.n_heads, cfg.head_dim
     s_pad, t_pad = max(S, M.M_MIN), M._round_up(S, M.KEY_SEG)
     g, chunks = M._chunks(B, 2 * dtype.itemsize * H * s_pad * t_pad)
-    return chunks, (np.zeros((g * H, s_pad, t_pad), dtype),
+    return chunks, (*(np.zeros((g * H, s_pad, n), dtype) for n in (t_pad, t_pad)),
                     *(np.zeros((g * H, n, hd), dtype) for n in (s_pad, s_pad, t_pad, t_pad)))
 
 
-def _attention_backward(dmerged, att, a2, bp, pads, cfg, keys=True):
+def _attention_backward(dmerged, den, a2, bp, pads, cfg, keys=True):
     """(dq, dk, dv) of the attention's projected inputs for dmerged (B, S, d),
-    from what the training pass kept (model._block): the causal numerators
-    and their row sums. The items run in the chunks of _attention_pads, on
-    its buffers, and Q, K and V are rebuilt a chunk at a time from the first
-    layer norm's output a2 (B * S, d) and bp's projections as the forward
-    built them, so with its bits; dk is None unless keys, and Q, which only
-    dk reads, is then not rebuilt. The padded rows and keys and the masked
-    entries are exact zeros, so they add nothing.
+    from what the training pass kept (model._block): the softmax row sums
+    den (B, H, S, 1). The items run in the chunks of _attention_pads, on its
+    buffers. Q, K and V are rebuilt a chunk at a time from the first layer
+    norm's output a2 (B * S, d) and bp's projections as the forward built
+    them, so with its bits, and from Q and K the causal probabilities: one
+    score GEMM into s, the triangle's row max and exp (model._causal_exp,
+    as the forward's causal square runs them) and a division by den. dk is
+    None unless keys. The padded rows and keys and the masked entries are
+    exact zeros, so they add nothing.
     """
-    ex, den = att
-    chunks, (p_c, dA_c, qf_c, kf_c, vf_c) = pads
+    chunks, (p_c, s_c, dA_c, qf_c, kf_c, vf_c) = pads
     B, S, d = dmerged.shape
     H, hd = cfg.n_heads, cfg.head_dim
     dtype = dmerged.dtype
     scale = dtype.type(1.0) / np.sqrt(dtype.type(hd))
-    rows, cols = np.tril_indices(S)  # model._block's order
     dq, dv = np.empty_like(dmerged), np.empty_like(dmerged)
     dk = np.empty_like(dmerged) if keys else None
 
@@ -251,17 +252,19 @@ def _attention_backward(dmerged, att, a2, bp, pads, cfg, keys=True):
 
     for items in chunks:
         n = items.stop - items.start
-        p, dA, qf, kf, vf = (buf[:n * H] for buf in (p_c, dA_c, qf_c, kf_c, vf_c))
+        p, sc, dA, qf, kf, vf = (buf[:n * H] for buf in (p_c, s_c, dA_c, qf_c, kf_c, vf_c))
         a = a2[items.start * S:items.stop * S]
-        p[:, rows, cols] = ex[items].reshape(n * H, -1) / den[items].reshape(n * H, S)[:, rows]
-        split(dA, dmerged[items])
+        split(qf, M._mm(a, bp.wq))
+        qf[:, :S] *= scale
         split(kf, M._mm(a, bp.wk))
         split(vf, M._mm(a, bp.wv))
-        if keys:
-            split(qf, M._mm(a, bp.wq))
-            qf[:, :S] *= scale
+        np.matmul(qf, kf.transpose(0, 2, 1), out=sc)
+        prob = M._causal_exp(sc, S)
+        prob /= M._per_key(den[items].reshape(n * H, S))
+        M._put_tril(p, prob, S)
+        split(dA, dmerged[items])
 
-        dp = np.matmul(dA, vf.transpose(0, 2, 1))
+        dp = np.matmul(dA, vf.transpose(0, 2, 1), out=sc)
         unsplit(np.matmul(p.transpose(0, 2, 1), dA), dv[items])
         dp -= np.sum(dp * p, axis=-1, keepdims=True)
         dp *= p  # the scores' gradient
@@ -308,10 +311,12 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     other gradient, and as the embedding takes none, it stops at block 1's
     projections.
     The forward pass keeps per block only what those gradients read and
-    the backward cannot rebuild cheaply (see model._block); the backward
-    lets go of the logits once their gradient is built, of that gradient
-    once the final layer norm's is unless the embedding's needs it, and of
-    each block's arrays once it has read them.
+    the backward cannot rebuild cheaply (see model._block): of the
+    attention, the softmax row sums alone, from which and the rebuilt Q and
+    K the backward rebuilds the probabilities. The backward lets go of the
+    logits once their gradient is built, of that gradient once the final
+    layer norm's is unless the embedding's needs it, and of each block's
+    arrays once it has read them.
     """
     want = M.BlockParams.FIELD_ORDER if wrt is None else tuple(wrt)
     unknown = set(want) - set(M.BlockParams.FIELD_ORDER)

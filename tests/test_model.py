@@ -6,7 +6,9 @@ import threading
 import numpy as np
 import pytest
 
+from ciphermind import detmath
 from ciphermind import model as M
+from ciphermind import trainer as T
 
 
 CFG_SMALL = M.ModelConfig(n_blocks=3, d_model=32, n_heads=2, d_ff=64,
@@ -366,6 +368,70 @@ def test_stacked_av_equals_per_item_gemms(head_dim, s_rows, B):
         want = attn.transpose(0, 2, 1, 3).reshape(B, s_rows, d)
         assert (_bits(den) == _bits(want_den)).all(), P
         assert (_bits(merged) == _bits(want)).all(), P
+
+
+def _rectangle_ex(q, k, cfg):
+    """The softmax numerators (B, H, S, S) of a causal square of queries q
+    and keys k (B, S, d) as the masked rectangle computes them: the scores
+    from one GEMM per item and head, each key above its query row set to
+    MASK_FILL, the row max taken over the whole row and exp run on every
+    entry."""
+    B, S, d = q.shape
+    H, hd = cfg.n_heads, cfg.head_dim
+    qh = M._split_heads(q * (np.float32(1.0) / np.sqrt(np.float32(hd))), H)
+    sc = _per_item_own_key_scores(qh, M._split_heads(k, H))
+    sc[..., np.arange(S)[None, :] > np.arange(S)[:, None]] = M.MASK_FILL
+    sc -= sc.max(axis=-1, keepdims=True)
+    return detmath.exp(sc)
+
+
+def _square_inputs(head_dim, S, B):
+    H = 4
+    cfg = M.ModelConfig(d_model=H * head_dim, n_heads=H, max_seq=256)
+    rng = np.random.default_rng(head_dim + S)
+    return cfg, rng.standard_normal((3, B, S, cfg.d_model)).astype(np.float32)
+
+
+@pytest.mark.parametrize("head_dim", [16, 32])
+@pytest.mark.parametrize("S", [1, 40, 80, 130])
+def test_a_causal_square_gives_the_masked_rectangles_bits(head_dim, S):
+    # a causal square (no prefix, base 0, S query rows against S keys: a
+    # training pass, forward_full, a catch-up from an empty cache) runs the
+    # row max and exp on its triangle alone; its numerators, row sums and
+    # output must be the masked rectangle's, here also past KEY_SEG
+    B = 3
+    cfg, (q, k, v) = _square_inputs(head_dim, S, B)
+    H, empty = cfg.n_heads, np.zeros((0, cfg.d_model), dtype=np.float32)
+    merged, (ex, den) = M._attention(q, empty, empty, k, v, 0, cfg)
+    want_ex = _rectangle_ex(q, k, cfg)
+    attn, want_den = _per_item_av(want_ex, np.zeros((H, 0, head_dim), dtype=np.float32),
+                                  M._split_heads(v, H))
+    assert (_bits(ex) == _bits(want_ex)).all()
+    assert (_bits(den) == _bits(want_den)).all()
+    assert (_bits(merged) == _bits(attn.transpose(0, 2, 1, 3).reshape(B, S, -1))).all()
+
+
+@pytest.mark.parametrize("head_dim", [16, 32])
+@pytest.mark.parametrize("S", [40, 80, 130])
+def test_the_attention_backward_rebuilds_the_forwards_probabilities(monkeypatch, head_dim, S):
+    # the training pass keeps only the row sums; the backward rebuilds the
+    # probabilities from Q and K with one score GEMM t_pad wide (256 at
+    # S = 130, where the forward's is 160) and must give ex / den of the
+    # forward's masked rectangle, exact zeros off the triangle
+    B = 2
+    cfg, (a, _, dmerged) = _square_inputs(head_dim, S, B)
+    H, d, empty = cfg.n_heads, cfg.d_model, np.zeros((0, cfg.d_model), dtype=np.float32)
+    bp = M.init_parameters(cfg, 7).blocks[0]
+    a2 = a.reshape(B * S, d)
+    q, k, v = (M._mm(a2, w).reshape(B, S, d) for w in (bp.wq, bp.wk, bp.wv))
+    _, (_, den) = M._attention(q, empty, empty, k, v, 0, cfg)
+    monkeypatch.setattr(M, "_CHUNK_BYTES", 1 << 24)  # both items in one chunk
+    pads = T._attention_pads(B, S, cfg, np.dtype(np.float32))
+    T._attention_backward(dmerged, den, a2, bp, pads, cfg)
+    p = pads[1][0]
+    want = np.zeros_like(p)
+    want[:, :S, :S] = (_rectangle_ex(q, k, cfg) / den).reshape(B * H, S, S)
+    assert (_bits(p) == _bits(want)).all()
 
 
 @pytest.mark.parametrize("head_dim", [16, 32, 64])

@@ -311,11 +311,12 @@ def test_a_training_pass_keeps_only_what_its_backward_reads(monkeypatch, wrt, ke
     assert [set(st) for st in shapes] == [kept] * CFG_TINY.n_blocks
     B, S = tokens.shape
     for st in shapes:
-        # the softmax numerators on the causal triangle (key <= query) and
-        # their row sums; the backward rebuilds Q, K and V, so no kept array
-        # is per head
-        assert st["att"] == [(B, CFG_TINY.n_heads, S * (S + 1) // 2), (B, CFG_TINY.n_heads, S, 1)]
+        # the softmax row sums alone; the backward rebuilds Q, K and V, and
+        # from them the probabilities, so no kept array is per head or spans
+        # the causal triangle
+        assert st["att"] == [(B, CFG_TINY.n_heads, S, 1)]
         assert all(shape[-1] != CFG_TINY.head_dim for arrays in st.values() for shape in arrays)
+        assert all(S * (S + 1) // 2 not in shape for arrays in st.values() for shape in arrays)
     # the backward lets go of each block once it has read it
     assert saved == [None] * CFG_TINY.n_blocks
 

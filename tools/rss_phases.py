@@ -20,22 +20,26 @@ With ``--one-party``, the process runs one ``provision`` at the benchmark's
 ``TrainConfig()`` and ``ModelConfig()`` (key 1..16, registry seed 5, base
 seed 2506) and reports its ``ru_maxrss`` increase, minor faults, system time
 and twin fingerprint, and the quartiles of its SGD steps' ``loss_and_grads``
-time. The same thread then encodes and decodes four 32-byte messages with
-the twin and reports each decode's minor faults, counted process-wide
-(``RUSAGE_SELF``: the draft's slices fault on threads of their own, and
-nothing else runs then), and its wall time over the blocks its frames tap
-(ms per tapped block): a decode that runs where the fine-tune ran reuses
+time and minor faults, with the share of the provision's faults taken
+inside the steps. The same thread then encodes and decodes four 32-byte
+messages with the twin and reports each decode's minor faults, counted
+process-wide (``RUSAGE_SELF``: the draft's slices fault on threads of their
+own, and nothing else runs then), and its wall time over the blocks its
+frames tap (ms per tapped block): a decode that runs where the fine-tune ran reuses
 the heap it left, so a heap state that slows it shows in both. Last, for
 one ``loss_and_grads`` step over the fine-tune's first batch
 (``wrt=ADAPTED_FIELDS``), it reports the step's tracemalloc peak and the
 bytes that the teacher-forced pass keeps for the backward, per array name
-summed over the blocks.
+summed over the blocks, and where the step reaches its peak: the source line
+running then, with the calls above it, and the largest allocations alive
+just before, by file:line (``_peak_site``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import sys
@@ -106,6 +110,67 @@ def _kept_bytes(saved) -> dict:
     return {"per_name": kept, "total": sum(kept.values())}
 
 
+def _location(frame) -> str:
+    return f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_lineno} {frame.f_code.co_name}"
+
+
+def _peak_site(run, frames: int = 6, top: int = 8) -> dict:
+    """Where run() reaches its tracemalloc peak, from two identical runs
+    under a line tracer. The first reads, at every trace event, the peak
+    since the event before and resets it, so each peak is charged to the
+    source line that ran between the two events; the highest names the line
+    (with the ``frames`` calls above it; numpy's own frames are skipped, so
+    a line inside numpy is charged to the program line that called it). The
+    second run takes a snapshot at the event before that peak (a line's
+    start, or a return into it) and reports its ``top`` largest allocations
+    by file:line. This tool's own frames and allocations are left out."""
+    count, running, best = 0, None, (-1, 0, [])
+
+    def find(frame, event, arg):
+        nonlocal count, running, best
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        if running is not None and peak > best[0]:
+            best = (peak, *running)
+        count += 1
+        # after a return, the caller's line runs on
+        frame = frame.f_back if event == "return" and frame.f_back else frame
+        stack = []
+        while frame is not None and frame.f_code.co_filename != __file__ and len(stack) < frames:
+            if f"{os.sep}numpy{os.sep}" not in frame.f_code.co_filename:
+                stack.append(_location(frame))
+            frame = frame.f_back
+        running = (count, stack)
+        return find
+
+    snapshot = None
+
+    def snap(frame, event, arg):
+        nonlocal count, snapshot
+        count += 1
+        if count == best[1]:
+            snapshot = tracemalloc.take_snapshot()
+        return snap
+
+    tracemalloc.start()
+    try:
+        for tracer in (find, snap):
+            count = 0
+            sys.settrace(tracer)
+            try:
+                run()
+            finally:
+                sys.settrace(None)
+    finally:
+        tracemalloc.stop()
+    stats = snapshot.filter_traces([tracemalloc.Filter(False, __file__)]).statistics("lineno")
+    return {"peak_mb": round(best[0] / 2**20, 1), "line": best[2][0], "calls_above": best[2][1:],
+            "alive_before_mb": round(sum(s.size for s in stats) / 2**20, 1),
+            "largest_alive_mb": {
+                f"{os.path.basename(s.traceback[0].filename)}:{s.traceback[0].lineno}":
+                round(s.size / 2**20, 2) for s in stats[:top]}}
+
+
 def one_party() -> dict:
     from ciphermind import codec as C
     from ciphermind import model as M
@@ -115,17 +180,19 @@ def one_party() -> dict:
     cfg = M.ModelConfig()
     base = M.init_parameters(cfg, BASE_SEED)
     registry = P.generate_registry(REGISTRY_SEED)
-    batches, step_ms = [], []
+    batches, step_ms, step_faults = [], [], []
     step = T.loss_and_grads
 
     def timed(params, cfg, tokens, mask, wrt=None):
         if not batches:
             batches.append((tokens.copy(), mask.copy(), wrt))
+        flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         try:
             return step(params, cfg, tokens, mask, wrt=wrt)
         finally:
             step_ms.append((time.perf_counter() - start) * 1e3)
+            step_faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
 
     T.loss_and_grads = timed
     before = _usage()
@@ -135,11 +202,18 @@ def one_party() -> dict:
     finally:
         T.loss_and_grads = step
     provision_s = time.perf_counter() - start
-    report = {"provision": {**_delta(before, _usage()), "wall_s": round(provision_s, 2),
-                            "twin_fingerprint": M.fingerprint(twin).hex()},
-              "sgd_steps": len(step_ms),
-              "loss_and_grads_ms": dict(zip(("q1", "median", "q3"), (
-                  round(q, 2) for q in statistics.quantiles(step_ms, n=4, method="inclusive"))))}
+    provision = {**_delta(before, _usage()), "wall_s": round(provision_s, 2),
+                 "twin_fingerprint": M.fingerprint(twin).hex()}
+
+    def quartiles(xs):
+        return dict(zip(("q1", "median", "q3"), (
+            round(q, 2) for q in statistics.quantiles(xs, n=4, method="inclusive"))))
+
+    report = {"provision": provision, "sgd_steps": len(step_ms),
+              "loss_and_grads_ms": quartiles(step_ms),
+              "loss_and_grads_minflt": {**quartiles(step_faults), "first": step_faults[0],
+                                        "share_of_provision": round(
+                                            sum(step_faults) / provision["minflt"], 3)}}
 
     faults, ms_per_block = [], []
     for seq in range(MESSAGES):
@@ -167,9 +241,12 @@ def one_party() -> dict:
     tracemalloc.stop()
     _, saved, _ = M._forward(base, cfg, tokens, need_aux=tuple(wrt))
     kept = _kept_bytes(saved)
+    del saved
     report["loss_and_grads_step"]["kept_mb"] = {
         name: round(n / 2**20, 2) for name, n in sorted(kept["per_name"].items())}
     report["loss_and_grads_step"]["kept_total_mb"] = round(kept["total"] / 2**20, 1)
+    report["loss_and_grads_step"]["peak_site"] = _peak_site(
+        lambda: T.loss_and_grads(base, cfg, tokens, mask, wrt=wrt))
     return report
 
 
