@@ -41,13 +41,14 @@ implementation rules:
    sequence end); masked, padded-row and padded-column entries enter the
    fixed-shape GEMMs as exact zeros, which is what ``exp`` of a masked
    score yields anyway, so only the work shrinks, never the shapes. A
-   causal square (no prefix, base 0, as many query rows as keys: a training
-   pass, ``forward_full``, a catch-up from an empty cache) takes the row max
+   causal square (as many query rows as keys: a training pass,
+   ``forward_full``, a catch-up from an empty cache) takes the row max
    and runs ``exp`` on its causal triangle (key <= query) alone and writes
    the result into its zeroed scores. Every other call, hypothesis batches
    among them, sets its masked scores to MASK_FILL and runs ``exp`` on the
    whole live rectangle. A max is exact and the fill never wins it, so both
-   give the same bits.
+   give the same bits. An item's query rows are the last S of its P + Sk
+   positions, so the shapes alone place the causal mask.
 
 3. Every exact path is a short loop over one per-block function, ``_block``,
    between ``_embed`` and ``_head``: ``_forward``, the teacher-forced pass
@@ -185,6 +186,8 @@ class ModelError(Exception):
 
 
 U32_MAX = 2**32 - 1
+# 8x the shipped 512 (the codec's longest context is 75): 4 MiB of positions at d 128
+MAX_SEQ_CAP = 4096
 
 
 def check_int_fields(obj, bounds: dict, error: type) -> None:
@@ -210,12 +213,12 @@ class ModelConfig:
     ln_epsilon: float = 1e-5
 
     def __post_init__(self):
-        # each field fills a u32 of the packed block; single-block configs
-        # exist for gradient probes, and anything that taps a middle layer
-        # (codec, scheduler) separately demands >= 2 blocks
+        # each field fills a u32 of the packed block, max_seq sizes every KV
+        # cache; single-block configs exist for gradient probes, and anything
+        # that taps a middle layer (codec, scheduler) demands >= 2 blocks
         check_int_fields(self, dict.fromkeys(
-            ("n_blocks", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq"),
-            (1, U32_MAX)), ModelError)
+            ("n_blocks", "d_model", "n_heads", "d_ff", "vocab_size"), (1, U32_MAX))
+            | {"max_seq": (1, MAX_SEQ_CAP)}, ModelError)
         if self.d_model % self.n_heads != 0:
             raise ModelError("d_model must be divisible by n_heads")
         # canonicalize to binary32, the precision the epsilon is used in, so a config
@@ -356,12 +359,17 @@ def init_parameters(config: ModelConfig, seed: int) -> ParameterSet:
                                              in layout_entries(weight_layout(config))))
 
 
+def f32_bytes(arr) -> bytes:
+    """arr as little-endian float32: what a weight file and a digest hold."""
+    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
+
+
 def digest(arrays) -> bytes:
     """SHA-256 over the arrays as little-endian float32, in the order given:
     the bytes a weight file holds after its header."""
     h = hashlib.sha256()
     for arr in arrays:
-        h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        h.update(f32_bytes(arr))
     return h.digest()
 
 
@@ -370,22 +378,22 @@ def fingerprint(params: ParameterSet) -> bytes:
     return digest(params.iter_arrays())
 
 
-def write_weight_file(path, magic: bytes, version: int, header: bytes, arrays) -> None:
-    """The one weight-file format: 4-byte magic, version byte, fixed header,
-    then the arrays, in layout order, as little-endian float32."""
+def write_file(path, magic: bytes, version: int, header: bytes, payload) -> None:
+    """The one file format of parameters, adapters and the shard registry:
+    4-byte magic, version byte, fixed header, then the payload, an iterable
+    of byte strings written in order."""
     with open(path, "wb") as f:
         f.write(magic + bytes([version]) + header)
-        for arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        f.writelines(payload)
 
 
-def read_weight_file(path, magic: bytes, version: int, header_len: int, parse_header, error):
-    """(parsed header, arrays) of a write_weight_file file, where
-    ``parse_header(header bytes)`` returns (parsed header, layout). A bad
-    magic, a cut header, another version, a payload of another size, a
-    non-finite weight or a file that cannot be read raises ``error``. Only
-    the header is read before the file's size is checked against its
-    layout, so a foreign or oversized file is refused without buffering it."""
+def read_file(path, magic: bytes, version: int, header_len: int, parse_header, error):
+    """(parsed header, payload bytes) of a write_file file, where
+    ``parse_header(header bytes)`` returns (parsed header, payload size). A
+    bad magic, a cut header, another version, a payload of another size or a
+    file that cannot be read raises ``error``. Only the header is read before
+    the file's size is checked against the size it names, so a foreign or
+    oversized file is refused without buffering it."""
     kind, start = magic.decode(), 5 + header_len
     try:
         with open(path, "rb") as f:
@@ -396,35 +404,41 @@ def read_weight_file(path, magic: bytes, version: int, header_len: int, parse_he
                 raise error(f"{kind} file cut inside its {start}-byte header")
             if head[4] != version:
                 raise error(f"unsupported {kind} file version {head[4]}")
-            header, layout = parse_header(head[5:])
-            want, size = 4 * layout_size(layout), os.fstat(f.fileno()).st_size - start
+            header, want = parse_header(head[5:])
+            size = os.fstat(f.fileno()).st_size - start
             if size == want:
-                blob = f.read(want)
-                size = len(blob)
+                payload = f.read(want)
+                size = len(payload)
     except OSError as e:
         raise error(f"{kind} file {path} cannot be read: {e.strerror}") from None
     if size != want:
         raise error(f"{kind} payload is {size} bytes, expected {want}")
-    flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)
+    return header, payload
+
+
+def weight_arrays(payload: bytes, layout, error) -> list:
+    """layout's arrays from a weight file's payload; a non-finite one raises error."""
+    flat = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     if not np.all(np.isfinite(flat)):
-        raise error(f"{kind} file contains non-finite weights")
+        raise error("weight file contains non-finite weights")
     shapes = [shape for _, shape in layout_entries(layout)]
     parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
-    return header, [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]
+    return [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]
 
 
 def save_parameters(path, params: ParameterSet) -> None:
-    write_weight_file(path, PARAM_MAGIC, PARAM_VERSION, params.config.pack(),
-                      params.iter_arrays())
+    write_file(path, PARAM_MAGIC, PARAM_VERSION, params.config.pack(),
+               map(f32_bytes, params.iter_arrays()))
 
 
 def load_parameters(path) -> ParameterSet:
     def parse(header):
         config = ModelConfig.unpack(header)
-        return config, weight_layout(config)
+        return config, 4 * config.weight_count()
 
-    config, arrays = read_weight_file(path, PARAM_MAGIC, PARAM_VERSION, 28, parse, ModelError)
-    return ParameterSet.from_arrays(config, arrays)
+    config, payload = read_file(path, PARAM_MAGIC, PARAM_VERSION, 28, parse, ModelError)
+    return ParameterSet.from_arrays(config, weight_arrays(payload, weight_layout(config),
+                                                          ModelError))
 
 
 _PE_CACHE: dict = {}
@@ -629,25 +643,23 @@ def _put_tril(out, tri, S: int) -> None:
         out[:, i, :i + 1] = tri[:, keys]
 
 
-def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
+def _attention(q, k_pref, v_pref, k_new, v_new, cfg):
     """Causal attention (rules 1 and 2 of the module docstring): every score
     from one _scores call, the AV reduction in KEY_SEG segments, both GEMMs
     one per item and head.
 
     q: (B, S, d) queries; k_new, v_new: (B, Sk, d) each item's own keys and
     values; k_pref/v_pref: (P, d) prefix shared by the whole batch (may be
-    empty). Query row i sits at absolute position base + i and attends keys
-    0 .. base + i. Returns (merged, (ex, den)) with merged (B, S, d) and
-    the softmax it was computed from, unpadded: ex (B, H, S, T) holds
-    exp(score - rowmax), exactly zero on masked keys, and den (B, H, S, 1)
-    its row sums.
+    empty). The queries are the last S of the T = P + Sk keys' positions:
+    query row i sits at key T - S + i and attends keys 0 .. T - S + i.
+    Returns (merged, den): merged (B, S, d) and den (B, H, S, 1), the
+    softmax row sums.
     """
     dtype = q.dtype
     B, S, d = q.shape
-    Sk = k_new.shape[1]
     H, hd = cfg.n_heads, cfg.head_dim
     P = k_pref.shape[0]
-    T = P + Sk
+    T = P + k_new.shape[1]
     t_pad = _round_up(T, KEY_SEG)
     qh = _split_heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd))), H)
     kh = _split_heads(k_new, H)
@@ -658,7 +670,7 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     # keys below T. Padded rows and keys from T on enter the AV GEMMs as
     # exact zeros.
     live = live.reshape(B * H, S, T)
-    if P == 0 and base == 0 and S == T:
+    if S == T:
         # a causal square: the row max and exp on the triangle alone,
         # scattered into the zeroed scores
         tri = _causal_exp(live, S)
@@ -666,7 +678,7 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
         _put_tril(live, tri, S)
         ex = live.reshape(B, H, S, T)
     else:
-        blocked = np.arange(T)[None, :] > (base + np.arange(S))[:, None]
+        blocked = np.arange(T)[None, :] > np.arange(T - S, T)[:, None]
         live[:, blocked] = dtype.type(MASK_FILL)
         live -= np.max(live, axis=-1, keepdims=True)
         ex = detmath.exp(live).reshape(B, H, S, T)
@@ -698,7 +710,7 @@ def _attention(q, k_pref, v_pref, k_new, v_new, base, cfg):
     attn /= den
 
     merged = np.ascontiguousarray(attn.transpose(0, 2, 1, 3)).reshape(B, S, d)
-    return merged, (ex, den)
+    return merged, den
 
 
 def _draft_weights(bp: BlockParams, cfg: ModelConfig) -> tuple:
@@ -824,11 +836,11 @@ def _training_mlp(f, bp: BlockParams, keep_g: bool):
     return out, gelu_grad, g_all
 
 
-def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
+def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, *,
            last_only=False, need_aux=()):
-    """One block on the residual stream x (B, S, d) at positions base .. :
-    layer norm, Q/K/V, _attention against the shared prefix k_pref/v_pref
-    (P, d) and the items' own keys, O, layer norm, MLP.
+    """One block on the residual stream x (B, S, d) at the S positions after
+    the shared prefix k_pref/v_pref (P, d): layer norm, Q/K/V, _attention
+    against that prefix and the items' own keys, O, layer norm, MLP.
 
     Returns (x, k_new, v_new, saved). k_new/v_new (B, S, d) are the
     positions' keys and values, for the caller's cache. With last_only only
@@ -850,13 +862,11 @@ def _block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, base, *,
     if last_only:
         q = _mm(a[:, -1, :], bp.wq).reshape(B, 1, d)
         x = x[:, -1:, :]
-        base += S - 1
     else:
         q = _mm(a2, bp.wq).reshape(B, S, d)
     n = B * q.shape[1]
-    attn, softmax = _attention(q, k_pref, v_pref, k_new, v_new, base, cfg)
-    den = softmax[1]
-    del a, a2, q, softmax  # not held through the MLP, where a training pass peaks
+    attn, den = _attention(q, k_pref, v_pref, k_new, v_new, cfg)
+    del a, a2, q  # not held through the MLP, where a training pass peaks
     x = x + _mm(attn.reshape(n, d), bp.wo).reshape(x.shape)
     f, xn2, inv2 = _layer_norm(x, bp.g2, bp.b2, cfg.ln_epsilon)
     saved = None
@@ -900,7 +910,7 @@ def _forward(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
     empty = np.zeros((0, cfg.d_model), dtype=params.dtype)
     per_block = []
     for bp in params.blocks:
-        x, _, _, saved = _block(bp, cfg, x, empty, empty, 0, need_aux=need_aux)
+        x, _, _, saved = _block(bp, cfg, x, empty, empty, need_aux=need_aux)
         per_block.append(saved if need_aux else x)
     logits, head_ln = _head(params, cfg, x)
     return logits, per_block, head_ln
@@ -932,11 +942,10 @@ def catch_up(params: ParameterSet, config: ModelConfig, cache: KVCache,
     that ran, in block order."""
     outputs = []
     for bi in range(depth):
-        base = cache.rows[bi]
-        if base == cache.length:
+        if cache.rows[bi] == cache.length:
             continue
         x, k_new, v_new, _ = _block(params.blocks[bi], config, cache.residual(bi)[None],
-                                    cache.keys(bi), cache.values(bi), base)
+                                    cache.keys(bi), cache.values(bi))
         cache.write(bi, k_new[0], v_new[0], x[0])
         outputs.append(x[0])
     return outputs
@@ -986,12 +995,12 @@ def hypothesis_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
     keys, values = [], []
     for bi in range(layer - 1):
         x, k_new, v_new, _ = _block(params.blocks[bi], config, x, cache.keys(bi),
-                                    cache.values(bi), cache.length)
+                                    cache.values(bi))
         keys.append(k_new[:, 0].copy())
         values.append(v_new[:, 0].copy())
     first = (keys, values, x[:, 0].copy())
     x, _, _, _ = _block(params.blocks[layer - 1], config, x, cache.keys(layer - 1),
-                        cache.values(layer - 1), cache.length, last_only=True)
+                        cache.values(layer - 1), last_only=True)
     return x[:, 0, :], first
 
 

@@ -4,18 +4,17 @@ Each of the key's 128 bits selects one shard from a fixed registry; the
 selected shards (ascending id) feed the deterministic fine-tune, so equal
 (base, key, registry, train config) yields byte-equal merged weights on
 both ends. The twin profile carries the digests either side needs to prove
-that before any frame flows.
+that before any frame flows. The registry is one file in the format of
+parameter and adapter files (save_registry).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import re
 import struct
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from . import model as M
 from . import trainer as T
@@ -28,6 +27,9 @@ KEY_BYTES = 16
 N_SHARDS = 128
 KEY_COMMIT_PREFIX = b"ciphermind.key.v1"
 PROFILE_MAGIC = b"CMTP"
+REGISTRY_MAGIC = b"CMRG"
+REGISTRY_VERSION = 1
+_SHARD_ENTRY = struct.Struct("<I32s")  # a registry header entry: length, SHA-256
 
 WEAK_KEY_POPCOUNT = 8
 
@@ -93,7 +95,7 @@ class ShardRegistry:
 
 
 def shard_bytes(examples) -> bytes:
-    """A shard's file and digest input: each prompt and completion behind its u32 length."""
+    """A shard's registry bytes and digest input: each text behind its u32 length."""
     out = bytearray()
     for prompt, completion in examples:
         out += struct.pack("<I", len(prompt)) + prompt
@@ -124,69 +126,35 @@ def generate_registry(seed: int, examples_per_shard: int = 24) -> ShardRegistry:
 
 
 def save_registry(path, registry: ShardRegistry) -> None:
-    """Directory of 128 shard files plus a manifest of ids and digests."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for sid, examples in enumerate(registry.shards):
-        blob = shard_bytes(examples)
-        (root / _shard_file(sid)).write_bytes(blob)
-        entries.append({"id": sid, "file": _shard_file(sid),
-                        "digest": hashlib.sha256(blob).hexdigest()})
-    manifest = {"shards": entries, "registry_digest": registry.digest().hex()}
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
-
-
-def _shard_file(shard_id: int) -> str:
-    return f"shard_{shard_id:03d}.bin"
-
-
-def _load_manifest(root: Path):
-    """The manifest's shard entries and registry digest; an unreadable or
-    non-JSON manifest, or one that lacks a field or has a wrong type or whose
-    entries are not shards 0..127 in order, raises ProvisioningError before
-    any shard file is read. A shard's file must be the one save_registry
-    names: a path the manifest chose could lie outside the registry."""
-    path = root / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-    except OSError as e:
-        raise ProvisioningError(f"registry manifest {path} cannot be read: {e.strerror}") from None
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-        raise ProvisioningError(f"registry manifest is not JSON: {e}") from None
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("shards"), list)
-            and isinstance(manifest.get("registry_digest"), str)):
-        raise ProvisioningError("registry manifest needs a shards list and a registry_digest")
-    if len(manifest["shards"]) != N_SHARDS:
-        raise ProvisioningError(f"registry manifest needs exactly {N_SHARDS} shards")
-    for i, entry in enumerate(manifest["shards"]):
-        if not (isinstance(entry, dict) and type(entry.get("id")) is int and entry["id"] == i
-                and entry.get("file") == _shard_file(i) and isinstance(entry.get("digest"), str)):
-            raise ProvisioningError(f"registry manifest entry {i} needs id {i}, "
-                                    "the shard file of that id and a digest")
-    return manifest["shards"], manifest["registry_digest"]
+    """The registry as one model.write_file file: magic CMRG, version 1, a
+    header of each shard's shard_bytes length (u32) and SHA-256 in id
+    order, then those shard_bytes in id order."""
+    blobs = [shard_bytes(examples) for examples in registry.shards]
+    header = b"".join(_SHARD_ENTRY.pack(len(b), hashlib.sha256(b).digest()) for b in blobs)
+    M.write_file(path, REGISTRY_MAGIC, REGISTRY_VERSION, header, blobs)
 
 
 def load_registry(path) -> ShardRegistry:
-    root = Path(path)
-    entries, registry_digest = _load_manifest(root)
-    shards = []
-    for sid, entry in enumerate(entries):
-        try:
-            blob = (root / entry["file"]).read_bytes()
-        except OSError as e:
-            raise ProvisioningError(
-                f"shard {sid} file {root / entry['file']} cannot be read: {e.strerror}") from None
-        examples = parse_shard(blob)
-        if examples is None:
-            raise ProvisioningError(f"shard {sid} file is empty or cut short")
-        if hashlib.sha256(blob).hexdigest() != entry["digest"]:
+    """The registry save_registry wrote to path. The summed shard lengths
+    must equal the payload's size before any shard is read; then each shard
+    must match its digest and parse. Any fault raises ProvisioningError, a
+    shard's naming the shard."""
+    def parse(header):
+        entries = list(_SHARD_ENTRY.iter_unpack(header))
+        return entries, sum(n for n, _ in entries)
+
+    entries, payload = M.read_file(path, REGISTRY_MAGIC, REGISTRY_VERSION,
+                                   N_SHARDS * _SHARD_ENTRY.size, parse, ProvisioningError)
+    shards, pos, view = [], 0, memoryview(payload)  # a shard is copied once its digest holds
+    for sid, (n, sha) in enumerate(entries):
+        blob, pos = view[pos:pos + n], pos + n
+        if hashlib.sha256(blob).digest() != sha:
             raise ProvisioningError(f"shard {sid} digest mismatch on load")
+        examples = parse_shard(bytes(blob))
+        if examples is None:
+            raise ProvisioningError(f"shard {sid} is empty or cut short")
         shards.append(examples)
-    registry = ShardRegistry(shards)
-    if registry.digest().hex() != registry_digest:
-        raise ProvisioningError("registry digest mismatch on load")
-    return registry
+    return ShardRegistry(shards)
 
 
 def select_shards(key: SessionKey) -> list:

@@ -548,20 +548,21 @@ def merge(base: M.ParameterSet, adapters: AdapterSet) -> M.ParameterSet:
 
 
 def save_adapters(path, adapters: AdapterSet) -> None:
-    M.write_weight_file(path, ADAPTER_MAGIC, ADAPTER_VERSION,
-                        adapters.base_fingerprint + adapters.tconfig.pack(),
-                        adapters.iter_arrays())
+    M.write_file(path, ADAPTER_MAGIC, ADAPTER_VERSION,
+                 adapters.base_fingerprint + adapters.tconfig.pack(),
+                 map(M.f32_bytes, adapters.iter_arrays()))
 
 
 def load_adapters(path, config: M.ModelConfig) -> AdapterSet:
     def parse(header):
         tconfig = TrainConfig.unpack(header[32:])
-        return (header[:32], tconfig), adapter_layout(config, tconfig.adapter_rank)
+        layout = adapter_layout(config, tconfig.adapter_rank)
+        return (header[:32], tconfig, layout), 4 * M.layout_size(layout)
 
-    (base_fp, tconfig), arrays = M.read_weight_file(path, ADAPTER_MAGIC, ADAPTER_VERSION,
-                                                    32 + 28, parse, TrainerError)
-    return AdapterSet(factors=_factors(config, arrays), tconfig=tconfig,
-                      base_fingerprint=base_fp)
+    (base_fp, tconfig, layout), payload = M.read_file(path, ADAPTER_MAGIC, ADAPTER_VERSION,
+                                                      32 + 28, parse, TrainerError)
+    return AdapterSet(factors=_factors(config, M.weight_arrays(payload, layout, TrainerError)),
+                      tconfig=tconfig, base_fingerprint=base_fp)
 
 
 # ------------------------------------------------------------------ probes

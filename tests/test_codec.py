@@ -727,6 +727,21 @@ def test_a_decode_on_another_blas_kernel_gives_the_plaintext_or_fails_typed(para
     assert out.get("plaintext", plaintext.hex()) == plaintext.hex(), out
 
 
+@pytest.mark.xfail(strict=True, raises=C.DecodeFailure,
+                   reason="ROADMAP item 21: at d_ff 512 the tapped block's w2 GEMM, one row "
+                   "an item, gives a verify batch of 62 or more items other bits than 32-61")
+def test_a_legal_two_block_config_decodes_a_64_byte_message():
+    # ModelConfig, check_config and Session accept this config, yet this
+    # message fails at frame 57, whose verify holds 87 items
+    cfg = M.ModelConfig(n_blocks=2, d_model=32, n_heads=2, d_ff=512)
+    params = M.init_parameters(cfg, 77)
+    rng = np.random.default_rng(5)
+    plaintext, key = rng.bytes(64), rng.bytes(16)
+    frames = C.encode_message_incremental(params, cfg, key, 1, 0, plaintext)
+    assert C.decode_message_incremental(params, cfg, key, 1, 0, frames,
+                                        C.CodecParams(delta=0)) == plaintext
+
+
 def test_decoder_rejects_out_of_order_frames(params):
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 15, b"ab")
     for frame, seq in zip(frames, (9, 9, 0)):

@@ -133,7 +133,7 @@ def test_config_rejects_a_field_its_block_cannot_carry(field, value):
 
 
 def test_config_block_carries_each_field_at_its_limit():
-    cfg = M.ModelConfig(**dict.fromkeys(_INT_FIELDS, 2**32 - 1))
+    cfg = M.ModelConfig(**dict.fromkeys(_INT_FIELDS, 2**32 - 1) | {"max_seq": M.MAX_SEQ_CAP})
     assert M.ModelConfig.unpack(cfg.pack()) == cfg
 
 
@@ -359,10 +359,12 @@ def test_stacked_av_equals_per_item_gemms(head_dim, s_rows, B):
     d = cfg.d_model
     q = rng.standard_normal((B, s_rows, d)).astype(np.float32)
     k_new, v_new = rng.standard_normal((2, B, Sk, d)).astype(np.float32)
+    qh = M._split_heads(q * (np.float32(1.0) / np.sqrt(np.float32(head_dim))), H)
     for P in (0, 9, 41, 73, 126, 127, 130):
         k_pref, v_pref = rng.standard_normal((2, P, d)).astype(np.float32)
-        merged, (ex, den) = M._attention(q, k_pref, v_pref, k_new, v_new,
-                                         P + Sk - s_rows, cfg)
+        merged, den = M._attention(q, k_pref, v_pref, k_new, v_new, cfg)
+        ex = _masked_ex(qh, k_pref.reshape(P, H, head_dim).transpose(1, 0, 2),
+                        M._split_heads(k_new, H))
         attn, want_den = _per_item_av(ex, v_pref.reshape(P, H, head_dim).transpose(1, 0, 2),
                                       M._split_heads(v_new, H))
         want = attn.transpose(0, 2, 1, 3).reshape(B, s_rows, d)
@@ -370,19 +372,27 @@ def test_stacked_av_equals_per_item_gemms(head_dim, s_rows, B):
         assert (_bits(merged) == _bits(want)).all(), P
 
 
-def _rectangle_ex(q, k, cfg):
-    """The softmax numerators (B, H, S, S) of a causal square of queries q
-    and keys k (B, S, d) as the masked rectangle computes them: the scores
-    from one GEMM per item and head, each key above its query row set to
-    MASK_FILL, the row max taken over the whole row and exp run on every
-    entry."""
-    B, S, d = q.shape
-    H, hd = cfg.n_heads, cfg.head_dim
-    qh = M._split_heads(q * (np.float32(1.0) / np.sqrt(np.float32(hd))), H)
-    sc = _per_item_own_key_scores(qh, M._split_heads(k, H))
-    sc[..., np.arange(S)[None, :] > np.arange(S)[:, None]] = M.MASK_FILL
+def _masked_ex(qh, kp, kh):
+    """The softmax numerators (B, H, S, T) of query rows qh (B, H, S, hd)
+    against the prefix keys kp (H, P, hd) and each item's own keys kh
+    (B, H, Sk, hd), T = P + Sk, query row i at key T - S + i, as the masked
+    rectangle computes them: the scores from the per-GEMM oracles above,
+    each key above its query row set to MASK_FILL, the row max taken over
+    the whole row and exp run on every entry."""
+    S = qh.shape[2]
+    sc = np.concatenate([_per_segment_prefix_scores(qh, kp),
+                         _per_item_own_key_scores(qh, kh)], axis=-1)
+    T = sc.shape[-1]
+    sc[..., np.arange(T)[None, :] > np.arange(T - S, T)[:, None]] = M.MASK_FILL
     sc -= sc.max(axis=-1, keepdims=True)
     return detmath.exp(sc)
+
+
+def _rectangle_ex(q, k, cfg):
+    """_masked_ex of a causal square of queries q and keys k (B, S, d)."""
+    H, hd = cfg.n_heads, cfg.head_dim
+    qh = M._split_heads(q * (np.float32(1.0) / np.sqrt(np.float32(hd))), H)
+    return _masked_ex(qh, np.zeros((H, 0, hd), dtype=np.float32), M._split_heads(k, H))
 
 
 def _square_inputs(head_dim, S, B):
@@ -395,18 +405,17 @@ def _square_inputs(head_dim, S, B):
 @pytest.mark.parametrize("head_dim", [16, 32])
 @pytest.mark.parametrize("S", [1, 40, 80, 130])
 def test_a_causal_square_gives_the_masked_rectangles_bits(head_dim, S):
-    # a causal square (no prefix, base 0, S query rows against S keys: a
-    # training pass, forward_full, a catch-up from an empty cache) runs the
-    # row max and exp on its triangle alone; its numerators, row sums and
-    # output must be the masked rectangle's, here also past KEY_SEG
+    # a causal square (no prefix, S query rows against S keys: a training
+    # pass, forward_full, a catch-up from an empty cache) runs the row max
+    # and exp on its triangle alone; its row sums and output must be the
+    # masked rectangle's, here also past KEY_SEG
     B = 3
     cfg, (q, k, v) = _square_inputs(head_dim, S, B)
     H, empty = cfg.n_heads, np.zeros((0, cfg.d_model), dtype=np.float32)
-    merged, (ex, den) = M._attention(q, empty, empty, k, v, 0, cfg)
-    want_ex = _rectangle_ex(q, k, cfg)
-    attn, want_den = _per_item_av(want_ex, np.zeros((H, 0, head_dim), dtype=np.float32),
+    merged, den = M._attention(q, empty, empty, k, v, cfg)
+    attn, want_den = _per_item_av(_rectangle_ex(q, k, cfg),
+                                  np.zeros((H, 0, head_dim), dtype=np.float32),
                                   M._split_heads(v, H))
-    assert (_bits(ex) == _bits(want_ex)).all()
     assert (_bits(den) == _bits(want_den)).all()
     assert (_bits(merged) == _bits(attn.transpose(0, 2, 1, 3).reshape(B, S, -1))).all()
 
@@ -424,7 +433,7 @@ def test_the_attention_backward_rebuilds_the_forwards_probabilities(monkeypatch,
     bp = M.init_parameters(cfg, 7).blocks[0]
     a2 = a.reshape(B * S, d)
     q, k, v = (M._mm(a2, w).reshape(B, S, d) for w in (bp.wq, bp.wk, bp.wv))
-    _, (_, den) = M._attention(q, empty, empty, k, v, 0, cfg)
+    _, den = M._attention(q, empty, empty, k, v, cfg)
     monkeypatch.setattr(M, "_CHUNK_BYTES", 1 << 24)  # both items in one chunk
     pads = T._attention_pads(B, S, cfg, np.dtype(np.float32))
     T._attention_backward(dmerged, den, a2, bp, pads, cfg)

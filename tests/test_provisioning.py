@@ -1,7 +1,6 @@
 import hashlib
-import json
 import logging
-from pathlib import Path
+import struct
 
 import pytest
 
@@ -87,20 +86,31 @@ def test_registry_digest_stable(registry):
 
 
 def test_registry_file_roundtrip(tmp_path, registry):
-    P.save_registry(tmp_path / "reg", registry)
-    loaded = P.load_registry(tmp_path / "reg")
+    P.save_registry(tmp_path / "reg.cmrg", registry)
+    loaded = P.load_registry(tmp_path / "reg.cmrg")
     assert loaded.digest() == registry.digest()
     assert loaded.shards == registry.shards
 
 
+def _registry_file(tmp_path, registry):
+    """(path, bytes, header length, payload offset of each shard) of a saved registry."""
+    path = tmp_path / "reg.cmrg"
+    P.save_registry(path, registry)
+    blob = path.read_bytes()
+    header_len = 4 + 1 + 36 * P.N_SHARDS
+    lengths = [struct.unpack_from("<I", blob, 5 + 36 * sid)[0] for sid in range(P.N_SHARDS)]
+    return path, blob, header_len, [header_len + sum(lengths[:sid]) for sid in range(P.N_SHARDS)]
+
+
 def test_shard_digest_is_sha256_of_its_file_bytes(tmp_path, registry):
-    P.save_registry(tmp_path / "reg", registry)
-    entries = json.loads((tmp_path / "reg" / "manifest.json").read_text())["shards"]
+    _, blob, _, offsets = _registry_file(tmp_path, registry)
+    assert blob[:5] == b"CMRG\x01"
     for sid in (0, 127):
-        blob = (tmp_path / "reg" / f"shard_{sid:03d}.bin").read_bytes()
-        assert blob == P.shard_bytes(registry.shards[sid])
-        assert P.parse_shard(blob) == registry.shards[sid]
-        assert entries[sid]["digest"] == hashlib.sha256(blob).hexdigest()
+        n, digest = struct.unpack_from("<I32s", blob, 5 + 36 * sid)
+        shard = blob[offsets[sid]:offsets[sid] + n]
+        assert shard == P.shard_bytes(registry.shards[sid])
+        assert P.parse_shard(shard) == registry.shards[sid]
+        assert digest == hashlib.sha256(shard).digest()
 
 
 @pytest.mark.parametrize("shards", [[[(b"p", b"c")]] * 127, [[(b"p", b"c")]] * 127 + [[]]],
@@ -111,99 +121,34 @@ def test_registry_needs_128_non_empty_shards(shards):
 
 
 def test_registry_shard_cut_inside_a_length_field(tmp_path, registry):
-    P.save_registry(tmp_path / "reg", registry)
-    shard = tmp_path / "reg" / "shard_000.bin"
-    blob = shard.read_bytes()
+    # shard 0 keeps 1 to 3 bytes, its header entry the length and digest of
+    # what is left, and shard 1 follows: it fails its parse, not its digest
+    path, blob, header_len, offsets = _registry_file(tmp_path, registry)
     for cut in range(1, 4):
-        shard.write_bytes(blob[:cut])
-        with pytest.raises(P.ProvisioningError):
-            P.load_registry(tmp_path / "reg")
-
-
-@pytest.mark.parametrize("damage", ["cut at 50 bytes", "{}", '{"shards": 5}',
-                                    '{"shards": [{}], "registry_digest": ""}', "[]"])
-def test_registry_damaged_manifest_fails_typed(tmp_path, registry, damage):
-    P.save_registry(tmp_path / "reg", registry)
-    manifest = tmp_path / "reg" / "manifest.json"
-    text = manifest.read_text()
-    manifest.write_text(text[:50] if damage == "cut at 50 bytes" else damage)
-    with pytest.raises(P.ProvisioningError, match="manifest"):
-        P.load_registry(tmp_path / "reg")
-
-
-def test_registry_manifest_names_no_file_outside_the_registry(tmp_path, registry):
-    P.save_registry(tmp_path / "reg", registry)
-    outside = tmp_path / "elsewhere.bin"
-    outside.write_bytes((tmp_path / "reg" / "shard_000.bin").read_bytes())
-    manifest = tmp_path / "reg" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    doc["shards"][0]["file"] = str(outside)
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(P.ProvisioningError, match="manifest"):
-        P.load_registry(tmp_path / "reg")
-
-
-@pytest.mark.parametrize("damage", ["20000 extra copies of entry 0", "entries 0 and 1 swapped",
-                                    "entry 127 missing"])
-def test_registry_manifest_lists_shards_0_to_127_before_any_shard_read(
-        tmp_path, registry, monkeypatch, damage):
-    P.save_registry(tmp_path / "reg", registry)
-    manifest = tmp_path / "reg" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    shards = doc["shards"]
-    if damage.startswith("20000"):
-        shards += [shards[0]] * 20000
-    elif damage.endswith("swapped"):
-        shards[0], shards[1] = shards[1], shards[0]
-    else:
-        del shards[127]
-    manifest.write_text(json.dumps(doc))
-    reads = []
-    read_bytes = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
-    with pytest.raises(P.ProvisioningError, match="manifest"):
-        P.load_registry(tmp_path / "reg")
-    assert reads == []
-
-
-def test_registry_missing_shard_file_fails_typed(tmp_path, registry):
-    P.save_registry(tmp_path / "reg", registry)
-    (tmp_path / "reg" / "shard_005.bin").unlink()
-    with pytest.raises(P.ProvisioningError, match="shard 5"):
-        P.load_registry(tmp_path / "reg")
-
-
-@pytest.mark.parametrize("name, damage", [("manifest.json", "missing"),
-                                          ("manifest.json", "a directory"),
-                                          ("shard_005.bin", "a directory")])
-def test_registry_unreadable_file_fails_typed_naming_it(tmp_path, registry, name, damage):
-    P.save_registry(tmp_path / "reg", registry)
-    path = tmp_path / "reg" / name
-    path.unlink()
-    if damage == "a directory":
-        path.mkdir()
-    with pytest.raises(P.ProvisioningError, match=name):
-        P.load_registry(tmp_path / "reg")
+        shard = blob[offsets[0]:offsets[0] + cut]
+        entry = struct.pack("<I32s", cut, hashlib.sha256(shard).digest())
+        path.write_bytes(blob[:5] + entry + blob[5 + 36:header_len] + shard + blob[offsets[1]:])
+        with pytest.raises(P.ProvisioningError, match="shard 0 is empty or cut short"):
+            P.load_registry(path)
 
 
 def test_registry_shard_text_flip_fails_its_digest(tmp_path, registry):
-    P.save_registry(tmp_path / "reg", registry)
-    shard = tmp_path / "reg" / "shard_009.bin"
-    blob = bytearray(shard.read_bytes())
-    blob[4] ^= 0x01  # the first byte of the first prompt, after its length
-    shard.write_bytes(bytes(blob))
+    path, blob, _, offsets = _registry_file(tmp_path, registry)
+    blob = bytearray(blob)
+    blob[offsets[9] + 4] ^= 0x01  # the first byte of shard 9's first prompt, after its length
+    path.write_bytes(bytes(blob))
     with pytest.raises(P.ProvisioningError, match="shard 9 digest mismatch on load"):
-        P.load_registry(tmp_path / "reg")
+        P.load_registry(path)
 
 
 def test_registry_manifest_digest_altered_fails_typed(tmp_path, registry):
-    P.save_registry(tmp_path / "reg", registry)
-    manifest = tmp_path / "reg" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    doc["registry_digest"] = "00" * 32
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(P.ProvisioningError, match="registry digest mismatch on load"):
-        P.load_registry(tmp_path / "reg")
+    # the header is the registry's manifest: an altered digest there fails
+    # its shard as altered bytes do
+    path, blob, _, _ = _registry_file(tmp_path, registry)
+    at = 5 + 36 * 5 + 4  # shard 5's digest, after its length
+    path.write_bytes(blob[:at] + bytes(32) + blob[at + 32:])
+    with pytest.raises(P.ProvisioningError, match="shard 5 digest mismatch on load"):
+        P.load_registry(path)
 
 
 def test_provision_twinness(registry):

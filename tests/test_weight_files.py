@@ -1,7 +1,9 @@
-"""Parameter files and adapter files share one format and one reader: a
-magic, a version byte, a fixed header, then little-endian float32 arrays in
-layout order. A damaged file of either kind fails with its own module's
-error: ModelError for parameters, TrainerError for adapters."""
+"""Parameter, adapter and shard-registry files share one format and one
+reader: a magic, a version byte, a fixed header, then the payload, which is
+little-endian float32 arrays in layout order for weights and the shards'
+bytes in id order for a registry. A damaged file of any kind fails with its
+own module's error: ModelError for parameters, TrainerError for adapters,
+ProvisioningError for a registry."""
 
 import dataclasses
 import os
@@ -12,6 +14,7 @@ import tracemalloc
 import pytest
 
 from ciphermind import model as M
+from ciphermind import provisioning as P
 from ciphermind import trainer as T
 from ciphermind.scheduler import Stream
 
@@ -37,6 +40,11 @@ KINDS = {
         lambda path: T.save_adapters(path, _adapters()),
         lambda path: T.load_adapters(path, CFG), T.TrainerError, 4 + 1 + 32 + 28,
         bytes(range(1, 33)) + dataclasses.replace(TC, adapter_rank=2**32 - 1).pack()),
+    # a damaged payload byte fails its shard's digest, as a NaN weight does
+    "registry": (
+        lambda path: P.save_registry(path, P.generate_registry(seed=3, examples_per_shard=1)),
+        P.load_registry, P.ProvisioningError, 4 + 1 + P.N_SHARDS * 36,
+        struct.pack("<I32x", 2**32 - 1) * P.N_SHARDS),
 }
 
 # damage -> the damaged files made from a good file and its header length
@@ -78,8 +86,9 @@ def test_unreadable_weight_file_fails_typed_naming_it(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_header_claiming_a_huge_layout_fails_fast(tmp_path, kind):
-    # 2**32 - 1 blocks of parameters, or adapters of rank 2**32 - 1: the
-    # payload size is checked in closed form, before any per-array work
+    # 2**32 - 1 blocks of parameters, adapters of rank 2**32 - 1 or shards of
+    # 2**32 - 1 bytes each: the payload size is checked in closed form,
+    # before any per-array or per-shard work
     write, load, error, header_len, huge_header = KINDS[kind]
     path = tmp_path / "weights.bin"
     write(path)
@@ -109,3 +118,18 @@ def test_a_64_mib_file_fails_typed_without_being_buffered(tmp_path, kind, head):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_parameter_header_naming_a_huge_max_seq_fails_fast(tmp_path):
+    # max_seq sizes the position table and every KV cache: at 2**32 - 1 the
+    # first forward pass would ask numpy for a 32 GiB table at d 128, so the
+    # config the header names is refused before any payload work
+    path = tmp_path / "weights.bin"
+    M.save_parameters(path, M.init_parameters(CFG, seed=5))
+    blob = path.read_bytes()
+    max_seq_at = 4 + 1 + 20  # magic, version, five u32 config fields
+    path.write_bytes(blob[:max_seq_at] + struct.pack("<I", 2**32 - 1) + blob[max_seq_at + 4:])
+    start = time.perf_counter()
+    with pytest.raises(M.ModelError, match="max_seq"):
+        M.load_parameters(path)
+    assert time.perf_counter() - start < 1.0
