@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import re
 import struct
 
 import pytest
@@ -130,6 +131,21 @@ def test_registry_shard_cut_inside_a_length_field(tmp_path, registry):
         path.write_bytes(blob[:5] + entry + blob[5 + 36:header_len] + shard + blob[offsets[1]:])
         with pytest.raises(P.ProvisioningError, match="shard 0 is empty or cut short"):
             P.load_registry(path)
+
+
+@pytest.mark.parametrize("name, damage", [("manifest.json", "missing"),
+                                          ("manifest.json", "a directory")])
+def test_registry_unreadable_file_fails_typed_naming_it(tmp_path, registry, name, damage):
+    # the registry is known by its header, not its file name: saved as
+    # manifest.json it loads, and missing or a directory it fails naming it
+    path = tmp_path / name
+    P.save_registry(path, registry)
+    assert P.load_registry(path).digest() == registry.digest()
+    path.unlink()
+    if damage == "a directory":
+        path.mkdir()
+    with pytest.raises(P.ProvisioningError, match=re.escape(name)):
+        P.load_registry(path)
 
 
 def test_registry_shard_text_flip_fails_its_digest(tmp_path, registry):
