@@ -4,24 +4,24 @@ Everything downstream (twin provisioning and the hidden-state codec)
 depends on this module's bit-reproducibility, which rests on three pinned
 implementation rules:
 
-1. Every GEMM runs with a row count of at least ``M_MIN`` (smaller inputs
-   are zero-padded). The BLAS picks different microkernels for very small
-   row counts, and those kernels reduce in a different order; at >= M_MIN
-   rows an output row's bits depend only on that row's content and the
-   other operand. Column counts are fixed by the architecture except in
-   attention, where they follow the sequence: a score GEMM zero-pads its
-   keys to a multiple of M_MIN and to at least 2 * M_MIN columns, and V is
+1. Every projection GEMM (Q, K, V, O, w1 and w2: ``_mm``) runs its rows in
+   zero-padded tiles of exactly ``M_MIN`` rows, one GEMM a tile, so a row
+   meets the same kernel, and has the same bits, whatever its batch. The
+   BLAS picks its kernel by the whole shape: OpenBLAS 0.3.31 switches where
+   M * N * K passes 10^6, and a whole w2 GEMM at K 512, N 32 gives a row
+   other bits from 62 rows on. The head, which no codec path runs, alone
+   runs one whole GEMM at M_MIN rows or more (``_head``). Column counts are
+   fixed by the architecture except in attention, where they follow the
+   sequence: a score GEMM runs at max(S, M_MIN) rows, zero-pads its keys to
+   a multiple of M_MIN and to at least 2 * M_MIN columns, and V is
    zero-padded to a multiple of M_MIN columns. Measured on OpenBLAS 0.3.31:
    at M_MIN rows by M_MIN columns a score GEMM that reduces over 32 or more
    terms takes a kernel with other bits, an AV GEMM whose N is not a
    multiple of 16 loses row-independent bits, and an N of 1 turns a GEMM
    into a GEMV. Within these limits a score's bits depend neither on N nor
-   on its column. One exception to the row floor: the AV GEMMs (K = KEY_SEG,
-   N = den_col + M_MIN) run at max(S, 2) rows for an item of S query rows
-   (rule 2), since at that shape every row count from 2 to M_MIN gives the
-   M_MIN-row bits. One row does not (a 1-row GEMM is a GEMV), nor do other
-   projections at few rows (w2 below 16 rows, the head below 31), so ``_mm``
-   keeps the floor.
+   on its column. The AV GEMMs (K = KEY_SEG, N = den_col + M_MIN) run at
+   max(S, 2) rows for an item of S query rows (rule 2): at that shape every
+   row count from 2 to M_MIN gives the M_MIN-row bits; one row makes a GEMV.
 
 2. Attention runs both of its GEMMs once per item and head. An item of S
    query rows and Sk own keys runs against one key axis that holds the P
@@ -86,15 +86,14 @@ implementation rules:
    inputs with the same two operations, so they have the same bits. What is
    not kept runs in chunks of ``_CHUNK_BYTES``, so that a step peaks close
    to what it keeps: the MLP in row chunks (``_training_mlp``), each running
-   w1, GELU, the derivative and w2 at M_MIN rows or more, so that no whole
-   u, GELU output or tanh is built, and the trainer's attention backward in
-   item chunks. Every GEMM keeps its rule-1 rows and every reduction stays
-   within its row, so the chunks move no bit. One adapter step at
-   ModelConfig() on the fine-tune's (16, 80) batch keeps 30.2 MiB for its
-   backward and peaks at 38.9 MiB under tracemalloc, in the top block's
-   MLP. Keeping the numerators as well, it kept 36.6 MiB and peaked at
-   45.2 MiB; with whole-batch temporaries it peaked at 55.3 MiB.
-   ``forward_full``,
+   w1, GELU, the derivative and w2, so that no whole u, GELU output or tanh
+   is built, and the trainer's attention backward in item chunks. Every
+   GEMM keeps its rule-1 shapes and every reduction stays within its row,
+   so the chunks move no bit. One adapter step at ModelConfig() on the
+   fine-tune's (16, 80) batch keeps 30.2 MiB for its backward and peaks at
+   38.9 MiB under tracemalloc, in the top block's MLP. Keeping the
+   numerators as well, it kept 36.6 MiB and peaked at 45.2 MiB; with
+   whole-batch temporaries it peaked at 55.3 MiB. ``forward_full``,
    ``extend_cache``, ``hypothesis_taps`` and ``draft_taps`` never call one
    another, so a wrapper around one sees only its own calls. The exact
    paths run on the calling thread alone: their per-item GEMM loops hold
@@ -462,14 +461,13 @@ def positional_table(config: ModelConfig, dtype=np.float32) -> np.ndarray:
 
 
 def _mm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """2-D GEMM with the M_MIN row floor: the projections and the head."""
-    a = np.ascontiguousarray(a)
-    m = a.shape[0]
-    if m >= M_MIN:
-        return a @ w
-    buf = np.zeros((M_MIN, a.shape[1]), dtype=a.dtype)
-    buf[:m] = a
-    return (buf @ w)[:m]
+    """A projection's GEMM, in zero-padded tiles of M_MIN rows (rule 1)."""
+    m, k = a.shape
+    if m % M_MIN:
+        a, rows = np.zeros((_round_up(m, M_MIN), k), dtype=a.dtype), a
+        a[:m] = rows
+    tiles = np.ascontiguousarray(a).reshape(-1, M_MIN, k)
+    return np.matmul(tiles, w).reshape(-1, w.shape[1])[:m]
 
 
 def _round_up(n: int, step: int) -> int:
@@ -817,10 +815,10 @@ def _embed(params: ParameterSet, cfg: ModelConfig, tokens: np.ndarray,
 def _training_mlp(f, bp: BlockParams, keep_g: bool):
     """The MLP of a training pass on the second layer norm's output f (n, d),
     in row chunks of _CHUNK_BYTES (rule 3): each chunk runs its w1 GEMM,
-    GELU, GELU derivative and w2 GEMM, each GEMM at M_MIN rows or more, so
-    a row has the bits of an unchunked pass wherever rule 1 holds. Returns (the MLP's output
-    (n, d), the GELU derivative at u (n, d_ff), the GELU output (n, d_ff) if
-    keep_g else None)."""
+    GELU, GELU derivative and w2 GEMM, each GEMM in rule 1's tiles, so a row
+    has the bits of an unchunked pass. Returns (the MLP's output (n, d), the
+    GELU derivative at u (n, d_ff), the GELU output (n, d_ff) if keep_g else
+    None)."""
     n, dff = f.shape[0], bp.w1.shape[1]
     _, chunks = _chunks(n, 2 * dff * f.dtype.itemsize)  # u and g
     out = np.empty((n, bp.w2.shape[1]), dtype=f.dtype)
@@ -888,7 +886,8 @@ def _head(params: ParameterSet, cfg: ModelConfig, x):
     """Final layer norm and the tied output head. Returns (logits (B, S, V),
     the layer norm's (out, normalized, inverse std))."""
     ln = _layer_norm(x, params.gf, params.bf, cfg.ln_epsilon)
-    logits = _mm(ln[0].reshape(-1, cfg.d_model), params.head_w)
+    h = ln[0].reshape(-1, cfg.d_model)
+    logits = h @ params.head_w if len(h) >= M_MIN else _mm(h, params.head_w)
     return logits.reshape(x.shape[0], x.shape[1], cfg.vocab_size), ln
 
 
@@ -955,7 +954,9 @@ def extend_cache(params: ParameterSet, config: ModelConfig, cache: KVCache,
                  tokens):
     """Teacher-forced multi-token cache extension: append_tokens, then a
     catch_up through every block. Returns (hidden (L, S, d), logits (S, V))
-    for the tokens, bitwise equal to the matching forward_full columns."""
+    for the tokens. hidden is bitwise equal to the matching forward_full
+    columns, the logits only where both heads meet one kernel (_head): at
+    d 32, while forward_full runs over at most 120 positions."""
     tokens = _sequence(tokens)
     append_tokens(params, config, cache, tokens)
     hidden = np.stack([x[-tokens.size:] for x in catch_up(params, config, cache,
@@ -1029,7 +1030,11 @@ def draft_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
     if n == 1:
         return run(x)
     bounds = [B * i // n for i in range(n + 1)]
-    with ThreadPoolExecutor(n - 1) as pool:
-        rest = [pool.submit(run, x[lo:hi]) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        first = run(x[:bounds[1]])
-        return np.concatenate([first] + [f.result() for f in rest])
+    # a pool a slice: a shared pool hands a second slice to an idle worker
+    pools = [ThreadPoolExecutor(1) for _ in range(n - 1)]
+    try:
+        rest = [p.submit(run, x[lo:hi]) for p, lo, hi in zip(pools, bounds[1:-1], bounds[2:])]
+        return np.concatenate([run(x[:bounds[1]])] + [f.result() for f in rest])
+    finally:
+        for p in pools:
+            p.shutdown()

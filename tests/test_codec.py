@@ -727,13 +727,13 @@ def test_a_decode_on_another_blas_kernel_gives_the_plaintext_or_fails_typed(para
     assert out.get("plaintext", plaintext.hex()) == plaintext.hex(), out
 
 
-@pytest.mark.xfail(strict=True, raises=C.DecodeFailure,
-                   reason="ROADMAP item 21: at d_ff 512 the tapped block's w2 GEMM, one row "
-                   "an item, gives a verify batch of 62 or more items other bits than 32-61")
-def test_a_legal_two_block_config_decodes_a_64_byte_message():
-    # ModelConfig, check_config and Session accept this config, yet this
-    # message fails at frame 57, whose verify holds 87 items
-    cfg = M.ModelConfig(n_blocks=2, d_model=32, n_heads=2, d_ff=512)
+@pytest.mark.parametrize("n_blocks", [2, 3])
+def test_a_legal_two_block_config_decodes_a_64_byte_message(n_blocks):
+    # at d_ff 512 the tapped block's w2 GEMM runs one row a verify item, and
+    # a whole GEMM of 62 or more rows takes another kernel than 32-61 rows:
+    # at 2 blocks this message's frame 57, whose verify holds 87 items,
+    # decodes only with model rule 1's M_MIN-row tiles
+    cfg = M.ModelConfig(n_blocks=n_blocks, d_model=32, n_heads=2, d_ff=512)
     params = M.init_parameters(cfg, 77)
     rng = np.random.default_rng(5)
     plaintext, key = rng.bytes(64), rng.bytes(16)

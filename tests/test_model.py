@@ -459,6 +459,18 @@ def test_av_gemm_bits_at_2_to_m_min_rows_equal_m_min_rows(head_dim):
         assert (_bits(got[0, 1]) == _bits(want[:rows])).all(), rows
 
 
+@pytest.mark.parametrize("k, n", [(512, 32), (32, 512), (128, 128)])
+def test_a_projection_row_has_its_own_bits_in_any_batch(k, n):
+    # rule 1: a whole w2 GEMM at d_ff 512 (K 512, N 32) takes another kernel
+    # from 62 rows on; in M_MIN-row tiles no batch size moves a bit
+    rng = np.random.default_rng(k * n)
+    w = rng.standard_normal((k, n)).astype(np.float32)
+    for m in (1, 31, 32, 33, 61, 62, 64, 100, 257, 300):
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        alone = np.concatenate([M._mm(a[i:i + 1], w) for i in range(m)])
+        assert (_bits(M._mm(a, w)) == _bits(alone)).all(), m
+
+
 def test_one_row_av_input_is_padded_to_two_rows(monkeypatch):
     # layer 1 runs only the tapped block, whose one query row would make
     # each AV GEMM a GEMV; of one item or three, each runs its own at two rows
