@@ -8,9 +8,10 @@ are a pure function of the input bits.
 
 What is pinned is what reaches a twin, a tap or a frame: exp (the attention
 softmax and the cross-entropy's softmax, whose output is the gradient the
-fine-tune applies), tanh, and through it gelu and gelu_grad (the MLP
-forward and backward). A value nothing else is computed from is not pinned:
-the reported training loss takes numpy's float64 log.
+fine-tune applies), tanh, and through it gelu and, from gelu(x, grad=True),
+its derivative (the MLP forward and backward). A value nothing else is
+computed from is not pinned: the reported training loss takes numpy's
+float64 log.
 
 float64 arrays take the numpy fallback path: the double-precision route
 exists only for finite-difference gradient probes, where accuracy matters
@@ -37,7 +38,7 @@ _EXP_HORNER = tuple(F32(1.0) / F32(n) for n in (720.0, 120.0, 24.0, 6.0)) + (
     F32(0.5), F32(1.0))
 
 # exp runs its ~20 passes block by block, on scratch arrays of one block;
-# float32 gelu and gelu_grad run in the same blocks. Blocks of 32768 were
+# float32 gelu and its derivative run in the same blocks. Blocks of 32768 were
 # the fastest of 8192..65536 when decode ran exp on 257-item batches. Now
 # the fine-tune makes the calls that span many blocks. On a 2-core Xeon, in
 # 10 alternating runs of the benchmark's two-party set-up (two provisions
@@ -130,23 +131,23 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return (mag.view(np.uint32) ^ flip).view(np.float32)
 
 
-def gelu(x: np.ndarray, *, return_tanh: bool = False):
+def gelu(x: np.ndarray, *, grad: bool = False):
     """tanh-form GELU, 0.5*x*(1 + tanh(0.7978845608*(x + 0.044715*x^3))).
 
-    With return_tanh, returns (gelu(x), t) with t the tanh of the inner
-    polynomial, which gelu_grad takes in place of a second tanh. float32
-    runs in _EXP_BLOCK-element blocks, so that every temporary of a block
-    stays in cache from the cube through tanh to the product; float64 runs
-    as one block, so that its t has the bits of numpy's tanh over the whole
-    array, which may round a block's tail otherwise.
+    With grad, returns (gelu(x), its derivative at x), the derivative formed
+    from the same tanh. float32 runs in _EXP_BLOCK-element blocks, so that
+    every temporary of a block stays in cache from the cube through tanh to
+    the products; float64 runs as one block, so that its tanh has the bits
+    of numpy's tanh over the whole array, which may round a block's tail
+    otherwise.
     """
     x = _check_dtype(x)
     out = np.empty(x.shape, dtype=x.dtype)
-    t = np.empty(x.shape, dtype=x.dtype) if return_tanh else None
+    dout = np.empty(x.shape, dtype=x.dtype) if grad else None
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     block = _EXP_BLOCK if x.dtype == np.float32 else max(flat_x.size, 1)
     c0, c1 = x.dtype.type(_GELU_C0), x.dtype.type(_GELU_C1)
-    half, one = x.dtype.type(0.5), x.dtype.type(1.0)
+    half, one, three = x.dtype.type(0.5), x.dtype.type(1.0), x.dtype.type(3.0)
     for lo in range(0, flat_x.size, block):
         xb = flat_x[lo:lo + block]
         p = xb * xb  # c0 * (x + c1 * x^3), built in place
@@ -155,29 +156,9 @@ def gelu(x: np.ndarray, *, return_tanh: bool = False):
         p += xb
         p *= c0
         tb = tanh(p)
-        np.multiply(half * xb, one + tb, out=flat_out[lo:lo + block])
-        if return_tanh:
-            t.reshape(-1)[lo:lo + block] = tb
-    return (out, t) if return_tanh else out
-
-
-def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d/dx of gelu(x), from t, the tanh gelu(x, return_tanh=True) returned
-    for this x; no tanh runs here. The product runs in _EXP_BLOCK-element
-    blocks, as gelu's does.
-    """
-    x = _check_dtype(x)
-    if t.shape != x.shape or t.dtype != x.dtype:
-        raise ValueError("t must match x in shape and dtype")
-    c0 = x.dtype.type(_GELU_C0)
-    c1 = x.dtype.type(_GELU_C1)
-    half = x.dtype.type(0.5)
-    one = x.dtype.type(1.0)
-    three = x.dtype.type(3.0)
-    out = np.empty(x.shape, dtype=x.dtype)
-    flat_x, flat_t, flat_out = x.reshape(-1), t.reshape(-1), out.reshape(-1)
-    for lo in range(0, flat_x.size, _EXP_BLOCK):
-        xb, tb = flat_x[lo:lo + _EXP_BLOCK], flat_t[lo:lo + _EXP_BLOCK]
-        dinner = c0 * (one + three * c1 * (xb * xb))
-        flat_out[lo:lo + _EXP_BLOCK] = half * (one + tb) + half * xb * (one - tb * tb) * dinner
-    return out
+        half_x, one_t = half * xb, one + tb
+        np.multiply(half_x, one_t, out=flat_out[lo:lo + block])
+        if grad:
+            dinner = c0 * (one + three * c1 * (xb * xb))
+            dout.reshape(-1)[lo:lo + block] = half * one_t + half_x * (one - tb * tb) * dinner
+    return (out, dout) if grad else out

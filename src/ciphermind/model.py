@@ -40,15 +40,16 @@ implementation rules:
    ``exp`` runs only on live entries (real query rows, keys below the
    sequence end); masked, padded-row and padded-column entries enter the
    fixed-shape GEMMs as exact zeros, which is what ``exp`` of a masked
-   score yields anyway, so only the work shrinks, never the shapes. A
-   causal square (as many query rows as keys: a training pass,
-   ``forward_full``, a catch-up from an empty cache) takes the row max
-   and runs ``exp`` on its causal triangle (key <= query) alone and writes
-   the result into its zeroed scores. Every other call, hypothesis batches
-   among them, sets its masked scores to MASK_FILL and runs ``exp`` on the
-   whole live rectangle. A max is exact and the fill never wins it, so both
-   give the same bits. An item's query rows are the last S of its P + Sk
-   positions, so the shapes alone place the causal mask.
+   score yields anyway, so only the work shrinks, never the shapes. One
+   routine, ``_numerators``, forms them on every exact path. A causal
+   square (as many query rows as keys: a training pass, ``forward_full``, a
+   catch-up from an empty cache) takes the row max and runs ``exp`` on its
+   causal triangle (key <= query) alone and writes the result into its
+   zeroed scores. Every other call, hypothesis batches among them, sets its
+   masked scores to MASK_FILL and runs ``exp`` on the whole live rectangle.
+   A max is exact and the fill never wins it, so both give the same bits.
+   An item's query rows are the last S of its P + Sk positions, so the
+   shapes alone place the causal mask.
 
 3. Every exact path is a short loop over one per-block function, ``_block``,
    between ``_embed`` and ``_head``: ``_forward``, the teacher-forced pass
@@ -71,27 +72,28 @@ implementation rules:
    attention, it keeps the softmax row sums alone. The backward pass
    rebuilds Q, K and V from the first layer norm's output with the
    forward's own GEMMs and scaling, so they have the same bits, and from Q
-   and K the causal probabilities: one score GEMM, the triangle's row max
-   and ``exp`` as the forward's causal square runs them (rule 2), and a
-   division by the kept row sums. A score's bits depend neither on N nor on
-   its column (rule 1), so that GEMM, padded to the KEY_SEG multiple of the
-   backward's own shapes, which only :mod:`ciphermind.trainer` knows, gives
-   the forward's scores. Of the MLP, it keeps the GELU derivative at the
-   GELU input u, which ``detmath.gelu_grad`` forms in the forward from the
-   tanh that gelu computed for u, and neither u nor that tanh; it keeps the
-   GELU output g only when w2's gradient is wanted, and the attention
-   output only when wo's is. It lets go of the keys, values and attention
-   output before the MLP, which reads none of them. The layer norms' outputs
-   are not kept: the backward pass recomputes them from the normalized
-   inputs with the same two operations, so they have the same bits. What is
-   not kept runs in chunks of ``_CHUNK_BYTES``, so that a step peaks close
-   to what it keeps: the MLP in row chunks (``_training_mlp``), each running
-   w1, GELU, the derivative and w2, so that no whole u, GELU output or tanh
-   is built, and the trainer's attention backward in item chunks. Every
-   GEMM keeps its rule-1 shapes and every reduction stays within its row,
-   so the chunks move no bit. One adapter step at ModelConfig() on the
+   and K the causal probabilities: one score GEMM, its numerators from
+   ``_numerators`` as the forward's causal square takes them (rule 2), and
+   a division by the kept row sums. A score's bits depend neither on N nor
+   on its column (rule 1), so that GEMM, padded to the KEY_SEG multiple of
+   the backward's own shapes, which only :mod:`ciphermind.trainer` knows,
+   gives the forward's scores. Of the MLP, it keeps the GELU derivative at
+   the GELU input u, which ``detmath.gelu(u, grad=True)`` forms in the
+   forward beside the GELU output, from its tanh, and neither u nor that
+   tanh; it keeps the GELU output g only when w2's gradient is wanted, and
+   the attention output only when wo's is. It lets go of the keys, values
+   and attention output before the MLP, which reads none of them. The layer
+   norms' outputs are not kept: the backward pass recomputes them from the
+   normalized inputs with the same two operations, so they have the same
+   bits. What is not kept runs in chunks of ``_CHUNK_BYTES``, so that a
+   step peaks close to what it keeps: the MLP in row chunks
+   (``_training_mlp``), each running w1, one GELU call for the output and
+   its derivative, and w2, so that no whole u, GELU output or tanh is
+   built, and the trainer's attention backward in item chunks. Every GEMM
+   keeps its rule-1 shapes and every reduction stays within its row, so the
+   chunks move no bit. One adapter step at ModelConfig() on the
    fine-tune's (16, 80) batch keeps 30.2 MiB for its backward and peaks at
-   38.9 MiB under tracemalloc, in the top block's MLP. Keeping the
+   38.7 MiB under tracemalloc, in the top block's MLP. Keeping the
    numerators as well, it kept 36.6 MiB and peaked at 45.2 MiB; with
    whole-batch temporaries it peaked at 55.3 MiB. ``forward_full``,
    ``extend_cache``, ``hypothesis_taps`` and ``draft_taps`` never call one
@@ -614,31 +616,30 @@ def _tril_rows(S: int) -> tuple:
     return tuple((i, slice(i * (i + 1) // 2, (i + 1) * (i + 2) // 2)) for i in range(S))
 
 
-def _per_key(x: np.ndarray) -> np.ndarray:
-    """Each row's value of x (n, S) once for each of its keys 0 .. i, in
-    np.tril_indices(S) order."""
-    return np.repeat(x, np.arange(1, x.shape[1] + 1), axis=1)
-
-
-def _causal_exp(sc, S: int) -> np.ndarray:
-    """exp(score - row max) on the causal triangle (key <= query) of square
-    scores sc (n, >= S, >= S), gathered row by row in np.tril_indices(S)
-    order: (n, S(S+1)/2). These are the bits the masked rectangle gives
-    there (rule 2), since a max is exact and the mask fill never wins it."""
+def _numerators(sc, S: int, T: int) -> np.ndarray:
+    """The softmax numerators exp(score - row max) of the live region
+    sc[:, :S, :T] of scores sc (n, >= S, >= T), query row i at key T - S + i,
+    every masked key an exact zero (rule 2). A causal square (S == T) takes
+    the row max and runs exp on its triangle alone, gathered row by row, and
+    scatters the result into the zeroed region, which it returns; any other
+    shape sets its masked scores to MASK_FILL and runs exp on the whole
+    region. sc's live region is overwritten."""
+    live = sc[:, :S, :T]
+    if S != T:
+        live[:, np.arange(T)[None, :] > np.arange(T - S, T)[:, None]] = sc.dtype.type(MASK_FILL)
+        live -= np.max(live, axis=-1, keepdims=True)
+        return detmath.exp(live)
     rows = _tril_rows(S)
     tri = np.empty((sc.shape[0], S * (S + 1) // 2), dtype=sc.dtype)
     for i, keys in rows:
-        tri[:, keys] = sc[:, i, :i + 1]
-    tri -= _per_key(np.maximum.reduceat(tri, [keys.start for _, keys in rows], axis=1))
-    return detmath.exp(tri)
-
-
-def _put_tril(out, tri, S: int) -> None:
-    """Writes tri (n, S(S+1)/2), in np.tril_indices(S) order, into the
-    causal triangle of out (n, >= S, >= S); out's other entries keep their
-    values."""
-    for i, keys in _tril_rows(S):
-        out[:, i, :i + 1] = tri[:, keys]
+        tri[:, keys] = live[:, i, :i + 1]
+    row_max = np.maximum.reduceat(tri, [keys.start for _, keys in rows], axis=1)
+    tri -= np.repeat(row_max, np.arange(1, S + 1), axis=1)
+    tri = detmath.exp(tri)
+    live.fill(0.0)
+    for i, keys in rows:
+        live[:, i, :i + 1] = tri[:, keys]
+    return live
 
 
 def _attention(q, k_pref, v_pref, k_new, v_new, cfg):
@@ -664,22 +665,10 @@ def _attention(q, k_pref, v_pref, k_new, v_new, cfg):
     live = np.empty((B, H, S, T), dtype=dtype)
     _scores(qh, k_pref.reshape(P, H, hd).transpose(1, 0, 2), kh, live)
 
-    # Mask, row max and exp over the live region only: real query rows and
-    # keys below T. Padded rows and keys from T on enter the AV GEMMs as
-    # exact zeros.
-    live = live.reshape(B * H, S, T)
-    if S == T:
-        # a causal square: the row max and exp on the triangle alone,
-        # scattered into the zeroed scores
-        tri = _causal_exp(live, S)
-        live.fill(0.0)
-        _put_tril(live, tri, S)
-        ex = live.reshape(B, H, S, T)
-    else:
-        blocked = np.arange(T)[None, :] > np.arange(T - S, T)[:, None]
-        live[:, blocked] = dtype.type(MASK_FILL)
-        live -= np.max(live, axis=-1, keepdims=True)
-        ex = detmath.exp(live).reshape(B, H, S, T)
+    # Row max and exp over the live region only: real query rows and keys
+    # below T. Padded rows and keys from T on enter the AV GEMMs as exact
+    # zeros.
+    ex = _numerators(live.reshape(B * H, S, T), S, T).reshape(B, H, S, T)
 
     # AV (rule 2): one GEMM per item, head and KEY_SEG segment, added in
     # ascending segment order, at max(S, 2) rows (rule 1); V's ones-columns
@@ -825,9 +814,7 @@ def _training_mlp(f, bp: BlockParams, keep_g: bool):
     gelu_grad = np.empty((n, dff), dtype=f.dtype)
     g_all = np.empty_like(gelu_grad) if keep_g else None
     for rows in chunks:
-        u = _mm(f[rows], bp.w1)
-        g, t = detmath.gelu(u, return_tanh=True)
-        gelu_grad[rows] = detmath.gelu_grad(u, t)
+        g, gelu_grad[rows] = detmath.gelu(_mm(f[rows], bp.w1), grad=True)
         out[rows] = _mm(g, bp.w2)
         if keep_g:
             g_all[rows] = g

@@ -205,10 +205,10 @@ def _attention_pads(B, S, cfg, dtype):
     shapes. A chunk runs the GEMMs of its items alone, so the chunks move no
     bit. s takes the rebuilt scores, then the scores' gradient.
 
-    Each chunk writes only the live region, of p only the causal triangle,
-    so the padding and p's masked entries stay zero and one set serves
-    every chunk of every block. Allocating them per block instead pages them
-    in afresh each time: measured at about twice the page faults and system
+    Each chunk writes only the live region, p's masked entries as exact
+    zeros, so the padding stays zero and one set serves every chunk of
+    every block. Allocating them per block instead pages them in afresh
+    each time: measured at about twice the page faults and system
     time of a provision at ModelConfig(). A chunk holds as many items as
     keep p and s within _CHUNK_BYTES: at ModelConfig() and the fine-tune's
     80 positions, 3 of a batch's 16, whose pads span 1.5 MiB. On a 2-core
@@ -230,10 +230,10 @@ def _attention_backward(dmerged, den, a2, bp, pads, cfg, keys=True):
     buffers. Q, K and V are rebuilt a chunk at a time from the first layer
     norm's output a2 (B * S, d) and bp's projections as the forward built
     them, so with its bits, and from Q and K the causal probabilities: one
-    score GEMM into s, the triangle's row max and exp (model._causal_exp,
-    as the forward's causal square runs them) and a division by den. dk is
-    None unless keys. The padded rows and keys and the masked entries are
-    exact zeros, so they add nothing.
+    score GEMM into s, its numerators (model._numerators, as the forward's
+    causal square runs them) and a division by den into p. dk is None
+    unless keys. The padded rows and keys and the masked entries are exact
+    zeros, so they add nothing.
     """
     chunks, (p_c, s_c, dA_c, qf_c, kf_c, vf_c) = pads
     B, S, d = dmerged.shape
@@ -259,9 +259,7 @@ def _attention_backward(dmerged, den, a2, bp, pads, cfg, keys=True):
         split(kf, M._mm(a, bp.wk))
         split(vf, M._mm(a, bp.wv))
         np.matmul(qf, kf.transpose(0, 2, 1), out=sc)
-        prob = M._causal_exp(sc, S)
-        prob /= M._per_key(den[items].reshape(n * H, S))
-        M._put_tril(p, prob, S)
+        np.divide(M._numerators(sc, S, S), den[items].reshape(n * H, S, 1), out=p[:, :S, :S])
         split(dA, dmerged[items])
 
         dp = np.matmul(dA, vf.transpose(0, 2, 1), out=sc)

@@ -175,10 +175,9 @@ def unpack_hello(body: bytes):
 
 
 def pack_frame(message_seq: int, frame: codec.TokenFrame) -> bytes:
-    payload = np.ascontiguousarray(frame.payload, dtype="<f4").tobytes()
     flags = 1 if frame.is_final else 0
     return (struct.pack("<Q", message_seq) + struct.pack("<I", frame.seq)
-            + bytes([flags]) + payload)
+            + bytes([flags]) + M.f32_bytes(frame.payload))
 
 
 def unpack_frame(body: bytes, d_model: int):

@@ -742,6 +742,18 @@ def test_a_legal_two_block_config_decodes_a_64_byte_message(n_blocks):
                                         C.CodecParams(delta=0)) == plaintext
 
 
+@pytest.mark.parametrize("frame, error", [
+    (0, "byte hypothesis won the final frame"),
+    (1, "end hypothesis won a non-final frame"),
+], ids=["byte frame flagged final", "end frame not flagged final"])
+def test_a_frame_whose_final_flag_lies_fails_typed(params, frame, error):
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 16, b"a")
+    frames[frame].is_final = not frames[frame].is_final
+    results, failure, _ = _feed(params, CFG, KEY, 16, frames)
+    assert len(results) == frame
+    assert failure == (C.DecodeFailure, error)
+
+
 def test_decoder_rejects_out_of_order_frames(params):
     frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 15, b"ab")
     for frame, seq in zip(frames, (9, 9, 0)):

@@ -40,6 +40,9 @@ GOLDEN = {
         "0be4511263622af39de1838cf8ef7d93c117e4de8d7607c1645373aca605d22d",
     "gelu":
         "c00b0d2e23445740ae30040de14b372110f076b94608a5a5b5b5860096c4d21f",
+    # the derivative gelu(x, grad=True) returns beside it
+    "gelu_grad":
+        "e5bc532dab6323bb712babd25da1fb6e92fc5f8669d3f6b1284692cf168151ed",
     "init_parameters_default_config":
         "ddcbe25d129ca54ff5437df825252b9cd5b00e4fb768085f6f9d263ea439625b",
     "init_adapters_default_config":
@@ -234,6 +237,7 @@ def test_pinned_math_sweep():
     with np.errstate(all="ignore"):
         got = {name: _digest(getattr(detmath, name)(x))
                for name in ("exp", "tanh", "gelu")}
+        got["gelu_grad"] = _digest(detmath.gelu(x, grad=True)[1])
     assert got == {name: GOLDEN[name] for name in got}
 
 
@@ -242,12 +246,16 @@ def _same_bits(a, b) -> bool:
 
 
 def test_gelu_tanh_reuse_keeps_the_bits():
-    # the training pass hands gelu's tanh to gelu_grad and keeps the output
-    # of the same call: t must be the pinned tanh of the inner polynomial,
-    # and the output the bits of gelu without return_tanh
+    # the training pass takes the GELU output and its derivative from one
+    # gelu(x, grad=True) call: the output must have the bits of gelu(x), and
+    # the derivative those of its formula on the pinned tanh of the inner
+    # polynomial, the tanh that output was built from
     with np.errstate(all="ignore"):
         for x in (_float32_sweep(), _float32_sweep().astype(np.float64)):
             c0, c1 = x.dtype.type(detmath._GELU_C0), x.dtype.type(detmath._GELU_C1)
-            g, t = detmath.gelu(x, return_tanh=True)
-            assert _same_bits(t, detmath.tanh(c0 * (x + c1 * (x * x * x))))
+            half, one, three = x.dtype.type(0.5), x.dtype.type(1.0), x.dtype.type(3.0)
+            g, dg = detmath.gelu(x, grad=True)
+            t = detmath.tanh(c0 * (x + c1 * (x * x * x)))
+            dinner = c0 * (one + three * c1 * (x * x))
             assert _same_bits(g, detmath.gelu(x))
+            assert _same_bits(dg, half * (one + t) + half * x * (one - t * t) * dinner)

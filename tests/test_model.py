@@ -679,6 +679,27 @@ def test_cache_overflow():
         M.extend_cache(params, CFG_SMALL, cache, [1])
 
 
+def test_commit_past_max_seq_fails_typed():
+    d = CFG_SMALL.d_model
+    cache = M.KVCache(CFG_SMALL)
+    with pytest.raises(M.ModelError, match="KV cache overflow"):
+        cache.commit(np.zeros((CFG_SMALL.max_seq + 1, d), dtype=np.float32))
+    cache.commit(np.zeros((CFG_SMALL.max_seq, d), dtype=np.float32))
+    with pytest.raises(M.ModelError, match="KV cache overflow"):
+        cache.commit(np.zeros((1, d), dtype=np.float32))
+    assert cache.length == CFG_SMALL.max_seq
+
+
+@pytest.mark.parametrize("layer", [0, CFG_SMALL.n_blocks + 1])
+def test_hypothesis_taps_refuses_a_layer_outside_the_blocks(layer):
+    params = M.init_parameters(CFG_SMALL, seed=11)
+    cache = M.KVCache(CFG_SMALL)
+    M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
+    assert cache.depth == CFG_SMALL.n_blocks
+    with pytest.raises(M.ModelError, match="tap layer out of range"):
+        M.hypothesis_taps(params, CFG_SMALL, cache, [[4]], layer)
+
+
 def test_run_twice_bit_identical():
     rng = np.random.default_rng(12)
     params = M.init_parameters(CFG_SMALL, seed=12)

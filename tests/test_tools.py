@@ -31,3 +31,23 @@ def test_gemm_scaling_reports_one_speedup_a_repeat():
     assert report["cpus"] >= 1
     assert len(report["two_thread_gemm_speedup"]) == 2
     assert all(s > 0 for s in report["two_thread_gemm_speedup"])
+
+
+def test_src_lines_counts_code_apart_from_comments_blanks_and_docstrings(tmp_path):
+    src = tmp_path / "src" / "pkg"
+    src.mkdir(parents=True)
+    (src / "mod.py").write_text('''"""Module
+docstring."""
+
+# a comment
+X = 1  # code with a comment
+
+
+def f():
+    """One line."""
+    return """a string
+    over two lines"""
+''')
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py"), str(tmp_path)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(run.stdout) == {"total": 11, "code": 4}

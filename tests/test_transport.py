@@ -183,6 +183,31 @@ def test_unpack_frame_rejects_flags_other_than_0_or_1(flags):
         W.unpack_frame(body[:12] + bytes([flags]) + body[13:], 32)
 
 
+def test_unpack_frame_rejects_a_body_of_another_length():
+    body = W.pack_frame(0, codec.TokenFrame(seq=0, payload=np.ones(32, dtype=np.float32)))
+    for bad in (body[:-1], body + b"\x00", body[:13], b""):
+        with pytest.raises(W.MalformedMessage, match="bad frame body length"):
+            W.unpack_frame(bad, 32)
+
+
+def test_unpack_error_rejects_an_empty_body():
+    with pytest.raises(W.MalformedMessage, match="empty error body"):
+        W.unpack_error(b"")
+
+
+@pytest.mark.parametrize("msg", [W.WireMessage(0), W.WireMessage(6),
+                                 W.WireMessage(W.TYPE_ERROR, bytes(W.MAX_BODY + 1))],
+                         ids=["type 0", "type 6", "body over the cap"])
+def test_serialize_refuses_what_parse_refuses(msg):
+    with pytest.raises(W.MalformedMessage):
+        W.serialize(msg)
+
+
+def test_serialize_takes_a_body_at_the_cap():
+    msg = W.WireMessage(W.TYPE_ERROR, bytes(W.MAX_BODY))
+    assert W.parse(W.serialize(msg)) == msg
+
+
 def test_parser_never_crashes_on_fuzz():
     rng = np.random.default_rng(4)
     for _ in range(300):
@@ -715,6 +740,11 @@ def _frame_wire(mseq=0, value=1.0, final=True):
     return _wire(W.TYPE_FRAME, W.pack_frame(mseq, codec.TokenFrame(0, payload, final)))
 
 
+def _short_frame_wire():
+    payload = np.ones(CFG.d_model - 1, dtype=np.float32)  # a body 4 bytes short
+    return _wire(W.TYPE_FRAME, W.pack_frame(0, codec.TokenFrame(0, payload, True)))
+
+
 def _flip_crc(data):
     return data[:-1] + bytes([data[-1] ^ 0x01])
 
@@ -762,6 +792,10 @@ _EXITS = {
         ("recv", lambda p: _flip_crc(_frame_wire()), W.BadCrc, _PROTO),
     "recv: non-finite frame":
         ("recv", lambda p: _frame_wire(value=np.inf), W.MalformedMessage, _PROTO),
+    "recv: frame with a short body":
+        ("recv", lambda p: _short_frame_wire(), W.MalformedMessage, _PROTO),
+    "recv: error with an empty body":
+        ("recv", lambda p: _wire(W.TYPE_ERROR), W.MalformedMessage, _PROTO),
     "recv: frame of the next message":
         ("recv", lambda p: _frame_wire(mseq=1), W.ProtocolViolation, _PROTO),
     "recv: fin for a frame":
