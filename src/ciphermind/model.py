@@ -4,17 +4,17 @@ Everything downstream (twin provisioning and the hidden-state codec)
 depends on this module's bit-reproducibility, which rests on three pinned
 implementation rules:
 
-1. Every projection GEMM (Q, K, V, O, w1 and w2: ``_mm``) runs its rows in
-   zero-padded tiles of exactly ``M_MIN`` rows, one GEMM a tile, so a row
-   meets the same kernel, and has the same bits, whatever its batch. The
-   BLAS picks its kernel by the whole shape: OpenBLAS 0.3.31 switches where
-   M * N * K passes 10^6, and a whole w2 GEMM at K 512, N 32 gives a row
-   other bits from 62 rows on. The head, which no codec path runs, alone
-   runs one whole GEMM at M_MIN rows or more (``_head``). Column counts are
-   fixed by the architecture except in attention, where they follow the
-   sequence: a score GEMM runs at max(S, M_MIN) rows, zero-pads its keys to
-   a multiple of M_MIN and to at least 2 * M_MIN columns, and V is
-   zero-padded to a multiple of M_MIN columns. Measured on OpenBLAS 0.3.31:
+1. Every projection GEMM (Q, K, V, O, w1, w2 and the tied head: ``_mm``)
+   runs its rows in zero-padded tiles of exactly ``M_MIN`` rows, one GEMM a
+   tile, so a row meets the same kernel, and has the same bits, whatever its
+   batch. The BLAS picks its kernel by the whole shape: OpenBLAS 0.3.31
+   switches where M * N * K passes 10^6, so a whole w2 GEMM at K 512, N 32
+   gives a row other bits from 62 rows on, and a whole head GEMM at d 32
+   (K 32, N 260) from 121 rows on. Column counts are fixed by the
+   architecture except in attention, where they follow the sequence: a
+   score GEMM runs at max(S, M_MIN) rows, zero-pads its keys to a multiple
+   of M_MIN and to at least 2 * M_MIN columns, and V is zero-padded to a
+   multiple of M_MIN columns. Measured on OpenBLAS 0.3.31:
    at M_MIN rows by M_MIN columns a score GEMM that reduces over 32 or more
    terms takes a kernel with other bits, an AV GEMM whose N is not a
    multiple of 16 loses row-independent bits, and an N of 1 turns a GEMM
@@ -72,32 +72,32 @@ implementation rules:
    attention, it keeps the softmax row sums alone. The backward pass
    rebuilds Q, K and V from the first layer norm's output with the
    forward's own GEMMs and scaling, so they have the same bits, and from Q
-   and K the causal probabilities: one score GEMM, its numerators from
-   ``_numerators`` as the forward's causal square takes them (rule 2), and
-   a division by the kept row sums. A score's bits depend neither on N nor
-   on its column (rule 1), so that GEMM, padded to the KEY_SEG multiple of
-   the backward's own shapes, which only :mod:`ciphermind.trainer` knows,
-   gives the forward's scores. Of the MLP, it keeps the GELU derivative at
-   the GELU input u, which ``detmath.gelu(u, grad=True)`` forms in the
-   forward beside the GELU output, from its tanh, and neither u nor that
-   tanh; it keeps the GELU output g only when w2's gradient is wanted, and
-   the attention output only when wo's is. It lets go of the keys, values
-   and attention output before the MLP, which reads none of them. The layer
-   norms' outputs are not kept: the backward pass recomputes them from the
+   and K the causal probabilities with the forward's own routines:
+   ``_scores`` with no prefix and ``_numerators``, so at the forward's GEMM
+   shapes and with its bits, then a division by the kept row sums. Its
+   weight gradients take ``_exact_mm``, whose bits no BLAS thread count
+   moves. Of the MLP, it keeps the GELU derivative at the GELU input u,
+   which ``detmath.gelu(u, grad=True)`` forms in the forward beside the
+   GELU output, from its tanh, and neither u nor that tanh; it keeps the
+   GELU output g only when w2's gradient is wanted, and the attention
+   output only when wo's is. It lets go of the keys, values and attention
+   output before the MLP, which reads none of them. The layer norms'
+   outputs are not kept: the backward pass recomputes them from the
    normalized inputs with the same two operations, so they have the same
    bits. What is not kept runs in chunks of ``_CHUNK_BYTES``, so that a
    step peaks close to what it keeps: the MLP in row chunks
    (``_training_mlp``), each running w1, one GELU call for the output and
    its derivative, and w2, so that no whole u, GELU output or tanh is
    built, and the trainer's attention backward in item chunks. Every GEMM
-   keeps its rule-1 shapes and every reduction stays within its row, so the
-   chunks move no bit. One adapter step at ModelConfig() on the
-   fine-tune's (16, 80) batch keeps 30.2 MiB for its backward and peaks at
-   38.7 MiB under tracemalloc, in the top block's MLP. Keeping the
-   numerators as well, it kept 36.6 MiB and peaked at 45.2 MiB; with
-   whole-batch temporaries it peaked at 55.3 MiB. ``forward_full``,
-   ``extend_cache``, ``hypothesis_taps`` and ``draft_taps`` never call one
-   another, so a wrapper around one sees only its own calls. The exact
+   keeps its shape in any chunk (rule 1's tiles, or one per item and head)
+   and every reduction stays within its row, so the chunks move no bit.
+   One adapter step at ModelConfig() on the fine-tune's (16, 80) batch
+   keeps 30.2 MiB for its backward and peaks at 38.7 MiB under
+   tracemalloc, in the top block's MLP. Keeping the numerators as well, it
+   kept 36.6 MiB and peaked at 45.2 MiB; with whole-batch temporaries it
+   peaked at 55.3 MiB. ``forward_full``, ``extend_cache``,
+   ``hypothesis_taps`` and ``draft_taps`` never call one another, so a
+   wrapper around one sees only its own calls. The exact
    paths run on the calling thread alone: their per-item GEMM loops hold
    the interpreter lock between many small calls, and splitting a
    hypothesis batch over worker threads ran no faster on 2 CPUs.
@@ -169,13 +169,12 @@ MASK_FILL = -1e30
 # training pass takes the same bound for its batch-sized temporaries (rule
 # 3): its MLP runs in chunks of rows whose u and GELU output span it, 256 of
 # the fine-tune's 1280 rows at ModelConfig(), and the trainer's attention
-# backward in chunks of items whose probabilities and rebuilt scores (then
-# the scores' gradient, in the same buffer) span it, 3 of 16. One block's
-# MLP took 11.5 ms at 256 rows a chunk, 12.3-12.6
-# ms at 64 or 128, 14.2 at 512 and 15.3 unchunked (same machine, one
-# thread). The draft takes no chunks: its largest arrays, the MLP's hidden
-# rows of a slice, span 1 MiB at ModelConfig() for all 257 two-token items
-# on one CPU and half that a slice on two.
+# backward in chunks of items whose probabilities and their gradient span
+# it, 4 or 5 of 16. One block's MLP took 11.5 ms at 256 rows a chunk,
+# 12.3-12.6 ms at 64 or 128, 14.2 at 512 and 15.3 unchunked (same machine,
+# one thread). The draft takes no chunks: its largest arrays, the MLP's
+# hidden rows of a slice, span 1 MiB at ModelConfig() for all 257 two-token
+# items on one CPU and half that a slice on two.
 _CHUNK_BYTES = 1 << 20
 
 PARAM_MAGIC = b"CMWT"
@@ -470,6 +469,24 @@ def _mm(a: np.ndarray, w: np.ndarray) -> np.ndarray:
         a[:m] = rows
     tiles = np.ascontiguousarray(a).reshape(-1, M_MIN, k)
     return np.matmul(tiles, w).reshape(-1, w.shape[1])[:m]
+
+
+def _exact_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b from error-free products (Ozaki, Ogita, Oishi & Rump 2012), its
+    bits a function of a and b alone: not of the BLAS kernel, its thread
+    count or the shapes around them. Each row of a and each column of b is
+    scaled by a power of two and rounded to integers of
+    s = min(24, (53 - ceil(log2 K)) // 2) bits, so every product and partial
+    sum of their float64 GEMM is an integer of at most 53 bits, exact in any
+    order; the sum is scaled back and rounded once to a's dtype. An input thus keeps
+    its bits down to 2^-s of the largest magnitude in its row or column: s
+    is 21 at the fine-tune's K of 1280 rows and 24 at K <= 32."""
+    s = min(24, (53 - (a.shape[1] - 1).bit_length()) // 2)
+    _, ea = np.frexp(np.max(np.abs(a), axis=1, keepdims=True))
+    _, eb = np.frexp(np.max(np.abs(b), axis=0, keepdims=True))
+    ai, bi = (np.ldexp(x, s - e, dtype=np.float64) for x, e in ((a, ea), (b, eb)))
+    product = np.rint(ai, out=ai) @ np.rint(bi, out=bi)
+    return np.ldexp(product, ea + eb - 2 * s).astype(a.dtype)
 
 
 def _round_up(n: int, step: int) -> int:
@@ -873,8 +890,7 @@ def _head(params: ParameterSet, cfg: ModelConfig, x):
     """Final layer norm and the tied output head. Returns (logits (B, S, V),
     the layer norm's (out, normalized, inverse std))."""
     ln = _layer_norm(x, params.gf, params.bf, cfg.ln_epsilon)
-    h = ln[0].reshape(-1, cfg.d_model)
-    logits = h @ params.head_w if len(h) >= M_MIN else _mm(h, params.head_w)
+    logits = _mm(ln[0].reshape(-1, cfg.d_model), params.head_w)
     return logits.reshape(x.shape[0], x.shape[1], cfg.vocab_size), ln
 
 
@@ -941,9 +957,7 @@ def extend_cache(params: ParameterSet, config: ModelConfig, cache: KVCache,
                  tokens):
     """Teacher-forced multi-token cache extension: append_tokens, then a
     catch_up through every block. Returns (hidden (L, S, d), logits (S, V))
-    for the tokens. hidden is bitwise equal to the matching forward_full
-    columns, the logits only where both heads meet one kernel (_head): at
-    d 32, while forward_full runs over at most 120 positions."""
+    for the tokens, bitwise equal to the matching forward_full columns."""
     tokens = _sequence(tokens)
     append_tokens(params, config, cache, tokens)
     hidden = np.stack([x[-tokens.size:] for x in catch_up(params, config, cache,

@@ -3,12 +3,15 @@
 Each of the key's 128 bits selects one shard from a fixed registry; the
 selected shards (ascending id) feed the deterministic fine-tune, so equal
 (base, key, registry, train config) yields byte-equal merged weights on
-both ends when both run the same BLAS kernel with the same thread count.
-The twin is not a function of those inputs alone: the fine-tune's GEMMs
-round by the kernel, and at ModelConfig() the registry-5, key 1..16,
-base-2506 twin has one fingerprint with one OpenBLAS thread and another
-with two. The twin profile carries the digests either side needs to prove
-equality before any frame flows, so such peers fail the handshake typed.
+both ends when both run the same BLAS kernel, at any thread count: the
+fine-tune's weight gradients, the GEMMs whose bits the thread count moved,
+take exact products (model._exact_mm), as do its SGD step's factor
+products and the merge. At ModelConfig() the registry-5, key 1..16,
+base-2506 twin is the same at 1, 2 and 4 OpenBLAS threads. The twin still
+depends on the kernel: the forward engine's GEMMs and the backward's other
+GEMMs round by it (ROADMAP item 12). The twin profile carries the digests
+either side needs to prove equality before any frame flows, so peers on
+other kernels fail the handshake typed.
 The registry is one file in the format of parameter and adapter files
 (save_registry).
 """
@@ -219,10 +222,10 @@ def make_profile(base_fp: bytes, adapter_fp: bytes, registry: ShardRegistry,
 def provision(base: M.ParameterSet, key: SessionKey, registry: ShardRegistry,
               tconfig: T.TrainConfig):
     """select_shards -> finetune -> merge; returns (merged twin, profile,
-    adapters). A function of its inputs and of the BLAS kernel and thread
-    count the fine-tune runs on (see the module docstring). The profile
-    takes the base fingerprint finetune recorded, which merge has checked
-    against base."""
+    adapters). A function of its inputs and of the BLAS kernel the
+    fine-tune runs on, not of its thread count (see the module docstring).
+    The profile takes the base fingerprint finetune recorded, which merge
+    has checked against base."""
     examples = [ex for i in select_shards(key) for ex in registry.shards[i]]
     adapters = T.finetune(base, examples, tconfig)
     merged = T.merge(base, adapters)

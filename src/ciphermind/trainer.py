@@ -3,7 +3,9 @@
 Plain SGD, single-threaded, fixed batch order from the SplitMix64 stream,
 forward/backward entirely in float32 numpy: two runs of the same build on
 the same inputs produce byte-identical weights, which is the property the
-whole twinning scheme stands on.
+whole twinning scheme stands on. The weight gradients, the adapter step's
+factor products and the merge take exact products (model._exact_mm), so
+the BLAS thread count moves no weight bit.
 
 Adapters follow the usual low-rank recipe on the Q and V projections of
 every block: W' = W + A @ B with A drawn from the seeded generator and B
@@ -194,81 +196,50 @@ def _ln_param_grads(dy, xn):
     return np.sum(dy * xn, axis=axes), np.sum(dy, axis=axes)
 
 
-def _attention_pads(B, S, cfg, dtype):
-    """(chunks, pads) for _attention_backward over B items of S positions:
-    the item slice of each chunk (model._chunks), and zeroed buffers
-    (p, s, dA, qf, kf, vf) for one chunk, padded to s_pad = max(S, M_MIN)
-    query rows and t_pad = S rounded up to a KEY_SEG multiple keys: the
-    shapes of the forward's per-segment attention. The pinned gradient bits,
-    and with them every twin's adapters, were taken at these shapes; numpy's
-    batched matmul may pick another kernel, and round otherwise, at other
-    shapes. A chunk runs the GEMMs of its items alone, so the chunks move no
-    bit. s takes the rebuilt scores, then the scores' gradient.
-
-    Each chunk writes only the live region, p's masked entries as exact
-    zeros, so the padding stays zero and one set serves every chunk of
-    every block. Allocating them per block instead pages them in afresh
-    each time: measured at about twice the page faults and system
-    time of a provision at ModelConfig(). A chunk holds as many items as
-    keep p and s within _CHUNK_BYTES: at ModelConfig() and the fine-tune's
-    80 positions, 3 of a batch's 16, whose pads span 1.5 MiB. On a 2-core
-    Xeon with two threads each running it, one block's backward took 8.2 ms
-    at 3 items a chunk, 11.9 ms at one and 9.7 ms unchunked, when it still
-    read kept numerators instead of rebuilding them.
-    """
-    H, hd = cfg.n_heads, cfg.head_dim
-    s_pad, t_pad = max(S, M.M_MIN), M._round_up(S, M.KEY_SEG)
-    g, chunks = M._chunks(B, 2 * dtype.itemsize * H * s_pad * t_pad)
-    return chunks, (*(np.zeros((g * H, s_pad, n), dtype) for n in (t_pad, t_pad)),
-                    *(np.zeros((g * H, n, hd), dtype) for n in (s_pad, s_pad, t_pad, t_pad)))
-
-
-def _attention_backward(dmerged, den, a2, bp, pads, cfg, keys=True):
+def _attention_backward(dmerged, den, a2, bp, cfg, keys=True):
     """(dq, dk, dv) of the attention's projected inputs for dmerged (B, S, d),
     from what the training pass kept (model._block): the softmax row sums
-    den (B, H, S, 1). The items run in the chunks of _attention_pads, on its
-    buffers. Q, K and V are rebuilt a chunk at a time from the first layer
-    norm's output a2 (B * S, d) and bp's projections as the forward built
-    them, so with its bits, and from Q and K the causal probabilities: one
-    score GEMM into s, its numerators (model._numerators, as the forward's
-    causal square runs them) and a division by den into p. dk is None
-    unless keys. The padded rows and keys and the masked entries are exact
-    zeros, so they add nothing.
+    den (B, H, S, 1). The items run in chunks (model._chunks) whose
+    probabilities and their gradient span _CHUNK_BYTES. Each chunk rebuilds
+    Q, K and V from the first layer norm's output a2 (B * S, d) and bp's
+    projections, and from Q and K the causal probabilities, with the
+    forward's own routines (model._mm, model._scores with no prefix and
+    model._numerators), so with the forward's GEMM shapes and bits, then
+    divides by den. Every GEMM keeps its shape in any chunk (model rule 1's
+    tiles, or one per item and head), so the chunks move no bit. dk is None
+    unless keys.
     """
-    chunks, (p_c, s_c, dA_c, qf_c, kf_c, vf_c) = pads
     B, S, d = dmerged.shape
     H, hd = cfg.n_heads, cfg.head_dim
     dtype = dmerged.dtype
     scale = dtype.type(1.0) / np.sqrt(dtype.type(hd))
+    no_prefix = np.zeros((H, 0, hd), dtype=dtype)
     dq, dv = np.empty_like(dmerged), np.empty_like(dmerged)
     dk = np.empty_like(dmerged) if keys else None
 
-    def split(buf, x):  # x, S rows of d an item, into buf's first S rows, per head
-        heads = x.reshape(-1, S, H, hd).transpose(0, 2, 1, 3)
-        buf.reshape(-1, H, buf.shape[1], hd)[:, :, :S] = heads
+    def merge_heads(x, out):  # (n, H, S, hd) into out (n, S, d)
+        out.reshape(-1, S, H, hd)[...] = x.transpose(0, 2, 1, 3)
 
-    def unsplit(x, out):  # the first S rows of x, per head, into out (n, S, d)
-        out.reshape(-1, S, H, hd)[...] = x[:, :S].reshape(-1, H, S, hd).transpose(0, 2, 1, 3)
-
+    _, chunks = M._chunks(B, 2 * dtype.itemsize * H * S * S)  # p and dp
     for items in chunks:
         n = items.stop - items.start
-        p, sc, dA, qf, kf, vf = (buf[:n * H] for buf in (p_c, s_c, dA_c, qf_c, kf_c, vf_c))
         a = a2[items.start * S:items.stop * S]
-        split(qf, M._mm(a, bp.wq))
-        qf[:, :S] *= scale
-        split(kf, M._mm(a, bp.wk))
-        split(vf, M._mm(a, bp.wv))
-        np.matmul(qf, kf.transpose(0, 2, 1), out=sc)
-        np.divide(M._numerators(sc, S, S), den[items].reshape(n * H, S, 1), out=p[:, :S, :S])
-        split(dA, dmerged[items])
+        q, k, v = (M._split_heads(M._mm(a, w).reshape(n, S, d), H)
+                   for w in (bp.wq, bp.wk, bp.wv))
+        q *= scale
+        sc = np.empty((n, H, S, S), dtype=dtype)
+        M._scores(q, no_prefix, k, sc)
+        p = M._numerators(sc.reshape(n * H, S, S), S, S).reshape(n, H, S, S)
+        p /= den[items]
+        dA = M._split_heads(dmerged[items], H)
 
-        dp = np.matmul(dA, vf.transpose(0, 2, 1), out=sc)
-        unsplit(np.matmul(p.transpose(0, 2, 1), dA), dv[items])
+        dp = np.matmul(dA, v.transpose(0, 1, 3, 2))
+        merge_heads(np.matmul(p.transpose(0, 1, 3, 2), dA), dv[items])
         dp -= np.sum(dp * p, axis=-1, keepdims=True)
         dp *= p  # the scores' gradient
-        unsplit(np.matmul(dp, kf) * scale, dq[items])
+        merge_heads(np.matmul(dp, k) * scale, dq[items])
         if keys:
-            unsplit(np.matmul(dp.transpose(0, 2, 1), qf), dk[items])
+            merge_heads(np.matmul(dp.transpose(0, 1, 3, 2), q), dk[items])
     return dq, dk, dv
 
 
@@ -346,7 +317,6 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     dx = _ln_backward(dxf, xnf, invf, params.gf)
 
     gblocks = []
-    pads = _attention_pads(B, T, cfg, dtype)
     for bi in range(cfg.n_blocks - 1, -1, -1):
         st, saved[bi] = saved[bi], None
         bp = params.blocks[bi]
@@ -356,11 +326,11 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
         gb = {}
         dy2 = dx.reshape(-1, d)
         if "w2" in want:
-            gb["w2"] = st["g"].T @ dy2
+            gb["w2"] = M._exact_mm(st["g"].T, dy2)
         du = dy2 @ bp.w2.T
         du *= st.pop("gelu_grad")
         if "w1" in want:
-            gb["w1"] = (st["xn2"] * bp.g2 + bp.b2).reshape(-1, d).T @ du
+            gb["w1"] = M._exact_mm((st["xn2"] * bp.g2 + bp.b2).reshape(-1, d).T, du)
         df = (du @ bp.w1.T).reshape(B, T, d)
         del du
         if "g2" in want or "b2" in want:
@@ -370,16 +340,16 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
 
         dxm2 = dx_mid.reshape(-1, d)
         if "wo" in want:
-            gb["wo"] = st["attn_merged"].reshape(-1, d).T @ dxm2
+            gb["wo"] = M._exact_mm(st["attn_merged"].reshape(-1, d).T, dxm2)
         dmerged = (dxm2 @ bp.wo.T).reshape(B, T, d)
         ln1_wanted = "g1" in want or "b1" in want
         need_da = dx_below or ln1_wanted
         a2 = (st["xn1"] * bp.g1 + bp.b1).reshape(-1, d)
-        dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], a2, bp, pads, cfg,
+        dq_m, dk_m, dv_m = _attention_backward(dmerged, st["att"], a2, bp, cfg,
                                                keys=need_da or "wk" in want)
         for name, dm in (("wq", dq_m), ("wk", dk_m), ("wv", dv_m)):
             if name in want:
-                gb[name] = a2.T @ dm.reshape(-1, d)
+                gb[name] = M._exact_mm(a2.T, dm.reshape(-1, d))
         if need_da:
             da = (dq_m.reshape(-1, d) @ bp.wq.T + dk_m.reshape(-1, d) @ bp.wk.T
                   + dv_m.reshape(-1, d) @ bp.wv.T).reshape(B, T, d)
@@ -392,7 +362,7 @@ def loss_and_grads(params: M.ParameterSet, cfg: M.ModelConfig,
     if wrt is not None:
         return loss, [{name: gb[name] for name in want} for gb in gblocks]
 
-    demb = dl2.T @ xf.reshape(-1, d)
+    demb = M._exact_mm(dl2.T, xf.reshape(-1, d))
     emb_scale = np.sqrt(dtype.type(d))
     np.add.at(demb, tokens, dx * emb_scale)
     dgf, dbf = _ln_param_grads(dxf, xnf)
@@ -505,7 +475,7 @@ def _init_adapters(config: M.ModelConfig, tconfig: TrainConfig):
 
 def _merged(base: M.ParameterSet, factors) -> M.ParameterSet:
     """base with W + A @ B on every adapted projection of every block."""
-    blocks = [dataclasses.replace(bp, **{name: getattr(bp, name) + a @ b
+    blocks = [dataclasses.replace(bp, **{name: getattr(bp, name) + M._exact_mm(a, b)
                                          for name, (a, b) in block.items()})
               for bp, block in zip(base.blocks, factors)]
     return dataclasses.replace(base, blocks=blocks)
@@ -531,7 +501,7 @@ def finetune(base: M.ParameterSet, examples, tconfig: TrainConfig) -> AdapterSet
         for block, gb in zip(factors, grads):
             for name, (a, b) in block.items():
                 dw = gb[name]
-                block[name] = (a - lr * (dw @ b.T), b - lr * (a.T @ dw))
+                block[name] = (a - lr * M._exact_mm(dw, b.T), b - lr * M._exact_mm(a.T, dw))
 
     _run_sgd(cfg, prepared, tconfig, apply_update,
              lambda: _merged(base, factors), wrt=ADAPTED_FIELDS)

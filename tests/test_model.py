@@ -220,6 +220,21 @@ def test_extend_cache_equals_full_bitwise():
     assert (logits_tail == logits_full[10:]).all()
 
 
+@pytest.mark.parametrize("positions", [121, 200])
+def test_a_steps_logits_equal_the_full_pass_past_120_positions(positions):
+    # the head runs in M_MIN-row tiles like every projection: a whole head
+    # GEMM (K 32, N 260) would switch kernel from 121 rows, and a one-token
+    # step's head runs one tile
+    cfg = dataclasses.replace(CFG_SMALL, max_seq=positions)
+    params = M.init_parameters(cfg, seed=11)
+    tokens = _rand_tokens(np.random.default_rng(positions), positions)
+    cache = M.KVCache(cfg)
+    M.extend_cache(params, cfg, cache, tokens[:-1])
+    _, logits_step = M.extend_cache(params, cfg, cache, tokens[-1:])
+    _, logits_full = M.forward_full(params, cfg, tokens)
+    assert (_bits(logits_step[0]) == _bits(logits_full[-1])).all()
+
+
 def _assert_taps_match_full_pass(cfg, seed, prefix_len, s_lens, batch):
     rng = np.random.default_rng(seed)
     params = M.init_parameters(cfg, seed=seed)
@@ -421,26 +436,34 @@ def test_a_causal_square_gives_the_masked_rectangles_bits(head_dim, S):
 
 
 @pytest.mark.parametrize("head_dim", [16, 32])
-@pytest.mark.parametrize("S", [40, 80, 130])
+@pytest.mark.parametrize("S", [9, 40, 80, 130])
 def test_the_attention_backward_rebuilds_the_forwards_probabilities(monkeypatch, head_dim, S):
     # the training pass keeps only the row sums; the backward rebuilds the
-    # probabilities from Q and K with one score GEMM t_pad wide (256 at
-    # S = 130, where the forward's is 160) and must give ex / den of the
-    # forward's masked rectangle, exact zeros off the triangle
+    # numerators from Q and K with the forward's own _scores and _numerators
+    # and must give the forward's bits, which are the masked rectangle's,
+    # exact zeros off the triangle (a bare unpadded score GEMM differs at
+    # S = 9 and head dim 32)
     B = 2
     cfg, (a, _, dmerged) = _square_inputs(head_dim, S, B)
     H, d, empty = cfg.n_heads, cfg.d_model, np.zeros((0, cfg.d_model), dtype=np.float32)
     bp = M.init_parameters(cfg, 7).blocks[0]
     a2 = a.reshape(B * S, d)
     q, k, v = (M._mm(a2, w).reshape(B, S, d) for w in (bp.wq, bp.wk, bp.wv))
+    numerators, seen = M._numerators, []
+
+    def observed(sc, S, T):
+        out = numerators(sc, S, T)
+        seen.append(out.copy())
+        return out
+
+    monkeypatch.setattr(M, "_numerators", observed)
     _, den = M._attention(q, empty, empty, k, v, cfg)
-    monkeypatch.setattr(M, "_CHUNK_BYTES", 1 << 24)  # both items in one chunk
-    pads = T._attention_pads(B, S, cfg, np.dtype(np.float32))
-    T._attention_backward(dmerged, den, a2, bp, pads, cfg)
-    p = pads[1][0]
-    want = np.zeros_like(p)
-    want[:, :S, :S] = (_rectangle_ex(q, k, cfg) / den).reshape(B * H, S, S)
-    assert (_bits(p) == _bits(want)).all()
+    [forward] = seen
+    seen.clear()
+    T._attention_backward(dmerged, den, a2, bp, cfg)
+    backward = np.concatenate(seen)
+    assert (_bits(forward) == _bits(_rectangle_ex(q, k, cfg).reshape(B * H, S, S))).all()
+    assert (_bits(backward) == _bits(forward)).all()
 
 
 @pytest.mark.parametrize("head_dim", [16, 32, 64])

@@ -1,9 +1,14 @@
 import hashlib
 import logging
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from test_codec import _blas_picks_its_kernel_at_load
 
 from ciphermind import model as M
 from ciphermind import provisioning as P
@@ -174,6 +179,56 @@ def test_provision_twinness(registry):
     m2, p2, _ = P.provision(base, key, registry, TC)
     assert M.fingerprint(m1) == M.fingerprint(m2)
     assert p1 == p2
+
+
+def _run_child(code: str, **env) -> str:
+    """The last line that code prints, run by a fresh interpreter under env."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src), **env), timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+_PROVISION_IN_CHILD = """
+from ciphermind import model as M, provisioning as P, trainer as T
+cfg = M.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64, vocab_size=260, max_seq=256)
+_, _, adapters = P.provision(M.init_parameters(cfg, 2506), P.SessionKey(bytes(range(1, 17))),
+                             P.generate_registry(5), T.TrainConfig(steps=2))
+print(T.adapter_fingerprint(adapters).hex())
+"""
+
+
+def test_the_twin_is_the_same_at_one_and_two_blas_threads():
+    # OpenBLAS runs a thread per core by default, and a threaded float32
+    # weight-gradient GEMM rounds otherwise; the fine-tune's weight
+    # gradients, SGD products and merge take exact products (model._exact_mm),
+    # so gateways with other core counts derive one twin
+    fingerprints = {_run_child(_PROVISION_IN_CHILD, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2)}
+    assert len(fingerprints) == 1, fingerprints
+
+
+_EXACT_PRODUCTS_IN_CHILD = """
+import hashlib
+import numpy as np
+from ciphermind import model as M
+rng = np.random.default_rng(5)
+h = hashlib.sha256()
+for m, k, n in ((128, 1280, 128), (128, 128, 4), (128, 4, 128), (33, 77, 19)):
+    a = rng.standard_normal((m, k), dtype=np.float32)
+    h.update(M._exact_mm(a, rng.standard_normal((k, n), dtype=np.float32)).tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not _blas_picks_its_kernel_at_load(),
+                    reason="OPENBLAS_CORETYPE needs a DYNAMIC_ARCH scipy-openblas")
+def test_exact_products_have_the_same_bits_on_every_blas_kernel():
+    # a float32 GEMM of these shapes has other bits under each of these
+    # kernels; the exact products' integer sums are exact in any order
+    digests = {_run_child(_EXACT_PRODUCTS_IN_CHILD, OPENBLAS_CORETYPE=c, OPENBLAS_NUM_THREADS="2")
+               for c in ("Haswell", "Sandybridge", "Prescott")}
+    assert len(digests) == 1, digests
 
 
 def test_provision_fingerprints_the_base_twice(registry, monkeypatch):

@@ -338,41 +338,44 @@ def _array_bits(value) -> list:
     (M.ModelConfig(n_blocks=2, d_model=32, n_heads=2, d_ff=512, max_seq=96), 2),
 ], ids=["default_widths", "d_ff_512"])
 def test_chunking_the_training_pass_moves_no_bit(monkeypatch, cfg, min_backward_chunks):
-    # 8 items of 80 positions: at the default _CHUNK_BYTES the training MLP
-    # runs in 3 row chunks a block and the attention backward in 2 or 3 item
+    # 12 items of 80 positions: at the default _CHUNK_BYTES the training MLP
+    # runs in 4 row chunks a block and the attention backward in 2 or 3 item
     # chunks; at one byte every chunk is one row or one item. At d_ff 512 a
     # whole w2 GEMM of 62 or more rows takes another kernel than a one-row
     # chunk's, so this holds only with model rule 1's M_MIN-row tiles
     params = M.init_parameters(cfg, 5)
     rng = np.random.default_rng(3)
-    tokens = rng.integers(0, 256, size=(8, 80))
-    mask = (rng.random((8, 79)) < 0.7).astype(np.float32)
-    gelu, pads = detmath.gelu, T._attention_pads
-    mlp_chunks, backward_chunks = [], []
+    tokens = rng.integers(0, 256, size=(12, 80))
+    mask = (rng.random((12, 79)) < 0.7).astype(np.float32)
+    gelu, numerators = detmath.gelu, M._numerators
+    mlp_chunks, numerator_calls = [], []
 
     def counted_gelu(x, grad=False):
         mlp_chunks[-1] += grad
         return gelu(x, grad=grad)
 
-    def counted_pads(*args):
-        out = pads(*args)
-        backward_chunks.append(len(out[0]))
-        return out
+    def counted_numerators(sc, S, T):
+        numerator_calls[-1] += 1
+        return numerators(sc, S, T)
 
     monkeypatch.setattr(detmath, "gelu", counted_gelu)
-    monkeypatch.setattr(T, "_attention_pads", counted_pads)
+    monkeypatch.setattr(M, "_numerators", counted_numerators)
 
     def run():
         mlp_chunks.clear()
-        backward_chunks.clear()
+        numerator_calls.clear()
         bits = []
         for wrt in (T.ADAPTED_FIELDS, None):
             mlp_chunks.append(0)
+            numerator_calls.append(0)
             bits += _array_bits(M._forward(params, cfg, tokens,
                                            need_aux=wrt or M.BlockParams.FIELD_ORDER))
             bits += _array_bits(T.loss_and_grads(params, cfg, tokens, mask, wrt=wrt)[1])
-        # MLP chunks a block: the first counter saw two adapter passes
-        return bits, mlp_chunks[0] // (2 * cfg.n_blocks), backward_chunks[0]
+        # chunks a block: the first counters saw two adapter forwards, each
+        # calling _numerators once a block, and one backward, calling it once
+        # a chunk
+        return (bits, mlp_chunks[0] // (2 * cfg.n_blocks),
+                numerator_calls[0] // cfg.n_blocks - 2)
 
     default, mlp, backward = run()
     assert mlp >= 3 and backward >= min_backward_chunks
@@ -388,11 +391,11 @@ class _FirstBatch(Exception):
 
 def test_an_adapter_step_peaks_within_10_mib_of_what_it_keeps(monkeypatch):
     # the batch-sized temporaries of a step (the MLP's hidden rows, the
-    # attention backward's padded buffers) span one chunk, so a step's
-    # tracemalloc peak stays close to the arrays its forward keeps for the
-    # backward: 30.2 MiB here, with a peak of 38.7 MiB. Whole-batch
-    # temporaries peaked 18.7 MiB above the 36.6 MiB a step kept when it
-    # kept the attention's numerators
+    # attention backward's probabilities and their gradient) span one
+    # chunk, so a step's tracemalloc peak stays close to the arrays its
+    # forward keeps for the backward: 30.2 MiB here, with a peak of 38.7 MiB
+    # in the top block's MLP. Whole-batch temporaries peaked 18.7 MiB above
+    # the 36.6 MiB a step kept when it kept the attention's numerators
     cfg = M.ModelConfig()
     base = M.init_parameters(cfg, 2506)
     batches = []
