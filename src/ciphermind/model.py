@@ -11,22 +11,25 @@ implementation rules:
    switches where M * N * K passes 10^6, so a whole w2 GEMM at K 512, N 32
    gives a row other bits from 62 rows on, and a whole head GEMM at d 32
    (K 32, N 260) from 121 rows on. Column counts are fixed by the
-   architecture except in attention, where they follow the sequence: a
-   score GEMM runs at max(S, M_MIN) rows, zero-pads its keys to a multiple
-   of M_MIN and to at least 2 * M_MIN columns, and V is zero-padded to a
-   multiple of M_MIN columns. Measured on OpenBLAS 0.3.31:
-   at M_MIN rows by M_MIN columns a score GEMM that reduces over 32 or more
-   terms takes a kernel with other bits, an AV GEMM whose N is not a
-   multiple of 16 loses row-independent bits, and an N of 1 turns a GEMM
-   into a GEMV. Within these limits a score's bits depend neither on N nor
-   on its column. The AV GEMMs (K = KEY_SEG, N = den_col + M_MIN) run at
-   max(S, 2) rows for an item of S query rows (rule 2): at that shape every
-   row count from 2 to M_MIN gives the M_MIN-row bits; one row makes a GEMV.
+   architecture except in attention, where they follow the sequence.
+   Attention has one geometry: an item of S query rows against T keys runs
+   its score GEMM, its numerators and its AV GEMMs (K = KEY_SEG,
+   N = den_col + M_MIN, rule 2) in one buffer of max(S, M_MIN) rows by
+   t_pad = T rounded up to KEY_SEG columns, and V is zero-padded to a
+   multiple of M_MIN columns. Measured on OpenBLAS 0.3.31: at M_MIN rows by
+   M_MIN columns a score GEMM that reduces over 32 or more terms takes a
+   kernel with other bits, which t_pad >= KEY_SEG = 4 * M_MIN keeps clear
+   of; an AV GEMM whose N is not a multiple of 16 loses row-independent
+   bits, and an N of 1 turns a GEMM into a GEMV. Within these limits a
+   score's bits depend neither on N nor on its column, and the engine
+   relies on it: past 128 positions one path scores a query row at t_pad
+   128 and another at 256.
 
 2. Attention runs both of its GEMMs once per item and head. An item of S
    query rows and Sk own keys runs against one key axis that holds the P
-   prefix keys (or values) the batch shares, then its own; the prefix is
-   written into the GEMM buffers once a call, not once an item. The AV
+   prefix keys (or values) the batch shares, then its own; the prefix keys
+   are written into the score GEMMs' buffer once a chunk of items, and the
+   prefix values into the AV GEMMs' once a call, not once an item. The AV
    reduction runs over keys in fixed ``KEY_SEG``-wide segments combined in
    ascending order, one GEMM with K = KEY_SEG per segment, the key axis
    zero-padded to a segment multiple and masked; the scores need none,
@@ -41,11 +44,12 @@ implementation rules:
    sequence end); masked, padded-row and padded-column entries enter the
    fixed-shape GEMMs as exact zeros, which is what ``exp`` of a masked
    score yields anyway, so only the work shrinks, never the shapes. One
-   routine, ``_numerators``, forms them on every exact path. A causal
+   routine, ``_numerators``, runs the score GEMMs and forms the numerators
+   on every exact path, in the buffer that the AV GEMMs then read. A causal
    square (as many query rows as keys: a training pass, ``forward_full``, a
    catch-up from an empty cache) takes the row max and runs ``exp`` on its
-   causal triangle (key <= query) alone and writes the result into its
-   zeroed scores. Every other call, hypothesis batches among them, sets its
+   causal triangle (key <= query) alone and writes the result into the
+   zeroed buffer. Every other call, hypothesis batches among them, sets its
    masked scores to MASK_FILL and runs ``exp`` on the whole live rectangle.
    A max is exact and the fill never wins it, so both give the same bits.
    An item's query rows are the last S of its P + Sk positions, so the
@@ -72,11 +76,11 @@ implementation rules:
    attention, it keeps the softmax row sums alone. The backward pass
    rebuilds Q, K and V from the first layer norm's output with the
    forward's own GEMMs and scaling, so they have the same bits, and from Q
-   and K the causal probabilities with the forward's own routines:
-   ``_scores`` with no prefix and ``_numerators``, so at the forward's GEMM
-   shapes and with its bits, then a division by the kept row sums. Its
-   weight gradients take ``_exact_mm``, whose bits no BLAS thread count
-   moves. Of the MLP, it keeps the GELU derivative at the GELU input u,
+   and K the causal numerators with the forward's own ``_numerators`` and
+   no prefix, so at the forward's GEMM shapes and with its bits, then
+   divides them by the kept row sums. Its weight gradients take
+   ``_exact_mm``, whose bits no BLAS thread count moves. Of the MLP, it
+   keeps the GELU derivative at the GELU input u,
    which ``detmath.gelu(u, grad=True)`` forms in the forward beside the
    GELU output, from its tanh, and neither u nor that tanh; it keeps the
    GELU output g only when w2's gradient is wanted, and the attention
@@ -152,20 +156,20 @@ M_MIN = 32
 KEY_SEG = 128
 MASK_FILL = -1e30
 
-# Bytes of padded arrays that one chunk of items may span in each of
-# attention's two GEMM loops, so that they stay in cache from the copy to the
-# GEMM: Q rows, keys and their product in the score GEMMs (_scores), e and V
-# in the AV GEMMs. The buffers of one chunk are filled in place for the next,
-# so a call faults in at most one chunk's pages: arrays of a few MiB, or a
-# fresh product per chunk, would be fresh mmap pages on every call whenever
-# glibc's dynamic mmap threshold sits below their size. At ModelConfig() a
-# chunk holds at least 7 two-token hypotheses while the prefix is under 100
-# positions, so a verify of up to 7 items runs as one chunk; the bound acts
-# on the larger verifies of crowded frames (all 257 items where no draft
+# Bytes of padded arrays that one chunk of items may span in attention's GEMM
+# loop, so that they stay in cache from the copy to the GEMM: the numerators'
+# buffer, which the score GEMMs fill and the AV GEMMs read, and V. The
+# buffers of one chunk, and the AV GEMMs' product, are filled in place for
+# the next, so a call faults in at most one chunk's pages: arrays of a few
+# MiB, or a fresh product per chunk, would be fresh mmap pages on every call
+# whenever glibc's dynamic mmap threshold sits below their size. At
+# ModelConfig() a chunk holds 5 two-token hypotheses while the sequence fits
+# one KEY_SEG, so a verify of up to 5 items runs as one chunk; the bound acts
+# on the larger verifies, on crowded frames (all 257 items where no draft
 # score is finite) and on the fine-tune's batches of 16 items of 74 to 82
-# positions, 3 to 5 items a chunk. On a 2-core Xeon (2 MiB L2), one BLAS
-# thread, a (257, 2) hypothesis batch at layer 4 ran alike at 512 KiB, 1 MiB
-# and 2 MiB chunks (medians 42-45 ms) and took 125 ms without chunks. The
+# positions, 3 items a chunk. On a 2-core Xeon (2 MiB L2), one BLAS thread, a
+# (257, 2) hypothesis batch at layer 4 took 98 ms at 512 KiB chunks, 78 ms at
+# 1 MiB and 2 MiB, and 186 ms without chunks (medians of 21). The
 # training pass takes the same bound for its batch-sized temporaries (rule
 # 3): its MLP runs in chunks of rows whose u and GELU output span it, 256 of
 # the fine-tune's 1280 rows at ModelConfig(), and the trainer's attention
@@ -602,30 +606,6 @@ def _chunks(B: int, item_bytes: int):
     return g, [slice(lo, min(B, lo + g)) for lo in range(0, B, g)]
 
 
-def _scores(qh, kp, kh, out) -> None:
-    """Every attention score (rule 1): each item's query rows qh (B, H, S, hd)
-    against the prefix keys kp (H, P, hd) the batch shares and against its
-    own keys kh (B, H, Sk, hd), written into out (B, H, S, P + Sk). One GEMM
-    per item and head (rule 2), at max(S, M_MIN) rows, the items in chunks
-    of _CHUNK_BYTES.
-    """
-    B, H, S, hd = qh.shape
-    P, Sk = kp.shape[1], kh.shape[2]
-    dtype = qh.dtype
-    rows, cols = max(S, M_MIN), max(_round_up(P + Sk, M_MIN), 2 * M_MIN)
-    g, chunks = _chunks(B, dtype.itemsize * H * ((rows + cols) * hd + rows * cols))
-    q_c = np.zeros((g, H, rows, hd), dtype=dtype)
-    k_c = np.zeros((g, H, cols, hd), dtype=dtype)
-    sc_c = np.empty((g, H, rows, cols), dtype=dtype)
-    k_c[:, :, :P] = kp
-    for items in chunks:
-        n = items.stop - items.start
-        q_c[:n, :, :S] = qh[items]
-        k_c[:n, :, P:P + Sk] = kh[items]
-        np.matmul(q_c[:n], k_c[:n].transpose(0, 1, 3, 2), out=sc_c[:n])
-        out[items] = sc_c[:n, :, :S, :P + Sk]
-
-
 @functools.lru_cache
 def _tril_rows(S: int) -> tuple:
     """(i, slice) of each query row i of a causal triangle, its keys 0 .. i,
@@ -633,21 +613,50 @@ def _tril_rows(S: int) -> tuple:
     return tuple((i, slice(i * (i + 1) // 2, (i + 1) * (i + 2) // 2)) for i in range(S))
 
 
-def _numerators(sc, S: int, T: int) -> np.ndarray:
-    """The softmax numerators exp(score - row max) of the live region
-    sc[:, :S, :T] of scores sc (n, >= S, >= T), query row i at key T - S + i,
-    every masked key an exact zero (rule 2). A causal square (S == T) takes
-    the row max and runs exp on its triangle alone, gathered row by row, and
-    scatters the result into the zeroed region, which it returns; any other
-    shape sets its masked scores to MASK_FILL and runs exp on the whole
-    region. sc's live region is overwritten."""
+def _padded_buffers(n: int, H: int, S: int, T: int, hd: int, dtype) -> tuple:
+    """Buffers of n items for _numerators: zeroed query rows
+    (n, H, max(S, M_MIN), hd) and keys (n, H, hd, t_pad), and their product
+    (n, H, max(S, M_MIN), t_pad), t_pad = T rounded up to KEY_SEG. The keys
+    are stored transposed: on OpenBLAS 0.3.31 the score GEMMs then took a
+    third (two-token hypotheses) to two thirds (the fine-tune) of their time
+    on a transposed view of (t_pad, hd) keys, with the same bits at head
+    dims 8 to 192, 32 to 257 rows and 128 to 512 keys."""
+    rows, t_pad = max(S, M_MIN), _round_up(T, KEY_SEG)
+    return (np.zeros((n, H, rows, hd), dtype=dtype), np.zeros((n, H, hd, t_pad), dtype=dtype),
+            np.empty((n, H, rows, t_pad), dtype=dtype))
+
+
+def _numerators(qh, kp, kh, bufs=None) -> np.ndarray:
+    """The softmax numerators exp(score - row max) of query rows qh
+    (n, H, S, hd) against the prefix keys kp (H, P, hd) and each item's own
+    keys kh (n, H, Sk, hd), T = P + Sk, query row i at key T - S + i (rules
+    1 and 2), in a buffer (n, H, max(S, M_MIN), t_pad) that holds +0.0 at
+    every masked key and outside the live region [:, :, :S, :T], where a
+    score is a product with zero padding.
+
+    One score GEMM per item and head, of the query rows zero-padded to
+    max(S, M_MIN) rows against the prefix keys, then the item's own,
+    zero-padded to t_pad. A causal square (S == T) takes the row max and
+    runs exp on its triangle alone, gathered row by row; any other shape
+    sets its masked scores to MASK_FILL and runs exp on the whole live
+    region. bufs holds _padded_buffers of at least n items for this S and
+    T, which _attention reuses across its chunks; None allocates them."""
+    n, H, S, hd = qh.shape
+    P, T = kp.shape[1], kp.shape[1] + kh.shape[2]
+    q_c, k_c, e = (b[:n] for b in bufs or _padded_buffers(n, H, S, T, hd, qh.dtype))
+    q_c[:, :, :S] = qh
+    k_c[..., :P] = kp.transpose(0, 2, 1)
+    k_c[..., P:T] = kh.transpose(0, 1, 3, 2)
+    np.matmul(q_c, k_c, out=e)
+    sc = e.reshape(n * H, *e.shape[2:])
     live = sc[:, :S, :T]
     if S != T:
-        live[:, np.arange(T)[None, :] > np.arange(T - S, T)[:, None]] = sc.dtype.type(MASK_FILL)
+        live[:, np.arange(T)[None, :] > np.arange(T - S, T)[:, None]] = e.dtype.type(MASK_FILL)
         live -= np.max(live, axis=-1, keepdims=True)
-        return detmath.exp(live)
+        live[...] = detmath.exp(live)
+        return e
     rows = _tril_rows(S)
-    tri = np.empty((sc.shape[0], S * (S + 1) // 2), dtype=sc.dtype)
+    tri = np.empty((n * H, S * (S + 1) // 2), dtype=e.dtype)
     for i, keys in rows:
         tri[:, keys] = live[:, i, :i + 1]
     row_max = np.maximum.reduceat(tri, [keys.start for _, keys in rows], axis=1)
@@ -656,13 +665,14 @@ def _numerators(sc, S: int, T: int) -> np.ndarray:
     live.fill(0.0)
     for i, keys in rows:
         live[:, i, :i + 1] = tri[:, keys]
-    return live
+    return e
 
 
 def _attention(q, k_pref, v_pref, k_new, v_new, cfg):
-    """Causal attention (rules 1 and 2 of the module docstring): every score
-    from one _scores call, the AV reduction in KEY_SEG segments, both GEMMs
-    one per item and head.
+    """Causal attention (rules 1 and 2 of the module docstring): the items
+    in chunks of _CHUNK_BYTES, each chunk's numerators from one _numerators
+    call, then the AV reduction on that buffer in KEY_SEG segments, every
+    GEMM one per item and head.
 
     q: (B, S, d) queries; k_new, v_new: (B, Sk, d) each item's own keys and
     values; k_pref/v_pref: (P, d) prefix shared by the whole batch (may be
@@ -676,39 +686,33 @@ def _attention(q, k_pref, v_pref, k_new, v_new, cfg):
     H, hd = cfg.n_heads, cfg.head_dim
     P = k_pref.shape[0]
     T = P + k_new.shape[1]
-    t_pad = _round_up(T, KEY_SEG)
     qh = _split_heads(q * (dtype.type(1.0) / np.sqrt(dtype.type(hd))), H)
-    kh = _split_heads(k_new, H)
-    live = np.empty((B, H, S, T), dtype=dtype)
-    _scores(qh, k_pref.reshape(P, H, hd).transpose(1, 0, 2), kh, live)
+    kh, vh = _split_heads(k_new, H), _split_heads(v_new, H)
+    kp = k_pref.reshape(P, H, hd).transpose(1, 0, 2)
 
-    # Row max and exp over the live region only: real query rows and keys
-    # below T. Padded rows and keys from T on enter the AV GEMMs as exact
-    # zeros.
-    ex = _numerators(live.reshape(B * H, S, T), S, T).reshape(B, H, S, T)
-
-    # AV (rule 2): one GEMM per item, head and KEY_SEG segment, added in
-    # ascending segment order, at max(S, 2) rows (rule 1); V's ones-columns
-    # from den_col on yield the softmax denominators.
+    # AV (rule 2): one GEMM per item, head and KEY_SEG segment of the
+    # numerators' buffer, added in ascending segment order, at its
+    # max(S, M_MIN) rows (rule 1); V's ones-columns from den_col on yield
+    # the softmax denominators.
     den_col = _round_up(hd, M_MIN)
-    cols = den_col + M_MIN
-    rows = max(S, 2)
+    rows, t_pad, cols = max(S, M_MIN), _round_up(T, KEY_SEG), den_col + M_MIN
     g, chunks = _chunks(B, dtype.itemsize * H * t_pad * (rows + cols))
-    e_c = np.zeros((g, H, rows, t_pad), dtype=dtype)
+    bufs = _padded_buffers(g, H, S, T, hd, dtype)
     v_c = np.zeros((g, H, t_pad, cols), dtype=dtype)
     v_c[:, :, :P, :hd] = v_pref.reshape(P, H, hd).transpose(1, 0, 2)
     v_c[..., den_col:] = dtype.type(1.0)
     acc = np.empty((g, H, rows, cols), dtype=dtype)
-    vh = _split_heads(v_new, H)
+    prod = np.empty_like(acc)
     den = np.empty((B, H, S, 1), dtype=dtype)
     attn = np.empty((B, H, S, hd), dtype=dtype)
     for items in chunks:
         n = items.stop - items.start
-        e_c[:n, :, :S, :T] = ex[items]
+        e = _numerators(qh[items], kp, kh[items], bufs)
         v_c[:n, :, P:T, :hd] = vh[items]
         acc[:n] = dtype.type(0.0)
         for lo in range(0, t_pad, KEY_SEG):
-            acc[:n] += np.matmul(e_c[:n, :, :, lo:lo + KEY_SEG], v_c[:n, :, lo:lo + KEY_SEG])
+            acc[:n] += np.matmul(e[..., lo:lo + KEY_SEG], v_c[:n, :, lo:lo + KEY_SEG],
+                                 out=prod[:n])
         attn[items] = acc[:n, :, :S, :hd]
         den[items] = acc[:n, :, :S, den_col:den_col + 1]
     attn /= den

@@ -213,12 +213,6 @@ def config_summary(config: M.ModelConfig) -> bytes:
     return config.pack() + bytes([TEMPLATE_VERSION])
 
 
-def make_profile(base_fp: bytes, adapter_fp: bytes, registry: ShardRegistry,
-                 key: SessionKey, config: M.ModelConfig) -> TwinProfile:
-    return TwinProfile(base_fp, adapter_fp, registry.digest(),
-                       key.commitment(), config_summary(config))
-
-
 def provision(base: M.ParameterSet, key: SessionKey, registry: ShardRegistry,
               tconfig: T.TrainConfig):
     """select_shards -> finetune -> merge; returns (merged twin, profile,
@@ -229,8 +223,8 @@ def provision(base: M.ParameterSet, key: SessionKey, registry: ShardRegistry,
     examples = [ex for i in select_shards(key) for ex in registry.shards[i]]
     adapters = T.finetune(base, examples, tconfig)
     merged = T.merge(base, adapters)
-    profile = make_profile(adapters.base_fingerprint, T.adapter_fingerprint(adapters),
-                           registry, key, base.config)
+    profile = TwinProfile(adapters.base_fingerprint, T.adapter_fingerprint(adapters),
+                          registry.digest(), key.commitment(), config_summary(base.config))
     return merged, profile, adapters
 
 

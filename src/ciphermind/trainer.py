@@ -202,12 +202,11 @@ def _attention_backward(dmerged, den, a2, bp, cfg, keys=True):
     den (B, H, S, 1). The items run in chunks (model._chunks) whose
     probabilities and their gradient span _CHUNK_BYTES. Each chunk rebuilds
     Q, K and V from the first layer norm's output a2 (B * S, d) and bp's
-    projections, and from Q and K the causal probabilities, with the
-    forward's own routines (model._mm, model._scores with no prefix and
-    model._numerators), so with the forward's GEMM shapes and bits, then
-    divides by den. Every GEMM keeps its shape in any chunk (model rule 1's
-    tiles, or one per item and head), so the chunks move no bit. dk is None
-    unless keys.
+    projections with model._mm, and from Q and K the causal numerators with
+    model._numerators and no prefix, the forward's own routines, so with
+    the forward's GEMM shapes and bits, then divides them by den. Every GEMM
+    keeps its shape in any chunk (model rule 1's tiles, or one per item and
+    head), so the chunks move no bit. dk is None unless keys.
     """
     B, S, d = dmerged.shape
     H, hd = cfg.n_heads, cfg.head_dim
@@ -227,9 +226,7 @@ def _attention_backward(dmerged, den, a2, bp, cfg, keys=True):
         q, k, v = (M._split_heads(M._mm(a, w).reshape(n, S, d), H)
                    for w in (bp.wq, bp.wk, bp.wv))
         q *= scale
-        sc = np.empty((n, H, S, S), dtype=dtype)
-        M._scores(q, no_prefix, k, sc)
-        p = M._numerators(sc.reshape(n * H, S, S), S, S).reshape(n, H, S, S)
+        p = M._numerators(q, no_prefix, k)[:, :, :S, :S]
         p /= den[items]
         dA = M._split_heads(dmerged[items], H)
 

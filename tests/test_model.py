@@ -260,17 +260,21 @@ def test_hypothesis_taps_match_full_pass_bitwise():
 # terms for some GEMM shape changes to move any bits
 CFG_HEAD_DIM_32 = M.ModelConfig(n_blocks=2, d_model=128, n_heads=4, d_ff=256,
                                 vocab_size=260, max_seq=160)
+# the head dim of the 3 x 256 and 3 x 768 configs
+CFG_HEAD_DIM_64 = M.ModelConfig(n_blocks=2, d_model=256, n_heads=4, d_ff=512, max_seq=160)
 
 
-@pytest.mark.parametrize("prefix_len,s_lens", [
-    (15, (1, 2, 31, 33)),
-    (120, (33,)),  # positions 120..152 cross KEY_SEG
+@pytest.mark.parametrize("cfg,prefix_len,s_lens", [
+    pytest.param(CFG_HEAD_DIM_32, 15, (1, 2, 31, 33), id="15-s_lens0"),
+    # positions 120..152 cross KEY_SEG
+    pytest.param(CFG_HEAD_DIM_32, 120, (33,), id="120-s_lens1"),
+    pytest.param(CFG_HEAD_DIM_64, 15, (1, 2, 31, 33), id="head_dim_64-15"),
+    pytest.param(CFG_HEAD_DIM_64, 120, (33,), id="head_dim_64-120"),
 ])
-def test_hypothesis_taps_match_full_pass_bitwise_head_dim_32(prefix_len, s_lens):
+def test_hypothesis_taps_match_full_pass_bitwise_head_dim_32(cfg, prefix_len, s_lens):
     # a batch of 2 * M_MIN items runs attention's GEMMs in several chunks of
     # items, the last one short
-    _assert_taps_match_full_pass(CFG_HEAD_DIM_32, 8, prefix_len, s_lens,
-                                 batch=2 * M.M_MIN)
+    _assert_taps_match_full_pass(cfg, 8, prefix_len, s_lens, batch=2 * M.M_MIN)
 
 
 def _bits(a):
@@ -313,25 +317,29 @@ def _per_segment_prefix_scores(qh, kp):
 
 @pytest.mark.parametrize("head_dim", [16, 32])
 @pytest.mark.parametrize("s_rows", [1, 2])  # the tapped block's query row; a frame step's two
-# an encoder tap; a verify of a few items; a frame's hypotheses, in chunks
+# an encoder tap; a verify of a few items; a frame's hypotheses
 @pytest.mark.parametrize("B", [1, 3, 257])
 def test_stacked_own_key_scores_equal_per_item_gemms(head_dim, s_rows, B):
-    # _scores stacks the shared prefix keys and each item's own keys on one
-    # key axis, one GEMM per item and head; its bits must equal both GEMM
-    # forms the prefix and own scores take apart, at no prefix, below M_MIN,
-    # below KEY_SEG, at its end (P = 126: the own keys fill the segment),
-    # straddling it (P = 127) and past it
+    # _numerators stacks the shared prefix keys and each item's own keys on
+    # one key axis, one score GEMM per item and head; the numerators of its
+    # live region must have the bits of the masked rectangle built on both
+    # GEMM forms the prefix and own scores take apart, at no prefix, below
+    # M_MIN, below KEY_SEG, at its end (P = 126: the own keys fill the
+    # segment), straddling it (P = 127) and past it. The AV GEMMs read the
+    # whole buffer, so every entry outside the live region must be +0.0
     rng = np.random.default_rng(head_dim + s_rows + B)
     H, Sk = 4, 2
     qh = rng.standard_normal((B, H, s_rows, head_dim)).astype(np.float32)
     kh = rng.standard_normal((B, H, Sk, head_dim)).astype(np.float32)
     for P in (0, 9, 41, 73, 126, 127, 130):
         kp = rng.standard_normal((H, P, head_dim)).astype(np.float32)
-        out = np.empty((B, H, s_rows, P + Sk), dtype=np.float32)
-        M._scores(qh, kp, kh, out)
-        want = np.concatenate([_per_segment_prefix_scores(qh, kp),
-                               _per_item_own_key_scores(qh, kh)], axis=-1)
-        assert (_bits(out) == _bits(want)).all(), P
+        T = P + Sk
+        e = M._numerators(qh, kp, kh)
+        assert e.shape == (B, H, M.M_MIN, -(-T // M.KEY_SEG) * M.KEY_SEG), P
+        assert (_bits(e[:, :, :s_rows, :T]) == _bits(_masked_ex(qh, kp, kh))).all(), P
+        outside = _bits(e).copy()
+        outside[:, :, :s_rows, :T] = 0
+        assert not outside.any(), P
 
 
 def _per_item_av(ex, vp, vh):
@@ -339,7 +347,11 @@ def _per_item_av(ex, vp, vh):
     head and KEY_SEG segment, segments added in ascending order: the item's
     e rows ex (B, H, S, T) zero-padded to max(S, 2) rows and a KEY_SEG
     multiple of keys, against the prefix V vp (H, P, hd), then its own V vh
-    (B, H, Sk, hd), zero-padded to den_col columns, then M_MIN ones-columns."""
+    (B, H, Sk, hd), zero-padded to den_col columns, then M_MIN ones-columns.
+    The engine runs max(S, M_MIN) rows; this oracle's other row count keeps
+    the check independent of it, and
+    test_av_gemm_bits_at_2_to_m_min_rows_equal_m_min_rows shows that both
+    give the same bits."""
     B, H, S, T = ex.shape
     P, hd = vp.shape[1], vh.shape[-1]
     t_pad, den_col = -(-T // M.KEY_SEG) * M.KEY_SEG, -(-hd // M.M_MIN) * M.M_MIN
@@ -439,10 +451,10 @@ def test_a_causal_square_gives_the_masked_rectangles_bits(head_dim, S):
 @pytest.mark.parametrize("S", [9, 40, 80, 130])
 def test_the_attention_backward_rebuilds_the_forwards_probabilities(monkeypatch, head_dim, S):
     # the training pass keeps only the row sums; the backward rebuilds the
-    # numerators from Q and K with the forward's own _scores and _numerators
-    # and must give the forward's bits, which are the masked rectangle's,
-    # exact zeros off the triangle (a bare unpadded score GEMM differs at
-    # S = 9 and head dim 32)
+    # numerators from Q and K with the forward's own _numerators and must
+    # give the forward's bits, which are the masked rectangle's, exact zeros
+    # off the triangle (a bare unpadded score GEMM differs at S = 9 and head
+    # dim 32)
     B = 2
     cfg, (a, _, dmerged) = _square_inputs(head_dim, S, B)
     H, d, empty = cfg.n_heads, cfg.d_model, np.zeros((0, cfg.d_model), dtype=np.float32)
@@ -451,18 +463,18 @@ def test_the_attention_backward_rebuilds_the_forwards_probabilities(monkeypatch,
     q, k, v = (M._mm(a2, w).reshape(B, S, d) for w in (bp.wq, bp.wk, bp.wv))
     numerators, seen = M._numerators, []
 
-    def observed(sc, S, T):
-        out = numerators(sc, S, T)
-        seen.append(out.copy())
+    def observed(*args):
+        out = numerators(*args)
+        seen.append(out[:, :, :S, :S].copy())
         return out
 
     monkeypatch.setattr(M, "_numerators", observed)
     _, den = M._attention(q, empty, empty, k, v, cfg)
-    [forward] = seen
+    forward = np.concatenate(seen)
     seen.clear()
     T._attention_backward(dmerged, den, a2, bp, cfg)
     backward = np.concatenate(seen)
-    assert (_bits(forward) == _bits(_rectangle_ex(q, k, cfg).reshape(B * H, S, S))).all()
+    assert (_bits(forward) == _bits(_rectangle_ex(q, k, cfg))).all()
     assert (_bits(backward) == _bits(forward)).all()
 
 
@@ -494,9 +506,10 @@ def test_a_projection_row_has_its_own_bits_in_any_batch(k, n):
         assert (_bits(M._mm(a, w)) == _bits(alone)).all(), m
 
 
-def test_one_row_av_input_is_padded_to_two_rows(monkeypatch):
+def test_one_row_av_input_is_padded_to_m_min_rows(monkeypatch):
     # layer 1 runs only the tapped block, whose one query row would make
-    # each AV GEMM a GEMV; of one item or three, each runs its own at two rows
+    # each AV GEMM a GEMV; of one item or three, each runs its own at M_MIN
+    # rows, as every other exact GEMM
     params = M.init_parameters(CFG_SMALL, seed=15)
     cache = M.KVCache(CFG_SMALL)
     M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
@@ -512,7 +525,7 @@ def test_one_row_av_input_is_padded_to_two_rows(monkeypatch):
     M.hypothesis_taps(params, CFG_SMALL, cache, np.array([[4, 5], [6, 7], [8, 9]]), 1)
     M.hypothesis_taps(params, CFG_SMALL, cache, np.array([[4, 5]]), 1)
     monkeypatch.undo()
-    assert av_rows and set(av_rows) == {2}
+    assert av_rows and set(av_rows) == {M.M_MIN}
 
 
 def test_cache_prefix_taps_equal_a_cache_of_that_length():

@@ -22,6 +22,22 @@ def test_decode_ab_runs_one_verify_call_a_frame():
     assert all(c["draft_block_calls"] > 0 for c in calls.values())
 
 
+def test_draft_check_finds_no_decode_that_the_draft_changes():
+    # the verify-all decoder sends every frame's 257 candidates through the
+    # chunked exact attention; the shipped decoder must match it on every
+    # message, and the draft stay within DRAFT_ETA of the exact cosines
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "draft_check.py"), "--frames", "20",
+         "--configs", "test"],
+        capture_output=True, text=True, check=True, timeout=300)
+    [row] = json.loads(run.stdout.splitlines()[-1])["equivalence"]
+    assert row["frames_fed"] >= 20
+    assert row["results_or_errors_differing"] == 0
+    assert all(case["results_or_errors_differing"] == 0 for case in row["by_case"].values())
+    deviation = row["draft_cosine_deviation"]
+    assert deviation["max"] <= deviation["eta"]
+
+
 def test_gemm_scaling_reports_one_speedup_a_repeat():
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "gemm_scaling.py"), "--repeats", "2",

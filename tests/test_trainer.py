@@ -339,49 +339,49 @@ def _array_bits(value) -> list:
 ], ids=["default_widths", "d_ff_512"])
 def test_chunking_the_training_pass_moves_no_bit(monkeypatch, cfg, min_backward_chunks):
     # 12 items of 80 positions: at the default _CHUNK_BYTES the training MLP
-    # runs in 4 row chunks a block and the attention backward in 2 or 3 item
-    # chunks; at one byte every chunk is one row or one item. At d_ff 512 a
-    # whole w2 GEMM of 62 or more rows takes another kernel than a one-row
-    # chunk's, so this holds only with model rule 1's M_MIN-row tiles
+    # runs in 4 row chunks a block, the forward's attention in 2 or 4 item
+    # chunks and the attention backward in 2 or 3; at one byte every chunk
+    # is one row or one item. At d_ff 512 a whole w2 GEMM of 62 or more rows
+    # takes another kernel than a one-row chunk's, so this holds only with
+    # model rule 1's M_MIN-row tiles
     params = M.init_parameters(cfg, 5)
     rng = np.random.default_rng(3)
     tokens = rng.integers(0, 256, size=(12, 80))
     mask = (rng.random((12, 79)) < 0.7).astype(np.float32)
     gelu, numerators = detmath.gelu, M._numerators
-    mlp_chunks, numerator_calls = [], []
+    mlp_chunks, numerator_calls = [0], [0]
 
     def counted_gelu(x, grad=False):
-        mlp_chunks[-1] += grad
+        mlp_chunks[0] += grad
         return gelu(x, grad=grad)
 
-    def counted_numerators(sc, S, T):
-        numerator_calls[-1] += 1
-        return numerators(sc, S, T)
+    def counted_numerators(*args):
+        numerator_calls[0] += 1
+        return numerators(*args)
 
     monkeypatch.setattr(detmath, "gelu", counted_gelu)
     monkeypatch.setattr(M, "_numerators", counted_numerators)
 
     def run():
-        mlp_chunks.clear()
-        numerator_calls.clear()
-        bits = []
+        bits, chunks = [], []
         for wrt in (T.ADAPTED_FIELDS, None):
-            mlp_chunks.append(0)
-            numerator_calls.append(0)
+            mlp_chunks[0] = numerator_calls[0] = 0
             bits += _array_bits(M._forward(params, cfg, tokens,
                                            need_aux=wrt or M.BlockParams.FIELD_ORDER))
+            forward = numerator_calls[0]
             bits += _array_bits(T.loss_and_grads(params, cfg, tokens, mask, wrt=wrt)[1])
-        # chunks a block: the first counters saw two adapter forwards, each
-        # calling _numerators once a block, and one backward, calling it once
-        # a chunk
-        return (bits, mlp_chunks[0] // (2 * cfg.n_blocks),
-                numerator_calls[0] // cfg.n_blocks - 2)
+            # chunks a block: the counters saw two forwards, each calling
+            # _numerators once a chunk, and one backward, calling it once a
+            # chunk
+            chunks.append((mlp_chunks[0] // (2 * cfg.n_blocks), forward // cfg.n_blocks,
+                           (numerator_calls[0] - 2 * forward) // cfg.n_blocks))
+        return bits, chunks[0]
 
-    default, mlp, backward = run()
-    assert mlp >= 3 and backward >= min_backward_chunks
+    default, (mlp, forward, backward) = run()
+    assert mlp >= 3 and forward >= 2 and backward >= min_backward_chunks
     monkeypatch.setattr(M, "_CHUNK_BYTES", 1)
-    smallest, mlp, backward = run()
-    assert (mlp, backward) == (tokens.size, tokens.shape[0])
+    smallest, chunks = run()
+    assert chunks == (tokens.size, tokens.shape[0], tokens.shape[0])
     assert smallest == default
 
 
