@@ -65,9 +65,8 @@ TEMPLATE_TEXT = b"repeat: "
 TEMPLATE_VERSION = 2
 MAX_MESSAGE_LEN = 64
 
-END_HYPOTHESIS = EOS  # reported token id when the end-of-message wins
-# every frame's hypotheses in scoring order: bytes 0..255, then END
-CANDIDATES = (*range(256), END_HYPOTHESIS)
+# every frame's hypotheses in scoring order: bytes 0..255, then END (EOS)
+CANDIDATES = (*range(256), EOS)
 
 DEFAULT_THETA = 0.9999
 # Right-key margins on 99 frames of twins provisioned at ModelConfig() and
@@ -184,7 +183,7 @@ class TokenFrame:
 
 @dataclass
 class DecodeResult:
-    token: int          # byte value, or END_HYPOTHESIS for the final frame
+    token: int          # byte value, or EOS for the final frame
     score: float
     margin: float
 
@@ -264,8 +263,8 @@ class HypothesisScorer:
         self.cache = _template_cache(params, cfg)
         self.suffixes = np.array([frame_step(c) for c in CANDIDATES], dtype=np.int64)
         self.decoded = bytearray()
-        # the last accepted frame's candidate indices and first-position rows, until push
-        self._first = None
+        # the last accepted frame's token and its first-position rows, until push
+        self._accepted = None
 
     @property
     def prefix(self) -> bytes:
@@ -275,39 +274,39 @@ class HypothesisScorer:
         """Returns (token, score, margin) for one frame, or raises
         DecodeFailure when no candidate in V re-creates the payload."""
         payload = np.asarray(payload, dtype=np.float32)
-        self._first = None
+        self._accepted = None
         M.catch_up(self.params, self.cfg, self.cache, layer)
         draft = cosine(M.draft_taps(self.params, self.cfg, self.cache, self.suffixes, layer),
                        payload).astype(np.float64)
         finite = np.isfinite(draft)
         runner_up = np.partition(np.where(finite, draft, -np.inf), -2)[-2]
         rows = np.flatnonzero(~finite | (draft >= runner_up - 2 * DRAFT_ETA))
-        taps, first = M.hypothesis_taps(self.params, self.cfg, self.cache,
-                                        self.suffixes[rows], layer)
+        taps, (keys, values, x) = M.hypothesis_taps(self.params, self.cfg, self.cache,
+                                                    self.suffixes[rows], layer)
         scores = cosine(taps, payload).astype(np.float64)
         best = int(np.argmax(scores))
         if not np.array_equal(taps[best].view(np.uint32), payload.view(np.uint32)):
             raise DecodeFailure(f"no candidate re-creates the payload: best {scores[best]:.6f}",
                                 score=float(scores[best]))
-        self._first = (rows, first)
+        token = CANDIDATES[rows[best]]
+        self._accepted = (token, x[best:best + 1], [k[best:best + 1] for k in keys],
+                          [v[best:best + 1] for v in values])
         margin = scores[best] - np.delete(scores, best).max()
-        return CANDIDATES[rows[best]], float(scores[best]), float(margin)
+        return token, float(scores[best]), float(margin)
 
-    def push(self, byte_val: int) -> None:
-        """Commit one accepted byte of the last scored frame into the shared
-        prefix, at the depth that frame's exact call reached: its hypothesis
-        [byte_val, <sep>] computed the byte's keys and values below the
-        tapped block and its residual entering it. No block runs."""
-        if self._first is None:
-            raise CodecError("no scored frame to commit a byte from")
-        rows, (keys, values, x) = self._first
-        i = np.flatnonzero(rows == CANDIDATES.index(byte_val))
-        if not i.size:
-            raise CodecError(f"byte {byte_val} was not verified in the last scored frame")
-        i = int(i[0])
-        self.cache.commit(x[i:i + 1], [k[i:i + 1] for k in keys], [v[i:i + 1] for v in values])
-        self._first = None
-        self.decoded.append(byte_val)
+    def push(self) -> None:
+        """Commit the byte of the last frame score_frame accepted into the
+        shared prefix, at the depth that frame's exact call reached: its
+        winning hypothesis computed the byte's keys and values below the
+        tapped block and its residual entering it. No block runs. Raises
+        CodecError, with the cache and prefix untouched, unless that frame
+        was accepted and won by a byte, and at most once per frame."""
+        if self._accepted is None or self._accepted[0] == EOS:
+            raise CodecError("no accepted byte frame to commit")
+        token, x, keys, values = self._accepted
+        self.cache.commit(x, keys, values)
+        self._accepted = None
+        self.decoded.append(token)
 
 
 def _check_frame_index(t: int, frame: TokenFrame, cfg: M.ModelConfig) -> None:
@@ -362,14 +361,14 @@ class IncrementalDecoder:
                 score=score)
         if not margin >= self.cp.delta:
             raise AmbiguousDecode(margin)
-        if token == END_HYPOTHESIS and not frame.is_final:
+        if token == EOS and not frame.is_final:
             raise DecodeFailure("end hypothesis won a non-final frame", score=score)
-        if token != END_HYPOTHESIS and frame.is_final:
+        if token != EOS and frame.is_final:
             raise DecodeFailure("byte hypothesis won the final frame", score=score)
         if frame.is_final:
             self.done = True
         else:
-            self.scorer.push(token)
+            self.scorer.push()
             self.state = scheduler.advance(self.state, token, self.cfg.vocab_size)
         self.next_seq += 1
         return DecodeResult(token=token, score=score, margin=margin)

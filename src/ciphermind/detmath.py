@@ -87,7 +87,7 @@ def _exp_block(x, out, k, r, ki, hit) -> None:
     Every step writes in place; the binary32 operations and their order are
     those of r = (xc - k*LN2_HI) - k*LN2_LO, p = ((c7*r + c6)*r + ...)*r + 1.
     """
-    # clamp first so the polynomial never sees huge arguments (e.g. mask fill)
+    # clamp first so the polynomial never sees huge or infinite arguments (a masked score)
     xc = np.clip(x, _EXP_LO, F32(88.72283), out=out)
     np.multiply(xc, _INV_LN2, out=k)
     np.rint(k, out=k)

@@ -50,8 +50,9 @@ implementation rules:
    catch-up from an empty cache) takes the row max and runs ``exp`` on its
    causal triangle (key <= query) alone and writes the result into the
    zeroed buffer. Every other call, hypothesis batches among them, sets its
-   masked scores to MASK_FILL and runs ``exp`` on the whole live rectangle.
-   A max is exact and the fill never wins it, so both give the same bits.
+   masked scores to -inf, as the draft does, and runs ``exp`` on the whole
+   live rectangle. A max is exact, the fill never wins it (every query row
+   has a live key) and ``exp`` of it is +0.0, so both give the same bits.
    An item's query rows are the last S of its P + Sk positions, so the
    shapes alone place the causal mask.
 
@@ -102,9 +103,8 @@ implementation rules:
    peaked at 55.3 MiB. ``forward_full``, ``extend_cache``,
    ``hypothesis_taps`` and ``draft_taps`` never call one another, so a
    wrapper around one sees only its own calls. The exact
-   paths run on the calling thread alone: their per-item GEMM loops hold
-   the interpreter lock between many small calls, and splitting a
-   hypothesis batch over worker threads ran no faster on 2 CPUs.
+   paths run on the calling thread alone: splitting a hypothesis batch
+   over worker threads ran no faster on 2 CPUs.
    The draft is the one path that is not bit-pinned, and it has its own
    block function, ``_draft_block``. Each block runs one QKV GEMM, on
    weights derived once per ParameterSet and block, on the first draft that
@@ -154,7 +154,6 @@ F32 = np.float32
 
 M_MIN = 32
 KEY_SEG = 128
-MASK_FILL = -1e30
 
 # Bytes of padded arrays that one chunk of items may span in attention's GEMM
 # loop, so that they stay in cache from the copy to the GEMM: the numerators'
@@ -638,9 +637,9 @@ def _numerators(qh, kp, kh, bufs=None) -> np.ndarray:
     max(S, M_MIN) rows against the prefix keys, then the item's own,
     zero-padded to t_pad. A causal square (S == T) takes the row max and
     runs exp on its triangle alone, gathered row by row; any other shape
-    sets its masked scores to MASK_FILL and runs exp on the whole live
-    region. bufs holds _padded_buffers of at least n items for this S and
-    T, which _attention reuses across its chunks; None allocates them."""
+    sets its masked scores to -inf and runs exp on the whole live region.
+    bufs holds _padded_buffers of at least n items for this S and T, which
+    _attention reuses across its chunks; None allocates them."""
     n, H, S, hd = qh.shape
     P, T = kp.shape[1], kp.shape[1] + kh.shape[2]
     q_c, k_c, e = (b[:n] for b in bufs or _padded_buffers(n, H, S, T, hd, qh.dtype))
@@ -651,7 +650,7 @@ def _numerators(qh, kp, kh, bufs=None) -> np.ndarray:
     sc = e.reshape(n * H, *e.shape[2:])
     live = sc[:, :S, :T]
     if S != T:
-        live[:, np.arange(T)[None, :] > np.arange(T - S, T)[:, None]] = e.dtype.type(MASK_FILL)
+        live[:, np.arange(T)[None, :] > np.arange(T - S, T)[:, None]] = -np.inf
         live -= np.max(live, axis=-1, keepdims=True)
         live[...] = detmath.exp(live)
         return e

@@ -34,7 +34,6 @@ log = logging.getLogger(__name__)
 KEY_BYTES = 16
 N_SHARDS = 128
 KEY_COMMIT_PREFIX = b"ciphermind.key.v1"
-PROFILE_MAGIC = b"CMTP"
 REGISTRY_MAGIC = b"CMRG"
 REGISTRY_VERSION = 1
 _SHARD_ENTRY = struct.Struct("<I32s")  # a registry header entry: length, SHA-256
@@ -192,21 +191,19 @@ class TwinProfile:
                 raise ProvisioningError(f"{name} must be non-zero")
 
     def pack(self) -> bytes:
-        """132-byte fixed record followed by the config summary."""
-        return (PROFILE_MAGIC + self.base_fingerprint + self.adapter_fingerprint
+        """The four 32-byte digests in field order, then the config summary."""
+        return (self.base_fingerprint + self.adapter_fingerprint
                 + self.registry_digest + self.key_commitment + self.config_summary)
 
     @classmethod
     def unpack(cls, blob: bytes) -> "TwinProfile":
-        if blob[:4] != PROFILE_MAGIC:
-            raise ProvisioningError("bad profile magic")
         if len(blob) != cls.packed_size():
             raise ProvisioningError("bad profile length")
-        return cls(blob[4:36], blob[36:68], blob[68:100], blob[100:132], blob[132:])
+        return cls(blob[:32], blob[32:64], blob[64:96], blob[96:128], blob[128:])
 
     @staticmethod
     def packed_size() -> int:
-        return 132 + 29  # record + packed ModelConfig + template version byte
+        return 128 + 29  # digests + packed ModelConfig + template version byte
 
 
 def config_summary(config: M.ModelConfig) -> bytes:

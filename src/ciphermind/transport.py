@@ -12,7 +12,7 @@ Legal message order per session: HELLO -> HELLO_ACK -> FRAME* -> FIN. A
 failed handshake, recv_message or wait_fin closes the session, answered as:
 
     a malformed, corrupt, wrong-version or unexpected    ERROR(ERR_PROTOCOL)
-    message, seq out of order, wrong nonce or d_model
+    message, seq out of order, a wrong nonce echo
     this side's twin check failed                        ERROR(ERR_TWIN_MISMATCH, field)
     the decode failed (then the message's rest is read)  ERROR(ERR_DECODE, "token t: ...")
     the peer's ERROR, a closed link or a timeout         no answer
@@ -56,8 +56,6 @@ TYPE_FIN = 4
 TYPE_ERROR = 5
 _NAMES = {TYPE_HELLO: "HELLO", TYPE_HELLO_ACK: "HELLO_ACK", TYPE_FRAME: "FRAME",
           TYPE_FIN: "FIN", TYPE_ERROR: "ERROR"}
-
-MODE_INCREMENTAL = 1  # the HELLO's mode byte; no other value is accepted
 
 ERR_TWIN_MISMATCH = 1
 ERR_PROTOCOL = 2
@@ -153,25 +151,21 @@ def parse(data: bytes) -> WireMessage:
 
 # ------------------------------------------------------------------- bodies
 
-def pack_hello(nonce: int, profile: P.TwinProfile, d_model: int) -> bytes:
-    return (struct.pack("<Q", nonce & (2**64 - 1)) + profile.pack()
-            + bytes([MODE_INCREMENTAL]) + struct.pack("<I", d_model))
+def pack_hello(nonce: int, profile: P.TwinProfile) -> bytes:
+    """The HELLO and HELLO_ACK body: nonce u64, then the packed twin
+    profile, whose config summary carries d_model and the template version."""
+    return struct.pack("<Q", nonce & (2**64 - 1)) + profile.pack()
 
 
 def unpack_hello(body: bytes):
-    want = 8 + P.TwinProfile.packed_size() + 1 + 4
-    if len(body) != want:
+    if len(body) != 8 + P.TwinProfile.packed_size():
         raise MalformedMessage("bad hello body length")
     (nonce,) = struct.unpack_from("<Q", body, 0)
     try:
-        profile = P.TwinProfile.unpack(body[8:8 + P.TwinProfile.packed_size()])
+        profile = P.TwinProfile.unpack(body[8:])
     except P.ProvisioningError as e:
         raise MalformedMessage(f"bad hello profile: {e}") from None
-    mode_byte = body[8 + P.TwinProfile.packed_size()]
-    if mode_byte != MODE_INCREMENTAL:
-        raise MalformedMessage(f"unknown mode byte {mode_byte}")
-    (d_model,) = struct.unpack_from("<I", body, len(body) - 4)
-    return nonce, profile, d_model
+    return nonce, profile
 
 
 def pack_frame(message_seq: int, frame: codec.TokenFrame) -> bytes:
@@ -452,13 +446,8 @@ class Session:
 
     # -- handshake ---------------------------------------------------------
 
-    def _hello_body(self) -> bytes:
-        return pack_hello(self.nonce, self.profile, self.config.d_model)
-
     def _check_hello(self, body: bytes) -> int:
-        nonce, remote_profile, d_model = unpack_hello(body)
-        if d_model != self.config.d_model:
-            raise ProtocolViolation("d_model echo mismatch")
+        nonce, remote_profile = unpack_hello(body)
         ok, field = P.verify_twin(self.profile, remote_profile)
         if not ok:
             raise TwinMismatch(field)
@@ -475,12 +464,12 @@ class Session:
         with self._exit():
             if role == "initiator":
                 self.nonce = int.from_bytes(secrets.token_bytes(8), "little") if nonce is None else nonce
-                self._send(WireMessage(TYPE_HELLO, self._hello_body()))
+                self._send(WireMessage(TYPE_HELLO, pack_hello(self.nonce, self.profile)))
                 if self._check_hello(self._expect(TYPE_HELLO_ACK).body) != self.nonce:
                     raise ProtocolViolation("nonce echo mismatch")
             else:
                 self.nonce = self._check_hello(self._expect(TYPE_HELLO).body)
-                self._send(WireMessage(TYPE_HELLO_ACK, self._hello_body()))
+                self._send(WireMessage(TYPE_HELLO_ACK, pack_hello(self.nonce, self.profile)))
         self.established = True
 
     # -- messages ----------------------------------------------------------

@@ -123,6 +123,14 @@ def test_cosine_zero_vector_rejected():
         C.cosine(np.zeros(4, dtype=np.float32), np.ones(4, dtype=np.float32))
 
 
+@pytest.mark.parametrize("taps, payload", [(np.ones(3), np.ones(4)),
+                                           (np.ones((2, 4)), np.ones((1, 4)))],
+                         ids=["shorter taps", "2-d payload"])
+def test_cosine_of_unequal_lengths_rejected(taps, payload):
+    with pytest.raises(C.CodecError, match="equal length"):
+        C.cosine(taps, payload)
+
+
 # ----------------------------------------------------------------- encoding
 
 def test_empty_message_single_final_frame(params):
@@ -159,7 +167,7 @@ def test_every_frame_payload_matches_its_own_context(params):
         assert frame.is_final == (tok == C.EOS)
         assert scorer.score_frame(frame.payload, layer)[:2] == (tok, 1.0), f"frame {t}"
         if tok != C.EOS:
-            scorer.push(tok)
+            scorer.push()
         state = scheduler.advance(state, tok, CFG.vocab_size)
 
 
@@ -223,8 +231,20 @@ def test_end_hypothesis_wins_final_frame(params):
     r0 = dec.feed(frames[0])
     assert r0.token == ord("a")
     r1 = dec.feed(frames[1])
-    assert r1.token == C.END_HYPOTHESIS
+    assert r1.token == C.EOS
     assert dec.plaintext == b"a"
+
+
+def test_a_decoder_is_fed_up_to_its_end_frame_and_read_after_it(params):
+    frames = C.encode_message_incremental(params, CFG, KEY, NONCE, 4, b"a")
+    dec = C.IncrementalDecoder(params, CFG, KEY, NONCE, 4, CP)
+    dec.feed(frames[0])
+    with pytest.raises(C.CodecError, match="not complete"):
+        dec.plaintext
+    dec.feed(frames[1])
+    with pytest.raises(C.CodecError, match="already complete"):
+        dec.feed(frames[1])
+    assert dec.plaintext == b"a" and dec.next_seq == 2
 
 
 def test_zero_payload_decode_failure(params):
@@ -385,7 +405,7 @@ def test_catch_up_under_a_scripted_tap_schedule(cfg):
         for bi in range(layer):
             assert (got.keys(bi).view(np.uint32) == want.keys(bi).view(np.uint32)).all(), (t, bi)
             assert (got.values(bi).view(np.uint32) == want.values(bi).view(np.uint32)).all(), (t, bi)
-        scorer.push(tok)
+        scorer.push()
 
 
 def test_codec_never_runs_the_last_block_or_the_head(params, monkeypatch):
@@ -419,22 +439,53 @@ def test_codec_never_runs_the_last_block_or_the_head(params, monkeypatch):
         assert [v.shape[0] for v in cache._v] == [CFG.max_seq] * (CFG.n_blocks - 1) + [0]
 
 
-def test_push_needs_a_scored_frame(params):
+def _scorer_state(scorer):
+    cache = scorer.cache
+    return (cache.length, tuple(cache.rows), cache._x.tobytes(),
+            [k.tobytes() for k in cache._k], [v.tobytes() for v in cache._v], scorer.prefix)
+
+
+def _push_fails(scorer):
+    before = _scorer_state(scorer)
+    with pytest.raises(C.CodecError, match="no accepted byte frame"):
+        scorer.push()
+    assert _scorer_state(scorer) == before
+
+
+def test_push_needs_a_scored_frame(params, monkeypatch):
+    # push() commits the rows of the byte that score_frame accepted, once;
+    # with no frame scored, after a failed frame and after an accepted END
+    # frame it raises and leaves the cache and the prefix as they were
     scorer = C.HypothesisScorer(params, CFG)
-    with pytest.raises(C.CodecError, match="no scored frame"):
-        scorer.push(7)
-    # an accepted frame keeps the rows of its verify set alone, for one push
-    frame = C.encode_message_incremental(params, CFG, KEY, NONCE, 0, b"b")[0]
-    layer = scheduler.layer_of(scheduler.init_chain(KEY, NONCE, 0), CFG.n_blocks)
-    assert scorer.score_frame(frame.payload, layer)[0] == ord("b")
-    rows = scorer._first[0]
-    outside = next(c for c in range(256) if C.CANDIDATES.index(c) not in rows)
-    with pytest.raises(C.CodecError, match=f"byte {outside} was not verified"):
-        scorer.push(outside)
-    scorer.push(ord("b"))
-    with pytest.raises(C.CodecError, match="no scored frame"):
-        scorer.push(ord("b"))
-    assert scorer.prefix == b"b" and scorer.cache.length == len(C.template_tokens()) + 1
+    _push_fails(scorer)
+    byte_frame, end_frame = C.encode_message_incremental(params, CFG, KEY, NONCE, 0, b"\xff")
+    state = scheduler.init_chain(KEY, NONCE, 0)
+    layer = scheduler.layer_of(state, CFG.n_blocks)
+    verified = []
+    monkeypatch.setattr(M, "hypothesis_taps", lambda *args, call=M.hypothesis_taps:
+                        verified.append(args[3][:, 0].tolist()) or call(*args))
+    assert scorer.score_frame(byte_frame.payload, layer)[0] == 0xFF
+    # the true byte is not the verify set's first item, so a commit of
+    # another item's rows would show
+    assert 0xFF in verified[0] and verified[0][0] != 0xFF
+    _, (keys, values, x) = M.hypothesis_taps(params, CFG, scorer.cache,
+                                             np.array([C.frame_step(0xFF)]), layer)
+    scorer.push()
+    cache, n = scorer.cache, len(C.template_tokens()) + 1
+    assert scorer.prefix == b"\xff" and cache.length == n
+    assert cache.rows[:layer - 1] == [n] * (layer - 1) and len(keys) == layer - 1
+    assert cache._x[n - 1].tobytes() == x[0].tobytes()
+    for bi in range(layer - 1):
+        assert cache.keys(bi)[-1].tobytes() == keys[bi][0].tobytes(), bi
+        assert cache.values(bi)[-1].tobytes() == values[bi][0].tobytes(), bi
+    _push_fails(scorer)
+    layer = scheduler.layer_of(scheduler.advance(state, 0xFF, CFG.vocab_size), CFG.n_blocks)
+    [flipped] = _flip_low_bit([dataclasses.replace(end_frame)])
+    with pytest.raises(C.DecodeFailure):
+        scorer.score_frame(flipped.payload, layer)
+    _push_fails(scorer)
+    assert scorer.score_frame(end_frame.payload, layer)[0] == C.EOS
+    _push_fails(scorer)
 
 
 def test_score_frame_runs_one_hypothesis_batch_per_frame(params, monkeypatch):
@@ -496,8 +547,7 @@ def test_a_flipped_bit_fails_its_frame_after_one_draft_and_one_exact_call(params
         scorer.score_frame(flipped.payload, layer)
     assert calls == ["draft_taps", "hypothesis_taps"]
     # the accepted frame before it gave up its rows to the failed one
-    with pytest.raises(C.CodecError, match="no scored frame"):
-        scorer.push(ord("f"))
+    _push_fails(scorer)
     assert scorer.prefix == b""
 
 
@@ -553,7 +603,7 @@ def test_draft_ranks_the_true_byte_first_within_a_tenth_of_eta(cfg, seed, length
             assert np.abs(d - e).max() <= C.DRAFT_ETA / 10, (n, t)
             assert scorer.score_frame(frame.payload, layer)[0] == tok
             if tok != C.EOS:
-                scorer.push(tok)
+                scorer.push()
                 state = scheduler.advance(state, tok, cfg.vocab_size)
 
 
@@ -573,7 +623,7 @@ def test_every_frame_the_verify_cannot_decide_fails_typed(params):
                 scorer.score_frame(frame.payload, layer)
             break
         assert scorer.score_frame(frame.payload, layer)[0] == tok
-        scorer.push(tok)
+        scorer.push()
         wrong, right = (scheduler.advance(s, tok, CFG.vocab_size) for s in (wrong, right))
     else:
         pytest.fail("the wrong key drew the sender's layer for every byte frame")

@@ -404,13 +404,13 @@ def _masked_ex(qh, kp, kh):
     against the prefix keys kp (H, P, hd) and each item's own keys kh
     (B, H, Sk, hd), T = P + Sk, query row i at key T - S + i, as the masked
     rectangle computes them: the scores from the per-GEMM oracles above,
-    each key above its query row set to MASK_FILL, the row max taken over
+    each key above its query row set to -inf, the row max taken over
     the whole row and exp run on every entry."""
     S = qh.shape[2]
     sc = np.concatenate([_per_segment_prefix_scores(qh, kp),
                          _per_item_own_key_scores(qh, kh)], axis=-1)
     T = sc.shape[-1]
-    sc[..., np.arange(T)[None, :] > np.arange(T - S, T)[:, None]] = M.MASK_FILL
+    sc[..., np.arange(T)[None, :] > np.arange(T - S, T)[:, None]] = -np.inf
     sc -= sc.max(axis=-1, keepdims=True)
     return detmath.exp(sc)
 

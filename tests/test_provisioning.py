@@ -292,6 +292,23 @@ def test_profile_pack_roundtrip(registry):
     assert P.TwinProfile.unpack(blob) == prof
 
 
+@pytest.mark.parametrize("name", ["base_fingerprint", "adapter_fingerprint",
+                                  "registry_digest", "key_commitment"])
+def test_a_profile_digest_must_be_32_bytes(name):
+    digests = {n: bytes([i + 1]) * 32 for i, n in enumerate(
+        ("base_fingerprint", "adapter_fingerprint", "registry_digest", "key_commitment"))}
+    for bad in (digests[name][:31], digests[name] + b"\x01"):
+        with pytest.raises(P.ProvisioningError, match=f"{name} must be 32 bytes"):
+            P.TwinProfile(**{**digests, name: bad}, config_summary=P.config_summary(CFG))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_profile_unpack_rejects_another_length(delta):
+    blob = bytes([7]) * (P.TwinProfile.packed_size() + delta)
+    with pytest.raises(P.ProvisioningError, match="bad profile length"):
+        P.TwinProfile.unpack(blob)
+
+
 def test_keyspace_injectivity_on_samples():
     seen = set()
     for v in (1, 2, 3, 0xFF, 1 << 64, (1 << 128) - 1):

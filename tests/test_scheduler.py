@@ -198,6 +198,12 @@ def test_history_sensitivity_single_token_perturbation():
     assert changed / trials >= 0.999
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_next_below_needs_a_positive_bound(n):
+    with pytest.raises(ValueError, match="positive"):
+        Stream(3).next_below(n)
+
+
 def test_stream_shuffle_deterministic():
     a = list(range(50))
     b = list(range(50))

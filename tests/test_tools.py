@@ -36,6 +36,12 @@ def test_draft_check_finds_no_decode_that_the_draft_changes():
     assert all(case["results_or_errors_differing"] == 0 for case in row["by_case"].values())
     deviation = row["draft_cosine_deviation"]
     assert deviation["max"] <= deviation["eta"]
+    # each call's faults come from its own fresh process
+    minflt = json.loads(run.stdout.splitlines()[-1])["minflt_per_call"]
+    assert set(minflt) == {"fresh_process", "after_12_mib_free"}
+    for by_call in minflt.values():
+        assert set(by_call) == {"draft_taps", "hypothesis_taps"}
+        assert all(isinstance(n, (int, float)) and n >= 0 for n in by_call.values())
 
 
 def test_gemm_scaling_reports_one_speedup_a_repeat():

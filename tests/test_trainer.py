@@ -444,6 +444,51 @@ def test_gradient_wrt_no_name_is_rejected():
         T.loss_and_grads(params, CFG_TINY, tokens, mask, wrt=())
 
 
+def test_prepare_needs_an_example_that_fits():
+    examples = _toy_examples(3)
+    longest = max(len(T.tokenize_example(ex)[0]) for ex in examples)
+    assert len(T._prepare(examples, longest)) >= 1
+    with pytest.raises(T.TrainerError, match="no examples fit"):
+        T._prepare(examples, min(len(T.tokenize_example(ex)[0]) for ex in examples) - 1)
+
+
+def test_gradient_on_an_empty_loss_mask_is_rejected():
+    params = M.init_parameters(CFG_TINY, 5)
+    tokens, mask = T._make_batch(T._prepare(T.make_pretrain_corpus(13, 6), 40), [0])
+    with pytest.raises(T.TrainerError, match="loss mask is empty"):
+        T.loss_and_grads(params, CFG_TINY, tokens, np.zeros_like(mask))
+
+
+def test_an_adapter_rank_above_d_model_is_rejected():
+    base = M.init_parameters(CFG_TINY, 5)
+    tc = T.TrainConfig(steps=0, adapter_rank=CFG_TINY.d_model + 1)
+    with pytest.raises(T.TrainerError, match="adapter rank exceeds d_model"):
+        T.finetune(base, _toy_examples(2), tc)
+    assert T.finetune(base, _toy_examples(2), T.TrainConfig(steps=0, adapter_rank=32))
+
+
+def test_an_infinite_loss_from_finite_logits_is_a_divergence():
+    # a final-norm bias of -c times a target's embedding row puts that
+    # target's logit near -3.1e38 and another near +1.5e38: every logit is
+    # finite, but their difference overflows float32, so the target's
+    # log-probability and the loss are -inf and +inf
+    base = M.init_parameters(CFG_TINY, 5)
+    examples = _toy_examples(4)
+    tokens, mask = T._make_batch(T._prepare(examples, 100), [0, 1, 2, 3])
+    target = int(tokens[0, 1:][mask[0] > 0][-1])
+    row = base.emb[target].astype(np.float64)
+    bf = (-0.9 * 3.4e38 / (row @ row) * row).astype(np.float32)
+    diverging = M.ParameterSet(CFG_TINY, base.emb, base.blocks, base.gf, bf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = M._forward(diverging, CFG_TINY, tokens)[0]
+    assert np.all(np.isfinite(logits))
+    tc = T.TrainConfig(seed=1, steps=1, batch_size=4, max_example_len=100)
+    with pytest.raises(T.DivergenceError) as exc_info:
+        T.finetune(diverging, examples, tc)
+    assert exc_info.value.step == 0
+    assert exc_info.value.__context__ is None  # not a NonFiniteLoss of the logits
+
+
 def test_divergence_reported_with_step():
     corpus = T.make_pretrain_corpus(14, 40)
     tc = T.TrainConfig(seed=1, steps=30, learning_rate=1e6, batch_size=4,

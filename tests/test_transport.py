@@ -91,6 +91,30 @@ def link(request, open_pair):
     return open_pair(request.param)
 
 
+def test_tcp_connect_to_a_closed_port_fails_typed():
+    with socket.socket() as s:  # a port that was free a moment ago, and is closed now
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    with pytest.raises(W.TransportError, match="connect to 127.0.0.1"):
+        W.tcp_connect("127.0.0.1", port, timeout=2)
+
+
+def test_tcp_listen_once_with_no_client_times_out():
+    port = []
+    t0 = time.monotonic()
+    with pytest.raises(W.TransportTimeout, match="no connection"):
+        W.tcp_listen_once("127.0.0.1", 0, timeout=0.2, bound_port=port)
+    assert port and time.monotonic() - t0 < 5
+
+
+def test_tcp_listen_once_on_a_port_in_use_fails_typed():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        s.listen(1)
+        with pytest.raises(W.TransportError, match="listen on 127.0.0.1"):
+            W.tcp_listen_once("127.0.0.1", s.getsockname()[1], timeout=0.2)
+
+
 def test_both_tcp_ends_turn_nagle_off(open_pair):
     for end in open_pair("tcp"):
         assert end.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
@@ -132,6 +156,20 @@ def test_golden_frame_fields():
     mseq, frame = W.unpack_frame(msg.body, 128)
     assert mseq == 3 and frame.seq == 7 and frame.is_final
     assert frame.payload[8] == np.float32(1.0)
+
+
+def test_golden_hello_fields():
+    # nonce u64, then the twin profile: four 32-byte digests and the config
+    # summary, the packed ModelConfig and the template version byte
+    data = bytes.fromhex(GOLDEN["hello"])
+    assert len(data) == W.HEADER_LEN + 8 + P.TwinProfile.packed_size() + 4
+    assert int.from_bytes(data[-4:], "little") == _crc32_oracle(data[:-4])
+    nonce, prof = W.unpack_hello(W.parse(data).body)
+    assert nonce == 0x0123456789ABCDEF
+    assert (prof.base_fingerprint, prof.adapter_fingerprint, prof.registry_digest,
+            prof.key_commitment) == tuple(bytes([b]) * 32 for b in (0x11, 0x22, 0x33, 0x44))
+    assert M.ModelConfig.unpack(prof.config_summary[:-1]) == M.ModelConfig()
+    assert prof.config_summary[-1] == 1
 
 
 def test_parse_serialize_roundtrip_random():
@@ -319,6 +357,16 @@ def test_handshake_established_with_equal_nonces(open_pair, params, profile):
     assert s1.nonce == s2.nonce == 42
 
 
+def test_handshake_rejects_an_unknown_role(open_pair, params, profile):
+    a, b = open_pair()
+    s = _session(b, params, profile)
+    with pytest.raises(ValueError, match="role"):
+        s.handshake("observer")
+    assert not (s.established or s.closed)
+    with pytest.raises(W.TransportTimeout):  # the peer reads nothing
+        a.recv_exact(1, timeout=0.3)
+
+
 @pytest.mark.parametrize("nonce", [-1, 2**64, 1.0])
 def test_handshake_rejects_a_nonce_outside_64_bits(open_pair, params, profile, nonce):
     a, b = open_pair()
@@ -372,6 +420,34 @@ def test_handshake_rejects_a_template_v1_peer(open_pair, params, profile, v1_sid
     assert isinstance(errs[0], W.TwinMismatch)
 
 
+@pytest.mark.parametrize("other_side", ["initiator", "responder"])
+def test_a_twin_of_another_d_model_fails_on_a_named_field(open_pair, params, profile,
+                                                        other_side):
+    # the HELLO carries d_model once, in the profile's config summary: a twin
+    # of another d_model differs in its base fingerprint, the first field
+    # verify_twin compares, and in that summary
+    cfg = dataclasses.replace(CFG, d_model=64)
+    other_params = M.init_parameters(cfg, 55)
+    other = dataclasses.replace(profile, base_fingerprint=M.fingerprint(other_params),
+                                config_summary=P.config_summary(cfg))
+    same_base = dataclasses.replace(other, base_fingerprint=profile.base_fingerprint)
+    assert P.verify_twin(profile, same_base) == (False, "config")
+    a, b = open_pair()
+    ends = [_session(a, params, profile),
+            W.Session(b, params=other_params, config=cfg, profile=other, key=KEY)]
+    initiator, responder = ends if other_side == "responder" else ends[::-1]
+    errs = []
+    t = threading.Thread(target=lambda: errs.append(
+        pytest.raises(W.TwinMismatch, responder.handshake, "responder").value))
+    t.start()
+    with pytest.raises(W.TwinMismatch) as ei:
+        initiator.handshake("initiator", nonce=1)
+    t.join(timeout=30)
+    assert not t.is_alive()
+    assert ei.value.field == errs[0].field == "base"
+    assert ei.value.by_peer and not errs[0].by_peer
+
+
 def test_frame_before_hello_is_protocol_violation(open_pair, params, profile):
     a, b = open_pair()
     s2 = _session(b, params, profile)
@@ -381,16 +457,20 @@ def test_frame_before_hello_is_protocol_violation(open_pair, params, profile):
         s2.handshake("responder")
 
 
-@pytest.mark.parametrize("fault", ["profile magic", "zero fingerprint", "body length",
-                                   "mode byte"])
+def _old_layout_hello(profile, nonce=8):
+    """A HELLO body in the layout before the profile magic, the mode byte and
+    the d_model echo went: 9 bytes longer than pack_hello's."""
+    return (struct.pack("<Q", nonce) + b"CMTP" + profile.pack() + bytes([1])
+            + struct.pack("<I", CFG.d_model))
+
+
+@pytest.mark.parametrize("fault", ["zero fingerprint", "body length", "old layout"])
 def test_malformed_hello_gets_error_reply(open_pair, params, profile, fault):
-    body = bytearray(W.pack_hello(8, profile, CFG.d_model))
-    if fault == "profile magic":
-        body[8:12] = b"XXXX"
-    elif fault == "zero fingerprint":
-        body[12:44] = bytes(32)  # the base fingerprint
-    elif fault == "mode byte":
-        body[8 + P.TwinProfile.packed_size()] = 2  # a retired one-shot peer
+    body = bytearray(W.pack_hello(8, profile))
+    if fault == "zero fingerprint":
+        body[8:40] = bytes(32)  # the base fingerprint
+    elif fault == "old layout":
+        body = _old_layout_hello(profile)
     else:
         body += b"\x00"
     a, b = open_pair()
@@ -401,6 +481,18 @@ def test_malformed_hello_gets_error_reply(open_pair, params, profile, fault):
     reply = W.read_message(a, timeout=1)
     assert reply.type == W.TYPE_ERROR
     assert W.unpack_error(reply.body)[0] == W.ERR_PROTOCOL
+
+
+def test_a_malformed_hello_from_a_peer_that_left_fails_typed(open_pair, params, profile):
+    # the ERROR reply cannot be sent, and the responder still raises the
+    # typed error of the HELLO
+    a, b = open_pair()
+    s = _session(b, params, profile)
+    a.send_bytes(W.serialize(W.WireMessage(W.TYPE_HELLO, _old_layout_hello(profile))))
+    a.close()
+    with pytest.raises(W.MalformedMessage, match="bad hello body length"):
+        s.handshake("responder")
+    assert s.closed
 
 
 # ---------------------------------------------------------------- sessions
@@ -717,8 +809,8 @@ def _wire(mtype, body=b""):
     return W.serialize(W.WireMessage(mtype, body))
 
 
-def _hello(profile, mtype=W.TYPE_HELLO, nonce=8, d_model=CFG.d_model):
-    return _wire(mtype, W.pack_hello(nonce, profile, d_model))
+def _hello(profile, mtype=W.TYPE_HELLO, nonce=8):
+    return _wire(mtype, W.pack_hello(nonce, profile))
 
 
 def _ack(profile, **kw):
@@ -727,12 +819,6 @@ def _ack(profile, **kw):
 
 def _other_twin(profile):
     return dataclasses.replace(profile, adapter_fingerprint=bytes([9]) * 32)
-
-
-def _bad_mode(profile):
-    body = bytearray(W.pack_hello(8, profile, CFG.d_model))
-    body[8 + P.TwinProfile.packed_size()] = 2
-    return _wire(W.TYPE_HELLO, bytes(body))
 
 
 def _frame_wire(mseq=0, value=1.0, final=True):
@@ -763,8 +849,9 @@ _EXITS = {
         ("initiator", lambda p: _frame_wire(), W.ProtocolViolation, _PROTO),
     "initiator: ack echoing another nonce":
         ("initiator", lambda p: _ack(p, nonce=9), W.ProtocolViolation, _PROTO),
-    "initiator: ack with another d_model":
-        ("initiator", lambda p: _ack(p, d_model=64), W.ProtocolViolation, _PROTO),
+    "initiator: ack in the old layout":
+        ("initiator", lambda p: _wire(W.TYPE_HELLO_ACK, _old_layout_hello(p)),
+         W.MalformedMessage, _PROTO),
     "initiator: ack from another twin":
         ("initiator", lambda p: _ack(_other_twin(p)), W.TwinMismatch, _TWIN),
     "initiator: twin mismatch named by the peer":
@@ -780,10 +867,9 @@ _EXITS = {
          W.UnsupportedVersion, _PROTO),
     "responder: frame for the hello":
         ("responder", lambda p: _frame_wire(), W.ProtocolViolation, _PROTO),
-    "responder: hello with a bad mode byte":
-        ("responder", _bad_mode, W.MalformedMessage, _PROTO),
-    "responder: hello with another d_model":
-        ("responder", lambda p: _hello(p, d_model=64), W.ProtocolViolation, _PROTO),
+    "responder: hello in the old layout":
+        ("responder", lambda p: _wire(W.TYPE_HELLO, _old_layout_hello(p)),
+         W.MalformedMessage, _PROTO),
     "responder: hello from another twin":
         ("responder", lambda p: _hello(_other_twin(p)), W.TwinMismatch, _TWIN),
     "responder: peer error":

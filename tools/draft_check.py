@@ -13,10 +13,11 @@ random payloads, and the right key under delta = 0.5. Every
 Reported per config: the frames fed, the largest difference between a
 draft and an exact cosine on the right key's frames (with its quantiles),
 the histogram of the shipped decoder's verify set sizes |V|, and per case
-the frames and typed errors. Then, in fresh processes, the minor page
-faults of one (257, 2) draft_taps call and one exact hypothesis_taps call
-at layer 4, fresh and after a 12 MiB free. The last line is one JSON
-object.
+the frames and typed errors. Then the minor page faults of one (257, 2)
+draft_taps call and of one exact hypothesis_taps call at layer 4, fresh
+and after a 12 MiB free, each measured in its own fresh process, so that
+no call is measured after another has shaped the heap. The last line is
+one JSON object.
 """
 
 from __future__ import annotations
@@ -135,10 +136,14 @@ def check(name: str, want_frames: int) -> dict:
     }
 
 
-def minflt_child(free_mib: int) -> dict:
-    """Minor faults of one (257, 2) draft_taps call and one exact call at
-    layer 4 over a 24-byte message, each the mean of 10 after one warm-up,
-    in this process, after allocating and freeing free_mib MiB first."""
+MINFLT_CALLS = ("draft_taps", "hypothesis_taps")
+
+
+def minflt_child(name: str, free_mib: int) -> float:
+    """Minor faults of one (257, 2) call of model.<name> (a MINFLT_CALLS
+    entry) at layer 4 over a 24-byte message, the mean of 10 after one
+    warm-up, in this process, after allocating and freeing free_mib MiB
+    first."""
     if free_mib:
         block = np.ones(free_mib << 18, dtype=np.float32)
         del block
@@ -148,32 +153,32 @@ def minflt_child(free_mib: int) -> dict:
     M.append_tokens(params, cfg, cache, C.template_tokens() + list(range(65, 89)))
     M.catch_up(params, cfg, cache, 4)
     suffixes = np.array([C.frame_step(c) for c in C.CANDIDATES])
-    out = {}
-    for name, call in (("draft_taps", lambda: M.draft_taps(params, cfg, cache, suffixes, 4)),
-                       ("hypothesis_taps", lambda: M.hypothesis_taps(params, cfg, cache,
-                                                                    suffixes, 4))):
-        call()
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(10):
-            call()
-        out[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
-    return out
+    call = getattr(M, name)
+    call(params, cfg, cache, suffixes, 4)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        call(params, cfg, cache, suffixes, 4)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--frames", type=int, default=1000)
     ap.add_argument("--configs", default="default,test")
-    ap.add_argument("--minflt-child", type=int, default=None, help=argparse.SUPPRESS)
+    ap.add_argument("--minflt-child", nargs=2, metavar=("CALL", "MIB"), default=None,
+                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.minflt_child is not None:
-        print(json.dumps(minflt_child(args.minflt_child)))
+        name, mib = args.minflt_child
+        print(json.dumps(minflt_child(name, int(mib))))
         return 0
     report = {"equivalence": [check(name, args.frames) for name in args.configs.split(",")]}
     report["minflt_per_call"] = {
-        f"after_{mib}_mib_free" if mib else "fresh_process": json.loads(subprocess.run(
-            [sys.executable, __file__, "--minflt-child", str(mib)], check=True,
-            capture_output=True, text=True).stdout)
+        f"after_{mib}_mib_free" if mib else "fresh_process": {
+            name: json.loads(subprocess.run(
+                [sys.executable, __file__, "--minflt-child", name, str(mib)], check=True,
+                capture_output=True, text=True).stdout)
+            for name in MINFLT_CALLS}
         for mib in (0, 12)}
     for row in report["equivalence"]:
         print(f"{row['config']}: {row['frames_fed']} frames, "
