@@ -76,13 +76,14 @@ DEFAULT_DELTA = 1e-6
 
 # The draft's cosines (model.draft_taps: its own block, its candidates in
 # slices across the CPUs) differed from the exact ones by at most 5.96e-8,
-# one float32 ulp below 1, on every candidate of 796 right-key frames at
-# ModelConfig() and 796 on the 4 x 32 test model; on 1015 and 1000 frames of
-# five cases, no result or typed error differed from a verify of all 257
-# (tools/draft_check.py --frames 1000, BENCH_29.json). While no draft score
-# is off by more than DRAFT_ETA, the candidates the exact batch of all 257
-# would rank first and second lie within 2 * DRAFT_ETA of the draft's
-# runner-up.
+# one float32 ulp below 1, on every candidate of the right key's frames:
+# 796 at ModelConfig(), 796 on the 4 x 32 test model and 782 at 3 x 256
+# (head dim 64, d_ff 1024). Over 1015, 1000 and 1000 frames of five cases,
+# no result or typed error differed from a verify of all 257
+# (tools/draft_check.py --frames 1000 --configs default,test,wide). While no
+# draft score is off by more than DRAFT_ETA, the candidates the exact batch
+# of all 257 would rank first and second lie within 2 * DRAFT_ETA of the
+# draft's runner-up.
 DRAFT_ETA = 1e-6
 
 

@@ -98,32 +98,29 @@ implementation rules:
    and every reduction stays within its row, so the chunks move no bit.
    One adapter step at ModelConfig() on the fine-tune's (16, 80) batch
    keeps 30.2 MiB for its backward and peaks at 38.7 MiB under
-   tracemalloc, in the top block's MLP. Keeping the numerators as well, it
-   kept 36.6 MiB and peaked at 45.2 MiB; with whole-batch temporaries it
-   peaked at 55.3 MiB. ``forward_full``, ``extend_cache``,
+   tracemalloc, in the top block's MLP. ``forward_full``, ``extend_cache``,
    ``hypothesis_taps`` and ``draft_taps`` never call one another, so a
-   wrapper around one sees only its own calls. The exact
-   paths run on the calling thread alone: splitting a hypothesis batch
-   over worker threads ran no faster on 2 CPUs.
-   The draft is the one path that is not bit-pinned, and it has its own
-   block function, ``_draft_block``. Each block runs one QKV GEMM, on
-   weights derived once per ParameterSet and block, on the first draft that
-   runs the block (``_draft_weights``; no frame taps the last one): the layer
-   norms' gains and biases and the scores' 1/sqrt(head_dim) are folded into
-   wq|wk|wv and w1. Layer-norm statistics are matrix-vector products, the
-   softmax and GELU use numpy's exp and tanh, attention is one masked
-   product per head with no row floor or segments, and nothing in
+   wrapper around one sees only its own calls. The exact paths run on the
+   calling thread alone: splitting a hypothesis batch over worker threads
+   ran no faster on 2 CPUs.
+   The draft is the one path that is not bit-pinned. Its block function,
+   ``_draft_block``, reads a block's BlockParams as ``_block`` does and
+   runs the K and V GEMMs over every row and the Q GEMM over the rows that
+   query: all of them, and in the tapped block the last. Its layer norms take their statistics as
+   matrix-vector products, the softmax and GELU use numpy's exp and tanh,
+   the GELU's factor 1/2 applied after w2, attention is one masked product
+   per head with no row floor or segments, and nothing in
    :mod:`ciphermind.detmath` is called. A draft block is a few large numpy
    calls, which release the interpreter lock, so ``draft_taps`` cuts its
    items into contiguous slices of at least M_MIN, one per CPU the process
    may run on, and runs every slice but the first on a thread that lives
-   for the call; the slices read the cache at once and never write it. On
-   2 CPUs whose second added to GEMM throughput, decode per tapped block
-   fell 27-35 % (BENCH_29.json); where the second adds nothing, two slices
-   ran about 10 % slower than one. Its taps stay within a few float32 ulps
-   of the exact ones and only rank a decoder's candidates, which an exact
-   ``hypothesis_taps`` call then verifies: a draft value never reaches a
-   frame, a cache or a twin.
+   for the call; the slices read the cache and the weights at once and
+   never write them. On 2 CPUs whose second added to GEMM throughput, two
+   slices cut decode per tapped block by 27-35 % (BENCH_29.json); where the
+   second adds nothing, they ran about 10 % slower than one. Its taps stay
+   within a few float32 ulps of the exact ones and only rank a decoder's
+   candidates, which an exact ``hypothesis_taps`` call then verifies: a
+   draft value never reaches a frame, a cache or a twin.
 
 Elementwise transcendentals come from :mod:`ciphermind.detmath`, except
 the draft's; add, mul, div and sqrt are IEEE-exact and need no pinning.
@@ -302,9 +299,6 @@ class ParameterSet:
     gf: np.ndarray
     bf: np.ndarray
     head_w: np.ndarray = field(default=None, repr=False)  # derived: emb.T contiguous
-    # block index -> its _draft_weights, derived by the first draft_taps call
-    # that runs the block
-    draft_w: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.head_w is None:
@@ -720,54 +714,39 @@ def _attention(q, k_pref, v_pref, k_new, v_new, cfg):
     return merged, den
 
 
-def _draft_weights(bp: BlockParams, cfg: ModelConfig) -> tuple:
-    """(wqkv, qkv_bias, wo, w1, w1_bias, w2) of one block as _draft_block
-    takes them (rule 3): wq|wk|wv with 1/sqrt(head_dim) folded into the Q
-    columns, and it and w1 with the gain of the layer norm before them
-    folded into their rows and that norm's bias turned into a row added to
-    their product."""
-    dtype = bp.wq.dtype
-    scale = dtype.type(1.0) / np.sqrt(dtype.type(cfg.head_dim))
-    wqkv = np.hstack([bp.wq * scale, bp.wk, bp.wv])
-    weights = (bp.g1[:, None] * wqkv, bp.b1 @ wqkv, bp.wo,
-               bp.g2[:, None] * bp.w1, bp.b2 @ bp.w1, bp.w2)
-    for w in weights:
-        w.flags.writeable = False
-    return weights
-
-
-def _draft_norm(x, eps):
-    """The draft's layer norm of rows x (n, d) without gain or bias, which
-    the weights after it hold. The row means and variances are products
-    with a column of 1/d."""
+def _draft_norm(x, g, b, eps):
+    """The draft's layer norm of rows x (n, d), gain g and bias b. The row
+    means and variances are products with a column of 1/d."""
     mean = np.full(x.shape[1], 1.0 / x.shape[1], dtype=x.dtype)
     xc = x - (x @ mean)[:, None]
     var = np.square(xc) @ mean
     var += x.dtype.type(eps)
     xc /= np.sqrt(var)[:, None]
+    xc *= g
+    xc += b
     return xc
 
 
-def _draft_block(w: tuple, cfg: ModelConfig, x, k_pref, v_pref, last_only: bool):
+def _draft_block(bp: BlockParams, cfg: ModelConfig, x, k_pref, v_pref, last_only: bool):
     """One block of the draft (rule 3) on the residual stream x (B, S, d) of
-    items that follow the prefix k_pref/v_pref (P, d): one QKV GEMM, numpy's
-    exp and tanh, attention with one product per head against the prefix
-    and one masked batched product against each item's own keys, and no row
-    floor, segments or pinned math. w is the block's _draft_weights. Returns
-    the block's output, (B, 1, d) for the last position alone with
-    last_only: the tapped block."""
-    wqkv, qkv_bias, wo, w1, w1_bias, w2 = w
+    items that follow the prefix k_pref/v_pref (P, d): numpy's exp and tanh,
+    attention with one product per head against the prefix and one masked
+    batched product against each item's own keys, and no row floor, segments
+    or pinned math. Returns the block's output, (B, 1, d) for the last
+    position alone with last_only: the tapped block, whose Q is projected for
+    that position alone."""
     dtype = x.dtype
     B, S, d = x.shape
     H, hd = cfg.n_heads, cfg.head_dim
     P = k_pref.shape[0]
-    qkv = _draft_norm(x.reshape(B * S, d), cfg.ln_epsilon) @ wqkv
-    qkv += qkv_bias
-    qkv = qkv.reshape(B, S, 3, H, hd)
+    a = _draft_norm(x.reshape(B * S, d), bp.g1, bp.b1, cfg.ln_epsilon)
+    k, v = ((a @ w).reshape(B, S, H, hd).transpose(2, 0, 1, 3) for w in (bp.wk, bp.wv))
     if last_only:
         x = x[:, -1:]
     Sq = x.shape[1]
-    q, k, v = (a.transpose(2, 0, 1, 3) for a in (qkv[:, S - Sq:, 0], qkv[:, :, 1], qkv[:, :, 2]))
+    q = a.reshape(B, S, d)[:, S - Sq:].reshape(B * Sq, d) @ bp.wq
+    q *= dtype.type(1.0) / np.sqrt(dtype.type(hd))
+    q = q.reshape(B, Sq, H, hd).transpose(2, 0, 1, 3)
 
     # scores with the keys before the query rows, (H, P + S, B, Sq), so
     # that the softmax reduces across rows: the prefix keys, then each
@@ -788,11 +767,10 @@ def _draft_block(w: tuple, cfg: ModelConfig, x, k_pref, v_pref, last_only: bool)
     heads += np.matmul(own, v)
     heads /= sc.sum(axis=1)[..., None]
 
-    h = attn.reshape(B * Sq, d) @ wo
+    h = attn.reshape(B * Sq, d) @ bp.wo
     h += x.reshape(B * Sq, d)
     # tanh-form GELU, its factor 1/2 applied after w2
-    u = _draft_norm(h, cfg.ln_epsilon) @ w1
-    u += w1_bias
+    u = _draft_norm(h, bp.g2, bp.b2, cfg.ln_epsilon) @ bp.w1
     g = np.square(u)
     g *= dtype.type(detmath._GELU_C0 * detmath._GELU_C1)
     g += dtype.type(detmath._GELU_C0)
@@ -800,7 +778,7 @@ def _draft_block(w: tuple, cfg: ModelConfig, x, k_pref, v_pref, last_only: bool)
     np.tanh(g, out=g)
     g += dtype.type(1.0)
     g *= u
-    out = g @ w2
+    out = g @ bp.w2
     out *= dtype.type(0.5)
     out += h
     return out.reshape(B, Sq, d)
@@ -1013,18 +991,15 @@ def draft_taps(params: ParameterSet, config: ModelConfig, cache: KVCache,
                suffixes, layer: int) -> np.ndarray:
     """hypothesis_taps' taps (B, d) as the draft computes them (rule 3):
     close to the exact taps, not bit-pinned, for ranking candidates only.
-    The items run in contiguous slices of at least M_MIN, one per CPU that
-    the process may run on; the calling thread runs the first, and a thread
-    that lives for this call runs each other one."""
+    It reads the cache and params and writes neither. The items run in
+    contiguous slices of at least M_MIN, one per CPU that the process may
+    run on; the calling thread runs the first, and a thread that lives for
+    this call runs each other one."""
     x = _checked_embed(params, config, cache, suffixes, layer)
-    weights = params.draft_w
-    for bi in range(layer):
-        if bi not in weights:
-            weights[bi] = _draft_weights(params.blocks[bi], config)
 
     def run(x):
         for bi in range(layer):
-            x = _draft_block(weights[bi], config, x, cache.keys(bi), cache.values(bi),
+            x = _draft_block(params.blocks[bi], config, x, cache.keys(bi), cache.values(bi),
                              last_only=bi == layer - 1)
         return x[:, 0]
 

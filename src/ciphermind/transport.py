@@ -363,7 +363,11 @@ def read_message(stream, timeout: float = DEFAULT_TIMEOUT,
 
 
 class Session:
-    """One ordered duplex conversation between provisioned twins."""
+    """One ordered duplex conversation between provisioned twins.
+
+    A config the codec cannot frame with raises CodecError, and parameters
+    of another config or a profile whose config summary is not the config's
+    raise ValueError, before any byte is sent."""
 
     def __init__(self, stream, *, params: M.ParameterSet, config: M.ModelConfig,
                  profile: P.TwinProfile, key: P.SessionKey,
@@ -371,6 +375,10 @@ class Session:
                  timeout: float = DEFAULT_TIMEOUT,
                  transcript: TranscriptWriter | None = None):
         codec.check_config(config)
+        if config != params.config:
+            raise ValueError("the parameters are of another config than the session's")
+        if profile.config_summary != P.config_summary(config):
+            raise ValueError("the profile's config summary is not the session config's")
         self.stream = stream
         self.params = params
         self.config = config

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pickle
 import struct
 import threading
 
@@ -585,17 +586,28 @@ def test_an_empty_batch_fails_typed():
             taps(params, CFG_SMALL, cache, np.zeros((0, 2), dtype=np.int64), 2)
 
 
-@pytest.mark.parametrize("prefix_len,s_len,batch", [
-    (0, 3, 5), (9, 1, 5), (15, 2, 5), (20, 7, 5), (12, 2, 2 * M.M_MIN + 1),
-], ids=["0-3", "9-1", "15-2", "20-7", "12-2-sliced"])
+@pytest.mark.parametrize("prefix_len,s_len,batch,norm_weights", [
+    (0, 3, 5, False), (9, 1, 5, False), (15, 2, 5, False), (20, 7, 5, False),
+    (12, 2, 2 * M.M_MIN + 1, False), (12, 2, 5, True),
+], ids=["0-3", "9-1", "15-2", "20-7", "12-2-sliced", "12-2-norm-weights"])
 def test_draft_taps_stay_near_the_exact_taps_and_call_no_pinned_math(prefix_len, s_len, batch,
+                                                                      norm_weights,
                                                                       monkeypatch):
     # the draft (rule 3) is not bit-pinned: it must stay within a few float32
-    # ulps of the exact taps, read the cache without writing it, and never
-    # reach detmath, whose calls the benchmark's tracer counts; with 3 CPUs
-    # a batch of 2 * M_MIN + 1 runs as two slices, the second on a worker
+    # ulps of the exact taps, read the cache and the weights without writing
+    # them, and never reach detmath, whose calls the benchmark's tracer
+    # counts; with 3 CPUs a batch of 2 * M_MIN + 1 runs as two slices, the
+    # second on a worker. init_parameters' layer norms have unit gains and
+    # zero biases, so one case draws them, and a draft that drops one fails
     rng = np.random.default_rng(prefix_len + s_len)
     params = M.init_parameters(CFG_SMALL, seed=12)
+    if norm_weights:
+        draw = np.random.default_rng(3)
+        bounds = {"g": (0.5, 1.5), "b": (-0.1, 0.1)}
+        params = M.ParameterSet.from_arrays(CFG_SMALL, (
+            draw.uniform(*bounds[name[0]], a.shape).astype(np.float32) if name[0] in bounds
+            else a for (name, _), a in zip(M.layout_entries(M.weight_layout(CFG_SMALL)),
+                                           params.iter_arrays())))
     cache = M.KVCache(CFG_SMALL)
     if prefix_len:
         M.extend_cache(params, CFG_SMALL, cache, _rand_tokens(rng, prefix_len))
@@ -616,7 +628,7 @@ def test_draft_taps_stay_near_the_exact_taps_and_call_no_pinned_math(prefix_len,
 
     monkeypatch.setattr(M, "_draft_block", recorded)
     monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    rows = list(cache.rows)
+    rows, state = list(cache.rows), pickle.dumps(vars(params))
     for layer, want in enumerate(exact, 1):
         threads.clear()
         got = M.draft_taps(params, CFG_SMALL, cache, suffixes, layer)
@@ -625,27 +637,23 @@ def test_draft_taps_stay_near_the_exact_taps_and_call_no_pinned_math(prefix_len,
         scale = np.abs(want).max(axis=-1)
         assert (np.abs(got - want).max(axis=-1) <= 64 * np.finfo(np.float32).eps * scale).all()
     assert cache.rows == rows and cache.length == prefix_len
+    assert pickle.dumps(vars(params)) == state
 
 
-def test_a_replaced_parameter_set_derives_its_own_draft_weights():
-    # a block's draft weights are derived on the first draft that runs it,
-    # so the last block, which no frame taps, gets none there; a copy with
-    # other blocks (as trainer.merge makes) must not inherit them
+def test_a_replaced_parameter_set_drafts_like_a_fresh_one():
+    # a copy with other blocks (as trainer.merge makes) drafts from its own
+    # weights, whatever drafts ran on the set it was copied from
     params = M.init_parameters(CFG_SMALL, seed=12)
     cache = M.KVCache(CFG_SMALL)
     M.extend_cache(params, CFG_SMALL, cache, [1, 2, 3])
     suffixes = np.array([[4, 5], [6, 7]])
-    assert params.draft_w == {}
-    M.draft_taps(params, CFG_SMALL, cache, suffixes, 1)
-    first = params.draft_w[0]
-    M.draft_taps(params, CFG_SMALL, cache, suffixes, 2)
-    assert sorted(params.draft_w) == [0, 1] and params.draft_w[0] is first
+    before = M.draft_taps(params, CFG_SMALL, cache, suffixes, 2)
     blocks = [dataclasses.replace(bp, w1=bp.w1 * np.float32(2)) for bp in params.blocks]
     other = dataclasses.replace(params, blocks=blocks)
     fresh = M.ParameterSet.from_arrays(CFG_SMALL, other.iter_arrays())
-    assert other.draft_w == {}
-    assert (M.draft_taps(other, CFG_SMALL, cache, suffixes, 2)
-            == M.draft_taps(fresh, CFG_SMALL, cache, suffixes, 2)).all()
+    got = M.draft_taps(other, CFG_SMALL, cache, suffixes, 2)
+    assert (got == M.draft_taps(fresh, CFG_SMALL, cache, suffixes, 2)).all()
+    assert (got != before).any()
 
 
 def _assert_caches_equal(got, want, blocks):

@@ -6,6 +6,7 @@ import struct
 import threading
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,28 @@ def test_a_trickling_peer_meets_the_read_deadline(link):
     assert 0.3 <= elapsed < 2.0
 
 
+def test_a_deadline_that_passes_between_two_chunks_times_out(open_pair, monkeypatch):
+    # the clock passes the deadline after the first chunk, so the read
+    # raises before it would set a negative socket timeout
+    a, b = open_pair()
+    b.send_bytes(b"ab")
+    clock = iter([0.0, 0.0])
+    monkeypatch.setattr(W, "time", types.SimpleNamespace(monotonic=lambda: next(clock, 1.0)))
+    with pytest.raises(W.TransportTimeout, match="waiting for 4 bytes"):
+        a.recv_exact(4, timeout=0.5)
+
+
+def test_close_ignores_a_socket_that_fails_to_close():
+    closed = []
+
+    class FailingSocket:
+        def close(self):
+            closed.append(True)
+            raise OSError("bad file descriptor")
+
+    W.SocketStream(FailingSocket()).close()
+    assert closed == [True]
+
 def test_a_writer_nobody_reads_times_out(link):
     a, _ = link
     with pytest.raises(W.TransportTimeout):
@@ -412,12 +435,37 @@ def test_handshake_twin_mismatch_names_field(open_pair, params, profile):
 
 @pytest.mark.parametrize("v1_side", ["initiator", "responder"])
 def test_handshake_rejects_a_template_v1_peer(open_pair, params, profile, v1_side):
+    # the v1 peer is a raw stream end, since a Session refuses a profile
+    # whose config summary is not its config's
     assert codec.TEMPLATE_VERSION == 2 and profile.config_summary[-1] == 2
     v1 = dataclasses.replace(profile, config_summary=CFG.pack() + bytes([1]))
-    pair = (v1, profile) if v1_side == "initiator" else (profile, v1)
-    field, errs = _mismatched_handshake(open_pair, params, *pair)
-    assert field == "config"
-    assert isinstance(errs[0], W.TwinMismatch)
+    a, b = open_pair()
+    s = _session(b, params, profile)
+    role, wire = ("responder", _hello(v1)) if v1_side == "initiator" else ("initiator", _ack(v1))
+    a.send_bytes(wire)
+    with pytest.raises(W.TwinMismatch) as err:
+        s.handshake(role, nonce=8 if role == "initiator" else None)
+    assert err.value.field == "config" and not err.value.by_peer
+    if v1_side == "responder":
+        assert W.read_message(a, timeout=1).type == W.TYPE_HELLO
+    reply = W.read_message(a, timeout=1)
+    assert reply.type == W.TYPE_ERROR
+    assert W.unpack_error(reply.body) == (W.ERR_TWIN_MISMATCH, "config")
+
+
+@pytest.mark.parametrize("wrong", ["parameters", "profile"])
+def test_a_session_refuses_parameters_or_a_profile_of_another_config(open_pair, params, profile,
+                                                                    wrong):
+    # before any byte is sent: two sessions of one profile whose configs
+    # differ in d_model would pass the handshake and fail at the first FRAME
+    wide = dataclasses.replace(CFG, d_model=64)
+    wide_params = M.init_parameters(wide, seed=55)
+    a, b = open_pair()
+    with pytest.raises(ValueError, match=wrong):
+        W.Session(b, params=wide_params, config=CFG if wrong == "parameters" else wide,
+                  profile=profile, key=KEY)
+    with pytest.raises(W.TransportTimeout):  # the peer reads nothing
+        a.recv_exact(1, timeout=0.3)
 
 
 @pytest.mark.parametrize("other_side", ["initiator", "responder"])

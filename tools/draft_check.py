@@ -1,14 +1,16 @@
 """Draft-and-verify decoding against a verify of every candidate, frame by frame.
 
-    python3 tools/draft_check.py [--frames 1000] [--configs default,test]
+    python3 tools/draft_check.py [--frames 1000] [--configs default,test,wide]
 
-For each config (the shipped ``ModelConfig()`` with base seed 11, and the
-unit tests' 4 x 32 model with seed 77), feeds messages until at least
-``--frames`` frames were fed, to two decoders each: one as shipped, one
-whose draft is replaced by NaN rows, so that the same code verifies all
-257 candidates on every frame. The messages rotate through five cases: the
-right key, the key with bit 127 flipped, one flipped payload bit a frame,
-random payloads, and the right key under delta = 0.5. Every
+For each config that ``--configs`` names (``default``: the shipped
+``ModelConfig()`` with base seed 11; ``test``: the unit tests' 4 x 32 model
+with seed 77; ``wide``: 3 x 256 with head dim 64 and seed 11; the first two
+unless named otherwise), feeds messages until at least ``--frames`` frames
+were fed, to two decoders each: one as shipped, one whose draft is
+replaced by NaN rows, so that the same code verifies all 257 candidates on
+every frame. The messages rotate through five cases: the right key, the key
+with bit 127 flipped, one flipped payload bit a frame, random payloads, and
+the right key under delta = 0.5. Every
 ``DecodeResult`` and every typed error of the two decoders must be equal.
 Reported per config: the frames fed, the largest difference between a
 draft and an exact cosine on the right key's frames (with its quantiles),
@@ -49,6 +51,7 @@ CONFIGS = {
     "default": (M.ModelConfig(), 11),
     "test": (M.ModelConfig(n_blocks=4, d_model=32, n_heads=2, d_ff=64, vocab_size=260,
                            max_seq=256), 77),
+    "wide": (M.ModelConfig(n_blocks=3, d_model=256, n_heads=4, d_ff=1024), 11),
 }
 CASES = ("right_key", "wrong_key", "flipped_bit", "random_payloads", "delta_0.5")
 
